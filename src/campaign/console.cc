@@ -24,8 +24,9 @@ parseCount(const std::string &token, const char *what)
 }
 
 std::string
-handleCampaign(ies::Console &, const std::vector<std::string> &tokens)
+handleCampaign(ies::Console &, std::string_view line)
 {
+    const std::vector<std::string> tokens = ies::splitWords(line);
     if (tokens.size() < 2)
         fatal("usage: campaign <start|resume|status> <dir> ...");
     const std::string &sub = tokens[1];

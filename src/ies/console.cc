@@ -114,18 +114,38 @@ struct ConsoleMonitor
     explicit ConsoleMonitor(Cycle window) : sampler(window) {}
 };
 
+std::vector<std::string>
+splitWords(std::string_view line)
+{
+    std::vector<std::string> words;
+    for (std::string_view w = nextWord(line); !w.empty(); w = nextWord(line))
+        words.emplace_back(w);
+    return words;
+}
+
 namespace
 {
 
-std::vector<std::string>
-tokenize(const std::string &line)
+/**
+ * Every top-level name Console::handle() matches. execute() consults
+ * this before the extension registry, so no registered family can
+ * shadow a builtin.
+ */
+constexpr std::string_view builtinCommands[] = {
+    "node",       "buffer",        "throughput", "capture",  "init",
+    "stats",      "counters",      "clear",      "reset",    "dump-trace",
+    "save-state", "load-state",    "ckpt",       "monitor",  "trace",
+    "prof",       "save-protocol", "export-csv", "fault",    "health",
+    "script",     "shutdown",      "help",
+};
+
+bool
+isBuiltin(std::string_view cmd)
 {
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string tok;
-    while (is >> tok)
-        tokens.push_back(tok);
-    return tokens;
+    for (const std::string_view name : builtinCommands)
+        if (name == cmd)
+            return true;
+    return false;
 }
 
 /** Parse an unsigned decimal token; fatal() on anything else. */
@@ -242,10 +262,17 @@ Console::registerCommand(const std::string &name,
 }
 
 std::string
-Console::execute(const std::string &command_line)
+Console::execute(std::string_view command_line)
 {
     try {
-        return handle(tokenize(command_line));
+        std::string_view rest = command_line;
+        const std::string_view cmd = nextWord(rest);
+        if (!isBuiltin(cmd)) {
+            const auto ext = extensions_.find(cmd);
+            if (ext != extensions_.end())
+                return ext->second(*this, command_line);
+        }
+        return handle(splitWords(command_line));
     } catch (const FatalError &err) {
         return std::string("error: ") + err.what();
     } catch (const std::exception &err) {
@@ -579,9 +606,6 @@ Console::handle(const std::vector<std::string> &tokens)
             text += " " + name;
         return text;
     }
-    const auto ext = extensions_.find(cmd);
-    if (ext != extensions_.end())
-        return ext->second(*this, tokens);
     fatal("unknown command '", cmd, "'");
 }
 

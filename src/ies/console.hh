@@ -57,6 +57,10 @@
  * families with registerCommand(); campaign::registerConsoleCommands
  * adds `campaign start|resume|status` (see src/campaign/console.hh).
  *
+ * Tokens are separated by runs of the six C-locale whitespace
+ * characters (space, \t, \n, \v, \f, \r), so a tab-separated or
+ * "\r\n"-terminated line means the same as a single-spaced one.
+ *
  * Configuration commands are only legal before init; fatal() errors
  * come back as "error: ..." strings, like a console status line.
  */
@@ -68,6 +72,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bus/bus6xx.hh"
@@ -78,6 +83,33 @@
 
 namespace memories::ies
 {
+
+/**
+ * Pop the next token off the front of @p rest, without copying: the
+ * returned view points into @p rest's text. Empty once no token is
+ * left.
+ */
+inline std::string_view
+nextWord(std::string_view &rest)
+{
+    // The separators are exactly C-locale isspace()'s six characters.
+    const auto space = [](char c) {
+        return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
+               c == '\f' || c == '\r';
+    };
+    std::size_t begin = 0;
+    while (begin < rest.size() && space(rest[begin]))
+        ++begin;
+    std::size_t end = begin;
+    while (end < rest.size() && !space(rest[end]))
+        ++end;
+    const std::string_view word = rest.substr(begin, end - begin);
+    rest.remove_prefix(end);
+    return word;
+}
+
+/** Every token of @p line, in order (the builtin commands' view). */
+std::vector<std::string> splitWords(std::string_view line);
 
 /** Monitor-session state (sampler + live view); see console.cc. */
 struct ConsoleMonitor;
@@ -92,7 +124,7 @@ class Console
     ~Console();
 
     /** Execute one command line; returns the console's reply text. */
-    std::string execute(const std::string &command_line);
+    std::string execute(std::string_view command_line);
 
     /** True once init has built and attached the board. */
     bool initialized() const { return board_ != nullptr; }
@@ -113,12 +145,14 @@ class Console
     bool monitoring() const { return monitor_ != nullptr; }
 
     /**
-     * Handler for an extension command family. Invoked with the full
-     * token list (tokens[0] is the family name); fatal() inside a
-     * handler comes back as "error: ..." text like any built-in.
+     * Handler for an extension command family. Invoked with the whole
+     * request line, family name included, so a bulk command can parse
+     * it in place; others take splitWords(line). The view is valid for
+     * the call only. fatal() inside a handler comes back as
+     * "error: ..." text like any built-in.
      */
-    using CommandHandler = std::function<std::string(
-        Console &, const std::vector<std::string> &)>;
+    using CommandHandler =
+        std::function<std::string(Console &, std::string_view line)>;
 
     /**
      * Register @p handler for top-level command @p name. Libraries
@@ -153,7 +187,7 @@ class Console
     fault::FaultPlan plan_;
     bool planLoaded_ = false;
     std::unique_ptr<fault::FaultInjector> injector_;
-    std::map<std::string, CommandHandler> extensions_;
+    std::map<std::string, CommandHandler, std::less<>> extensions_;
 };
 
 } // namespace memories::ies

@@ -60,13 +60,19 @@ ServiceClient::connect(const std::string &socket_path, int retry_ms)
 Reply
 ServiceClient::exec(const std::string &line)
 {
+    return request(line + "\n");
+}
+
+Reply
+ServiceClient::request(std::string_view framed)
+{
     Reply failed;
     failed.ok = false;
     if (!channel_) {
         failed.lines = {"transport: not connected"};
         return failed;
     }
-    if (!channel_->writeAll(line + "\n")) {
+    if (!channel_->writeAll(framed)) {
         channel_.reset();
         failed.lines = {"transport: connection lost (write)"};
         return failed;
@@ -90,29 +96,30 @@ ServiceClient::feedAll(const std::vector<bus::BusTransaction> &txns,
     if (batch == 0)
         batch = 1;
 
-    // Pre-pack the whole stream once: a back-pressured tail is re-sent
-    // verbatim, so the hex tokens must not depend on how the stream
-    // ends up being windowed.
-    std::vector<std::string> hex;
-    hex.reserve(txns.size());
+    // Encode the whole stream once, as " <hex16>" per record: a
+    // back-pressured tail is re-sent verbatim, so the bytes must not
+    // depend on how the stream ends up being windowed, and every feed
+    // line is "feed" + one slice of this buffer + "\n".
+    constexpr std::size_t recordBytes = 17;
+    std::string wire;
+    wire.reserve(txns.size() * recordBytes);
     Cycle prev = prevCycle_;
     for (const auto &txn : txns) {
-        hex.push_back(encodeRecordHex(
-            trace::BusRecord::pack(txn, prev).raw));
+        wire += ' ';
+        appendRecordHex(wire, trace::BusRecord::pack(txn, prev).raw);
         prev = txn.cycle;
     }
 
+    std::string line;
     std::size_t next = 0;
     int zeroProgress = 0;
-    while (next < hex.size() && channel_) {
-        const std::size_t n = std::min(batch, hex.size() - next);
-        std::string line = "feed";
-        for (std::size_t i = 0; i < n; ++i) {
-            line += ' ';
-            line += hex[next + i];
-        }
+    while (next < txns.size() && channel_) {
+        const std::size_t n = std::min(batch, txns.size() - next);
+        line.assign("feed");
+        line.append(wire, next * recordBytes, n * recordBytes);
+        line += '\n';
         const auto sent = std::chrono::steady_clock::now();
-        const Reply reply = exec(line);
+        const Reply reply = request(line);
         if (latencies_us)
             latencies_us->push_back(
                 std::chrono::duration<double, std::micro>(

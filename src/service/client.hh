@@ -28,9 +28,15 @@ namespace memories::service
 /** Result of one streamed upload (feedAll). */
 struct FeedTotals
 {
-    std::uint64_t offered = 0;   //!< records handed to feedAll
-    std::uint64_t accepted = 0;  //!< records the board accepted
-    std::uint64_t resends = 0;   //!< back-pressured re-offers
+    std::uint64_t offered = 0;  //!< records handed to feedAll
+    std::uint64_t accepted = 0; //!< records the board accepted
+    /**
+     * Feed lines the daemon admitted no record of (`fed 0`), each
+     * re-offered whole. A partly admitted line's tail is re-sent too
+     * but not counted here; `stream status` offered ÷ attempted is
+     * the re-send ratio over all records (docs/SERVICE.md).
+     */
+    std::uint64_t resends = 0;
     std::uint64_t feedLines = 0; //!< feed requests sent
 };
 
@@ -93,6 +99,9 @@ class ServiceClient
     void setChainCycle(Cycle cycle) { prevCycle_ = cycle; }
 
   private:
+    /** exec() for a request that already carries its "\n". */
+    Reply request(std::string_view framed);
+
     std::unique_ptr<LineChannel> channel_;
     std::string greeting_;
     Cycle prevCycle_ = 0; //!< pack-side mirror of the session chain

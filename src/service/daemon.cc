@@ -288,9 +288,8 @@ Daemon::serveClient(Slot &slot)
     Session &session = *slot.session;
     LineChannel &channel = *slot.channel;
     session.console().registerCommand(
-        "server", [this, &slot](ies::Console &,
-                                const std::vector<std::string> &tokens) {
-            return handleServer(slot, tokens);
+        "server", [this, &slot](ies::Console &, std::string_view line) {
+            return handleServer(slot, ies::splitWords(line));
         });
 
     channel.sendReply(true, "iesserv ready session " + session.name());

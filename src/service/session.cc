@@ -32,17 +32,6 @@ validateName(const std::string &name)
         fatal("session name may not start with '.'");
 }
 
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string token;
-    while (is >> token)
-        tokens.push_back(token);
-    return tokens;
-}
-
 std::uint64_t
 parseField(const std::string &line, const std::string &key)
 {
@@ -71,9 +60,8 @@ Session::Session(const SessionOptions &options, std::string name)
     ingest_.registerCommands(*console_);
     campaign::registerConsoleCommands(*console_);
     console_->registerCommand(
-        "session", [this](ies::Console &,
-                          const std::vector<std::string> &tokens) {
-            return handleSession(tokens);
+        "session", [this](ies::Console &, std::string_view line) {
+            return handleSession(ies::splitWords(line));
         });
 }
 
@@ -86,9 +74,9 @@ Session::manifestPath(const std::string &state_dir, const std::string &name)
 }
 
 void
-Session::recordConfigLine(const std::string &line,
-                          const std::vector<std::string> &tokens)
+Session::recordConfigLine(const std::string &line)
 {
+    const std::vector<std::string> tokens = ies::splitWords(line);
     if (tokens.empty())
         return;
     const std::string &family = tokens[0];
@@ -104,18 +92,18 @@ Session::recordConfigLine(const std::string &line,
 std::string
 Session::execute(const std::string &line)
 {
-    const std::vector<std::string> tokens = tokenize(line);
     // Expand `script` here, not in the console: the console runs the
     // file's lines internally, which would bypass config recording
     // and leave a scripted session unable to resume. Routing each
     // line back through execute() records exactly the config lines a
     // hand-typed session would.
-    if (!tokens.empty() && tokens[0] == "script")
-        return executeScript(tokens);
+    std::string_view rest = line;
+    if (ies::nextWord(rest) == "script")
+        return executeScript(ies::splitWords(line));
     const bool preInit = !console_->initialized();
     const std::string reply = console_->execute(line);
     if (preInit && reply.rfind("error:", 0) != 0)
-        recordConfigLine(line, tokens);
+        recordConfigLine(line);
     return reply;
 }
 
@@ -301,7 +289,7 @@ Session::resume(const std::string &name)
     };
     std::vector<TwinEntry> twinEntries;
     for (std::uint64_t i = 0; i < twins; ++i) {
-        const std::vector<std::string> tokens = tokenize(nextLine());
+        const std::vector<std::string> tokens = ies::splitWords(nextLine());
         if (tokens.size() != 3 || tokens[0] != "twin")
             fatal("session manifest ", path, ": bad twin line '", line,
                   "'");

@@ -99,8 +99,7 @@ class Session
     std::string suspend();
     std::string resume(const std::string &name);
     std::string executeScript(const std::vector<std::string> &tokens);
-    void recordConfigLine(const std::string &line,
-                          const std::vector<std::string> &tokens);
+    void recordConfigLine(const std::string &line);
     void setName(const std::string &name)
     {
         std::lock_guard<std::mutex> lock(nameMu_);

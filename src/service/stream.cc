@@ -116,32 +116,35 @@ StreamIngest::feedAttempted(ies::Console &console,
 }
 
 std::string
-StreamIngest::handleFeed(ies::Console &console,
-                         const std::vector<std::string> &tokens)
+StreamIngest::handleFeed(ies::Console &console, std::string_view line)
 {
     ies::MemoriesBoard &board = requireBoard(console, "feed");
-    if (tokens.size() < 2)
+    ies::nextWord(line); // the family name
+
+    // One pass over the words, straight from the request line: count
+    // them all, and decode until the batch limit or the first bad one.
+    // The whole line is rejected on any error, the limit check first.
+    words_.clear();
+    std::size_t n = 0;
+    std::string_view bad;
+    for (std::string_view word = ies::nextWord(line); !word.empty();
+         word = ies::nextWord(line)) {
+        if (++n > maxBatch_ || !bad.empty())
+            continue;
+        const auto raw = decodeRecordHex(word);
+        if (raw)
+            words_.push_back(*raw);
+        else
+            bad = word;
+    }
+    if (n == 0)
         fatal("usage: feed <hex16> [<hex16> ...]");
-    const std::size_t n = tokens.size() - 1;
     if (n > maxBatch_)
         fatal("feed of ", n, " records exceeds the session batch limit ",
               maxBatch_);
-
-    // Decode every record first (reject the whole line on any bad
-    // token) and unpack with the session's cycle chain.
-    std::vector<bus::BusTransaction> txns;
-    txns.reserve(n);
-    Cycle prev = prevCycle_;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const auto raw = decodeRecordHex(tokens[i]);
-        if (!raw)
-            fatal("bad record token '", tokens[i],
-                  "' (want 16 lower-case hex digits)");
-        const bus::BusTransaction txn =
-            trace::BusRecord(*raw).unpack(prev);
-        prev = txn.cycle;
-        txns.push_back(txn);
-    }
+    if (!bad.empty())
+        fatal("bad record token '", bad,
+              "' (want 16 lower-case hex digits)");
 
     ++feedLines_;
     refsOffered_ += n;
@@ -151,17 +154,24 @@ StreamIngest::handleFeed(ies::Console &console,
     // whole line exactly once (overflow drops and all).
     std::size_t attempted = n;
     if (paced_) {
-        attempted = std::min(
-            attempted, board.bufferAdmissibleAt(txns.front().cycle));
+        const Cycle head =
+            trace::BusRecord(words_[0]).unpack(prevCycle_).cycle;
+        attempted = std::min(attempted, board.bufferAdmissibleAt(head));
     }
     if (attempted == 0) {
         ++backpressure_;
         return "fed 0 accepted 0 of " + std::to_string(n);
     }
 
-    txns.resize(attempted);
+    // Unpack only the admitted prefix, on the session's cycle chain.
+    txns_.clear();
+    Cycle prev = prevCycle_;
+    for (std::size_t i = 0; i < attempted; ++i) {
+        txns_.push_back(trace::BusRecord(words_[i]).unpack(prev));
+        prev = txns_.back().cycle;
+    }
     std::string notes;
-    const std::size_t accepted = feedAttempted(console, txns, notes);
+    const std::size_t accepted = feedAttempted(console, txns_, notes);
     return "fed " + std::to_string(attempted) + " accepted " +
            std::to_string(accepted) + " of " + std::to_string(n) + notes;
 }
@@ -312,24 +322,20 @@ void
 StreamIngest::registerCommands(ies::Console &console)
 {
     console.registerCommand(
-        "feed", [this](ies::Console &c,
-                       const std::vector<std::string> &tokens) {
-            return handleFeed(c, tokens);
+        "feed", [this](ies::Console &c, std::string_view line) {
+            return handleFeed(c, line);
         });
     console.registerCommand(
-        "drain",
-        [this](ies::Console &c, const std::vector<std::string> &) {
+        "drain", [this](ies::Console &c, std::string_view) {
             return handleDrain(c);
         });
     console.registerCommand(
-        "stream", [this](ies::Console &c,
-                         const std::vector<std::string> &tokens) {
-            return handleStream(c, tokens);
+        "stream", [this](ies::Console &c, std::string_view line) {
+            return handleStream(c, ies::splitWords(line));
         });
     console.registerCommand(
-        "fleet", [this](ies::Console &c,
-                        const std::vector<std::string> &tokens) {
-            return handleFleet(c, tokens);
+        "fleet", [this](ies::Console &c, std::string_view line) {
+            return handleFleet(c, ies::splitWords(line));
         });
 }
 

@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ies/console.hh"
@@ -124,8 +125,8 @@ class StreamIngest
   private:
     friend struct StreamCommands;
 
-    std::string handleFeed(ies::Console &console,
-                           const std::vector<std::string> &tokens);
+    /** Parses @p line in place; see the ingest grammar above. */
+    std::string handleFeed(ies::Console &console, std::string_view line);
     std::string handleDrain(ies::Console &console);
     std::string handleStream(ies::Console &console,
                              const std::vector<std::string> &tokens);
@@ -153,6 +154,11 @@ class StreamIngest
 
     ies::ExperimentFleet fleet_;
     std::vector<std::uint64_t> fleetSeeds_;
+
+    /** handleFeed's buffers, reused across lines: the decoded record
+     *  words, and the unpacked prefix it hands to the board. */
+    std::vector<std::uint64_t> words_;
+    std::vector<bus::BusTransaction> txns_;
 };
 
 } // namespace memories::service

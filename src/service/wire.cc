@@ -1,7 +1,7 @@
 #include "service/wire.hh"
 
+#include <array>
 #include <cerrno>
-#include <cstdio>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -42,31 +42,57 @@ renderReply(bool ok, const std::string &body)
     return out;
 }
 
+namespace
+{
+
+constexpr char hexDigits[] = "0123456789abcdef";
+
+/** Nibble value of each byte; 0x10 marks a byte that is not a digit. */
+constexpr std::array<std::uint8_t, 256> hexNibble = [] {
+    std::array<std::uint8_t, 256> table{};
+    table.fill(0x10);
+    for (int c = '0'; c <= '9'; ++c)
+        table[c] = static_cast<std::uint8_t>(c - '0');
+    for (int c = 'a'; c <= 'f'; ++c)
+        table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+    return table;
+}();
+
+} // namespace
+
+void
+appendRecordHex(std::string &out, std::uint64_t raw)
+{
+    char digits[16];
+    for (int i = 15; i >= 0; --i) {
+        digits[i] = hexDigits[raw & 0xf];
+        raw >>= 4;
+    }
+    out.append(digits, sizeof digits);
+}
+
 std::string
 encodeRecordHex(std::uint64_t raw)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(raw));
-    return std::string(buf, 16);
+    std::string hex;
+    appendRecordHex(hex, raw);
+    return hex;
 }
 
 std::optional<std::uint64_t>
-decodeRecordHex(const std::string &token)
+decodeRecordHex(std::string_view token)
 {
     if (token.size() != 16)
         return std::nullopt;
     std::uint64_t raw = 0;
-    for (char c : token) {
-        std::uint64_t digit;
-        if (c >= '0' && c <= '9')
-            digit = static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            digit = static_cast<std::uint64_t>(c - 'a') + 10;
-        else
-            return std::nullopt;
-        raw = (raw << 4) | digit;
+    unsigned invalid = 0;
+    for (const char c : token) {
+        const std::uint8_t nibble = hexNibble[static_cast<unsigned char>(c)];
+        invalid |= nibble;
+        raw = (raw << 4) | (nibble & 0xf);
     }
+    if (invalid & 0x10)
+        return std::nullopt;
     return raw;
 }
 
@@ -80,15 +106,21 @@ bool
 LineChannel::readLine(std::string &line)
 {
     for (;;) {
-        const std::size_t nl = buf_.find('\n');
+        const std::size_t nl = buf_.find('\n', head_ + scanned_);
         if (nl != std::string::npos) {
-            line.assign(buf_, 0, nl);
-            buf_.erase(0, nl + 1);
+            line.assign(buf_, head_, nl - head_);
+            head_ = nl + 1;
+            scanned_ = 0;
             return true;
         }
-        if (buf_.size() > maxLineBytes)
+        scanned_ = buf_.size() - head_;
+        if (scanned_ > maxLineBytes)
             return false; // unterminated monster line
-        char chunk[4096];
+        // Drop the consumed lines before growing: only the unterminated
+        // tail moves, once per read.
+        buf_.erase(0, head_);
+        head_ = 0;
+        char chunk[64 * 1024];
         ssize_t got;
         do {
             got = ::read(fd_, chunk, sizeof chunk);
@@ -100,7 +132,7 @@ LineChannel::readLine(std::string &line)
 }
 
 bool
-LineChannel::writeAll(const std::string &data)
+LineChannel::writeAll(std::string_view data)
 {
     std::size_t off = 0;
     while (off < data.size()) {

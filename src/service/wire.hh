@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace memories::service
@@ -50,14 +51,18 @@ struct Reply
 /** Render a reply frame ("ok <n>\n" + lines, each '\n'-terminated). */
 std::string renderReply(bool ok, const std::string &body);
 
+/** Append @p raw to @p out as 16 lower-case hex digits. */
+void appendRecordHex(std::string &out, std::uint64_t raw);
+
 /** Pack a raw BusRecord word as 16 lower-case hex digits. */
 std::string encodeRecordHex(std::uint64_t raw);
 
 /**
- * Parse a 16-digit hex record token; nullopt on any malformed input
- * (wrong length, non-hex digit) — the fuzz tier feeds this garbage.
+ * Parse a 16-digit lower-case hex record token; nullopt on any
+ * malformed input (wrong length, upper case, non-hex digit) — the fuzz
+ * tier feeds this garbage.
  */
-std::optional<std::uint64_t> decodeRecordHex(const std::string &token);
+std::optional<std::uint64_t> decodeRecordHex(std::string_view token);
 
 /**
  * Buffered line I/O over a connected stream socket. Reads are
@@ -77,12 +82,14 @@ class LineChannel
 
     /**
      * Read one '\n'-terminated line (newline stripped) into @p line.
+     * Each buffered byte is scanned for the newline once, so the cost
+     * of a line is linear in its length, up to the maxLineBytes bound.
      * @return false on EOF, error, or an over-long line.
      */
     bool readLine(std::string &line);
 
     /** Write all of @p data. @return false when the peer is gone. */
-    bool writeAll(const std::string &data);
+    bool writeAll(std::string_view data);
 
     /** Send a framed reply. */
     bool sendReply(bool ok, const std::string &body)
@@ -107,7 +114,11 @@ class LineChannel
 
   private:
     int fd_;
+    /** Received bytes; those before head_ are already consumed. */
     std::string buf_;
+    std::size_t head_ = 0;
+    /** Bytes from head_ on already searched for '\n' and found none. */
+    std::size_t scanned_ = 0;
 };
 
 } // namespace memories::service

@@ -170,6 +170,43 @@ TEST(ConsoleTest, HelpListsCommands)
     EXPECT_NE(help.find("stats"), std::string::npos);
 }
 
+TEST(ConsoleTest, TokensSplitOnTheSixWhitespaceCharacters)
+{
+    EXPECT_EQ(splitWords(" a\tb\nc\vd\fe\rf  g"),
+              (std::vector<std::string>{"a", "b", "c", "d", "e", "f", "g"}));
+    EXPECT_TRUE(splitWords(" \t\r\n").empty());
+
+    bus::Bus6xx bus;
+    Console console(bus);
+    EXPECT_EQ(console.execute("\tnode 0\tcache 64MB  4 128B\r"),
+              console.execute("node 0 cache 64MB 4 128B"));
+}
+
+TEST(ConsoleTest, ExtensionsGetTheLineButNeverShadowBuiltins)
+{
+    bus::Bus6xx bus;
+    Console console(bus);
+    std::string seen;
+    console.registerCommand("echo", [&](Console &, std::string_view line) {
+        seen = line;
+        return std::string("echoed");
+    });
+    EXPECT_EQ(console.execute("\techo  a\tb\r"), "echoed");
+    EXPECT_EQ(seen, "\techo  a\tb\r");
+
+    for (const char *name :
+         {"node", "buffer", "throughput", "capture", "init", "stats",
+          "counters", "clear", "reset", "dump-trace", "save-state",
+          "load-state", "ckpt", "monitor", "trace", "prof",
+          "save-protocol", "export-csv", "fault", "health", "script",
+          "shutdown", "help"}) {
+        console.registerCommand(name, [](Console &, std::string_view) {
+            return std::string("shadowed");
+        });
+        EXPECT_NE(console.execute(name), "shadowed") << name;
+    }
+}
+
 TEST(ConsoleTest, MonitorShowsLiveWindows)
 {
     bus::Bus6xx bus;

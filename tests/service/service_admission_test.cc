@@ -5,7 +5,8 @@
  * back-pressured — credits exhaust, the daemon clamps or refuses the
  * line, nothing is dropped, lost_inflight stays 0 — while a
  * concurrent in-rate session is entirely unaffected (its board stays
- * byte-identical to its solo golden run).
+ * byte-identical to its solo golden run). A feed line is validated in
+ * full before anything is admitted, whatever its whitespace.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include <thread>
 
+#include "service/session.hh"
 #include "trace/record.hh"
 
 namespace memories::service
@@ -94,6 +96,90 @@ TEST(ServiceAdmissionTest, CreditsExhaustThenRecoverWithoutDrops)
     ASSERT_TRUE(stats.ok);
     EXPECT_NE(stats.text().find("lost-inflight 0"), std::string::npos)
         << stats.text();
+}
+
+TEST(ServiceAdmissionTest, BadTokenAfterTheAdmittedPrefixRejectsTheLine)
+{
+    TestDaemon daemon;
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    configureSession(client, tinyBufferScript());
+
+    Cycle prev = 0;
+    ASSERT_EQ(client.exec(feedLine({0, 0}, prev)).text(),
+              "fed 2 accepted 2 of 2");
+    const std::string status = client.exec("stream status").text();
+    const std::string counters = client.exec("counters").text();
+
+    // Two of the four slots are free, so admission would stop after
+    // two records; the bad word sits past that prefix.
+    Cycle next = prev;
+    const std::string good = feedLine({0, 0, 0}, next);
+    const Reply reply = client.exec(good + " 0123456789ABCDEF");
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.text(), "error: bad record token '0123456789ABCDEF' "
+                            "(want 16 lower-case hex digits)");
+    EXPECT_EQ(client.exec("stream status").text(), status);
+    EXPECT_EQ(client.exec("counters").text(), counters);
+
+    // The session chain did not move: the clean line lands as usual.
+    EXPECT_EQ(client.exec(good).text(), "fed 2 accepted 2 of 3");
+}
+
+TEST(ServiceAdmissionTest, BatchLimitIsReportedBeforeABadToken)
+{
+    SessionOptions options;
+    options.stateDir = uniquePath("iesserv-admission-state");
+    options.maxBatch = 4;
+    Session session(options, "t0");
+    for (const std::string &line : tinyBufferScript())
+        ASSERT_EQ(session.execute(line).rfind("error:", 0),
+                  std::string::npos)
+            << line;
+
+    Cycle prev = 0;
+    const std::string five = feedLine({0, 0, 0, 0, 0}, prev);
+    // "feed" and the first k of the five " <hex16>" words.
+    const auto firstWords = [&](std::size_t k) {
+        return five.substr(0, 4 + 17 * k);
+    };
+    const std::string bad = " zzzzzzzzzzzzzzzz";
+    const std::string limit =
+        "error: feed of 5 records exceeds the session batch limit 4";
+    // Five words with a bad one, first or past the limit: the limit.
+    EXPECT_EQ(session.execute("feed" + bad + five.substr(4 + 17)), limit);
+    EXPECT_EQ(session.execute(firstWords(4) + bad), limit);
+    // Within the limit the bad word itself is the error.
+    EXPECT_EQ(session.execute(firstWords(3) + bad),
+              "error: bad record token 'zzzzzzzzzzzzzzzz' "
+              "(want 16 lower-case hex digits)");
+    EXPECT_NE(session.execute("stream status").find("feed-lines 0"),
+              std::string::npos);
+}
+
+TEST(ServiceAdmissionTest, TabAndCrLfSeparatedLinesMatchSingleSpaced)
+{
+    TestDaemon daemon;
+    ServiceClient spaced, mixed;
+    ASSERT_TRUE(spaced.connect(daemon.socket()));
+    ASSERT_TRUE(mixed.connect(daemon.socket()));
+    configureSession(spaced, tinyBufferScript());
+    configureSession(mixed, tinyBufferScript());
+
+    Cycle prev = 0;
+    for (const auto &cycles : std::vector<std::vector<Cycle>>{
+             {0, 0, 0}, {0, 0}, {240, 240, 241}, {500}}) {
+        const std::string line = feedLine(cycles, prev);
+        std::string tabbed = "\t";
+        for (const char c : line)
+            tabbed += c == ' ' ? std::string(" \t") : std::string(1, c);
+        const std::string want = spaced.exec(line).text();
+        // exec() appends the '\n', so this line ends in "\r\n".
+        EXPECT_EQ(mixed.exec(tabbed + "\r").text(), want) << tabbed;
+    }
+    EXPECT_EQ(mixed.exec("stream status").text(),
+              spaced.exec("stream status").text());
+    EXPECT_EQ(mixed.exec("counters").text(), spaced.exec("counters").text());
 }
 
 TEST(ServiceAdmissionTest, OverRateClientDoesNotPerturbInRatePeer)
