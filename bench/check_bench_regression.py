@@ -25,7 +25,7 @@ When the results file carries a "profile" object (bench ran with
 children of feed_batch must sum to within 10% of feed_batch itself —
 wildly unattributed time means a hook site went missing.
 
-With --history FILE, also prints the ns/ref trajectory of the batch@1
+With --history FILE, also prints the ns/ref trajectory of the "feed batch"
 section from bench/BENCH_history.jsonl (one JSON object per line,
 appended per CI run by append_bench_history.py).
 
@@ -123,8 +123,7 @@ def check_profile_attribution(results):
         print("[SKIP] profile attribution: no feed_batch time "
               "recorded")
         return []
-    children = ("batch_admission", "shard_dispatch", "counter_merge",
-                "journal_replay")
+    children = ("batch_admission", "emulation", "journal_replay")
     attributed = sum(stages.get(name, 0) for name in children)
     share = attributed / total
     verdict = "OK" if 0.90 <= share <= 1.10 else "FAIL"
@@ -190,7 +189,7 @@ def check_service_gates(results, baseline):
     return failures
 
 
-def print_history(path, label="feed batch @1 shard"):
+def print_history(path, label="feed batch"):
     try:
         with open(path) as f:
             lines = [line.strip() for line in f if line.strip()]

@@ -7,12 +7,10 @@
  * src/ies): exit status 0 means every comparison agreed bit-for-bit.
  *
  *   oracle_diff [--seeds=N] [--txns=N] [--start-seed=N] [--out=DIR]
- *               [--shards=N] [--batch=N]
  *
- * --shards=N (default 0) feeds the production board through the
- * set-sharded batch pipeline — feedBatch in chunks of --batch (default
- * 256) transactions at N shard workers — while the reference stays
- * serial, so the whole sharded hot path is diffed against the oracle.
+ * Every comparison diffs all three production feeds against the
+ * reference: serial feedCommitted, feedBatch in 256-tenure chunks, and
+ * a live bus with the board as its only snooper.
  *
  * On a divergence the minimized witness stream is written to DIR as a
  * replayable trace (see docs/TESTING.md for the reproduction recipe).
@@ -21,7 +19,6 @@
  *
  *   oracle_diff --from-checkpoint=FILE --config=NAME
  *               [--trace=FILE | --txns=N --start-seed=N]
- *               [--shards=N] [--batch=N]
  *
  * Both boards restore the IESCKPT checkpoint first (counters cleared),
  * then diff over the tail stream: either a replayable trace file
@@ -60,8 +57,6 @@ main(int argc, char **argv)
     std::uint64_t seeds = 100;
     std::uint64_t txns = 800;
     std::uint64_t start_seed = 1;
-    std::uint64_t shards = 0;
-    std::uint64_t batch = 256;
     std::string out_dir = "oracle-out";
     std::string checkpoint;
     std::string config_name;
@@ -70,8 +65,6 @@ main(int argc, char **argv)
         seeds = parseArg(argv[i], "--seeds", seeds);
         txns = parseArg(argv[i], "--txns", txns);
         start_seed = parseArg(argv[i], "--start-seed", start_seed);
-        shards = parseArg(argv[i], "--shards", shards);
-        batch = parseArg(argv[i], "--batch", batch);
         if (std::strncmp(argv[i], "--out=", 6) == 0)
             out_dir = argv[i] + 6;
         if (std::strncmp(argv[i], "--from-checkpoint=", 18) == 0)
@@ -81,10 +74,6 @@ main(int argc, char **argv)
         if (std::strncmp(argv[i], "--trace=", 8) == 0)
             trace_path = argv[i] + 8;
     }
-
-    oracle::DiffOptions opts;
-    opts.shards = static_cast<std::size_t>(shards);
-    opts.batchSize = static_cast<std::size_t>(batch);
 
     if (!checkpoint.empty()) {
         if (config_name.empty()) {
@@ -124,7 +113,7 @@ main(int argc, char **argv)
                     stream.size(),
                     trace_path.empty() ? "generated" : trace_path.c_str());
         const oracle::DiffReport report = oracle::diffStreamFromCheckpoint(
-            *cfg, checkpoint, stream, opts);
+            *cfg, checkpoint, stream);
         std::printf("%s", report.describe().c_str());
         if (report.diverged) {
             std::printf("ORACLE_DIFF FAILED: resumed comparison "
@@ -137,23 +126,17 @@ main(int argc, char **argv)
     }
 
     const auto lattice = oracle::latticeConfigs();
-    std::string feed_desc;
-    if (shards > 0) {
-        feed_desc = ", sharded batch feed x" + std::to_string(shards) +
-                    " (batch " + std::to_string(batch) + ")";
-    }
     std::printf("oracle_diff: %llu seeds x %zu configs, %llu txns each "
-                "(start seed %llu%s)\n",
+                "(start seed %llu; serial, batch and bus legs)\n",
                 static_cast<unsigned long long>(seeds), lattice.size(),
                 static_cast<unsigned long long>(txns),
-                static_cast<unsigned long long>(start_seed),
-                feed_desc.c_str());
+                static_cast<unsigned long long>(start_seed));
     for (const auto &lc : lattice)
         std::printf("  config %s\n", lc.name.c_str());
 
     const oracle::LatticeRun run = oracle::runLattice(
         start_seed, static_cast<std::size_t>(seeds),
-        static_cast<std::size_t>(txns), out_dir, opts);
+        static_cast<std::size_t>(txns), out_dir);
 
     if (!run.clean()) {
         for (const auto &div : run.divergences) {

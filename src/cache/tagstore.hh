@@ -26,9 +26,8 @@
  * All mutable state is confined to the touched set: recency stamps are
  * per-set (stamp = set max + 1 — the relative order within a set, which
  * is all victim selection ever reads, matches a global tick exactly),
- * and the Random policy draws from a per-set Rng. Disjoint sets can
- * therefore be driven from different threads with no shared state
- * (see docs/SHARDING.md); occupancy() is computed by scan for the same
+ * and the Random policy draws from a per-set Rng, so disjoint sets
+ * share no mutable state; occupancy() is computed by scan for the same
  * reason.
  */
 

@@ -51,8 +51,6 @@ BoardReport::capture(const MemoriesBoard &board)
         g.valueByName("global.health.transitions");
     report.healthState =
         std::string(fault::healthStateName(board.healthState()));
-    report.shards = board.shardCount();
-    report.shardSkew = board.shardSkew();
     for (std::size_t n = 0; n < board.numNodes(); ++n) {
         const auto &node = board.node(n);
         report.nodeLabels.push_back(
@@ -73,7 +71,7 @@ BoardReport::toCsv() const
           "supplied_shared,global_tenures,global_committed,"
           "global_filtered,retries_posted,capture_dropped,"
           "lost_inflight,fault_dropped,sampled_out,shed,quarantined,"
-          "health,shards,shard_skew\n";
+          "health\n";
     for (std::size_t n = 0; n < nodes.size(); ++n) {
         const auto &s = nodes[n];
         os << nodeLabels[n] << ',' << s.localRefs << ',' << s.localHits
@@ -88,8 +86,7 @@ BoardReport::toCsv() const
            << committed << ',' << filtered << ',' << retriesPosted
            << ',' << captureDropped << ',' << lostInflight << ','
            << faultDropped << ',' << sampledOut << ',' << shed << ','
-           << quarantined << ',' << healthState << ',' << shards << ','
-           << shardSkew << '\n';
+           << quarantined << ',' << healthState << '\n';
     }
     return os.str();
 }
@@ -109,10 +106,6 @@ BoardReport::toText() const
     if (lostInflight > 0) {
         os << "  ** lossy buffer: " << lostInflight
            << " committed tenures lost in flight **\n";
-    }
-    if (shards > 1) {
-        os << "  sharding: " << shards << " shards, occupancy skew "
-           << shardSkew << " (max/mean)\n";
     }
     if (faultDropped + sampledOut + shed + quarantined > 0 ||
         healthState != "healthy") {
@@ -162,8 +155,6 @@ FleetReport::capture(const ExperimentFleet &fleet)
         line.lostInflight = fleet.board(i).tenuresLostInflight();
         line.healthState = std::string(
             fault::healthStateName(fleet.board(i).healthState()));
-        line.shards = fleet.board(i).shardCount();
-        line.shardSkew = fleet.board(i).shardSkew();
         report.boards.push_back(std::move(line));
     }
     return report;
@@ -184,14 +175,13 @@ FleetReport::toCsv() const
     std::ostringstream os;
     os << "board,consumed,overflow_drops,backpressure_stalls,"
           "capture_dropped,lost_inflight,health,published,"
-          "tap_filtered,tap_retry_dropped,shards,shard_skew\n";
+          "tap_filtered,tap_retry_dropped\n";
     for (const BoardLine &b : boards) {
         os << b.label << ',' << b.consumed << ',' << b.overflowDrops
            << ',' << b.backpressureStalls << ',' << b.captureDropped
            << ',' << b.lostInflight << ',' << b.healthState << ','
            << published << ',' << tapFiltered << ','
-           << tapRetryDropped << ',' << b.shards << ','
-           << b.shardSkew << '\n';
+           << tapRetryDropped << '\n';
     }
     return os.str();
 }
@@ -220,8 +210,6 @@ FleetReport::toText() const
         }
         if (b.healthState != "healthy")
             os << "  ** health: " << b.healthState << " **";
-        if (b.shards > 1)
-            os << "  shards " << b.shards << " skew " << b.shardSkew;
         os << "\n";
     }
     return os.str();

@@ -83,8 +83,6 @@ MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
         }
         group->nodes.push_back(static_cast<std::uint8_t>(i));
     }
-    rebuildSerialSinks();
-    rebuildShardScratch();
 }
 
 MemoriesBoard::~MemoriesBoard() = default;
@@ -123,7 +121,6 @@ MemoriesBoard::attachFlightRecorder(trace::FlightRecorder &recorder,
     boardId_ = boardId;
     for (auto &node : nodes_)
         node->setFlightRecorder(&recorder, boardId);
-    rebuildSerialSinks();
 }
 
 void
@@ -134,7 +131,6 @@ MemoriesBoard::detachFlightRecorder()
         node->setFlightRecorder(nullptr);
     if (injector_)
         injector_->setFlightRecorder(nullptr);
-    rebuildSerialSinks();
 }
 
 void
@@ -156,19 +152,12 @@ void
 MemoriesBoard::attachProfiler(profile::Profiler &profiler)
 {
     prof_ = &profiler;
-    prof_->bindShards(shardCount_);
 }
 
 void
 MemoriesBoard::detachProfiler()
 {
     prof_ = nullptr;
-}
-
-double
-MemoriesBoard::shardSkew() const
-{
-    return profile::occupancySkew(shardItems_);
 }
 
 void
@@ -210,164 +199,204 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
 void
 MemoriesBoard::drainDue(Cycle now)
 {
-    if (batching_) {
-        // Batch path: pull everything due in one credit-earning pass
-        // and queue it per shard instead of emulating inline. This is
-        // the only per-tenure-frequency profiler hook, so it is
-        // sampled (1 in 2^6 timed) instead of paying a clock pair
-        // every call.
-        const std::size_t before = retireSlab_.size();
-        if (prof_) {
-            const std::uint64_t t0 =
-                prof_->sampledBegin(profile::Stage::CreditPacing);
-            buffer_.drainInto(now, retireSlab_);
-            prof_->sampledEnd(profile::Stage::CreditPacing, t0);
-        } else {
-            buffer_.drainInto(now, retireSlab_);
+    if (!batching_) {
+        while (auto txn = buffer_.drain(now)) {
+            if (recorder_)
+                recorder_->record(
+                    makeEvent(trace::EventKind::Retire, *txn, now));
+            emulateStep(*txn, EmuSink{recorder_, nullptr});
         }
-        if (journaling_)
-            retireEvents_.resize(retireSlab_.size());
-        for (std::size_t k = before; k < retireSlab_.size(); ++k)
-            routeRetired(static_cast<std::uint32_t>(k), now);
         return;
     }
-    while (auto txn = buffer_.drain(now)) {
-        if (recorder_)
-            recorder_->record(
-                makeEvent(trace::EventKind::Retire, *txn, now));
-        emulate(*txn);
+    // Batch path: pull everything due in one credit-earning pass onto
+    // the retirement slab, which runSlabTail() emulates later. This is
+    // the only per-tenure-frequency profiler hook, so it is sampled
+    // (1 in 2^6 timed) instead of paying a clock pair every call.
+    const std::size_t before = retireSlab_.size();
+    if (prof_) {
+        const std::uint64_t t0 =
+            prof_->sampledBegin(profile::Stage::CreditPacing);
+        buffer_.drainInto(now, retireSlab_);
+        prof_->sampledEnd(profile::Stage::CreditPacing, t0);
+    } else {
+        buffer_.drainInto(now, retireSlab_);
     }
-}
-
-void
-MemoriesBoard::routeRetired(std::uint32_t idx, Cycle now)
-{
-    const bus::BusTransaction &txn = retireSlab_[idx];
-    if (journaling_) {
-        JournalItem item;
-        item.kind = JournalItem::Kind::Retire;
-        item.ev = makeEvent(trace::EventKind::Retire, txn, now);
-        item.retireIdx = idx;
-        journal_.push_back(item);
+    if (journaling_)
+        retireEvents_.resize(retireSlab_.size());
+    for (std::size_t k = before; k < retireSlab_.size(); ++k) {
+        const auto idx = static_cast<std::uint32_t>(k);
+        if (journaling_) {
+            JournalItem item;
+            item.kind = JournalItem::Kind::Retire;
+            item.ev = makeEvent(trace::EventKind::Retire,
+                                retireSlab_[idx], now);
+            item.retireIdx = idx;
+            journal_.push_back(item);
+        }
+        if (inlineEmulation_) {
+            emulateRetirement(idx);
+            slabEmulated_ = idx + 1;
+        }
     }
-    if (inlineEmulation_) {
-        emulateRetirement(idx);
-        slabEmulated_ = idx + 1;
-    } else if (shardCount_ > 1) {
-        buckets_[shardOf(txn.addr)].push_back(idx);
-    }
-    // Single shard: the slab itself is the queue — dispatch walks the
-    // tail from slabEmulated_, so there is nothing to route here.
 }
 
 void
 MemoriesBoard::emulateRetirement(std::uint32_t idx)
 {
-    // Canonical counters, but events still defer to the journal slot
-    // so replay keeps them behind board events already journaled.
-    std::vector<EmuSink> sinks;
-    sinks.reserve(nodes_.size());
-    for (auto &node : nodes_) {
-        sinks.push_back(EmuSink{
-            node->counterData(), nullptr,
-            journaling_ ? &retireEvents_[idx] : nullptr});
-    }
-    emulateStep(retireSlab_[idx], sinks.data());
+    // Events still defer to the journal slot so replay keeps them
+    // behind board events already journaled.
+    emulateStep(retireSlab_[idx],
+                EmuSink{nullptr,
+                        journaling_ ? &retireEvents_[idx] : nullptr});
     inlineEmulation_ = anyNodeCorruption();
 }
 
-bus::SnoopResponse
-MemoriesBoard::snoop(const bus::BusTransaction &txn)
+template <bool Hooks>
+MemoriesBoard::Verdict
+MemoriesBoard::admit(bus::BusTransaction &t)
 {
     // Address-filter FPGA: non-emulation operations (I/O register
     // accesses, interrupts, syncs) are dropped before they consume any
     // buffer space.
-    if (bus::isFilteredOp(txn.op)) {
+    if (bus::isFilteredOp(t.op)) {
         global_.bump(hFiltered_);
-        return bus::SnoopResponse::None;
+        return Verdict::Filtered;
     }
 
-    bus::BusTransaction t = txn;
-    fault::FaultInjector::StreamFaults stream;
-    if (injector_)
-        stream = injector_->onTenure(t);
-    healthCycle_ = t.cycle;
-    healthTraceId_ = t.traceId;
+    bool dropped = false;
+    if constexpr (Hooks) {
+        if (injector_)
+            dropped = injector_->onTenure(t).drop;
+        healthCycle_ = t.cycle;
+        healthTraceId_ = t.traceId;
+    }
 
+    // Global-events FPGA. Counted without branches: the op mix is
+    // data, so a branch per op class mispredicts on real streams.
     global_.bump(hTenures_);
-    if (bus::isReadOp(t.op))
-        global_.bump(hReads_);
-    if (bus::isWriteIntentOp(t.op))
-        global_.bump(hWrites_);
-    if (t.op == bus::BusOp::WriteBack)
-        global_.bump(hWritebacks_);
+    global_.bump(hReads_, bus::isReadOp(t.op));
+    global_.bump(hWrites_, bus::isWriteIntentOp(t.op));
+    global_.bump(hWritebacks_, t.op == bus::BusOp::WriteBack);
 
-    if (stream.drop) {
+    if (dropped) {
         // Injected DropReply: the board never saw this tenure.
         global_.bump(hFaultDropped_);
-        pending_.reset();
-        pendingRetried_ = false;
-        return bus::SnoopResponse::None;
+        return Verdict::Ignored;
     }
 
     // Let the SDRAM side catch up to this bus cycle before judging
     // buffer fullness.
     drainDue(t.cycle);
 
-    if (health_.state() == fault::HealthState::Quarantined) {
-        // The board is off the bus until an operator resyncs it; keep
-        // draining what it already holds, accept nothing new.
-        global_.bump(hQuarantined_);
-        pending_.reset();
-        pendingRetried_ = false;
-        return bus::SnoopResponse::None;
+    if constexpr (Hooks) {
+        if (health_.state() == fault::HealthState::Quarantined) {
+            // The board is off the bus until an operator resyncs it;
+            // keep draining what it already holds, accept nothing new.
+            global_.bump(hQuarantined_);
+            return Verdict::Ignored;
+        }
+        if (health_.sampledOut(t.addr, healthLineShift_)) {
+            // Degraded: shed load by sampling lines instead of
+            // dropping arbitrary tenures.
+            global_.bump(hSampledOut_);
+            return Verdict::Ignored;
+        }
     }
 
-    if (health_.sampledOut(t.addr, healthLineShift_)) {
-        // Degraded: shed load by sampling lines instead of dropping
-        // arbitrary tenures.
-        global_.bump(hSampledOut_);
-        pending_.reset();
-        pendingRetried_ = false;
-        return bus::SnoopResponse::None;
-    }
-
-    if (buffer_.size() >= buffer_.effectiveCapacity(t.cycle)) {
-        const fault::OverflowAction action = health_.onOverflow();
-        if (action == fault::OverflowAction::Shed) {
+    if (buffer_.size() < buffer_.effectiveCapacity(t.cycle))
+        return Verdict::Accepted;
+    if constexpr (Hooks) {
+        if (health_.onOverflow() == fault::OverflowAction::Shed) {
             // Retry storm: back off the bus and drop the tenure
-            // instead of wedging the host.
+            // instead of wedging the host. No retry is posted.
             global_.bump(hShed_);
-            pending_.reset();
-            pendingRetried_ = false;
-            if (recorder_) {
-                auto ev = makeEvent(trace::EventKind::BufferOverflow,
-                                    t, t.cycle);
-                ev.arg0 = 0;
-                recorder_->record(ev);
-                recorder_->notifyAnomaly(
-                    trace::AnomalyKind::TxnBufferOverflow, t.cycle,
-                    t.traceId);
-            }
-            return bus::SnoopResponse::None;
+            if (recorder_)
+                recordOverflow(t, t.cycle, overflowDropped);
+            return Verdict::Ignored;
         }
+    }
+    global_.bump(hRetriesPosted_);
+    return Verdict::Full;
+}
+
+template <bool Hooks>
+void
+MemoriesBoard::commit(const bus::BusTransaction &txn, Cycle event_cycle)
+{
+    global_.bump(hCommitted_);
+    if (Hooks && recorder_)
+        recordBoardEvent(makeEvent(trace::EventKind::BoardCommit, txn,
+                                   event_cycle));
+    if (capture_)
+        capture_->record(txn);
+    if constexpr (Hooks) {
+        if (injector_)
+            applyCommitFaults(txn);
+        health_.onAdmit(buffer_.size(), buffer_.capacity());
+    }
+    if (!buffer_.push(txn)) {
+        // The capacity check passed at admission, but a commit-time
+        // fault (slot loss) can shrink the buffer in between. The
+        // hardware would have wedged here; the software board counts
+        // the loss and carries on.
+        global_.bump(hLostInflight_);
+        if (Hooks && recorder_)
+            recordOverflow(txn, event_cycle, overflowLost);
+    }
+}
+
+template <bool Hooks>
+bool
+MemoriesBoard::replay(const bus::BusTransaction &txn)
+{
+    bus::BusTransaction t = txn;
+    switch (admit<Hooks>(t)) {
+      case Verdict::Accepted:
+        commit<Hooks>(t, t.cycle + 1);
+        return true;
+      case Verdict::Full:
+        // Replay cannot post a retry: the tenure is dropped.
+        if (Hooks && recorder_)
+            recordOverflow(t, t.cycle, overflowDropped);
+        return false;
+      case Verdict::Filtered:
+      case Verdict::Ignored:
+        break;
+    }
+    return true;
+}
+
+void
+MemoriesBoard::recordOverflow(const bus::BusTransaction &txn,
+                              Cycle cycle, std::uint8_t code)
+{
+    auto ev = makeEvent(trace::EventKind::BufferOverflow, txn, cycle);
+    ev.arg0 = code;
+    recordBoardEvent(ev);
+    raiseAnomaly(code == overflowDropped
+                     ? trace::AnomalyKind::FleetDrop
+                     : trace::AnomalyKind::TxnBufferOverflow,
+                 cycle, txn.traceId);
+}
+
+bus::SnoopResponse
+MemoriesBoard::snoop(const bus::BusTransaction &txn)
+{
+    bus::BusTransaction t = txn;
+    const Verdict verdict = admit<true>(t);
+    if (verdict == Verdict::Filtered)
+        return bus::SnoopResponse::None;
+    pending_.reset();
+    pendingRetried_ = false;
+    if (verdict == Verdict::Accepted) {
+        pending_ = t;
+    } else if (verdict == Verdict::Full) {
         // The one non-passive behaviour the board has.
-        global_.bump(hRetriesPosted_);
         pendingRetried_ = true;
-        pending_.reset();
-        if (recorder_) {
-            auto ev = makeEvent(trace::EventKind::BufferOverflow, t,
-                                t.cycle);
-            ev.arg0 = 0; // retried, not dropped
-            recorder_->record(ev);
-            recorder_->notifyAnomaly(trace::AnomalyKind::TxnBufferOverflow,
-                                     t.cycle, t.traceId);
-        }
+        if (recorder_)
+            recordOverflow(t, t.cycle, overflowRetried);
         return bus::SnoopResponse::Retry;
     }
-
-    pending_ = t;
-    pendingRetried_ = false;
     return bus::SnoopResponse::None;
 }
 
@@ -396,37 +425,8 @@ MemoriesBoard::observeResult(const bus::BusTransaction &txn,
         return;
     }
 
-    commit(*pending_, txn.cycle + 1);
+    commit<true>(*pending_, txn.cycle + 1);
     pending_.reset();
-}
-
-void
-MemoriesBoard::commit(const bus::BusTransaction &txn, Cycle event_cycle)
-{
-    global_.bump(hCommitted_);
-    if (recorder_)
-        recordBoardEvent(makeEvent(trace::EventKind::BoardCommit, txn,
-                                   event_cycle));
-    if (capture_)
-        capture_->record(txn);
-    if (injector_)
-        applyCommitFaults(txn);
-    health_.onAdmit(buffer_.size(), buffer_.capacity());
-    if (!buffer_.push(txn)) {
-        // The capacity check passed when the tenure was snooped, but a
-        // commit-time fault (slot loss) can shrink the buffer in
-        // between. The hardware would have wedged here; the software
-        // board counts the loss and carries on.
-        global_.bump(hLostInflight_);
-        if (recorder_) {
-            auto ev = makeEvent(trace::EventKind::BufferOverflow, txn,
-                                event_cycle);
-            ev.arg0 = 2; // committed tenure lost in flight
-            recordBoardEvent(ev);
-            raiseAnomaly(trace::AnomalyKind::TxnBufferOverflow,
-                         event_cycle, txn.traceId);
-        }
-    }
 }
 
 void
@@ -441,9 +441,10 @@ MemoriesBoard::applyCommitFaults(const bus::BusTransaction &txn)
     if (faults.tagFlip && !nodes_.empty()) {
         // The flip probes the live directory, so retirement emulation
         // queued behind it must land first; while the corruption
-        // awaits its scrub, later retirements emulate inline on this
-        // thread (the scrub mutates state every shard would race on).
-        flushEmulation();
+        // awaits its scrub, later retirements emulate inline, one by
+        // one, so the scrub sees the serial interleaving.
+        if (batching_)
+            runSlabTail();
         nodes_[faults.tagNode % nodes_.size()]->corruptLine(
             txn.addr, faults.tagBit);
         if (batching_)
@@ -454,71 +455,7 @@ MemoriesBoard::applyCommitFaults(const bus::BusTransaction &txn)
 bool
 MemoriesBoard::feedCommitted(const bus::BusTransaction &txn)
 {
-    if (bus::isFilteredOp(txn.op)) {
-        global_.bump(hFiltered_);
-        return true;
-    }
-
-    bus::BusTransaction t = txn;
-    fault::FaultInjector::StreamFaults stream;
-    if (injector_)
-        stream = injector_->onTenure(t);
-    healthCycle_ = t.cycle;
-    healthTraceId_ = t.traceId;
-
-    global_.bump(hTenures_);
-    if (bus::isReadOp(t.op))
-        global_.bump(hReads_);
-    if (bus::isWriteIntentOp(t.op))
-        global_.bump(hWrites_);
-    if (t.op == bus::BusOp::WriteBack)
-        global_.bump(hWritebacks_);
-
-    if (stream.drop) {
-        global_.bump(hFaultDropped_);
-        return true;
-    }
-
-    drainDue(t.cycle);
-
-    if (health_.state() == fault::HealthState::Quarantined) {
-        global_.bump(hQuarantined_);
-        return true;
-    }
-
-    if (health_.sampledOut(t.addr, healthLineShift_)) {
-        global_.bump(hSampledOut_);
-        return true;
-    }
-
-    if (buffer_.size() >= buffer_.effectiveCapacity(t.cycle)) {
-        const fault::OverflowAction action = health_.onOverflow();
-        if (action == fault::OverflowAction::Shed) {
-            global_.bump(hShed_);
-            if (recorder_) {
-                auto ev = makeEvent(trace::EventKind::BufferOverflow,
-                                    t, t.cycle);
-                ev.arg0 = 1;
-                recordBoardEvent(ev);
-                raiseAnomaly(trace::AnomalyKind::FleetDrop, t.cycle,
-                             t.traceId);
-            }
-            return true;
-        }
-        global_.bump(hRetriesPosted_);
-        if (recorder_) {
-            auto ev = makeEvent(trace::EventKind::BufferOverflow, t,
-                                t.cycle);
-            ev.arg0 = 1; // fed tenure dropped, not retried on a bus
-            recordBoardEvent(ev);
-            raiseAnomaly(trace::AnomalyKind::FleetDrop, t.cycle,
-                         t.traceId);
-        }
-        return false;
-    }
-
-    commit(t, t.cycle + 1);
-    return true;
+    return replay<true>(txn);
 }
 
 void
@@ -528,78 +465,45 @@ MemoriesBoard::drainAll()
         if (recorder_)
             recorder_->record(
                 makeEvent(trace::EventKind::Retire, *txn, txn->cycle));
-        emulate(*txn);
+        emulateStep(*txn, EmuSink{recorder_, nullptr});
     }
 }
 
 void
-MemoriesBoard::emulate(const bus::BusTransaction &txn)
-{
-    emulateStep(txn, serialSinks_.data());
-}
-
-void
 MemoriesBoard::emulateStep(const bus::BusTransaction &txn,
-                           const EmuSink *sinks)
+                           const EmuSink &sink)
 {
     // Lock-step emulation step: within each target machine (groups
     // precomputed at construction) the non-owning nodes snoop first
     // (their combined emulated response is the "resulting state from
     // other cache nodes" input of the requester's protocol table),
-    // then the owning node applies its requester transition. Each
-    // node's effects go to its sink — its own bank on the serial
-    // path, a shard replica plus deferred events under the pool.
+    // then the owning node applies its requester transition.
     for (const MachineGroup &m : machines_) {
         NodeController *owner = nullptr;
-        const EmuSink *owner_sink = nullptr;
         auto emu_resp = bus::SnoopResponse::None;
         for (std::uint8_t n : m.nodes) {
             NodeController *node = nodes_[n].get();
-            if (node->ownsCpu(txn.cpu)) {
+            if (node->ownsCpu(txn.cpu))
                 owner = node;
-                owner_sink = &sinks[n];
-            } else {
+            else
                 emu_resp = bus::combineSnoop(
-                    emu_resp, node->snoopRemote(txn, sinks[n]));
-            }
+                    emu_resp, node->snoopRemote(txn, sink));
         }
         if (owner)
-            owner->processLocal(txn, emu_resp, *owner_sink);
-    }
-}
-
-void
-MemoriesBoard::runShardBucket(std::size_t shard)
-{
-    const std::vector<std::uint32_t> &bucket = buckets_[shard];
-    if (bucket.empty())
-        return;
-    std::vector<EmuSink> &sinks = shardSinks_[shard];
-    // Pull the directory sets a few retirements ahead so the tag loads
-    // overlap the current step's protocol work.
-    constexpr std::size_t prefetch_dist = 8;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (i + prefetch_dist < bucket.size()) {
-            const Addr ahead = retireSlab_[bucket[i + prefetch_dist]].addr;
-            for (const auto &node : nodes_)
-                node->prefetchDirectory(ahead);
-        }
-        const std::uint32_t idx = bucket[i];
-        if (journaling_) {
-            std::vector<trace::LifecycleEvent> *slot =
-                &retireEvents_[idx];
-            for (EmuSink &sink : sinks)
-                sink.deferred = slot;
-        }
-        emulateStep(retireSlab_[idx], sinks.data());
+            owner->processLocal(txn, emu_resp, sink);
     }
 }
 
 void
 MemoriesBoard::runSlabTail()
 {
-    std::vector<EmuSink> &sinks = shardSinks_[0];
     const std::size_t end = retireSlab_.size();
+    if (slabEmulated_ == end)
+        return;
+    profile::ScopedStage scope(prof_, profile::Stage::Emulation);
+    EmuSink sink;
+    // Pull the directory sets a few retirements ahead so the tag loads
+    // overlap the current step's protocol work.
     constexpr std::size_t prefetch_dist = 8;
     for (std::size_t i = slabEmulated_; i < end; ++i) {
         if (i + prefetch_dist < end) {
@@ -607,80 +511,11 @@ MemoriesBoard::runSlabTail()
             for (const auto &node : nodes_)
                 node->prefetchDirectory(ahead);
         }
-        if (journaling_) {
-            std::vector<trace::LifecycleEvent> *slot = &retireEvents_[i];
-            for (EmuSink &sink : sinks)
-                sink.deferred = slot;
-        }
-        emulateStep(retireSlab_[i], sinks.data());
+        if (journaling_)
+            sink.deferred = &retireEvents_[i];
+        emulateStep(retireSlab_[i], sink);
     }
     slabEmulated_ = end;
-}
-
-void
-MemoriesBoard::dispatchBuckets()
-{
-    if (shardCount_ == 1) {
-        const std::uint64_t items = static_cast<std::uint64_t>(
-            retireSlab_.size() - slabEmulated_);
-        shardItems_[0] += items;
-        if (prof_ && items > 0) {
-            const std::uint64_t disp_t0 = profile::Profiler::nowNs();
-            prof_->noteDispatch(disp_t0);
-            prof_->noteShardItems(0, items);
-            const std::uint64_t t0 = prof_->shardBegin(0);
-            runSlabTail();
-            prof_->shardEnd(0, t0);
-            prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
-        } else {
-            runSlabTail();
-        }
-        return;
-    }
-    bool any = false;
-    for (const auto &bucket : buckets_) {
-        if (!bucket.empty()) {
-            any = true;
-            break;
-        }
-    }
-    slabEmulated_ = retireSlab_.size();
-    if (!any)
-        return;
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        shardItems_[s] += buckets_[s].size();
-    if (prof_) {
-        const std::uint64_t disp_t0 = profile::Profiler::nowNs();
-        prof_->noteDispatch(disp_t0);
-        for (std::size_t s = 0; s < shardCount_; ++s)
-            prof_->noteShardItems(s, buckets_[s].size());
-        pool_->runAll([this](std::size_t shard) {
-            const std::uint64_t t0 = prof_->shardBegin(shard);
-            runShardBucket(shard);
-            prof_->shardEnd(shard, t0);
-        });
-        prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
-    } else {
-        pool_->runAll(
-            [this](std::size_t shard) { runShardBucket(shard); });
-    }
-    for (auto &bucket : buckets_)
-        bucket.clear();
-    // Fold the per-shard counter deltas into the node banks. Counter40
-    // adds commute modulo 2^40, so folding at every join yields the
-    // same bytes as one fold at the end — and as the serial path.
-    profile::ScopedStage merge_scope(prof_,
-                                     profile::Stage::CounterMerge);
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        for (std::size_t n = 0; n < nodes_.size(); ++n)
-            nodes_[n]->absorbShardCounters(shardCounters_[s][n]);
-}
-
-void
-MemoriesBoard::flushEmulation()
-{
-    if (batching_)
-        dispatchBuckets();
 }
 
 void
@@ -704,41 +539,6 @@ MemoriesBoard::replayJournal()
     }
 }
 
-void
-MemoriesBoard::rebuildSerialSinks()
-{
-    serialSinks_.clear();
-    for (auto &node : nodes_)
-        serialSinks_.push_back(
-            EmuSink{node->counterData(), recorder_, nullptr});
-}
-
-void
-MemoriesBoard::rebuildShardScratch()
-{
-    shardItems_.assign(shardCount_, 0);
-    buckets_.assign(shardCount_, {});
-    shardCounters_.clear();
-    shardSinks_.clear();
-    shardCounters_.resize(shardCount_);
-    shardSinks_.resize(shardCount_);
-    for (std::size_t s = 0; s < shardCount_; ++s) {
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            if (shardCount_ > 1) {
-                shardCounters_[s].emplace_back(
-                    nodes_[n]->counterCount());
-                shardSinks_[s].push_back(EmuSink{
-                    shardCounters_[s][n].data(), nullptr, nullptr});
-            } else {
-                // Single shard runs inline on the coordinator: write
-                // the node banks directly, nothing to fold.
-                shardSinks_[s].push_back(EmuSink{
-                    nodes_[n]->counterData(), nullptr, nullptr});
-            }
-        }
-    }
-}
-
 bool
 MemoriesBoard::anyNodeCorruption() const
 {
@@ -749,56 +549,20 @@ MemoriesBoard::anyNodeCorruption() const
     return false;
 }
 
+template <bool Hooks>
 std::size_t
-MemoriesBoard::enableSharding(std::size_t shards)
+MemoriesBoard::admitBatch(const bus::BusTransaction *txns,
+                          std::size_t count, bool *accepted)
 {
-    std::size_t want = 1;
-    while (want * 2 <= shards && want < 64)
-        want *= 2;
-    // Containment: the key must be address bits that are part of the
-    // set index of *every* node's directory, so two tenures that can
-    // ever share a directory set always share a shard. Node i's
-    // (sampled) set index covers address bits [lineShift_i + shift_i,
-    // lineShift_i + shift_i + log2(sets_i)); the key window
-    // [base, base + log2(want)) must sit inside all of them
-    // (docs/SHARDING.md). Line sizes may differ per node, so this is
-    // computed in absolute address-bit space.
-    unsigned base = 0;
-    unsigned min_top = 64;
-    for (const auto &node : nodes_) {
-        const unsigned lo =
-            static_cast<unsigned>(
-                log2i(node->config().cache.lineSize)) +
-            node->samplingShift();
-        const unsigned top =
-            lo + static_cast<unsigned>(log2i(node->directorySets()));
-        base = std::max(base, lo);
-        min_top = std::min(min_top, top);
+    profile::ScopedStage scope(prof_, profile::Stage::BatchAdmission);
+    std::size_t ok_count = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const bool ok = replay<Hooks>(txns[i]);
+        if (accepted)
+            accepted[i] = ok;
+        ok_count += ok;
     }
-    while (want > 1 && base + log2i(want) > min_top)
-        want /= 2;
-
-    shardCount_ = want;
-    shardShift_ = base;
-    shardMask_ = shardCount_ - 1;
-    pool_ = shardCount_ > 1 ? std::make_unique<ShardPool>(shardCount_)
-                            : nullptr;
-    rebuildShardScratch();
-    if (prof_)
-        prof_->bindShards(shardCount_);
-    return shardCount_;
-}
-
-void
-MemoriesBoard::disableSharding()
-{
-    pool_.reset();
-    shardCount_ = 1;
-    shardShift_ = 0;
-    shardMask_ = 0;
-    rebuildShardScratch();
-    if (prof_)
-        prof_->bindShards(shardCount_);
+    return ok_count;
 }
 
 std::size_t
@@ -819,10 +583,10 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
     journal_.clear();
 
     std::size_t ok_count = 0;
-    const bool turbo =
-        injector_ == nullptr && recorder_ == nullptr &&
-        !health_.enabled();
-    if (!turbo) {
+    if (injector_ == nullptr && recorder_ == nullptr &&
+        !health_.enabled()) {
+        ok_count = admitBatch<false>(txns, count, accepted);
+    } else {
         // Fault events must land in the journal, not the recorder, or
         // replayed board events would reorder against them.
         if (journaling_ && injector_) {
@@ -835,69 +599,12 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
                     raiseAnomaly(kind, cycle, id);
                 });
         }
-        {
-            profile::ScopedStage admission_scope(
-                prof_, profile::Stage::BatchAdmission);
-            for (std::size_t i = 0; i < count; ++i) {
-                const bool ok = feedCommitted(txns[i]);
-                if (accepted)
-                    accepted[i] = ok;
-                ok_count += ok;
-            }
-        }
+        ok_count = admitBatch<true>(txns, count, accepted);
         if (journaling_ && injector_)
             injector_->setEventSinks({}, {});
-    } else {
-        // Hot path: no injector, no recorder, health disabled — the
-        // per-tenure hooks of feedCommitted are all no-ops, so tally
-        // the global counters in locals and fold them once (bump-by-1
-        // k times and add(k) agree modulo 2^40).
-        profile::ScopedStage admission_scope(
-            prof_, profile::Stage::BatchAdmission);
-        std::uint64_t n_tenures = 0, n_reads = 0, n_writes = 0;
-        std::uint64_t n_wb = 0, n_filtered = 0, n_committed = 0;
-        std::uint64_t n_retries = 0, n_lost = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            const bus::BusTransaction &t = txns[i];
-            if (bus::isFilteredOp(t.op)) {
-                ++n_filtered;
-                if (accepted)
-                    accepted[i] = true;
-                ++ok_count;
-                continue;
-            }
-            ++n_tenures;
-            n_reads += bus::isReadOp(t.op);
-            n_writes += bus::isWriteIntentOp(t.op);
-            n_wb += t.op == bus::BusOp::WriteBack;
-            drainDue(t.cycle);
-            if (buffer_.size() >= buffer_.effectiveCapacity(t.cycle)) {
-                ++n_retries;
-                if (accepted)
-                    accepted[i] = false;
-                continue;
-            }
-            ++n_committed;
-            if (capture_)
-                capture_->record(t);
-            if (!buffer_.push(t))
-                ++n_lost; // unreachable: capacity checked at t.cycle
-            if (accepted)
-                accepted[i] = true;
-            ++ok_count;
-        }
-        Counter40 *g = global_.data();
-        g[hTenures_].add(n_tenures);
-        g[hReads_].add(n_reads);
-        g[hWrites_].add(n_writes);
-        g[hWritebacks_].add(n_wb);
-        g[hFiltered_].add(n_filtered);
-        g[hCommitted_].add(n_committed);
-        g[hRetriesPosted_].add(n_retries);
-        g[hLostInflight_].add(n_lost);
     }
 
-    dispatchBuckets();
+    runSlabTail();
     batching_ = false;
     if (journaling_) {
         profile::ScopedStage replay_scope(
@@ -954,7 +661,6 @@ MemoriesBoard::clearCounters()
     global_.clearAll();
     for (auto &node : nodes_)
         node->clearCounters();
-    std::fill(shardItems_.begin(), shardItems_.end(), 0);
 }
 
 void

@@ -25,7 +25,6 @@
 #include "fault/health.hh"
 #include "ies/boardconfig.hh"
 #include "ies/nodecontroller.hh"
-#include "ies/shardpool.hh"
 #include "ies/txnbuffer.hh"
 #include "trace/capture.hh"
 
@@ -91,8 +90,9 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      *
      * @return false when the transaction buffer was full, i.e. the
      *         point where a live board would have posted a bus retry
-     *         (retries_posted is counted either way); the caller
-     *         decides how to surface the dropped tenure.
+     *         (retries_posted is counted either way; the recorder sees
+     *         a drop, BufferOverflow arg0 1, instead of a retry); the
+     *         caller decides how to surface the dropped tenure.
      */
     bool feedCommitted(const bus::BusTransaction &txn);
 
@@ -100,11 +100,10 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * Batch replay path: feed @p count already-committed tenures in
      * one call. Bit-exact to calling feedCommitted() per element —
      * same counters, same pacing, same retirement order, same
-     * lifecycle-event bytes — but amortizes dispatch, defers
-     * retirement emulation into per-set-shard buckets, and (with a
-     * pool from enableSharding) runs those buckets on worker threads.
-     * Admission — credit pacing, capacity checks, health and fault
-     * hooks — always stays on the calling thread.
+     * lifecycle-event bytes — but admits the whole batch first and
+     * then emulates its retirements in one prefetching pass over the
+     * retirement slab (docs/BATCH.md). Everything runs on the calling
+     * thread.
      *
      * When a flight recorder is attached, events are journaled during
      * the batch and replayed into the recorder in serial order before
@@ -119,23 +118,6 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
                           std::size_t count, bool *accepted = nullptr);
     std::size_t feedBatch(const std::vector<bus::BusTransaction> &txns,
                           bool *accepted = nullptr);
-
-    /**
-     * Shard retirement emulation across @p shards worker threads.
-     * The shard key is a slice of the line address contained in every
-     * node's set-index window, so one directory set is only ever
-     * touched by one worker (docs/SHARDING.md). @p shards is rounded
-     * down to a power of two and clamped so the key stays inside the
-     * smallest node's window; the effective count is returned. One
-     * shard (the default) means no threads at all.
-     */
-    std::size_t enableSharding(std::size_t shards);
-
-    /** Back to single-shard (threadless) batch emulation. */
-    void disableSharding();
-
-    /** Effective shard count (1 when sharding is off). */
-    std::size_t shardCount() const { return shardCount_; }
 
     /**
      * Process everything still sitting in the transaction buffers
@@ -287,8 +269,8 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     /**
      * Attach an IESPROF profiler: the batch hot path then attributes
-     * its wall-clock to pipeline stages and per-shard worker slabs
-     * (src/profile/profiler.hh). The profiler only observes the
+     * its wall-clock to pipeline stages (src/profile/profiler.hh).
+     * The profiler only observes the
      * emulator — tests/profile/prof_equiv_test.cc proves every
      * emulated byte (counters, directories, retirement order,
      * chrome-trace bytes) identical attached vs detached. One
@@ -303,22 +285,6 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     /** Currently attached profiler (nullptr when detached). */
     profile::Profiler *profiler() const { return prof_; }
-
-    /**
-     * Always-on retirement-emulation occupancy per shard (index i =
-     * retirements emulated by shard i since the sharding layout last
-     * changed or counters were cleared; single element when sharding
-     * is off). Costs one add
-     * per shard per batch — kept on even without a profiler so
-     * FleetReport/BoardReport can surface load imbalance.
-     */
-    const std::vector<std::uint64_t> &shardOccupancy() const
-    {
-        return shardItems_;
-    }
-
-    /** Max/mean skew over shardOccupancy() (1.0 = balanced). */
-    double shardSkew() const;
 
     /** Where this board sits on the degradation ladder. */
     fault::HealthState healthState() const { return health_.state(); }
@@ -371,50 +337,73 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
         std::uint32_t retireIdx = 0;
     };
 
-    void emulate(const bus::BusTransaction &txn);
+    /** What admission decided for one memory tenure. */
+    enum class Verdict : std::uint8_t
+    {
+        Filtered, //!< not a memory tenure: the address filter dropped it
+        Ignored,  //!< counted, then fault-dropped, quarantined, sampled
+                  //!< out or shed: never buffered, never retried
+        Full,     //!< no room: a live bus gets a Retry, replay a drop
+        Accepted, //!< room in the buffer: commit it
+    };
 
-    /** One lock-step emulation step with per-node effect sinks. */
+    /** BufferOverflow arg0 codes (docs/TRACING.md). */
+    static constexpr std::uint8_t overflowRetried = 0;
+    static constexpr std::uint8_t overflowDropped = 1;
+    static constexpr std::uint8_t overflowLost = 2;
+
+    /**
+     * The board's one admission sequence, shared by snoop(),
+     * feedCommitted() and feedBatch(): address filter, global-event
+     * counters, stream faults, credit pacing, quarantine, degraded
+     * sampling, capacity (with retry-storm shedding). @p t is the
+     * snooped tenure; stream faults may rewrite it in place.
+     *
+     * @p Hooks false is the hook-free instantiation feedBatch runs
+     * when no injector or recorder is attached and health monitoring
+     * is off: every hook is then a no-op, so it is compiled out.
+     */
+    template <bool Hooks>
+    Verdict admit(bus::BusTransaction &t);
+
+    /**
+     * Accept @p txn into the transaction buffer: count the commit,
+     * record/capture it, fire commit-time faults, and recover (never
+     * panic) if a fault shrank the buffer after the capacity check.
+     */
+    template <bool Hooks>
+    void commit(const bus::BusTransaction &txn, Cycle event_cycle);
+
+    /** Replay one committed tenure: admit, then commit or drop. */
+    template <bool Hooks>
+    bool replay(const bus::BusTransaction &txn);
+
+    /** feedBatch's admission loop: replay() per element. */
+    template <bool Hooks>
+    std::size_t admitBatch(const bus::BusTransaction *txns,
+                           std::size_t count, bool *accepted);
+
+    /** BufferOverflow event with arg0 @p code, plus its anomaly. */
+    void recordOverflow(const bus::BusTransaction &txn, Cycle cycle,
+                        std::uint8_t code);
+
+    /** One lock-step emulation step, effects routed by @p sink. */
     void emulateStep(const bus::BusTransaction &txn,
-                     const EmuSink *sinks);
+                     const EmuSink &sink);
     void drainDue(Cycle now);
 
-    /** Queue retired tenure @p idx of retireSlab_ (or emulate it
-     *  inline on this thread while a tag flip awaits its scrub). */
-    void routeRetired(std::uint32_t idx, Cycle now);
-
-    /** Emulate one retirement inline: canonical counters, journal
-     *  slot for events. */
+    /** Emulate retirement @p idx of retireSlab_ inline (a tag flip
+     *  awaits its scrub); events go to its journal slot. */
     void emulateRetirement(std::uint32_t idx);
 
-    /** Worker body: emulate every bucketed retirement of @p shard. */
-    void runShardBucket(std::size_t shard);
-
-    /** Single-shard dispatch: emulate the un-emulated slab tail
+    /** The batch emulation loop: emulate the slab tail
      *  [slabEmulated_, retireSlab_.size()) in retirement order. */
     void runSlabTail();
-
-    /** Run all buckets to completion and fold counter replicas. */
-    void dispatchBuckets();
-
-    /** Drain queued emulation before code that reads directories. */
-    void flushEmulation();
 
     /** Feed the journal to the recorder in serial order. */
     void replayJournal();
 
-    /** (Re)size buckets, counter replicas, and sink arrays. */
-    void rebuildShardScratch();
-
-    /** Rebuild the serial-path per-node sinks (recorder changes). */
-    void rebuildSerialSinks();
-
     bool anyNodeCorruption() const;
-
-    std::size_t shardOf(Addr addr) const
-    {
-        return static_cast<std::size_t>((addr >> shardShift_) &
-                                        shardMask_);
-    }
 
     /** Board-level event, journaling-aware (recorder_ checked by the
      *  caller). */
@@ -445,13 +434,6 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
             recorder_->notifyAnomaly(kind, cycle, trace_id);
         }
     }
-
-    /**
-     * Accept @p txn into the transaction buffer: count the commit,
-     * record/capture it, fire commit-time faults, and recover (never
-     * panic) if a fault shrank the buffer after the capacity check.
-     */
-    void commit(const bus::BusTransaction &txn, Cycle event_cycle);
 
     /** Apply the injector's commit-time faults for @p txn. */
     void applyCommitFaults(const bus::BusTransaction &txn);
@@ -504,36 +486,19 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     /** Target-machine groups, precomputed for the emulation step. */
     std::vector<MachineGroup> machines_;
-    /** Per-node serial-path sinks: own bank, attached recorder. */
-    std::vector<EmuSink> serialSinks_;
 
-    // --- Batch/shard state. Workers only ever run inside
-    // dispatchBuckets(); the coordinator mutates all of this strictly
-    // before the fork or after the join, so none of it needs atomics.
-    std::unique_ptr<ShardPool> pool_;
-    std::size_t shardCount_ = 1;
-    unsigned shardShift_ = 0;   //!< address bit where the key starts
-    std::uint64_t shardMask_ = 0;
+    // --- Batch state, live only inside a feedBatch call.
     bool batching_ = false;     //!< inside a feedBatch call
     bool journaling_ = false;   //!< batching with a recorder attached
-    /** A tag flip awaits its scrub: emulate inline, coordinator only. */
+    /** A tag flip awaits its scrub: emulate each retirement inline. */
     bool inlineEmulation_ = false;
     /** Tenures retired this batch, in retirement order. */
     std::vector<bus::BusTransaction> retireSlab_;
-    /** Slab entries already emulated (single-shard batches walk the
-     *  slab itself instead of filling a bucket with 0,1,2,...). */
+    /** Slab entries already emulated. */
     std::size_t slabEmulated_ = 0;
     /** Node events of each retirement (journaling batches only). */
     std::vector<std::vector<trace::LifecycleEvent>> retireEvents_;
-    /** Per-shard retireSlab_ indices awaiting emulation. */
-    std::vector<std::vector<std::uint32_t>> buckets_;
     std::vector<JournalItem> journal_;
-    /** [shard][node] counter deltas, folded wrap-correct at joins. */
-    std::vector<std::vector<std::vector<Counter40>>> shardCounters_;
-    /** [shard][node] worker sinks (deferred slot set per retirement). */
-    std::vector<std::vector<EmuSink>> shardSinks_;
-    /** Always-on per-shard retirement counts (see shardOccupancy()). */
-    std::vector<std::uint64_t> shardItems_;
 };
 
 /**

@@ -102,7 +102,7 @@ NodeController::scrubIfCorrupt(Addr sampled,
         // scrub.
         if (directory_.probe(sampled).hit) {
             directory_.invalidate(sampled);
-            sink.bump(hParityScrubs_);
+            counters_.bump(hParityScrubs_);
             if (sink.tracing())
                 sink.emit(makeEvent(trace::EventKind::ParityScrub, txn));
         }
@@ -160,7 +160,7 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
                              const EmuSink &sink)
 {
     if (!inSample(raw_txn.addr)) {
-        sink.bump(hUnsampled_);
+        counters_.bump(hUnsampled_);
         return;
     }
     bus::BusTransaction txn = raw_txn;
@@ -177,12 +177,12 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
         txn.op == bus::BusOp::Read || txn.op == bus::BusOp::ReadIfetch ||
         txn.op == bus::BusOp::Rwitm || txn.op == bus::BusOp::DClaim;
     if (is_reference)
-        sink.bump(hLocalRefs_);
+        counters_.bump(hLocalRefs_);
 
     if (hit.hit) {
-        sink.bump(hLocalHit_[opidx]);
+        counters_.bump(hLocalHit_[opidx]);
     } else {
-        sink.bump(hLocalMiss_[opidx]);
+        counters_.bump(hLocalMiss_[opidx]);
     }
     if (sink.tracing()) {
         auto ev = makeEvent(hit.hit ? trace::EventKind::CacheHit
@@ -199,17 +199,17 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
         txn.op == bus::BusOp::ReadIfetch ||
         txn.op == bus::BusOp::Rwitm) {
         if (hit.hit) {
-            sink.bump(hSatCache_);
+            counters_.bump(hSatCache_);
         } else {
             switch (emu_resp) {
               case bus::SnoopResponse::Modified:
-                sink.bump(hSatModInt_);
+                counters_.bump(hSatModInt_);
                 break;
               case bus::SnoopResponse::Shared:
-                sink.bump(hSatShrInt_);
+                counters_.bump(hSatShrInt_);
                 break;
               default:
-                sink.bump(hSatMem_);
+                counters_.bump(hSatMem_);
                 break;
             }
         }
@@ -237,7 +237,7 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
     }
 
     if (entry.allocate && entry.next != LineState::Invalid) {
-        sink.bump(hFills_);
+        counters_.bump(hFills_);
         const auto evicted = directory_.allocate(
             txn.addr, static_cast<cache::LineStateRaw>(entry.next));
         if (sink.tracing()) {
@@ -250,9 +250,9 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
         if (evicted.valid) {
             const auto ev_state = static_cast<LineState>(evicted.state);
             if (protocol::isDirtyState(ev_state))
-                sink.bump(hEvDirty_);
+                counters_.bump(hEvDirty_);
             else
-                sink.bump(hEvClean_);
+                counters_.bump(hEvClean_);
             if (sink.tracing()) {
                 auto ev = makeEvent(trace::EventKind::Castout, raw_txn);
                 ev.addr = evicted.lineAddr;
@@ -271,7 +271,7 @@ NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
                             const EmuSink &sink)
 {
     if (!inSample(raw_txn.addr)) {
-        sink.bump(hUnsampled_);
+        counters_.bump(hUnsampled_);
         return bus::SnoopResponse::None;
     }
     bus::BusTransaction txn = raw_txn;
@@ -280,8 +280,8 @@ NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
         scrubIfCorrupt(txn.addr, raw_txn, sink);
 
     const auto opidx = static_cast<std::size_t>(txn.op);
-    sink.bump(hRemoteSeen_[opidx]);
-    sink.bump(hRemoteRefs_);
+    counters_.bump(hRemoteSeen_[opidx]);
+    counters_.bump(hRemoteRefs_);
 
     const auto hit = directory_.probe(txn.addr);
     if (!hit.hit)
@@ -292,12 +292,12 @@ NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
 
     if (entry.next == LineState::Invalid) {
         directory_.invalidateAt(txn.addr, hit.way);
-        sink.bump(hRemoteInv_);
+        counters_.bump(hRemoteInv_);
     } else if (entry.next != state) {
         directory_.setStateAt(
             txn.addr, hit.way,
             static_cast<cache::LineStateRaw>(entry.next));
-        sink.bump(hRemoteDowngrade_);
+        counters_.bump(hRemoteDowngrade_);
     }
     if (sink.tracing() && entry.next != state) {
         auto ev = makeEvent(trace::EventKind::StateTransition, raw_txn);
@@ -307,9 +307,9 @@ NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
     }
 
     if (entry.response == bus::SnoopResponse::Modified)
-        sink.bump(hSupplyMod_);
+        counters_.bump(hSupplyMod_);
     else if (entry.response == bus::SnoopResponse::Shared)
-        sink.bump(hSupplyShr_);
+        counters_.bump(hSupplyShr_);
     return entry.response;
 }
 

@@ -61,20 +61,16 @@ struct NodeStats
 };
 
 /**
- * Where one emulation step sends its side effects: which Counter40
- * array to bump (the node's own bank, or a per-shard replica that the
- * board folds back wrap-correct at the batch barrier) and where
- * lifecycle events go (straight into a recorder on the serial path, or
- * into a per-retirement deferral buffer the coordinator replays in
- * serial order after the shard workers join). Counter handles index
- * both the bank and any replica identically.
+ * Where one emulation step sends its lifecycle events: straight into a
+ * recorder on the serial path, or into a per-retirement deferral
+ * buffer the board replays in serial order at the end of a batch
+ * (docs/BATCH.md). Counters always go to the node's own bank.
  */
 struct EmuSink
 {
-    Counter40 *counters = nullptr;
     /** Record events directly (serial path). */
     trace::FlightRecorder *recorder = nullptr;
-    /** Defer events for in-order replay (shard-worker path). */
+    /** Defer events for in-order replay (journaling batch). */
     std::vector<trace::LifecycleEvent> *deferred = nullptr;
 
     bool tracing() const
@@ -88,11 +84,6 @@ struct EmuSink
             recorder->record(ev);
         else
             deferred->push_back(ev);
-    }
-
-    void bump(CounterBank::Handle h, std::uint64_t n = 1) const
-    {
-        counters[h].add(n);
     }
 };
 
@@ -124,7 +115,7 @@ class NodeController
         processLocal(txn, emu_resp, defaultSink());
     }
 
-    /** Local-requester path with an explicit effect sink (sharding). */
+    /** Local-requester path with an explicit event sink (batching). */
     void processLocal(const bus::BusTransaction &txn,
                       bus::SnoopResponse emu_resp, const EmuSink &sink);
 
@@ -137,7 +128,7 @@ class NodeController
         return snoopRemote(txn, defaultSink());
     }
 
-    /** Remote-snoop path with an explicit effect sink (sharding). */
+    /** Remote-snoop path with an explicit event sink (batching). */
     bus::SnoopResponse snoopRemote(const bus::BusTransaction &txn,
                                    const EmuSink &sink);
 
@@ -153,30 +144,13 @@ class NodeController
     }
 
     /** True while an injected tag flip awaits its parity scrub. The
-     *  scrub mutates shared state, so the board emulates serially
-     *  (coordinator only) whenever any node reports corruption. */
+     *  scrub must see the serial interleaving of corruption and
+     *  re-touch, so the board emulates each retirement inline
+     *  whenever any node reports corruption. */
     bool hasCorruption() const { return !corrupted_.empty(); }
-
-    /** Number of counters in this node's bank (shard replica sizing). */
-    std::size_t counterCount() const { return counters_.size(); }
-
-    /** Fold one shard's delta counters into the bank (wrap-correct). */
-    void absorbShardCounters(std::vector<Counter40> &deltas)
-    {
-        counters_.absorb(deltas);
-    }
-
-    /** Sets in the (sampled) directory — shard-key containment math. */
-    std::uint64_t directorySets() const
-    {
-        return directory_.config().numSets();
-    }
 
     /** Raw 40-bit counters ("console read"). */
     const CounterBank &counters() const { return counters_; }
-
-    /** Mutable counter array for the board's emulation sinks. */
-    Counter40 *counterData() { return counters_.data(); }
 
     /** Digest for tables and plots. */
     NodeStats stats() const;
@@ -326,11 +300,8 @@ class NodeController
                         const EmuSink &sink);
     using LS = protocol::LineState;
 
-    /** The serial-path sink: own bank, attached recorder. */
-    EmuSink defaultSink()
-    {
-        return EmuSink{counters_.data(), recorder_, nullptr};
-    }
+    /** The serial-path sink: the attached recorder. */
+    EmuSink defaultSink() const { return EmuSink{recorder_, nullptr}; }
 
     /** Build the common fields of a lifecycle event for @p txn. */
     trace::LifecycleEvent makeEvent(trace::EventKind kind,

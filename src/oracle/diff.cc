@@ -1,9 +1,12 @@
 #include "oracle/diff.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <sstream>
 
+#include "bus/bus6xx.hh"
 #include "checkpoint/file.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -76,22 +79,65 @@ DiffReport::describe() const
     return os.str();
 }
 
-/**
- * Shared diff body: when @p checkpoint_path is non-null both boards
- * resume from it (counters cleared, so the diff covers the resumed
- * stream only) before the stream is fed.
- */
-static DiffReport
-diffStreamImpl(const ies::BoardConfig &config,
-               const std::string *checkpoint_path,
-               const std::vector<bus::BusTransaction> &stream,
-               const DiffOptions &opts)
+namespace
 {
-    DiffReport report;
-    auto note = [&report, &opts](std::string msg) {
+
+/** The production feeds every comparison drives. */
+enum class Leg
+{
+    Serial, //!< feedCommitted per tenure
+    Batch,  //!< feedBatch in batchChunk-tenure chunks, no recorder
+    Bus,    //!< live Bus6xx, the board its only snooper
+};
+
+constexpr std::size_t batchChunk = 256;
+
+const char *
+legName(Leg leg)
+{
+    switch (leg) {
+      case Leg::Serial: return "serial";
+      case Leg::Batch:  return "batch";
+      case Leg::Bus:    return "bus";
+    }
+    return "?";
+}
+
+/** Records every tenure a bus completes, as the bus stamped it. */
+class TenureCapture final : public bus::BusObserver
+{
+  public:
+    void
+    observeResult(const bus::BusTransaction &txn,
+                  bus::SnoopResponse combined) override
+    {
+        tenures.push_back(txn);
+        completed.push_back(combined != bus::SnoopResponse::Retry);
+    }
+
+    std::vector<bus::BusTransaction> tenures;
+    std::vector<bool> completed;
+};
+
+/**
+ * Diff one leg into @p report: when @p checkpoint_path is non-null
+ * both boards resume from it (counters cleared, so the diff covers the
+ * resumed stream only) before the stream is fed.
+ */
+void
+diffLeg(Leg leg, const ies::BoardConfig &config,
+        const std::string *checkpoint_path,
+        const std::vector<bus::BusTransaction> &stream,
+        const DiffOptions &opts, DiffReport &report)
+{
+    const std::string tag = legName(leg);
+    bool leg_diverged = false;
+    auto note = [&](std::string msg) {
+        msg = tag + " leg: " + msg;
         if (!report.diverged)
             report.summary = msg;
         report.diverged = true;
+        leg_diverged = true;
         if (report.details.size() < opts.maxDetails)
             report.details.push_back(std::move(msg));
     };
@@ -107,44 +153,63 @@ diffStreamImpl(const ies::BoardConfig &config,
             ckpt::CheckpointImage::fromFile(*checkpoint_path));
     }
 
-    // Size the recorder to hold the whole run when the caller did not
+    // The batch leg runs detached, so it drives the hook-free
+    // instantiation the benchmarks and the service run; the other legs
+    // record, for the retirement order and the divergence dump. Size
+    // the recorder to hold the whole run when the caller did not
     // insist: each tenure produces well under 16 events.
-    std::size_t capacity = opts.recorderCapacity;
-    if (capacity == 0) {
-        capacity = static_cast<std::size_t>(
-            ceilPowerOf2(16 * stream.size() + 1024));
-        if (capacity > (std::size_t{1} << 20))
-            capacity = std::size_t{1} << 20;
+    std::optional<trace::FlightRecorder> recorder;
+    if (leg != Leg::Batch) {
+        std::size_t capacity = opts.recorderCapacity;
+        if (capacity == 0) {
+            capacity = static_cast<std::size_t>(
+                ceilPowerOf2(16 * stream.size() + 1024));
+            if (capacity > (std::size_t{1} << 20))
+                capacity = std::size_t{1} << 20;
+        }
+        recorder.emplace(capacity);
+        board->attachFlightRecorder(*recorder);
     }
-    trace::FlightRecorder recorder(capacity);
-    board->attachFlightRecorder(recorder);
 
-    auto noteAcceptance = [&note](const bus::BusTransaction &txn,
-                                  bool prod_ok, bool ref_ok) {
+    auto noteAcceptance = [&note, &ref](const bus::BusTransaction &txn,
+                                        bool prod_ok) {
+        const bool ref_ok = ref.feedCommitted(txn);
         if (prod_ok != ref_ok) {
             note("acceptance of " + fmtTxn(txn) + ": production " +
                  (prod_ok ? "accepted" : "rejected") + ", reference " +
                  (ref_ok ? "accepted" : "rejected"));
         }
     };
-    if (opts.shards == 0) {
+    switch (leg) {
+      case Leg::Serial:
         for (const bus::BusTransaction &txn : stream)
-            noteAcceptance(txn, board->feedCommitted(txn),
-                           ref.feedCommitted(txn));
-    } else {
-        board->enableSharding(opts.shards);
-        const std::size_t chunk =
-            opts.batchSize == 0 ? 256 : opts.batchSize;
-        std::vector<char> flag_buf(chunk, 0);
-        bool *flags = reinterpret_cast<bool *>(flag_buf.data());
-        for (std::size_t at = 0; at < stream.size(); at += chunk) {
+            noteAcceptance(txn, board->feedCommitted(txn));
+        break;
+      case Leg::Batch: {
+        bool flags[batchChunk];
+        for (std::size_t at = 0; at < stream.size(); at += batchChunk) {
             const std::size_t n =
-                chunk < stream.size() - at ? chunk : stream.size() - at;
+                std::min(batchChunk, stream.size() - at);
             board->feedBatch(&stream[at], n, flags);
             for (std::size_t i = 0; i < n; ++i)
-                noteAcceptance(stream[at + i], flags[i],
-                               ref.feedCommitted(stream[at + i]));
+                noteAcceptance(stream[at + i], flags[i]);
         }
+        break;
+      }
+      case Leg::Bus: {
+        bus::Bus6xx bus;
+        board->plugInto(bus);
+        TenureCapture capture;
+        bus.attachObserver(&capture);
+        for (const bus::BusTransaction &txn : stream) {
+            bus.advanceTo(txn.cycle);
+            bus.issue(txn);
+        }
+        board->unplug(bus);
+        for (std::size_t i = 0; i < capture.tenures.size(); ++i)
+            noteAcceptance(capture.tenures[i], capture.completed[i]);
+        break;
+      }
     }
     board->drainAll();
     ref.drainAll();
@@ -207,42 +272,44 @@ diffStreamImpl(const ies::BoardConfig &config,
     }
 
     // --- Retirement order, from the production flight recorder. ---
-    std::vector<RefRetirement> prod_ret;
-    for (const trace::LifecycleEvent &ev : recorder.snapshot()) {
-        if (ev.kind == trace::EventKind::Retire)
-            prod_ret.push_back({ev.traceId, ev.addr, ev.op, ev.cpu,
-                                ev.cycle});
-    }
-    const auto &ref_ret = ref.retirements();
-    if (recorder.overwritten() == 0) {
-        if (prod_ret.size() != ref_ret.size()) {
-            note("retirement count: production " +
-                 std::to_string(prod_ret.size()) + ", reference " +
-                 std::to_string(ref_ret.size()));
+    if (recorder) {
+        std::vector<RefRetirement> prod_ret;
+        for (const trace::LifecycleEvent &ev : recorder->snapshot()) {
+            if (ev.kind == trace::EventKind::Retire)
+                prod_ret.push_back({ev.traceId, ev.addr, ev.op, ev.cpu,
+                                    ev.cycle});
         }
-        const std::size_t n = prod_ret.size() < ref_ret.size()
-                                  ? prod_ret.size()
-                                  : ref_ret.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!(prod_ret[i] == ref_ret[i])) {
-                note("retirement " + std::to_string(i) +
-                     ": production " + fmtRetirement(prod_ret[i]) +
-                     ", reference " + fmtRetirement(ref_ret[i]));
-                break;
+        const auto &ref_ret = ref.retirements();
+        if (recorder->overwritten() == 0) {
+            if (prod_ret.size() != ref_ret.size()) {
+                note("retirement count: production " +
+                     std::to_string(prod_ret.size()) + ", reference " +
+                     std::to_string(ref_ret.size()));
             }
-        }
-    } else if (prod_ret.size() <= ref_ret.size()) {
-        // The ring wrapped: only the production tail survives, so align
-        // it against the reference tail (totals are cross-checked by
-        // the retired counter below).
-        const std::size_t offset = ref_ret.size() - prod_ret.size();
-        for (std::size_t i = 0; i < prod_ret.size(); ++i) {
-            if (!(prod_ret[i] == ref_ret[offset + i])) {
-                note("retirement tail " + std::to_string(i) +
-                     ": production " + fmtRetirement(prod_ret[i]) +
-                     ", reference " +
-                     fmtRetirement(ref_ret[offset + i]));
-                break;
+            const std::size_t n = prod_ret.size() < ref_ret.size()
+                                      ? prod_ret.size()
+                                      : ref_ret.size();
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!(prod_ret[i] == ref_ret[i])) {
+                    note("retirement " + std::to_string(i) +
+                         ": production " + fmtRetirement(prod_ret[i]) +
+                         ", reference " + fmtRetirement(ref_ret[i]));
+                    break;
+                }
+            }
+        } else if (prod_ret.size() <= ref_ret.size()) {
+            // The ring wrapped: only the production tail survives, so
+            // align it against the reference tail (totals are
+            // cross-checked by the retired counter below).
+            const std::size_t offset = ref_ret.size() - prod_ret.size();
+            for (std::size_t i = 0; i < prod_ret.size(); ++i) {
+                if (!(prod_ret[i] == ref_ret[offset + i])) {
+                    note("retirement tail " + std::to_string(i) +
+                         ": production " + fmtRetirement(prod_ret[i]) +
+                         ", reference " +
+                         fmtRetirement(ref_ret[offset + i]));
+                    break;
+                }
             }
         }
     }
@@ -264,11 +331,29 @@ diffStreamImpl(const ies::BoardConfig &config,
              std::to_string(ref.bufferSize()));
     }
 
-    if (report.diverged)
-        report.flightDump = recorder.snapshot();
-    board->detachFlightRecorder();
+    if (leg_diverged) {
+        report.divergedLegs.push_back(tag);
+        if (report.flightDump.empty() && recorder)
+            report.flightDump = recorder->snapshot();
+    }
+    if (recorder)
+        board->detachFlightRecorder();
+}
+
+/** Shared diff body: every leg in turn. */
+DiffReport
+diffStreamImpl(const ies::BoardConfig &config,
+               const std::string *checkpoint_path,
+               const std::vector<bus::BusTransaction> &stream,
+               const DiffOptions &opts)
+{
+    DiffReport report;
+    for (const Leg leg : {Leg::Serial, Leg::Batch, Leg::Bus})
+        diffLeg(leg, config, checkpoint_path, stream, opts, report);
     return report;
 }
+
+} // namespace
 
 DiffReport
 diffStream(const ies::BoardConfig &config,

@@ -9,6 +9,12 @@
  * the production board's flight-recorder dump, so a failure arrives
  * with its own trace attached.
  *
+ * Every comparison runs three legs, one per production feed: serial
+ * feedCommitted, feedBatch in 256-tenure chunks, and a live Bus6xx
+ * whose only snooper is the board (snoop/observeResult, the path the
+ * paper's figures run). The bus restamps cycles and trace ids, so the
+ * bus leg's reference is fed the tenures as the bus stamped them.
+ *
  * runLattice() sweeps a configuration lattice (line size x
  * associativity x size x replacement policy x protocol table x node
  * topology, per paper Figure 11) over many generated streams; a
@@ -48,29 +54,21 @@ struct DiffOptions
     std::size_t recorderCapacity = 0;
     /** Differences listed before the report truncates. */
     std::size_t maxDetails = 8;
-    /**
-     * Production feed path: 0 = one feedCommitted call per tenure
-     * (the default); >= 1 = feedBatch in chunks of batchSize with
-     * set-sharding enabled at this worker count (1 = batched but
-     * unsharded). The board may clamp the count to what its set-index
-     * windows allow. The reference board is always serial, so a
-     * nonzero value diffs the whole sharded batch pipeline against
-     * the naive oracle.
-     */
-    std::size_t shards = 0;
-    /** Transactions per feedBatch call when shards > 0. */
-    std::size_t batchSize = 256;
 };
 
 /** Outcome of one differential comparison. */
 struct DiffReport
 {
     bool diverged = false;
-    /** First divergence, one line ("" when the boards agree). */
+    /** First divergence, one line naming its leg ("" when the boards
+     *  agree). */
     std::string summary;
     /** Up to DiffOptions::maxDetails individual differences. */
     std::vector<std::string> details;
-    /** Production flight-recorder dump at divergence (else empty). */
+    /** Legs that diverged, in run order: "serial", "batch", "bus". */
+    std::vector<std::string> divergedLegs;
+    /** Production flight-recorder dump of the first diverging leg
+     *  that records one (the batch leg runs detached; else empty). */
     std::vector<trace::LifecycleEvent> flightDump;
 
     /** Multi-line rendering: summary, details, recorder tail. */
@@ -79,7 +77,8 @@ struct DiffReport
 
 /**
  * Feed @p stream through a production board and a reference board
- * built from @p config, drain both, and diff the final state.
+ * built from @p config on each of the three legs, drain both, and diff
+ * the final state.
  */
 DiffReport diffStream(const ies::BoardConfig &config,
                       const std::vector<bus::BusTransaction> &stream,

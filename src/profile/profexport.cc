@@ -14,9 +14,6 @@ namespace memories::profile
 namespace
 {
 
-/** Shard rows render at tid 16+shard, past the stage rows. */
-constexpr unsigned shardTidBase = 16;
-
 std::string
 fixed(double v, int places)
 {
@@ -25,7 +22,7 @@ fixed(double v, int places)
     return buf;
 }
 
-/** Root-to-frame folded path ("feed_batch;shard_dispatch;..."). */
+/** Root-to-frame folded path ("feed_batch;batch_admission;..."). */
 std::string
 stackPath(Stage s)
 {
@@ -63,10 +60,7 @@ profMetadataEvent(long long tid, const char *what,
 std::string
 profSpanEvent(const ProfSpan &span)
 {
-    const bool shard_row = span.stage == Stage::ShardEmulation;
-    const unsigned tid =
-        shard_row ? shardTidBase + span.shard
-                  : static_cast<unsigned>(span.stage);
+    const auto tid = static_cast<unsigned>(span.stage);
     const Cycle dur =
         span.endCycle > span.beginCycle
             ? span.endCycle - span.beginCycle
@@ -77,8 +71,6 @@ profSpanEvent(const ProfSpan &span)
        << ",\"name\":\"" << stageName(span.stage)
        << "\",\"args\":{\"wall_ns\":" << span.wallNs
        << ",\"batch\":" << span.batch;
-    if (shard_row)
-        os << ",\"items\":" << span.items;
     if (span.stage == Stage::CreditPacing)
         os << ",\"sampled\":true";
     os << "}}";
@@ -94,8 +86,6 @@ foldedStacks(const Profiler &profiler)
     std::ostringstream os;
     for (std::size_t i = 0; i < numStages; ++i) {
         const Stage s = static_cast<Stage>(i);
-        if (s == Stage::ShardEmulation)
-            continue; // expanded per shard below
         const std::uint64_t est = report.stage(s).estNs();
         if (est == 0)
             continue;
@@ -103,12 +93,6 @@ foldedStacks(const Profiler &profiler)
         const std::uint64_t self = est > children ? est - children : 0;
         if (self > 0)
             os << stackPath(s) << " " << self << "\n";
-    }
-    const std::string emu_path = stackPath(Stage::ShardEmulation);
-    for (std::size_t sh = 0; sh < report.shards.size(); ++sh) {
-        const std::uint64_t busy = report.shards[sh].busyNs;
-        if (busy > 0)
-            os << emu_path << ";shard_" << sh << " " << busy << "\n";
     }
     return os.str();
 }
@@ -157,26 +141,13 @@ mergedChromeTrace(const std::vector<trace::LifecycleEvent> &events,
     emit(profMetadataEvent(-1, "process_sort_index",
                            std::to_string(profilerPid)));
     bool stage_row[numStages] = {};
-    std::vector<bool> shard_row;
-    for (const ProfSpan &span : spans) {
-        if (span.stage == Stage::ShardEmulation) {
-            if (span.shard >= shard_row.size())
-                shard_row.resize(span.shard + 1, false);
-            shard_row[span.shard] = true;
-        } else {
-            stage_row[static_cast<std::size_t>(span.stage)] = true;
-        }
-    }
+    for (const ProfSpan &span : spans)
+        stage_row[static_cast<std::size_t>(span.stage)] = true;
     for (std::size_t i = 0; i < numStages; ++i)
         if (stage_row[i])
             emit(profMetadataEvent(
                 static_cast<long long>(i), "thread_name",
                 stageName(static_cast<Stage>(i))));
-    for (std::size_t sh = 0; sh < shard_row.size(); ++sh)
-        if (shard_row[sh])
-            emit(profMetadataEvent(
-                static_cast<long long>(shardTidBase + sh),
-                "thread_name", "shard " + std::to_string(sh)));
     for (const ProfSpan &span : spans)
         emit(profSpanEvent(span));
 
@@ -224,16 +195,7 @@ profileJson(const Profiler &profiler, std::uint64_t refs)
            << "\",\"calls\":" << st.calls << ",\"ns\":" << est
            << ",\"ns_per_ref\":" << fixed(per_ref, 3) << "}";
     }
-    os << "],\"shards\":[";
-    for (std::size_t sh = 0; sh < report.shards.size(); ++sh) {
-        const ShardStats &stats = report.shards[sh];
-        if (sh > 0)
-            os << ",";
-        os << "{\"shard\":" << sh << ",\"busy_ns\":" << stats.busyNs
-           << ",\"items\":" << stats.items
-           << ",\"queue_wait_ns\":" << stats.queueWaitNs << "}";
-    }
-    os << "],\"imbalance\":" << fixed(report.imbalance(), 3) << "}";
+    os << "]}";
     return os.str();
 }
 

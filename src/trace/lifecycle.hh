@@ -68,9 +68,11 @@ enum class EventKind : std::uint8_t
     /** Protocol state transition (arg0 = from, arg1 = to state). */
     StateTransition,
     /**
-     * Transaction buffer full: a live board posted a bus retry, a
-     * fleet-fed board silently dropped the tenure (arg0 = 1 when the
-     * tenure was dropped rather than retried). Fires an anomaly.
+     * Transaction buffer could not take a tenure; arg0 says what
+     * became of it: 0 = a live board posted a bus retry, 1 = dropped
+     * without a retry (replayed on a full buffer, or shed by
+     * retry-storm backoff), 2 = committed but lost in flight to a
+     * commit-time fault (docs/TRACING.md). Fires an anomaly.
      */
     BufferOverflow,
     /** Operator annotation (console `trace mark`; addr = label index). */
@@ -97,9 +99,11 @@ std::string_view eventKindName(EventKind kind);
 /** What tripped an automatic flight-recorder dump. */
 enum class AnomalyKind : std::uint8_t
 {
-    /** Board transaction buffer overflowed (retry posted on the bus). */
+    /** Board transaction buffer overflowed: a retry was posted on the
+     *  bus, or a committed tenure was lost in flight. */
     TxnBufferOverflow = 0,
-    /** Fleet-fed board dropped a committed tenure on overflow. */
+    /** A board dropped a tenure without posting a retry: replayed on a
+     *  full buffer, or shed by retry-storm backoff. */
     FleetDrop,
     /** The combined bus response was Retry. */
     BusRetry,

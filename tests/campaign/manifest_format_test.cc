@@ -69,8 +69,12 @@ class ManifestFormatTest : public ::testing::Test
     {
         std::FILE *f = std::fopen(path_.c_str(), "wb");
         ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                  bytes.size());
+        // An empty vector's data() may be null, which fwrite must not
+        // see even for a zero-byte write; the file stays empty.
+        if (!bytes.empty()) {
+            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                      bytes.size());
+        }
         std::fclose(f);
     }
 

@@ -6,8 +6,8 @@
  * must be byte-identical to the run that never stopped — tail
  * acceptance flags, every Counter40, every directory, the retirement
  * order, and the rendered chrome-trace bytes. Fault plans and the
- * sharded batch feed path are covered too, including saving under
- * shards=4 and resuming serial.
+ * batch feed path are covered too, including saving after a batched
+ * prefix and resuming serial.
  *
  * Scale: seeds default to a quick smoke count; CI raises it via the
  * MEMORIES_CKPT_SEEDS environment variable (see docs/TESTING.md).
@@ -79,11 +79,10 @@ struct Outcome
 /** How one run feeds the stream around the split point. */
 struct FeedPlan
 {
-    /** Shard workers for the prefix [0, k); 0 = serial feed. */
-    std::size_t prefixShards = 0;
-    /** Shard workers for the tail [k, n); 0 = serial feed. */
-    std::size_t tailShards = 0;
-    std::size_t batch = 64;
+    /** feedBatch chunk for the prefix [0, k); 0 = serial feed. */
+    std::size_t prefixBatch = 0;
+    /** feedBatch chunk for the tail [k, n); 0 = serial feed. */
+    std::size_t tailBatch = 0;
     /** Fault plan attached (same plan and seed on every board). */
     const fault::FaultPlan *plan = nullptr;
     std::uint64_t faultSeed = 3;
@@ -92,10 +91,10 @@ struct FeedPlan
 void
 feedRange(MemoriesBoard &board,
           const std::vector<bus::BusTransaction> &stream,
-          std::size_t from, std::size_t to, std::size_t shards,
-          std::size_t batch, std::vector<std::uint8_t> *accepted)
+          std::size_t from, std::size_t to, std::size_t batch,
+          std::vector<std::uint8_t> *accepted)
 {
-    if (shards == 0) {
+    if (batch == 0) {
         for (std::size_t i = from; i < to; ++i) {
             const bool ok = board.feedCommitted(stream[i]);
             if (accepted)
@@ -103,12 +102,10 @@ feedRange(MemoriesBoard &board,
         }
         return;
     }
-    board.enableSharding(shards);
-    std::vector<std::uint8_t> storage(batch, 0);
-    bool *flags = reinterpret_cast<bool *>(storage.data());
+    const auto flags = std::make_unique<bool[]>(batch);
     for (std::size_t at = from; at < to; at += batch) {
         const std::size_t n = std::min(batch, to - at);
-        board.feedBatch(&stream[at], n, flags);
+        board.feedBatch(&stream[at], n, flags.get());
         if (accepted) {
             for (std::size_t i = 0; i < n; ++i)
                 accepted->push_back(flags[i] ? 1 : 0);
@@ -126,8 +123,8 @@ finishTail(MemoriesBoard &board,
     board.attachFlightRecorder(recorder);
 
     Outcome out;
-    feedRange(board, stream, k, stream.size(), plan.tailShards,
-              plan.batch, &out.tailAccepted);
+    feedRange(board, stream, k, stream.size(), plan.tailBatch,
+              &out.tailAccepted);
     board.drainAll();
 
     const auto collect = [&out](const CounterSample &s) {
@@ -167,8 +164,7 @@ runStraight(const BoardConfig &cfg,
                                                      plan.faultSeed);
         board.attachFaultInjector(*inj);
     }
-    feedRange(board, stream, 0, k, plan.prefixShards, plan.batch,
-              nullptr);
+    feedRange(board, stream, 0, k, plan.prefixBatch, nullptr);
     return finishTail(board, stream, k, plan);
 }
 
@@ -187,8 +183,7 @@ runResumed(const BoardConfig &cfg,
                 *plan.plan, plan.faultSeed);
             board.attachFaultInjector(*inj);
         }
-        feedRange(board, stream, 0, k, plan.prefixShards, plan.batch,
-                  nullptr);
+        feedRange(board, stream, 0, k, plan.prefixBatch, nullptr);
         board.saveState(writer);
     }
     const auto image = ckpt::CheckpointImage::fromBytes(
@@ -290,7 +285,7 @@ TEST(CheckpointResumePropertyTest, ResumeMatchesWithActiveFaultPlan)
     }
 }
 
-TEST(CheckpointResumePropertyTest, ResumeMatchesUnderShardedBatchFeed)
+TEST(CheckpointResumePropertyTest, ResumeMatchesUnderBatchFeed)
 {
     const BoardConfig cfg = makeUniformBoard(
         4, 2,
@@ -300,19 +295,18 @@ TEST(CheckpointResumePropertyTest, ResumeMatchesUnderShardedBatchFeed)
     for (std::size_t s = 0; s < seeds; ++s) {
         const auto stream = propertyStream(41 + s);
         FeedPlan fp;
-        fp.prefixShards = 4;
-        fp.tailShards = 4;
-        fp.batch = 64;
+        fp.prefixBatch = 64;
+        fp.tailBatch = 64;
         checkResume(cfg, stream, stream.size() / 2, fp,
-                    "sharded seed " + std::to_string(41 + s));
+                    "batched seed " + std::to_string(41 + s));
     }
 }
 
-TEST(CheckpointResumePropertyTest, CrossShardRestoreContinuesSerial)
+TEST(CheckpointResumePropertyTest, BatchedPrefixRestoreContinuesSerial)
 {
-    // Save under the shards=4 batch pipeline, restore and continue
-    // with the plain serial feed: the shard-equivalence tier makes
-    // the prefix state identical, so the tails must match too.
+    // Save after a batched prefix, restore and continue with the plain
+    // serial feed: the batch equivalence tier makes the prefix state
+    // identical, so the tails must match too.
     const BoardConfig cfg = makeUniformBoard(
         4, 2,
         cache::CacheConfig{2 * MiB, 4, 128,
@@ -326,16 +320,15 @@ TEST(CheckpointResumePropertyTest, CrossShardRestoreContinuesSerial)
         const Outcome straight =
             runStraight(cfg, stream, k, FeedPlan{});
 
-        // Resumed run: sharded prefix, checkpoint, serial tail.
+        // Resumed run: batched prefix, checkpoint, serial tail.
         FeedPlan fp;
-        fp.prefixShards = 4;
-        fp.tailShards = 0;
+        fp.prefixBatch = 64;
         const Outcome resumed = runResumed(cfg, stream, k, fp);
 
         EXPECT_TRUE(straight == resumed)
-            << "cross-shard seed " << (71 + s)
-            << ": shards=4 checkpoint resumed serially diverged from "
-               "the serial straight-through run";
+            << "batched-prefix seed " << (71 + s)
+            << ": checkpoint of a batched prefix resumed serially "
+               "diverged from the serial straight-through run";
     }
 }
 

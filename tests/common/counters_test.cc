@@ -168,48 +168,6 @@ TEST(CounterBankTest, SnapshotValuesAreWrapped40Bit)
     EXPECT_EQ(samples[0].value, 1u);
 }
 
-TEST(CounterBankTest, AbsorbFoldsDeltasAndClearsThem)
-{
-    CounterBank bank;
-    const auto hits = bank.add("hits");
-    const auto misses = bank.add("misses");
-    bank.bump(hits, 10);
-
-    std::vector<Counter40> deltas(bank.size());
-    deltas[hits].add(5);
-    deltas[misses].add(3);
-    bank.absorb(deltas);
-
-    EXPECT_EQ(bank.value(hits), 15u);
-    EXPECT_EQ(bank.value(misses), 3u);
-    EXPECT_EQ(deltas[hits].value(), 0u);
-    EXPECT_EQ(deltas[misses].value(), 0u);
-}
-
-TEST(CounterBankTest, AbsorbWrapsAt40BitsWhereNaiveSumDoesNot)
-{
-    // Merge-on-read regression: folding per-shard deltas into a bank
-    // sitting near the 40-bit ceiling must wrap exactly as if every
-    // event had bumped the bank directly. A naive 64-bit accumulation
-    // of the same history keeps the high bits and reads back a
-    // different (larger) value — the two must disagree for this test
-    // to mean anything.
-    CounterBank bank;
-    const auto h = bank.add("wrapping");
-    bank.bump(h, Counter40::mask - 1); // 2^40 - 2 events so far
-
-    std::vector<Counter40> shardDelta(bank.size());
-    shardDelta[h].add(7); // 7 more events observed by a shard
-
-    const std::uint64_t naiveSum = bank.value(h) + shardDelta[h].value();
-    bank.absorb(shardDelta);
-
-    // (2^40 - 2 + 7) mod 2^40 == 5.
-    EXPECT_EQ(bank.value(h), 5u);
-    EXPECT_NE(bank.value(h), naiveSum);
-    EXPECT_EQ(naiveSum, Counter40::mask + 6); // the bug absorb avoids
-}
-
 TEST(CounterBankTest, DumpMatchesSnapshotFormatting)
 {
     // dump() is now a formatter over snapshot(); the legacy line shape

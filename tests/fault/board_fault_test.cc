@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "common/logging.hh"
 #include "fault/injector.hh"
@@ -212,6 +214,75 @@ TEST(BoardFaultTest, OverflowStormsDegradeThenQuarantine)
     EXPECT_EQ(report.healthState, "quarantined");
     EXPECT_EQ(report.shed, 3u);
     EXPECT_NE(report.toText().find("quarantined"), std::string::npos);
+}
+
+/** (addr, arg0, anomaly kind) of every BufferOverflow event. */
+std::vector<std::tuple<Addr, unsigned, trace::AnomalyKind>>
+overflowEvents(const trace::FlightRecorder &recorder)
+{
+    std::vector<std::tuple<Addr, unsigned, trace::AnomalyKind>> out;
+    const auto events = recorder.snapshot();
+    for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+        if (events[i].kind != trace::EventKind::BufferOverflow)
+            continue;
+        // Each overflow event is followed by its anomaly.
+        EXPECT_EQ(events[i + 1].kind, trace::EventKind::Anomaly);
+        out.emplace_back(
+            events[i].addr, events[i].arg0,
+            static_cast<trace::AnomalyKind>(events[i + 1].arg0));
+    }
+    return out;
+}
+
+TEST(BoardFaultTest, OverflowStormsDegradeThenQuarantineOnTheLiveBus)
+{
+    // The same storm driven through snoop()/observeResult(), the board
+    // the bus's only snooper (so its response is the combined one),
+    // next to the feedCommitted replay of the same tenures.
+    MemoriesBoard replayed(degradingConfig());
+    MemoriesBoard live(degradingConfig());
+    trace::FlightRecorder replay_rec(256), live_rec(256);
+    replayed.attachFlightRecorder(replay_rec);
+    live.attachFlightRecorder(live_rec);
+
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        const bus::BusTransaction txn = readAt(i * 256, 0);
+        const bool fed = replayed.feedCommitted(txn);
+        const bus::SnoopResponse resp = live.snoop(txn);
+        live.observeResult(txn, resp);
+        EXPECT_EQ(fed, resp != bus::SnoopResponse::Retry)
+            << "tenure " << i;
+    }
+    EXPECT_EQ(live.healthState(), fault::HealthState::Quarantined);
+
+    std::vector<std::uint64_t> replay_counts, live_counts;
+    replayed.globalCounters().snapshot([&](const CounterSample &s) {
+        replay_counts.push_back(s.value);
+    });
+    live.globalCounters().snapshot([&](const CounterSample &s) {
+        live_counts.push_back(s.value);
+    });
+    EXPECT_EQ(live_counts, replay_counts);
+    EXPECT_EQ(live.retriesPosted(), 1u);
+    EXPECT_EQ(live.globalCounters().valueByName("global.tenures.shed"),
+              3u);
+
+    // Tenure 4 overflows a healthy board: the bus gets a Retry
+    // (arg0 0), replay drops it (arg0 1). Tenures 5-7 are shed on
+    // every path: dropped without a retry (arg0 1, FleetDrop).
+    using A = trace::AnomalyKind;
+    const std::vector<std::tuple<Addr, unsigned, A>> live_want = {
+        {4 * 256, 0, A::TxnBufferOverflow},
+        {5 * 256, 1, A::FleetDrop},
+        {6 * 256, 1, A::FleetDrop},
+        {7 * 256, 1, A::FleetDrop}};
+    EXPECT_EQ(overflowEvents(live_rec), live_want);
+    const std::vector<std::tuple<Addr, unsigned, A>> replay_want = {
+        {4 * 256, 1, A::FleetDrop},
+        {5 * 256, 1, A::FleetDrop},
+        {6 * 256, 1, A::FleetDrop},
+        {7 * 256, 1, A::FleetDrop}};
+    EXPECT_EQ(overflowEvents(replay_rec), replay_want);
 }
 
 TEST(BoardFaultTest, DegradedBoardSamplesInsteadOfDropping)

@@ -14,7 +14,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -108,7 +110,11 @@ serialBaseline()
 {
     static const SerialBaseline baseline = [] {
         SerialBaseline out;
-        out.tracePath = ::testing::TempDir() + "fanout_equiv.trace";
+        // Per process: ctest runs the worker-count instances in
+        // parallel, and a shared path let one overwrite the trace
+        // another was replaying.
+        out.tracePath = ::testing::TempDir() + "fanout_equiv_" +
+                        std::to_string(::getpid()) + ".trace";
         const auto cfgs = sweepConfigs();
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
             BoardConfig cfg = cfgs[i];
@@ -135,6 +141,12 @@ serialBaseline()
         }
         return out;
     }();
+    // The trace outlives every test of this process, not the process.
+    static const struct TraceFileGuard
+    {
+        std::string path;
+        ~TraceFileGuard() { std::remove(path.c_str()); }
+    } guard{baseline.tracePath};
     return baseline;
 }
 

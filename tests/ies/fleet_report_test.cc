@@ -101,8 +101,7 @@ TEST(FleetReportTest, CsvHasHeaderAndOneRowPerBoard)
     EXPECT_NE(csv.find("board,consumed,overflow_drops,"
                        "backpressure_stalls,capture_dropped,"
                        "lost_inflight,health,published,"
-                       "tap_filtered,tap_retry_dropped,shards,"
-                       "shard_skew\n"),
+                       "tap_filtered,tap_retry_dropped\n"),
               std::string::npos);
     EXPECT_NE(csv.find("tiny,20,16,"), std::string::npos);
     EXPECT_NE(csv.find("roomy,20,0,"), std::string::npos);

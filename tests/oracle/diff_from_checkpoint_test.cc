@@ -136,6 +136,9 @@ TEST_F(DiffFromCheckpointTest, MutatedOracleStillDiverges)
             diffStreamFromCheckpoint(cfg, path_, tail, opts);
         if (report.diverged) {
             EXPECT_FALSE(report.summary.empty());
+            // Every resumed leg carries the drift: serial, batch, bus.
+            EXPECT_EQ(report.divergedLegs.size(), 3u)
+                << report.describe();
             caught = true;
         }
     }

@@ -3,15 +3,16 @@
  * DiffHarness tests. Two halves:
  *
  *  - *Agreement*: the production board and the faithful oracle agree
- *    bit-for-bit over generated streams on every lattice config (a
- *    miniature of the CI sweep, kept small enough for the unit tier).
+ *    bit-for-bit over generated streams on every lattice config and
+ *    every production feed — serial, batch and live bus (a miniature
+ *    of the CI sweep, kept small enough for the unit tier).
  *
  *  - *Mutation smoke*: a harness that can only ever pass proves
  *    nothing. Seeding the oracle with a known bug (a skipped PLRU
  *    touch, a dropped snooper downgrade, a flipped protocol-table
- *    entry) must produce a divergence, and ddmin must shrink the
- *    witness to a handful of transactions — the paper-trail an
- *    engineer actually debugs from.
+ *    entry) must produce a divergence on every leg, and ddmin must
+ *    shrink the witness to a handful of transactions — the
+ *    paper-trail an engineer actually debugs from.
  */
 
 #include "oracle/diff.hh"
@@ -95,7 +96,8 @@ TEST(DiffLatticeTest, LatticeIsBroadAndUniquelyNamed)
 TEST(DiffLatticeTest, SmallSweepIsClean)
 {
     // A miniature of the CI acceptance sweep: every lattice config,
-    // three seeds. The 100-seed version runs in CI via oracle_diff.
+    // three seeds, all three feed legs. The 100-seed version runs in
+    // CI via oracle_diff.
     const LatticeRun run = runLattice(1, 3, 300);
     EXPECT_EQ(run.comparisons, 3 * latticeConfigs().size());
     for (const auto &div : run.divergences) {
@@ -105,40 +107,56 @@ TEST(DiffLatticeTest, SmallSweepIsClean)
     }
 }
 
-TEST(DiffLatticeTest, ShardedSweepIsClean)
+/** The legs every comparison runs, in report order. */
+const std::vector<std::string> allLegs = {"serial", "batch", "bus"};
+
+/** A MESI table whose clean Read miss installs Shared, not Exclusive. */
+ies::BoardConfig
+flippedProtocol(const ies::BoardConfig &cfg)
 {
-    // Same miniature sweep, but the production board is fed through
-    // the set-sharded batch pipeline. The oracle never batches, so
-    // this diffs the whole sharded hot path against the naive model;
-    // the 100-seed versions run in CI via oracle_diff --shards.
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-        DiffOptions opts;
-        opts.shards = shards;
-        opts.batchSize = 128;
-        const LatticeRun run = runLattice(1, 2, 300, "", opts);
-        EXPECT_EQ(run.comparisons, 2 * latticeConfigs().size());
-        for (const auto &div : run.divergences) {
-            ADD_FAILURE() << "config " << div.configName << " seed "
-                          << div.seed << " @" << shards << " shards:\n"
-                          << div.report.describe();
-        }
-    }
+    auto flipped = cfg;
+    flipped.nodes[0].protocol.setRequester(
+        bus::BusOp::Read, protocol::LineState::Invalid,
+        protocol::SnoopSummary::None,
+        {protocol::LineState::Shared, true});
+    return flipped;
 }
 
-TEST(DiffHarnessTest, ShardedFeedStillCatchesMutations)
+TEST(DiffHarnessTest, MutationsAreCaughtOnEveryLeg)
 {
-    // The sharded feed must not blunt the harness: a mutated oracle
-    // still has to diverge when the production side batches.
-    const auto cfg = conflictBoard(cache::ReplacementPolicy::TreePLRU);
-    DiffOptions opts;
-    opts.mutation = RefMutation::SkipPlruTouchOnHit;
-    opts.shards = 4;
-    bool caught = false;
-    for (std::uint64_t seed = 1; seed <= 5 && !caught; ++seed)
-        caught = diffStream(cfg, stream(seed, 600, hotParams()), opts)
-                     .diverged;
-    EXPECT_TRUE(caught)
-        << "PLRU mutation survived the sharded-feed harness";
+    // No feed may blunt the harness: each mutation smoke must diverge
+    // on the serial, the batch and the live-bus leg alike.
+    const auto plru = conflictBoard(cache::ReplacementPolicy::TreePLRU);
+    DiffOptions plru_opts;
+    plru_opts.mutation = RefMutation::SkipPlruTouchOnHit;
+    DiffReport report;
+    for (std::uint64_t seed = 1; seed <= 5 && !report.diverged; ++seed)
+        report = diffStream(plru, stream(seed, 600, hotParams()),
+                            plru_opts);
+    EXPECT_EQ(report.divergedLegs, allLegs) << report.describe();
+
+    const auto coherent = ies::makeUniformBoard(
+        4, 2,
+        cache::CacheConfig{2 * MiB, 4, 128,
+                           cache::ReplacementPolicy::LRU});
+    DiffOptions downgrade_opts;
+    downgrade_opts.mutation = RefMutation::DropSnooperDowngrade;
+    StimulusParams shared = hotParams();
+    shared.shareFraction = 0.6;
+    report = {};
+    for (std::uint64_t seed = 1; seed <= 5 && !report.diverged; ++seed)
+        report = diffStream(coherent, stream(seed, 600, shared),
+                            downgrade_opts);
+    EXPECT_EQ(report.divergedLegs, allLegs) << report.describe();
+
+    const auto lru = conflictBoard(cache::ReplacementPolicy::LRU);
+    const auto ref_cfg = flippedProtocol(lru);
+    DiffOptions flip_opts;
+    flip_opts.refConfig = &ref_cfg;
+    report = diffStream(lru, stream(31, 400), flip_opts);
+    EXPECT_EQ(report.divergedLegs, allLegs) << report.describe();
+    EXPECT_EQ(report.summary.rfind("serial leg: ", 0), 0u)
+        << report.summary;
 }
 
 TEST(DiffHarnessTest, AgreesOnDefaultBoard)
@@ -147,6 +165,7 @@ TEST(DiffHarnessTest, AgreesOnDefaultBoard)
     const DiffReport report = diffStream(cfg, stream(21, 500));
     EXPECT_FALSE(report.diverged) << report.describe();
     EXPECT_TRUE(report.summary.empty());
+    EXPECT_TRUE(report.divergedLegs.empty());
     EXPECT_TRUE(report.flightDump.empty());
 }
 
@@ -212,11 +231,7 @@ TEST(DiffHarnessTest, ProtocolTableFlipIsCaught)
     // Shared instead of Exclusive in the oracle's copy of MESI. The
     // tables now disagree (fingerprint check), and the boards must too.
     const auto cfg = conflictBoard(cache::ReplacementPolicy::LRU);
-    auto ref_cfg = cfg;
-    ref_cfg.nodes[0].protocol.setRequester(
-        bus::BusOp::Read, protocol::LineState::Invalid,
-        protocol::SnoopSummary::None,
-        {protocol::LineState::Shared, true});
+    const auto ref_cfg = flippedProtocol(cfg);
     ASSERT_NE(cfg.nodes[0].protocol.fingerprint(),
               ref_cfg.nodes[0].protocol.fingerprint());
 
@@ -234,11 +249,7 @@ TEST(DiffHarnessTest, ReportDetailListIsBounded)
     // still truncate at maxDetails instead of dumping thousands of
     // lines into a CI log.
     const auto cfg = conflictBoard(cache::ReplacementPolicy::LRU);
-    auto ref_cfg = cfg;
-    ref_cfg.nodes[0].protocol.setRequester(
-        bus::BusOp::Read, protocol::LineState::Invalid,
-        protocol::SnoopSummary::None,
-        {protocol::LineState::Shared, true});
+    const auto ref_cfg = flippedProtocol(cfg);
 
     DiffOptions opts;
     opts.refConfig = &ref_cfg;

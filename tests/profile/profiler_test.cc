@@ -1,9 +1,8 @@
 /**
  * @file
- * IESPROF unit tier: stage/shard accounting, the sampled-stage
- * estimator's scale factor, occupancy-skew math, and the three export
- * surfaces (folded stacks, merged chrome trace, profile JSON,
- * telemetry gauges). The non-perturbation claim — attached vs
+ * IESPROF unit tier: stage accounting, the sampled-stage estimator's
+ * scale factor, and the export surfaces (folded stacks, merged chrome
+ * trace, profile JSON, telemetry series). The non-perturbation claim — attached vs
  * detached byte-equivalence — lives in prof_equiv_test.cc; this file
  * pins the arithmetic and the formats.
  */
@@ -53,14 +52,14 @@ TEST(ProfilerTest, RecordStageAccumulatesCallsAndTime)
 {
     Profiler prof;
     const std::uint64_t t0 = Profiler::nowNs();
-    prof.recordStage(Stage::CounterMerge, t0);
-    prof.recordStage(Stage::CounterMerge, t0);
+    prof.recordStage(Stage::JournalReplay, t0);
+    prof.recordStage(Stage::JournalReplay, t0);
     const ProfReport report = prof.snapshot();
-    EXPECT_EQ(report.stage(Stage::CounterMerge).calls, 2u);
-    EXPECT_EQ(report.stage(Stage::CounterMerge).timed, 2u);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).calls, 2u);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).timed, 2u);
     // Fully-timed stages estimate exactly what they measured.
-    EXPECT_EQ(report.stage(Stage::CounterMerge).estNs(),
-              report.stage(Stage::CounterMerge).ns);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).estNs(),
+              report.stage(Stage::JournalReplay).ns);
 }
 
 TEST(ProfilerTest, SampledStageScalesEstimateByStride)
@@ -88,28 +87,18 @@ TEST(ProfilerTest, ScopedStageIsANoOpOnNullProfiler)
     SUCCEED();
 }
 
-TEST(ProfilerTest, OccupancySkewIsMaxOverMean)
-{
-    EXPECT_DOUBLE_EQ(occupancySkew({}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({42}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({0, 0, 0, 0}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({10, 10}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({30, 10}), 1.5);
-    EXPECT_DOUBLE_EQ(occupancySkew({40, 0, 0, 0}), 4.0);
-}
-
 TEST(ProfilerTest, ResetClearsEverything)
 {
     Profiler prof;
     prof.beginBatch(0);
-    prof.recordStage(Stage::CounterMerge, Profiler::nowNs());
+    prof.recordStage(Stage::JournalReplay, Profiler::nowNs());
     prof.endBatch(100, Profiler::nowNs() - 10);
     ASSERT_GT(prof.snapshot().batches, 0u);
     prof.reset();
     const ProfReport report = prof.snapshot();
     EXPECT_EQ(report.batches, 0u);
     EXPECT_EQ(report.spansRecorded, 0u);
-    EXPECT_EQ(report.stage(Stage::CounterMerge).calls, 0u);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).calls, 0u);
 }
 
 TEST(ProfilerTest, SpanRingDropsNewAtCapacity)
@@ -127,14 +116,12 @@ TEST(ProfilerTest, SpanRingDropsNewAtCapacity)
     EXPECT_EQ(prof.spans().front().batch, 1u);
 }
 
-/** A profiled sharded run over a real board, for the export tests. */
+/** A profiled batch run over a real board, for the export tests. */
 Profiler &
 profiledRun(ies::MemoriesBoard &board, Profiler &prof,
-            std::size_t shards, std::size_t count = 2000)
+            std::size_t count = 2000)
 {
     board.attachProfiler(prof);
-    if (shards > 1)
-        board.enableSharding(shards);
     oracle::StimulusParams p;
     p.seed = 7;
     p.count = count;
@@ -161,53 +148,44 @@ TEST(ProfilerTest, BoardRunAttributesTimeToEveryHotStage)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 4);
+    profiledRun(board, prof);
 
     const ProfReport report = prof.snapshot();
     EXPECT_GT(report.batches, 0u);
     EXPECT_GT(report.stage(Stage::FeedBatch).estNs(), 0u);
     EXPECT_GT(report.stage(Stage::BatchAdmission).estNs(), 0u);
-    EXPECT_GT(report.stage(Stage::ShardDispatch).estNs(), 0u);
-    // ShardEmulation is derived from the per-shard busy sums.
-    std::uint64_t busy = 0, items = 0;
-    for (const ShardStats &s : report.shards) {
-        busy += s.busyNs;
-        items += s.items;
-    }
-    EXPECT_EQ(report.shards.size(), 4u);
-    EXPECT_EQ(report.stage(Stage::ShardEmulation).ns, busy);
-    EXPECT_GT(items, 0u);
-    EXPECT_GE(report.imbalance(), 1.0);
+    // The slab-tail walk runs once per batch that retired anything.
+    EXPECT_GT(report.stage(Stage::Emulation).calls, 0u);
+    EXPECT_LE(report.stage(Stage::Emulation).calls, report.batches);
+    EXPECT_GT(report.stage(Stage::Emulation).estNs(), 0u);
 
     // The stage tree must attribute ~all of feed_batch to its direct
     // children — the same invariant check_bench_regression.py gates.
     const std::uint64_t total = report.stage(Stage::FeedBatch).estNs();
     const std::uint64_t children =
         report.stage(Stage::BatchAdmission).estNs() +
-        report.stage(Stage::ShardDispatch).estNs() +
-        report.stage(Stage::CounterMerge).estNs() +
+        report.stage(Stage::Emulation).estNs() +
         report.stage(Stage::JournalReplay).estNs();
     EXPECT_LT(children, total * 11 / 10);
 }
 
-TEST(ProfilerTest, DescribeNamesStagesAndShards)
+TEST(ProfilerTest, DescribeNamesStages)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
     const std::string text = prof.describe();
     EXPECT_NE(text.find("feed_batch"), std::string::npos);
     EXPECT_NE(text.find("batch_admission"), std::string::npos);
-    EXPECT_NE(text.find("shard 0:"), std::string::npos);
-    EXPECT_NE(text.find("shard 1:"), std::string::npos);
-    EXPECT_NE(text.find("imbalance"), std::string::npos);
+    EXPECT_NE(text.find("credit_pacing"), std::string::npos);
+    EXPECT_NE(text.find("emulation"), std::string::npos);
 }
 
 TEST(ProfilerTest, FoldedStacksCarryRootedSemicolonPaths)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
     const std::string folded = foldedStacks(prof);
     ASSERT_FALSE(folded.empty());
     // Every line: "frame(;frame)* <integer>\n", rooted at feed_batch.
@@ -224,9 +202,10 @@ TEST(ProfilerTest, FoldedStacksCarryRootedSemicolonPaths)
             << line;
         at = nl + 1;
     }
-    // Shard leaves hang under shard_emulation.
-    EXPECT_NE(folded.find("shard_dispatch;shard_emulation;shard_0 "),
+    // Pacing nests under admission; emulation is a root child.
+    EXPECT_NE(folded.find("feed_batch;batch_admission;credit_pacing "),
               std::string::npos);
+    EXPECT_NE(folded.find("feed_batch;emulation "), std::string::npos);
 }
 
 TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
@@ -235,7 +214,7 @@ TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
     trace::FlightRecorder recorder(1 << 12);
     board.attachFlightRecorder(recorder);
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
 
     const auto events = recorder.snapshot();
     const std::string plain =
@@ -258,7 +237,7 @@ TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
     EXPECT_NE(merged.find("\"pid\":99"), std::string::npos);
     EXPECT_NE(merged.find("IESPROF (emulator)"), std::string::npos);
     EXPECT_NE(merged.find("\"feed_batch\""), std::string::npos);
-    EXPECT_NE(merged.find("\"shard 0\""), std::string::npos);
+    EXPECT_NE(merged.find("\"emulation\""), std::string::npos);
     // And the plain export never mentions any of it.
     EXPECT_EQ(plain.find("IESPROF"), std::string::npos);
 }
@@ -267,7 +246,7 @@ TEST(ProfilerTest, MergedTraceWithNoLifecycleEventsIsStillValid)
 {
     Profiler prof;
     prof.beginBatch(0);
-    prof.recordStage(Stage::CounterMerge, Profiler::nowNs());
+    prof.recordStage(Stage::JournalReplay, Profiler::nowNs());
     prof.endBatch(50, Profiler::nowNs() - 1000);
     const std::string merged = mergedChromeTrace({}, prof);
     EXPECT_EQ(merged.rfind("{\"displayTimeUnit\"", 0), 0u);
@@ -277,52 +256,45 @@ TEST(ProfilerTest, MergedTraceWithNoLifecycleEventsIsStillValid)
     EXPECT_EQ(merged.find("[\n,"), std::string::npos);
 }
 
-TEST(ProfilerTest, ProfileJsonCarriesStagesShardsAndImbalance)
+TEST(ProfilerTest, ProfileJsonCarriesStages)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
     const std::string json = profileJson(prof, 2000);
     EXPECT_EQ(json.rfind("{", 0), 0u);
+    EXPECT_EQ(json.substr(json.size() - 2), "]}");
     EXPECT_NE(json.find("\"refs\":2000"), std::string::npos);
     EXPECT_NE(json.find("\"stage\":\"feed_batch\""),
               std::string::npos);
+    EXPECT_NE(json.find("\"stage\":\"emulation\""),
+              std::string::npos);
     EXPECT_NE(json.find("\"ns_per_ref\""), std::string::npos);
-    EXPECT_NE(json.find("\"shard\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"imbalance\""), std::string::npos);
 }
 
-TEST(ProfilerTest, AttachTelemetryExportsStageAndShardSeries)
+TEST(ProfilerTest, AttachTelemetryExportsStageSeries)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
     board.attachProfiler(prof);
-    board.enableSharding(2);
 
     telemetry::Sampler sampler(1000);
     std::vector<std::string> names;
-    std::vector<double> gauges;
     class Capture final : public telemetry::Exporter
     {
       public:
-        Capture(std::vector<std::string> &n, std::vector<double> &g)
-            : names_(n), gauges_(g)
-        {
-        }
+        explicit Capture(std::vector<std::string> &n) : names_(n) {}
         void
         exportWindow(const telemetry::WindowRecord &w) override
         {
             for (const auto &c : w.counters)
                 names_.push_back(*c.name);
-            for (const auto &g : w.gauges)
-                gauges_.push_back(g.value);
         }
         void close() override {}
 
       private:
         std::vector<std::string> &names_;
-        std::vector<double> &gauges_;
-    } capture(names, gauges);
+    } capture(names);
     sampler.addExporter(capture);
     prof.attachTelemetry(sampler);
 
@@ -340,14 +312,12 @@ TEST(ProfilerTest, AttachTelemetryExportsStageAndShardSeries)
                 return true;
         return false;
     };
-    EXPECT_TRUE(has("prof.stage.feed_batch.ns"));
-    EXPECT_TRUE(has("prof.stage.batch_admission.calls"));
-    EXPECT_TRUE(has("prof.shard0.busy_ns"));
-    EXPECT_TRUE(has("prof.shard1.items"));
-    // ShardEmulation is derived, not a live cell: no series for it.
-    EXPECT_FALSE(has("prof.stage.shard_emulation.ns"));
-    ASSERT_FALSE(gauges.empty());
-    EXPECT_GE(gauges.back(), 1.0); // prof.shard.imbalance
+    for (std::size_t s = 0; s < numStages; ++s) {
+        const std::string base =
+            std::string("prof.stage.") + stageName(static_cast<Stage>(s));
+        EXPECT_TRUE(has(base + ".ns")) << base;
+        EXPECT_TRUE(has(base + ".calls")) << base;
+    }
 }
 
 } // namespace
