@@ -23,7 +23,9 @@ a note rather than failed.
 When the results file carries a "profile" object (bench ran with
 --profile), the per-stage attribution is sanity-checked: the direct
 children of feed_batch must sum to within 10% of feed_batch itself —
-wildly unattributed time means a hook site went missing.
+wildly unattributed time means a hook site went missing — and no stage
+may take longer than its parent, since a child is timed inside its
+parent's clock pair. Each stage names its parent in the profile.
 
 With --history FILE, also prints the ns/ref trajectory of the "feed batch"
 section from bench/BENCH_history.jsonl (one JSON object per line,
@@ -113,24 +115,47 @@ def check_overhead_gates(results, baseline):
 
 
 def check_profile_attribution(results):
-    """feed_batch's direct children must account for ~all of it."""
+    """feed_batch's direct children must account for ~all of it, and
+    no stage may outweigh its parent."""
     profile = results.get("profile")
     if not profile:
         return []
-    stages = {s["stage"]: s["ns"] for s in profile.get("stages", [])}
-    total = stages.get("feed_batch", 0)
+    stages = profile.get("stages", [])
+    orphans = [s["stage"] for s in stages if "parent" not in s]
+    if orphans:
+        raise SystemExit(f"error: profile stages {orphans} name no "
+                         "parent — results from an older bench?")
+    ns = {s["stage"]: s["ns"] for s in stages}
+    total = ns.get("feed_batch", 0)
     if total <= 0:
         print("[SKIP] profile attribution: no feed_batch time "
               "recorded")
         return []
-    children = ("batch_admission", "emulation", "journal_replay")
-    attributed = sum(stages.get(name, 0) for name in children)
+    failures = []
+    attributed = sum(s["ns"] for s in stages
+                     if s["stage"] != "feed_batch"
+                     and s["parent"] == "feed_batch")
     share = attributed / total
     verdict = "OK" if 0.90 <= share <= 1.10 else "FAIL"
     print(f"[{verdict}] profile attribution: stages cover "
           f"{share:.1%} of feed_batch "
           f"({attributed} of {total} ns)")
-    return [] if verdict == "OK" else ["profile attribution"]
+    if verdict != "OK":
+        failures.append("profile attribution")
+
+    heavier = [s for s in stages
+               if s["stage"] != s["parent"]
+               and s["ns"] > ns.get(s["parent"], 0)]
+    for s in heavier:
+        print(f"[FAIL] stage tree: {s['stage']} ({s['ns']} ns) "
+              f"outweighs its parent {s['parent']} "
+              f"({ns.get(s['parent'], 0)} ns)")
+    if heavier:
+        failures.append("stage tree")
+    else:
+        print(f"[OK] stage tree: no stage outweighs its parent "
+              f"({len(stages)} stages)")
+    return failures
 
 
 def check_service_gates(results, baseline):

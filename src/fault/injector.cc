@@ -1,6 +1,7 @@
 #include "fault/injector.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "bus/busop.hh"
 #include "common/logging.hh"
@@ -31,7 +32,7 @@ FaultInjector::note(const FaultSpec &spec,
                     const bus::BusTransaction &txn)
 {
     counters_.bump(hKind_[static_cast<std::size_t>(spec.kind)]);
-    if (!recorder_ && !eventSink_)
+    if (!recorder_)
         return;
     trace::LifecycleEvent ev;
     ev.kind = trace::EventKind::FaultInjected;
@@ -42,14 +43,6 @@ FaultInjector::note(const FaultSpec &spec,
     ev.cpu = txn.cpu;
     ev.op = txn.op;
     ev.arg0 = static_cast<std::uint8_t>(spec.kind);
-    if (eventSink_) {
-        // Batch journaling: the board splices these into the recorder
-        // in admission order when the batch ends.
-        eventSink_(ev);
-        anomalySink_(trace::AnomalyKind::FaultInjection, txn.cycle,
-                     txn.traceId);
-        return;
-    }
     recorder_->record(ev);
     recorder_->notifyAnomaly(trace::AnomalyKind::FaultInjection,
                              txn.cycle, txn.traceId);

@@ -28,9 +28,7 @@
 #define MEMORIES_FAULT_INJECTOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <utility>
 
 #include "bus/bus6xx.hh"
 #include "checkpoint/codec.hh"
@@ -98,22 +96,6 @@ class FaultInjector final : public bus::BusSnooper
     {
         recorder_ = recorder;
         boardId_ = board;
-    }
-
-    /**
-     * Batch-journaling override: while set, fault events and
-     * anomalies go to these sinks instead of the recorder, so a board
-     * replaying a batched journal can splice them into the recorder
-     * in admission order (MemoriesBoard::feedBatch). Pass two empty
-     * functions to clear.
-     */
-    void setEventSinks(
-        std::function<void(const trace::LifecycleEvent &)> event,
-        std::function<void(trace::AnomalyKind, Cycle, std::uint32_t)>
-            anomaly)
-    {
-        eventSink_ = std::move(event);
-        anomalySink_ = std::move(anomaly);
     }
 
     const FaultPlan &plan() const { return plan_; }
@@ -197,9 +179,6 @@ class FaultInjector final : public bus::BusSnooper
 
     trace::FlightRecorder *recorder_ = nullptr;
     std::uint8_t boardId_ = trace::lifecycleNoOwner;
-    std::function<void(const trace::LifecycleEvent &)> eventSink_;
-    std::function<void(trace::AnomalyKind, Cycle, std::uint32_t)>
-        anomalySink_;
 };
 
 } // namespace memories::fault

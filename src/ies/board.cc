@@ -58,13 +58,14 @@ MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
         ev.board = boardId_;
         ev.arg0 = static_cast<std::uint8_t>(from);
         ev.arg1 = static_cast<std::uint8_t>(to);
-        recordBoardEvent(ev);
+        recorder_->record(ev);
         if (to == fault::HealthState::Degraded) {
-            raiseAnomaly(trace::AnomalyKind::HealthDegraded,
-                         healthCycle_, healthTraceId_);
+            recorder_->notifyAnomaly(trace::AnomalyKind::HealthDegraded,
+                                     healthCycle_, healthTraceId_);
         } else if (to == fault::HealthState::Quarantined) {
-            raiseAnomaly(trace::AnomalyKind::BoardQuarantined,
-                         healthCycle_, healthTraceId_);
+            recorder_->notifyAnomaly(
+                trace::AnomalyKind::BoardQuarantined, healthCycle_,
+                healthTraceId_);
         }
     });
 
@@ -196,59 +197,22 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
     health_.resync();
 }
 
+template <bool Hooks>
 void
 MemoriesBoard::drainDue(Cycle now)
 {
-    if (!batching_) {
+    if constexpr (Hooks) {
         while (auto txn = buffer_.drain(now)) {
             if (recorder_)
                 recorder_->record(
                     makeEvent(trace::EventKind::Retire, *txn, now));
-            emulateStep(*txn, EmuSink{recorder_, nullptr});
+            emulateStep(*txn);
         }
-        return;
-    }
-    // Batch path: pull everything due in one credit-earning pass onto
-    // the retirement slab, which runSlabTail() emulates later. This is
-    // the only per-tenure-frequency profiler hook, so it is sampled
-    // (1 in 2^6 timed) instead of paying a clock pair every call.
-    const std::size_t before = retireSlab_.size();
-    if (prof_) {
-        const std::uint64_t t0 =
-            prof_->sampledBegin(profile::Stage::CreditPacing);
-        buffer_.drainInto(now, retireSlab_);
-        prof_->sampledEnd(profile::Stage::CreditPacing, t0);
     } else {
+        // Nothing observes a retirement before the batch returns, so
+        // its emulation waits for emulateSlab().
         buffer_.drainInto(now, retireSlab_);
     }
-    if (journaling_)
-        retireEvents_.resize(retireSlab_.size());
-    for (std::size_t k = before; k < retireSlab_.size(); ++k) {
-        const auto idx = static_cast<std::uint32_t>(k);
-        if (journaling_) {
-            JournalItem item;
-            item.kind = JournalItem::Kind::Retire;
-            item.ev = makeEvent(trace::EventKind::Retire,
-                                retireSlab_[idx], now);
-            item.retireIdx = idx;
-            journal_.push_back(item);
-        }
-        if (inlineEmulation_) {
-            emulateRetirement(idx);
-            slabEmulated_ = idx + 1;
-        }
-    }
-}
-
-void
-MemoriesBoard::emulateRetirement(std::uint32_t idx)
-{
-    // Events still defer to the journal slot so replay keeps them
-    // behind board events already journaled.
-    emulateStep(retireSlab_[idx],
-                EmuSink{nullptr,
-                        journaling_ ? &retireEvents_[idx] : nullptr});
-    inlineEmulation_ = anyNodeCorruption();
 }
 
 template <bool Hooks>
@@ -286,7 +250,7 @@ MemoriesBoard::admit(bus::BusTransaction &t)
 
     // Let the SDRAM side catch up to this bus cycle before judging
     // buffer fullness.
-    drainDue(t.cycle);
+    drainDue<Hooks>(t.cycle);
 
     if constexpr (Hooks) {
         if (health_.state() == fault::HealthState::Quarantined) {
@@ -325,8 +289,8 @@ MemoriesBoard::commit(const bus::BusTransaction &txn, Cycle event_cycle)
 {
     global_.bump(hCommitted_);
     if (Hooks && recorder_)
-        recordBoardEvent(makeEvent(trace::EventKind::BoardCommit, txn,
-                                   event_cycle));
+        recorder_->record(makeEvent(trace::EventKind::BoardCommit, txn,
+                                    event_cycle));
     if (capture_)
         capture_->record(txn);
     if constexpr (Hooks) {
@@ -372,11 +336,11 @@ MemoriesBoard::recordOverflow(const bus::BusTransaction &txn,
 {
     auto ev = makeEvent(trace::EventKind::BufferOverflow, txn, cycle);
     ev.arg0 = code;
-    recordBoardEvent(ev);
-    raiseAnomaly(code == overflowDropped
-                     ? trace::AnomalyKind::FleetDrop
-                     : trace::AnomalyKind::TxnBufferOverflow,
-                 cycle, txn.traceId);
+    recorder_->record(ev);
+    recorder_->notifyAnomaly(code == overflowDropped
+                                 ? trace::AnomalyKind::FleetDrop
+                                 : trace::AnomalyKind::TxnBufferOverflow,
+                             cycle, txn.traceId);
 }
 
 bus::SnoopResponse
@@ -439,16 +403,8 @@ MemoriesBoard::applyCommitFaults(const bus::BusTransaction &txn)
     if (faults.slotLoss)
         buffer_.injectSlotLoss(faults.slots, faults.slotsUntil);
     if (faults.tagFlip && !nodes_.empty()) {
-        // The flip probes the live directory, so retirement emulation
-        // queued behind it must land first; while the corruption
-        // awaits its scrub, later retirements emulate inline, one by
-        // one, so the scrub sees the serial interleaving.
-        if (batching_)
-            runSlabTail();
         nodes_[faults.tagNode % nodes_.size()]->corruptLine(
             txn.addr, faults.tagBit);
-        if (batching_)
-            inlineEmulation_ = anyNodeCorruption();
     }
 }
 
@@ -465,13 +421,12 @@ MemoriesBoard::drainAll()
         if (recorder_)
             recorder_->record(
                 makeEvent(trace::EventKind::Retire, *txn, txn->cycle));
-        emulateStep(*txn, EmuSink{recorder_, nullptr});
+        emulateStep(*txn);
     }
 }
 
 void
-MemoriesBoard::emulateStep(const bus::BusTransaction &txn,
-                           const EmuSink &sink)
+MemoriesBoard::emulateStep(const bus::BusTransaction &txn)
 {
     // Lock-step emulation step: within each target machine (groups
     // precomputed at construction) the non-owning nodes snoop first
@@ -486,67 +441,33 @@ MemoriesBoard::emulateStep(const bus::BusTransaction &txn,
             if (node->ownsCpu(txn.cpu))
                 owner = node;
             else
-                emu_resp = bus::combineSnoop(
-                    emu_resp, node->snoopRemote(txn, sink));
+                emu_resp =
+                    bus::combineSnoop(emu_resp, node->snoopRemote(txn));
         }
         if (owner)
-            owner->processLocal(txn, emu_resp, sink);
+            owner->processLocal(txn, emu_resp);
     }
 }
 
 void
-MemoriesBoard::runSlabTail()
+MemoriesBoard::emulateSlab()
 {
     const std::size_t end = retireSlab_.size();
-    if (slabEmulated_ == end)
+    if (end == 0)
         return;
     profile::ScopedStage scope(prof_, profile::Stage::Emulation);
-    EmuSink sink;
     // Pull the directory sets a few retirements ahead so the tag loads
     // overlap the current step's protocol work.
     constexpr std::size_t prefetch_dist = 8;
-    for (std::size_t i = slabEmulated_; i < end; ++i) {
+    for (std::size_t i = 0; i < end; ++i) {
         if (i + prefetch_dist < end) {
             const Addr ahead = retireSlab_[i + prefetch_dist].addr;
             for (const auto &node : nodes_)
                 node->prefetchDirectory(ahead);
         }
-        if (journaling_)
-            sink.deferred = &retireEvents_[i];
-        emulateStep(retireSlab_[i], sink);
+        emulateStep(retireSlab_[i]);
     }
-    slabEmulated_ = end;
-}
-
-void
-MemoriesBoard::replayJournal()
-{
-    for (const JournalItem &item : journal_) {
-        switch (item.kind) {
-        case JournalItem::Kind::Event:
-            recorder_->record(item.ev);
-            break;
-        case JournalItem::Kind::Anomaly:
-            recorder_->notifyAnomaly(item.anomaly, item.ev.cycle,
-                                     item.ev.traceId);
-            break;
-        case JournalItem::Kind::Retire:
-            recorder_->record(item.ev);
-            for (const auto &ev : retireEvents_[item.retireIdx])
-                recorder_->record(ev);
-            break;
-        }
-    }
-}
-
-bool
-MemoriesBoard::anyNodeCorruption() const
-{
-    for (const auto &node : nodes_) {
-        if (node->hasCorruption())
-            return true;
-    }
-    return false;
+    retireSlab_.clear();
 }
 
 template <bool Hooks>
@@ -574,47 +495,18 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
     if (prof_)
         prof_->beginBatch(count > 0 ? txns[0].cycle : 0);
 
-    batching_ = true;
-    journaling_ = recorder_ != nullptr;
-    inlineEmulation_ = anyNodeCorruption();
-    retireSlab_.clear();
-    slabEmulated_ = 0;
-    retireEvents_.clear();
-    journal_.clear();
-
     std::size_t ok_count = 0;
     if (injector_ == nullptr && recorder_ == nullptr &&
         !health_.enabled()) {
+        // Nothing observes per-tenure effects: admit the whole batch,
+        // then emulate its retirements in one prefetching pass.
         ok_count = admitBatch<false>(txns, count, accepted);
+        emulateSlab();
     } else {
-        // Fault events must land in the journal, not the recorder, or
-        // replayed board events would reorder against them.
-        if (journaling_ && injector_) {
-            injector_->setEventSinks(
-                [this](const trace::LifecycleEvent &ev) {
-                    recordBoardEvent(ev);
-                },
-                [this](trace::AnomalyKind kind, Cycle cycle,
-                       std::uint32_t id) {
-                    raiseAnomaly(kind, cycle, id);
-                });
-        }
+        // A hook watches every tenure: the serial path, emulating each
+        // retirement as it drains.
         ok_count = admitBatch<true>(txns, count, accepted);
-        if (journaling_ && injector_)
-            injector_->setEventSinks({}, {});
     }
-
-    runSlabTail();
-    batching_ = false;
-    if (journaling_) {
-        profile::ScopedStage replay_scope(
-            prof_, profile::Stage::JournalReplay);
-        replayJournal();
-        journaling_ = false;
-    }
-    retireSlab_.clear();
-    retireEvents_.clear();
-    journal_.clear();
     if (prof_)
         prof_->endBatch(count > 0 ? txns[count - 1].cycle : 0,
                         prof_t0);

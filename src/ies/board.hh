@@ -100,15 +100,12 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * Batch replay path: feed @p count already-committed tenures in
      * one call. Bit-exact to calling feedCommitted() per element —
      * same counters, same pacing, same retirement order, same
-     * lifecycle-event bytes — but admits the whole batch first and
-     * then emulates its retirements in one prefetching pass over the
-     * retirement slab (docs/BATCH.md). Everything runs on the calling
-     * thread.
-     *
-     * When a flight recorder is attached, events are journaled during
-     * the batch and replayed into the recorder in serial order before
-     * returning, so the recorder (and any anomaly hooks it fires) sees
-     * byte-identical state to the serial path.
+     * lifecycle-event bytes. When nothing observes per-tenure effects
+     * (no injector, no recorder, health monitoring off) it admits the
+     * whole batch first and then emulates its retirements in one
+     * prefetching pass over the retirement slab; otherwise it is
+     * feedCommitted() per element (docs/BATCH.md). Everything runs on
+     * the calling thread.
      *
      * @param accepted Optional out array of @p count flags mirroring
      *        each feedCommitted() return value.
@@ -320,23 +317,6 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
         std::vector<std::uint8_t> nodes;
     };
 
-    /**
-     * One deferred recorder effect. While a batch is journaling,
-     * board-level events and anomalies append here instead of going to
-     * the recorder, and each Retire item points at the slot holding
-     * the node events its emulation produced; replayJournal() then
-     * feeds the recorder in exactly the order the serial path would
-     * have.
-     */
-    struct JournalItem
-    {
-        enum class Kind : std::uint8_t { Event, Anomaly, Retire };
-        Kind kind = Kind::Event;
-        trace::LifecycleEvent ev;
-        trace::AnomalyKind anomaly{};
-        std::uint32_t retireIdx = 0;
-    };
-
     /** What admission decided for one memory tenure. */
     enum class Verdict : std::uint8_t
     {
@@ -361,7 +341,8 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      *
      * @p Hooks false is the hook-free instantiation feedBatch runs
      * when no injector or recorder is attached and health monitoring
-     * is off: every hook is then a no-op, so it is compiled out.
+     * is off: every hook is then a no-op, so it is compiled out, and
+     * retirements are deferred to the retirement slab.
      */
     template <bool Hooks>
     Verdict admit(bus::BusTransaction &t);
@@ -387,53 +368,21 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     void recordOverflow(const bus::BusTransaction &txn, Cycle cycle,
                         std::uint8_t code);
 
-    /** One lock-step emulation step, effects routed by @p sink. */
-    void emulateStep(const bus::BusTransaction &txn,
-                     const EmuSink &sink);
+    /** One lock-step emulation step; nodes record to their own
+     *  recorder. */
+    void emulateStep(const bus::BusTransaction &txn);
+
+    /**
+     * Let the SDRAM side retire what it has earned by @p now. The
+     * hooked instantiation emulates each retirement as it drains; the
+     * hook-free one appends them to retireSlab_ for emulateSlab().
+     */
+    template <bool Hooks>
     void drainDue(Cycle now);
 
-    /** Emulate retirement @p idx of retireSlab_ inline (a tag flip
-     *  awaits its scrub); events go to its journal slot. */
-    void emulateRetirement(std::uint32_t idx);
-
-    /** The batch emulation loop: emulate the slab tail
-     *  [slabEmulated_, retireSlab_.size()) in retirement order. */
-    void runSlabTail();
-
-    /** Feed the journal to the recorder in serial order. */
-    void replayJournal();
-
-    bool anyNodeCorruption() const;
-
-    /** Board-level event, journaling-aware (recorder_ checked by the
-     *  caller). */
-    void recordBoardEvent(const trace::LifecycleEvent &ev)
-    {
-        if (journaling_) {
-            JournalItem item;
-            item.kind = JournalItem::Kind::Event;
-            item.ev = ev;
-            journal_.push_back(item);
-        } else {
-            recorder_->record(ev);
-        }
-    }
-
-    /** Board-level anomaly, journaling-aware. */
-    void raiseAnomaly(trace::AnomalyKind kind, Cycle cycle,
-                      std::uint32_t trace_id)
-    {
-        if (journaling_) {
-            JournalItem item;
-            item.kind = JournalItem::Kind::Anomaly;
-            item.anomaly = kind;
-            item.ev.cycle = cycle;
-            item.ev.traceId = trace_id;
-            journal_.push_back(item);
-        } else {
-            recorder_->notifyAnomaly(kind, cycle, trace_id);
-        }
-    }
+    /** The batch emulation loop: emulate and clear retireSlab_ in
+     *  retirement order. */
+    void emulateSlab();
 
     /** Apply the injector's commit-time faults for @p txn. */
     void applyCommitFaults(const bus::BusTransaction &txn);
@@ -487,18 +436,9 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     /** Target-machine groups, precomputed for the emulation step. */
     std::vector<MachineGroup> machines_;
 
-    // --- Batch state, live only inside a feedBatch call.
-    bool batching_ = false;     //!< inside a feedBatch call
-    bool journaling_ = false;   //!< batching with a recorder attached
-    /** A tag flip awaits its scrub: emulate each retirement inline. */
-    bool inlineEmulation_ = false;
-    /** Tenures retired this batch, in retirement order. */
+    /** Tenures a hook-free feedBatch retired, in retirement order;
+     *  empty outside that call. */
     std::vector<bus::BusTransaction> retireSlab_;
-    /** Slab entries already emulated. */
-    std::size_t slabEmulated_ = 0;
-    /** Node events of each retirement (journaling batches only). */
-    std::vector<std::vector<trace::LifecycleEvent>> retireEvents_;
-    std::vector<JournalItem> journal_;
 };
 
 /**

@@ -90,8 +90,7 @@ NodeController::corruptLine(Addr addr, unsigned bit)
 
 void
 NodeController::scrubIfCorrupt(Addr sampled,
-                               const bus::BusTransaction &txn,
-                               const EmuSink &sink)
+                               const bus::BusTransaction &txn)
 {
     for (auto it = corrupted_.begin(); it != corrupted_.end(); ++it) {
         if (*it != sampled)
@@ -103,8 +102,9 @@ NodeController::scrubIfCorrupt(Addr sampled,
         if (directory_.probe(sampled).hit) {
             directory_.invalidate(sampled);
             counters_.bump(hParityScrubs_);
-            if (sink.tracing())
-                sink.emit(makeEvent(trace::EventKind::ParityScrub, txn));
+            if (recorder_)
+                recorder_->record(
+                    makeEvent(trace::EventKind::ParityScrub, txn));
         }
         return;
     }
@@ -156,8 +156,7 @@ NodeController::probeState(Addr addr) const
 
 void
 NodeController::processLocal(const bus::BusTransaction &raw_txn,
-                             bus::SnoopResponse emu_resp,
-                             const EmuSink &sink)
+                             bus::SnoopResponse emu_resp)
 {
     if (!inSample(raw_txn.addr)) {
         counters_.bump(hUnsampled_);
@@ -166,7 +165,7 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
     bus::BusTransaction txn = raw_txn;
     txn.addr = sampleAddr(raw_txn.addr);
     if (!corrupted_.empty())
-        scrubIfCorrupt(txn.addr, raw_txn, sink);
+        scrubIfCorrupt(txn.addr, raw_txn);
 
     const auto opidx = static_cast<std::size_t>(txn.op);
     const auto hit = directory_.lookup(txn.addr);
@@ -184,12 +183,12 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
     } else {
         counters_.bump(hLocalMiss_[opidx]);
     }
-    if (sink.tracing()) {
+    if (recorder_) {
         auto ev = makeEvent(hit.hit ? trace::EventKind::CacheHit
                                     : trace::EventKind::CacheMiss,
                             raw_txn);
         ev.arg0 = static_cast<std::uint8_t>(state);
-        sink.emit(ev);
+        recorder_->record(ev);
     }
 
     // Service-point classification for data-bearing requests: a hit is
@@ -226,12 +225,12 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
                 txn.addr, hit.way,
                 static_cast<cache::LineStateRaw>(entry.next));
         }
-        if (sink.tracing() && entry.next != state) {
+        if (recorder_ && entry.next != state) {
             auto ev = makeEvent(trace::EventKind::StateTransition,
                                 raw_txn);
             ev.arg0 = static_cast<std::uint8_t>(state);
             ev.arg1 = static_cast<std::uint8_t>(entry.next);
-            sink.emit(ev);
+            recorder_->record(ev);
         }
         return;
     }
@@ -240,12 +239,12 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
         counters_.bump(hFills_);
         const auto evicted = directory_.allocate(
             txn.addr, static_cast<cache::LineStateRaw>(entry.next));
-        if (sink.tracing()) {
+        if (recorder_) {
             auto ev = makeEvent(trace::EventKind::StateTransition,
                                 raw_txn);
             ev.arg0 = static_cast<std::uint8_t>(LineState::Invalid);
             ev.arg1 = static_cast<std::uint8_t>(entry.next);
-            sink.emit(ev);
+            recorder_->record(ev);
         }
         if (evicted.valid) {
             const auto ev_state = static_cast<LineState>(evicted.state);
@@ -253,11 +252,11 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
                 counters_.bump(hEvDirty_);
             else
                 counters_.bump(hEvClean_);
-            if (sink.tracing()) {
+            if (recorder_) {
                 auto ev = makeEvent(trace::EventKind::Castout, raw_txn);
                 ev.addr = evicted.lineAddr;
                 ev.arg0 = static_cast<std::uint8_t>(ev_state);
-                sink.emit(ev);
+                recorder_->record(ev);
             }
             // Passive limitation (paper 3.4): the board cannot
             // invalidate the line in the real L1/L2 below, so nothing
@@ -267,8 +266,7 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
 }
 
 bus::SnoopResponse
-NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
-                            const EmuSink &sink)
+NodeController::snoopRemote(const bus::BusTransaction &raw_txn)
 {
     if (!inSample(raw_txn.addr)) {
         counters_.bump(hUnsampled_);
@@ -277,7 +275,7 @@ NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
     bus::BusTransaction txn = raw_txn;
     txn.addr = sampleAddr(raw_txn.addr);
     if (!corrupted_.empty())
-        scrubIfCorrupt(txn.addr, raw_txn, sink);
+        scrubIfCorrupt(txn.addr, raw_txn);
 
     const auto opidx = static_cast<std::size_t>(txn.op);
     counters_.bump(hRemoteSeen_[opidx]);
@@ -299,11 +297,11 @@ NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
             static_cast<cache::LineStateRaw>(entry.next));
         counters_.bump(hRemoteDowngrade_);
     }
-    if (sink.tracing() && entry.next != state) {
+    if (recorder_ && entry.next != state) {
         auto ev = makeEvent(trace::EventKind::StateTransition, raw_txn);
         ev.arg0 = static_cast<std::uint8_t>(state);
         ev.arg1 = static_cast<std::uint8_t>(entry.next);
-        sink.emit(ev);
+        recorder_->record(ev);
     }
 
     if (entry.response == bus::SnoopResponse::Modified)

@@ -60,33 +60,6 @@ struct NodeStats
     }
 };
 
-/**
- * Where one emulation step sends its lifecycle events: straight into a
- * recorder on the serial path, or into a per-retirement deferral
- * buffer the board replays in serial order at the end of a batch
- * (docs/BATCH.md). Counters always go to the node's own bank.
- */
-struct EmuSink
-{
-    /** Record events directly (serial path). */
-    trace::FlightRecorder *recorder = nullptr;
-    /** Defer events for in-order replay (journaling batch). */
-    std::vector<trace::LifecycleEvent> *deferred = nullptr;
-
-    bool tracing() const
-    {
-        return recorder != nullptr || deferred != nullptr;
-    }
-
-    void emit(const trace::LifecycleEvent &ev) const
-    {
-        if (recorder)
-            recorder->record(ev);
-        else
-            deferred->push_back(ev);
-    }
-};
-
 /** One emulated shared-cache node. */
 class NodeController
 {
@@ -110,27 +83,13 @@ class NodeController
      * target machine.
      */
     void processLocal(const bus::BusTransaction &txn,
-                      bus::SnoopResponse emu_resp)
-    {
-        processLocal(txn, emu_resp, defaultSink());
-    }
-
-    /** Local-requester path with an explicit event sink (batching). */
-    void processLocal(const bus::BusTransaction &txn,
-                      bus::SnoopResponse emu_resp, const EmuSink &sink);
+                      bus::SnoopResponse emu_resp);
 
     /**
      * Remote-snoop path: apply the snooper map and return the emulated
      * response this node drives.
      */
-    bus::SnoopResponse snoopRemote(const bus::BusTransaction &txn)
-    {
-        return snoopRemote(txn, defaultSink());
-    }
-
-    /** Remote-snoop path with an explicit event sink (batching). */
-    bus::SnoopResponse snoopRemote(const bus::BusTransaction &txn,
-                                   const EmuSink &sink);
+    bus::SnoopResponse snoopRemote(const bus::BusTransaction &txn);
 
     /**
      * Pull the directory set for @p addr towards the cache ahead of an
@@ -142,12 +101,6 @@ class NodeController
         if (inSample(addr))
             directory_.prefetch(sampleAddr(addr));
     }
-
-    /** True while an injected tag flip awaits its parity scrub. The
-     *  scrub must see the serial interleaving of corruption and
-     *  re-touch, so the board emulates each retirement inline
-     *  whenever any node reports corruption. */
-    bool hasCorruption() const { return !corrupted_.empty(); }
 
     /** Raw 40-bit counters ("console read"). */
     const CounterBank &counters() const { return counters_; }
@@ -296,12 +249,8 @@ class NodeController
     Addr sampleAddr(Addr addr) const;
 
     /** Parity check: scrub @p sampled if a TagFlip landed on it. */
-    void scrubIfCorrupt(Addr sampled, const bus::BusTransaction &txn,
-                        const EmuSink &sink);
+    void scrubIfCorrupt(Addr sampled, const bus::BusTransaction &txn);
     using LS = protocol::LineState;
-
-    /** The serial-path sink: the attached recorder. */
-    EmuSink defaultSink() const { return EmuSink{recorder_, nullptr}; }
 
     /** Build the common fields of a lifecycle event for @p txn. */
     trace::LifecycleEvent makeEvent(trace::EventKind kind,

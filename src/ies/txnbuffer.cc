@@ -37,44 +37,39 @@ TransactionBuffer::push(const bus::BusTransaction &txn)
     return true;
 }
 
-void
-TransactionBuffer::earn(Cycle now)
+std::uint64_t
+TransactionBuffer::creditsAt(Cycle now) const
 {
     if (now <= lastEarnCycle_)
-        return;
+        return credits_;
     // An injected retirement stall suppresses credit earning for
     // the stalled span; the span is skipped, never paid back.
     Cycle from = lastEarnCycle_;
     if (from < stallUntil_)
         from = now < stallUntil_ ? now : stallUntil_;
+    std::uint64_t credits = credits_;
     if (now > from)
-        credits_ += (now - from) * throughputPercent_;
-    lastEarnCycle_ = now;
+        credits += (now - from) * throughputPercent_;
     // Cap banked credits at one buffer's worth of retirements so an
     // idle stretch cannot bank unbounded instant throughput.
     const std::uint64_t cap = static_cast<std::uint64_t>(capacity_) * 100;
-    if (credits_ > cap)
-        credits_ = cap;
+    return credits > cap ? cap : credits;
+}
+
+void
+TransactionBuffer::earn(Cycle now)
+{
+    if (now <= lastEarnCycle_)
+        return;
+    credits_ = creditsAt(now);
+    lastEarnCycle_ = now;
 }
 
 std::size_t
 TransactionBuffer::admissibleAt(Cycle now) const
 {
-    // Virtual earn(now): identical span/stall/cap arithmetic, no
-    // mutation, so the probe is pure and repeatable.
-    std::uint64_t credits = credits_;
-    if (now > lastEarnCycle_) {
-        Cycle from = lastEarnCycle_;
-        if (from < stallUntil_)
-            from = now < stallUntil_ ? now : stallUntil_;
-        if (now > from)
-            credits += (now - from) * throughputPercent_;
-        const std::uint64_t cap = static_cast<std::uint64_t>(capacity_) * 100;
-        if (credits > cap)
-            credits = cap;
-    }
-    const std::size_t retirable =
-        static_cast<std::size_t>(std::min<std::uint64_t>(count_, credits / 100));
+    const std::size_t retirable = static_cast<std::size_t>(
+        std::min<std::uint64_t>(count_, creditsAt(now) / 100));
     const std::size_t held = count_ - retirable;
     const std::size_t cap = effectiveCapacity(now);
     return held >= cap ? 0 : cap - held;

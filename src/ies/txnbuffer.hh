@@ -99,9 +99,9 @@ class TransactionBuffer
      * Mutation-free admission probe: how many further tenures arriving
      * at bus cycle @p now this buffer could accept without a rejection
      * — the free slots left once every entry retirable by @p now has
-     * drained. Mirrors the earn()/drain() arithmetic (stall windows,
-     * slot-loss capacity, the banked-credit cap) without touching any
-     * state, so a caller can meter admission *before* offering work:
+     * drained. Shares earn()'s credit arithmetic (creditsAt) and
+     * honours slot-loss capacity without touching any state, so a
+     * caller can meter admission *before* offering work:
      * the IESSERV service layer prices its per-session feed credits
      * with this (docs/SERVICE.md).
      */
@@ -179,6 +179,13 @@ class TransactionBuffer
     void loadState(ckpt::Source &source) { restoreState(decodeState(source)); }
 
   private:
+    /**
+     * Credits banked at bus cycle @p now: the current bank plus what
+     * the span (lastEarnCycle_, now] earns outside any stall window,
+     * capped at one buffer's worth of retirements.
+     */
+    std::uint64_t creditsAt(Cycle now) const;
+
     /** Earn drain credits for the span (lastEarnCycle_, now]. */
     void earn(Cycle now);
 

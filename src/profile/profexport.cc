@@ -35,13 +35,13 @@ stackPath(Stage s)
 }
 
 std::uint64_t
-childrenEstNs(const ProfReport &report, Stage parent)
+childrenNs(const ProfReport &report, Stage parent)
 {
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < numStages; ++i) {
         const Stage s = static_cast<Stage>(i);
         if (s != parent && stageParent(s) == parent)
-            sum += report.stage(s).estNs();
+            sum += report.stage(s).ns;
     }
     return sum;
 }
@@ -70,10 +70,7 @@ profSpanEvent(const ProfSpan &span)
        << ",\"ts\":" << span.beginCycle << ",\"dur\":" << dur
        << ",\"name\":\"" << stageName(span.stage)
        << "\",\"args\":{\"wall_ns\":" << span.wallNs
-       << ",\"batch\":" << span.batch;
-    if (span.stage == Stage::CreditPacing)
-        os << ",\"sampled\":true";
-    os << "}}";
+       << ",\"batch\":" << span.batch << "}}";
     return os.str();
 }
 
@@ -86,11 +83,11 @@ foldedStacks(const Profiler &profiler)
     std::ostringstream os;
     for (std::size_t i = 0; i < numStages; ++i) {
         const Stage s = static_cast<Stage>(i);
-        const std::uint64_t est = report.stage(s).estNs();
-        if (est == 0)
+        const std::uint64_t ns = report.stage(s).ns;
+        if (ns == 0)
             continue;
-        const std::uint64_t children = childrenEstNs(report, s);
-        const std::uint64_t self = est > children ? est - children : 0;
+        const std::uint64_t children = childrenNs(report, s);
+        const std::uint64_t self = ns > children ? ns - children : 0;
         if (self > 0)
             os << stackPath(s) << " " << self << "\n";
     }
@@ -186,13 +183,13 @@ profileJson(const Profiler &profiler, std::uint64_t refs)
         if (!first)
             os << ",";
         first = false;
-        const std::uint64_t est = st.estNs();
         const double per_ref =
-            refs > 0 ? static_cast<double>(est) /
+            refs > 0 ? static_cast<double>(st.ns) /
                            static_cast<double>(refs)
                      : 0.0;
-        os << "{\"stage\":\"" << stageName(s)
-           << "\",\"calls\":" << st.calls << ",\"ns\":" << est
+        os << "{\"stage\":\"" << stageName(s) << "\",\"parent\":\""
+           << stageName(stageParent(s)) << "\",\"calls\":" << st.calls
+           << ",\"ns\":" << st.ns
            << ",\"ns_per_ref\":" << fixed(per_ref, 3) << "}";
     }
     os << "]}";

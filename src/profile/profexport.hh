@@ -7,8 +7,8 @@
  * Three renderings of one Profiler:
  *
  *  - foldedStacks() emits `flamegraph.pl` / speedscope folded lines
- *    ("feed_batch;batch_admission;credit_pacing 1234"), weights in
- *    estimated nanoseconds, self time per frame clamped at zero.
+ *    ("feed_batch;batch_admission 1234"), weights in nanoseconds,
+ *    self time per frame clamped at zero.
  *
  *  - mergedChromeTrace() appends the profiler's batch spans to an
  *    emulated lifecycle trace on dedicated pid 99 so emulator cost and
@@ -69,9 +69,10 @@ void writeMergedChromeTraceFile(
 
 /**
  * JSON object (no trailing newline) with the per-stage breakdown:
- * {"refs":N,"batches":B,"stages":[{"stage":...,"calls":...,"ns":...,
- * "ns_per_ref":...},...]}. ns_per_ref divides by @p refs (0 renders
- * as 0).
+ * {"refs":N,"batches":B,"stages":[{"stage":...,"parent":...,
+ * "calls":...,"ns":...,"ns_per_ref":...},...]}. "parent" names the
+ * stage's flamegraph parent (feed_batch is its own); ns_per_ref
+ * divides by @p refs (0 renders as 0).
  */
 std::string profileJson(const Profiler &profiler, std::uint64_t refs);
 

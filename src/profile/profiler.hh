@@ -7,8 +7,8 @@
  * recorder records tenure lifecycles, telemetry windows are bus-cycle
  * aligned. This subsystem watches the *emulator*: where the wall-clock
  * nanoseconds of MemoriesBoard::feedBatch actually go, attributed to
- * the pipeline stages of the batch hot path (batch admission, credit
- * pacing, retirement emulation, deferred event replay).
+ * the pipeline stages of the batch hot path (batch admission and
+ * retirement emulation).
  *
  * Design rules, in the order they matter:
  *
@@ -20,11 +20,10 @@
  *     one `if (prof_)` on a pointer that is null in the common case —
  *     the same single-predictable-branch contract the flight recorder,
  *     sampler, and fault injector already honor.
- *  3. Cheap when attached. Batch-frequency stages pay one steady_clock
- *     pair per batch. The only per-tenure-frequency stage (credit
- *     pacing inside drainDue) is *sampled*: every call is counted, one
- *     in 2^6 is timed, and the estimate scales by calls/timed on read.
- *     Measured overhead stays under 5% of the ~56 ns/ref batch path
+ *  3. Cheap when attached. Every stage is batch-frequency and pays
+ *     one steady_clock pair per bout; no hook runs per tenure, so
+ *     every stage is fully timed and a child never outweighs its
+ *     parent. Measured overhead stays under 5% of the batch path
  *     (docs/PROFILING.md records the methodology).
  *  4. Single writer. Every cell is written only by the thread running
  *     the board's feedBatch; cells are relaxed atomics so a reader
@@ -56,17 +55,14 @@ namespace memories::profile
 
 /**
  * The pipeline stages of MemoriesBoard::feedBatch, in flamegraph
- * nesting order. FeedBatch is the root; BatchAdmission, Emulation
- * (the slab-tail walk) and JournalReplay are its children;
- * CreditPacing nests under admission.
+ * nesting order. FeedBatch is the root; BatchAdmission (credit pacing
+ * included) and Emulation (the retirement-slab walk) are its children.
  */
 enum class Stage : std::uint8_t
 {
     FeedBatch = 0,
     BatchAdmission,
-    CreditPacing,
     Emulation,
-    JournalReplay,
     NumStages,
 };
 
@@ -83,21 +79,7 @@ Stage stageParent(Stage stage);
 struct StageStats
 {
     std::uint64_t calls = 0; //!< scoped bouts entered
-    std::uint64_t timed = 0; //!< bouts that paid a clock pair
-    std::uint64_t ns = 0;    //!< wall ns accumulated over timed bouts
-
-    /** Estimated total ns: measured ns scaled up for sampled stages. */
-    std::uint64_t
-    estNs() const
-    {
-        if (timed == 0)
-            return 0;
-        if (timed == calls)
-            return ns;
-        return static_cast<std::uint64_t>(
-            static_cast<double>(ns) * static_cast<double>(calls) /
-            static_cast<double>(timed));
-    }
+    std::uint64_t ns = 0;    //!< wall ns accumulated over every bout
 };
 
 /**
@@ -170,43 +152,11 @@ class Profiler
      */
     void endBatch(Cycle last_cycle, std::uint64_t root_t0);
 
-    /** Record a fully-timed stage bout started at @p t0 = nowNs(). */
+    /** Record a stage bout started at @p t0 = nowNs(). */
     void
     recordStage(Stage s, std::uint64_t t0)
     {
         addStage(s, nowNs() - t0);
-    }
-
-    /** Count a sampled-stage bout; returns nowNs() for the 1-in-2^6
-     *  bouts that should be timed, 0 for the rest. The untimed path
-     *  is one plain increment and a mask test — no clock read and no
-     *  store to the shared stage cells, because this runs once per
-     *  tenure and is the only hook whose frequency scales with the
-     *  reference stream instead of the batch count. */
-    std::uint64_t
-    sampledBegin(Stage)
-    {
-        const std::uint64_t n = sampleSeq_++;
-        if ((n & sampleMask) != 0)
-            return 0;
-        return nowNs();
-    }
-
-    /** Close a sampled bout (@p t0 from sampledBegin; 0 is a no-op).
-     *  Credits the whole sampling stride's call count at once, so the
-     *  cell's calls stays ~the true bout count (granularity 2^6) and
-     *  estNs() keeps its calls/timed scale factor. */
-    void
-    sampledEnd(Stage s, std::uint64_t t0)
-    {
-        if (t0 == 0)
-            return;
-        StageCell &c = stageCells_[static_cast<std::size_t>(s)];
-        const std::uint64_t d = nowNs() - t0;
-        bump(c.calls, sampleMask + 1);
-        bump(c.timed, 1);
-        bump(c.ns, d);
-        bump(c.batchNs, d);
     }
 
     // --- Read side. Call between batches (the same single-owner
@@ -231,18 +181,12 @@ class Profiler
     void attachTelemetry(telemetry::Sampler &sampler,
                          const std::string &prefix = "prof");
 
-    /** Timed 1-in-2^6 bouts for sampled (per-tenure) stages; public
-     *  so tests and docs can state the estimator's scale factor. */
-    static constexpr std::uint64_t sampleMask = (1u << 6) - 1;
-
   private:
-
     /** Single-writer accumulators; relaxed atomics so the read side
      *  may observe them between batches without UB. */
     struct alignas(64) StageCell
     {
         std::atomic<std::uint64_t> calls{0};
-        std::atomic<std::uint64_t> timed{0};
         std::atomic<std::uint64_t> ns{0};
         std::atomic<std::uint64_t> batchNs{0};
     };
@@ -260,7 +204,6 @@ class Profiler
     {
         StageCell &c = stageCells_[static_cast<std::size_t>(s)];
         bump(c.calls, 1);
-        bump(c.timed, 1);
         bump(c.ns, d);
         bump(c.batchNs, d);
     }
@@ -268,10 +211,6 @@ class Profiler
     void pushSpan(Stage s, Cycle begin, Cycle end, std::uint64_t wall_ns);
 
     StageCell stageCells_[numStages];
-
-    /** Sequence for sampledBegin's 1-in-2^6 choice (shared by all
-     *  sampled stages; only CreditPacing uses it). */
-    std::uint64_t sampleSeq_ = 0;
 
     std::uint64_t batches_ = 0;
     Cycle batchBeginCycle_ = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -40,9 +41,12 @@ class CheckpointTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // Keyed on the process, not an address: with ASLR off (as
+        // under TSan) concurrent test processes reuse addresses.
+        static int counter = 0;
         path_ = ::testing::TempDir() + "board_state_" +
-                std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                ".ies";
+                std::to_string(::getpid()) + "_" +
+                std::to_string(++counter) + ".ies";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -16,13 +16,15 @@
  *    delta-debugging shrinker (oracle::shrinkStream), so the log
  *    carries a minimal reproducing stream instead of a 4000-
  *    transaction haystack.
- *  - BatchEquivTest: the hook-free and the journaling batch paths
- *    across a geometry sweep, chunked and mixed feeds, drainAll.
+ *  - BatchEquivTest: the hook-free batch (emulation deferred to the
+ *    retirement slab) and the hooked batch (the serial path) across a
+ *    geometry sweep, chunked and mixed feeds, drainAll, and which of
+ *    the two a batch selects.
  *  - BatchFaultTest: fault injection and board health under the batch
  *    path — stream faults at admission, commit faults at commit,
- *    retry storms walking the degradation ladder, a pending tag flip
- *    forcing retirement emulation inline until its parity scrub lands,
- *    and resync. Each scenario asserts it actually fired.
+ *    retry storms walking the degradation ladder, a tag flip still
+ *    awaiting its parity scrub when the injector detaches, and
+ *    resync. Each scenario asserts it actually fired.
  *
  * docs/BATCH.md describes the design these tests pin down.
  */
@@ -40,6 +42,7 @@
 #include "fault/injector.hh"
 #include "ies/board.hh"
 #include "oracle/stimulus.hh"
+#include "profile/profiler.hh"
 #include "trace/chrometrace.hh"
 #include "trace/lifecycle.hh"
 
@@ -388,13 +391,13 @@ TEST(BatchEquivTest, BatchPathMatchesSerialWithoutRecorder)
 
 TEST(BatchEquivTest, BatchPathMatchesSerialWithRecorder)
 {
-    // A recorder attached: the batch journals and replays its events.
+    // A recorder attached: the batch runs the serial path.
     const Attach recorded{.record = true};
     for (const auto &cfg : equivConfigs()) {
         const auto txns = stream(23, 4000);
         expectIdentical(run(cfg.board, txns, serialFeed, recorded),
                         run(cfg.board, txns, txns.size(), recorded),
-                        cfg.name + " journaling batch");
+                        cfg.name + " recorded batch");
     }
 }
 
@@ -402,12 +405,15 @@ TEST(BatchEquivTest, ChunkedBatchesMatchOneBigBatch)
 {
     const BoardConfig cfg = makeUniformBoard(4, 2, cacheCfg(2 * MiB, 4));
     const auto txns = stream(31, 3000);
-    const Attach recorded{.record = true};
-    const auto serial = run(cfg, txns, serialFeed, recorded);
-    for (std::size_t batch : {std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{4096}}) {
-        expectIdentical(serial, run(cfg, txns, batch, recorded),
-                        "batch size " + std::to_string(batch));
+    for (const bool record : {true, false}) {
+        const Attach attach{.record = record};
+        const auto serial = run(cfg, txns, serialFeed, attach);
+        for (std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64}, std::size_t{4096}}) {
+            expectIdentical(serial, run(cfg, txns, batch, attach),
+                            "batch size " + std::to_string(batch) +
+                                (record ? " recorded" : " hook-free"));
+        }
     }
 }
 
@@ -415,20 +421,26 @@ TEST(BatchEquivTest, MixedSerialAndBatchFeedsAgree)
 {
     const BoardConfig cfg = makeUniformBoard(4, 2, cacheCfg(2 * MiB, 4));
     const auto txns = stream(59, 3000);
-    const auto serial = run(cfg, txns, serialFeed, {.record = true});
+    for (const bool record : {true, false}) {
+        const auto serial = run(cfg, txns, serialFeed, {.record = record});
 
-    MemoriesBoard board(cfg);
-    trace::FlightRecorder recorder(1 << 14);
-    board.attachFlightRecorder(recorder);
-    // First third serial, middle third batched, last third serial.
-    const std::size_t third = txns.size() / 3;
-    std::vector<std::uint8_t> accepted;
-    feedRange(board, txns, 0, third, serialFeed, &accepted);
-    feedRange(board, txns, third, 2 * third, third, &accepted);
-    feedRange(board, txns, 2 * third, txns.size(), serialFeed, &accepted);
-    expectIdentical(serial,
-                    signatureOf(board, &recorder, std::move(accepted)),
-                    "mixed serial/batch feeds");
+        MemoriesBoard board(cfg);
+        trace::FlightRecorder recorder(1 << 14);
+        if (record)
+            board.attachFlightRecorder(recorder);
+        // First third serial, middle third batched, last third serial.
+        const std::size_t third = txns.size() / 3;
+        std::vector<std::uint8_t> accepted;
+        feedRange(board, txns, 0, third, serialFeed, &accepted);
+        feedRange(board, txns, third, 2 * third, third, &accepted);
+        feedRange(board, txns, 2 * third, txns.size(), serialFeed,
+                  &accepted);
+        expectIdentical(serial,
+                        signatureOf(board, record ? &recorder : nullptr,
+                                    std::move(accepted)),
+                        std::string("mixed serial/batch feeds") +
+                            (record ? " recorded" : " hook-free"));
+    }
 }
 
 TEST(BatchEquivTest, DrainAllAfterBatchMatchesSerial)
@@ -447,6 +459,41 @@ TEST(BatchEquivTest, DrainAllAfterBatchMatchesSerial)
     expectIdentical(signatureOf(serial_board, nullptr),
                     signatureOf(batch_board, nullptr),
                     "post-drainAll state");
+}
+
+/** Batch chunk of the fault and selection scenarios. */
+constexpr std::size_t faultChunk = 256;
+
+TEST(BatchEquivTest, EmulationIsDeferredOnlyWhenNothingWatches)
+{
+    // The profiler's emulation stage times the deferred slab walk, so
+    // its call count tells which path a batch ran: a detached board
+    // defers; a recorder, an injector or health monitoring each put
+    // the batch on the serial path.
+    const auto txns = stream(71, 2000);
+    const fault::FaultPlan empty;
+    auto emulationCalls = [&](bool record, bool inject, bool health) {
+        BoardConfig cfg = makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
+        cfg.health.enabled = health;
+        MemoriesBoard board(cfg);
+        trace::FlightRecorder recorder(1 << 12);
+        if (record)
+            board.attachFlightRecorder(recorder);
+        fault::FaultInjector injector(empty);
+        if (inject)
+            board.attachFaultInjector(injector);
+        profile::Profiler prof;
+        board.attachProfiler(prof);
+        feedRange(board, txns, 0, txns.size(), faultChunk);
+        board.detachFaultInjector();
+        const profile::ProfReport report = prof.snapshot();
+        EXPECT_GT(report.stage(profile::Stage::BatchAdmission).calls, 0u);
+        return report.stage(profile::Stage::Emulation).calls;
+    };
+    EXPECT_GT(emulationCalls(false, false, false), 0u) << "detached";
+    EXPECT_EQ(emulationCalls(true, false, false), 0u) << "recorder";
+    EXPECT_EQ(emulationCalls(false, true, false), 0u) << "injector";
+    EXPECT_EQ(emulationCalls(false, false, true), 0u) << "health on";
 }
 
 // --- BatchFaultTest ----------------------------------------------------
@@ -536,9 +583,6 @@ calmLocalStream(std::uint64_t seed, std::size_t count)
     return oracle::StimulusGen(p).generate();
 }
 
-/** Batch chunk of the fault scenarios. */
-constexpr std::size_t faultChunk = 256;
-
 TEST(BatchFaultTest, FaultedRunMatchesSerial)
 {
     // Roomy default buffer so commits actually land: tag flips then
@@ -557,6 +601,73 @@ TEST(BatchFaultTest, FaultedRunMatchesSerial)
 
     expectIdentical(serial, run(cfg, txns, faultChunk, faulted),
                     "faulted run");
+}
+
+TEST(BatchFaultTest, PendingScrubAfterDetachMatchesSerial)
+{
+    // Tag flips land while an injector is attached; it detaches with
+    // some still awaiting their parity scrub, and the tail runs through
+    // the hook-free batch, which defers every retirement's emulation.
+    // No new corruption can land mid-batch, so each scrub must fall
+    // exactly where the serial path puts it.
+    const BoardConfig cfg = makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
+    fault::FaultPlan plan;
+    fault::FaultSpec flip;
+    flip.kind = fault::FaultKind::TagFlip;
+    flip.probability = 0.1;
+    flip.bit = 1;
+    plan.faults.push_back(flip);
+    // A tight working set, so flips land on live lines, in bursts, so
+    // flipped tenures still wait in the buffer when the injector goes.
+    oracle::StimulusParams p;
+    p.seed = 7;
+    p.count = 6000;
+    p.cpus = 8;
+    p.footprintLines = 1u << 9;
+    p.sharedLines = 1u << 8;
+    p.shareFraction = 0.5;
+    p.pBurst = 0.7;
+    p.maxGap = 4;
+    const auto txns = oracle::StimulusGen(p).generate();
+    const std::size_t half = txns.size() / 2;
+
+    auto scrubs = [](const MemoriesBoard &board) {
+        std::uint64_t n = 0;
+        for (std::size_t i = 0; i < board.numNodes(); ++i)
+            n += board.node(i).parityScrubs();
+        return n;
+    };
+    struct Tail
+    {
+        Signature sig;
+        std::uint64_t scrubs = 0;
+        std::uint64_t emulations = 0;
+    };
+    auto run_tail = [&](std::size_t chunk) {
+        MemoriesBoard board(cfg);
+        fault::FaultInjector injector(plan, 7);
+        board.attachFaultInjector(injector);
+        std::vector<std::uint8_t> accepted;
+        feedRange(board, txns, 0, half, serialFeed, &accepted);
+        board.detachFaultInjector();
+        const std::uint64_t before = scrubs(board);
+        profile::Profiler prof;
+        board.attachProfiler(prof);
+        feedRange(board, txns, half, txns.size(), chunk, &accepted);
+        Tail tail;
+        tail.scrubs = scrubs(board) - before;
+        tail.emulations =
+            prof.snapshot().stage(profile::Stage::Emulation).calls;
+        tail.sig = signatureOf(board, nullptr, std::move(accepted));
+        return tail;
+    };
+
+    const Tail serial = run_tail(serialFeed);
+    EXPECT_GT(serial.scrubs, 0u) << "no flip was pending at detach";
+    const Tail batched = run_tail(faultChunk);
+    EXPECT_GT(batched.emulations, 0u) << "the tail never deferred";
+    EXPECT_EQ(serial.scrubs, batched.scrubs);
+    expectIdentical(serial.sig, batched.sig, "pending scrub after detach");
 }
 
 TEST(BatchFaultTest, FaultedHealthRunMatchesSerial)

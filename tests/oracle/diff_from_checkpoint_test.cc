@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "fault/injector.hh"
@@ -52,9 +53,12 @@ class DiffFromCheckpointTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // Keyed on the process, not an address: with ASLR off (as
+        // under TSan) concurrent test processes reuse addresses.
+        static int counter = 0;
         path_ = ::testing::TempDir() + "diff_resume_" +
-                std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                ".ckpt";
+                std::to_string(::getpid()) + "_" +
+                std::to_string(++counter) + ".ckpt";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <unistd.h>
 
 #include "common/logging.hh"
 
@@ -17,9 +18,12 @@ class TraceFileTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // Keyed on the process, not an address: with ASLR off (as
+        // under TSan) concurrent test processes reuse addresses.
+        static int counter = 0;
         path_ = ::testing::TempDir() + "trace_test_" +
-                std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                ".ies";
+                std::to_string(::getpid()) + "_" +
+                std::to_string(++counter) + ".ies";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
