@@ -27,17 +27,23 @@ wildly unattributed time means a hook site went missing — and no stage
 may take longer than its parent, since a child is timed inside its
 parent's clock pair. Each stage names its parent in the profile.
 
+Several results files may be given, one per repeated run of the same
+bench. Every within-run gate above is then checked on each file, except
+the service gates, which read the runs together (check_service_gates).
+
 With --history FILE, also prints the ns/ref trajectory of the "feed batch"
 section from bench/BENCH_history.jsonl (one JSON object per line,
 appended per CI run by append_bench_history.py).
 
 Usage:
-    check_bench_regression.py BENCH_throughput.json [--baseline FILE]
-                              [--tolerance 0.10] [--history FILE]
+    check_bench_regression.py RESULTS.json [RESULTS.json ...]
+                              [--baseline FILE] [--tolerance 0.10]
+                              [--history FILE]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -158,56 +164,65 @@ def check_profile_attribution(results):
     return failures
 
 
-def check_service_gates(results, baseline):
+def check_service_gates(runs, baseline):
     """Gates for the IESSERV load harness (BENCH_service.json).
 
     All within-run ratios, like the speedup gates: sessions sustained
     (the daemon must hold every requested tenant), p99-vs-p50 ingest
     latency (tail blowup = convoying/starvation in the daemon), and
     fleet-vs-solo aggregate throughput (concurrency must not collapse
-    the ingest path below a single session's rate)."""
+    the ingest path below a single session's rate).
+
+    `runs` holds one results object per repetition of the harness.
+    Sessions sustained must hold in every run. The two ratios are gated
+    on their median over the runs: one host stall can blow out a
+    single run's p99, but not the median of three."""
     gates = baseline.get("service_gates")
     if not gates:
         return []
-    service = results.get("service")
-    if not service:
-        raise SystemExit("error: baseline has service_gates but the "
+    services = [results.get("service") for results in runs]
+    if not all(services):
+        raise SystemExit("error: baseline has service_gates but a "
                          "results file carries no \"service\" object "
-                         "— did loadtest write this file?")
+                         "— did loadtest write it?")
     failures = []
 
-    sustained = service.get("sessions_sustained", 0)
+    def listed(values, fmt):
+        return ", ".join(format(v, fmt) for v in values)
+
+    sustained = [s.get("sessions_sustained", 0) for s in services]
     want = gates.get("min_sessions_sustained", 0)
-    verdict = "OK" if sustained >= want else "FAIL"
-    print(f"[{verdict}] sessions sustained: {sustained} "
-          f"(require >= {want})")
-    if sustained < want:
+    verdict = "OK" if min(sustained) >= want else "FAIL"
+    print(f"[{verdict}] sessions sustained: {listed(sustained, 'd')} "
+          f"(require >= {want} in every run)")
+    if min(sustained) < want:
         failures.append("sessions sustained")
 
-    p50 = service.get("p50_us", 0)
-    p99 = service.get("p99_us", 0)
     ceiling = gates.get("max_p99_over_p50")
     if ceiling is not None:
-        if p50 <= 0:
-            raise SystemExit("error: p50_us is zero — no feed "
-                             "requests were timed")
-        ratio = p99 / p50
+        ratios = []
+        for s in services:
+            if s.get("p50_us", 0) <= 0:
+                raise SystemExit("error: p50_us is zero — no feed "
+                                 "requests were timed")
+            ratios.append(s.get("p99_us", 0) / s["p50_us"])
+        ratio = statistics.median(ratios)
         verdict = "OK" if ratio <= ceiling else "FAIL"
-        print(f"[{verdict}] ingest latency tail: p99 {p99:.1f} us vs "
-              f"p50 {p50:.1f} us = {ratio:.1f}x "
-              f"(ceiling {ceiling:.0f}x)")
+        print(f"[{verdict}] ingest latency tail: p99/p50 median "
+              f"{ratio:.1f}x over {len(ratios)} run(s) "
+              f"({listed(ratios, '.1f')}; ceiling {ceiling:.0f}x)")
         if ratio > ceiling:
             failures.append("ingest latency tail")
 
     floor = gates.get("min_fleet_over_solo_throughput")
     if floor is not None:
-        solo_ns = section_ns_per_ref(results, "ingest solo")
-        fleet_ns = section_ns_per_ref(results, "ingest fleet")
-        scaling = solo_ns / fleet_ns
+        scalings = [section_ns_per_ref(r, "ingest solo") /
+                    section_ns_per_ref(r, "ingest fleet") for r in runs]
+        scaling = statistics.median(scalings)
         verdict = "OK" if scaling >= floor else "FAIL"
-        print(f"[{verdict}] fleet throughput: {scaling:.2f}x the solo "
-              f"session ({fleet_ns:.1f} vs {solo_ns:.1f} ns/ref, "
-              f"floor {floor:.2f}x)")
+        print(f"[{verdict}] fleet throughput: median {scaling:.2f}x the "
+              f"solo session over {len(scalings)} run(s) "
+              f"({listed(scalings, '.2f')}; floor {floor:.2f}x)")
         if scaling < floor:
             failures.append("fleet throughput")
 
@@ -248,7 +263,8 @@ def print_history(path, label="feed batch"):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("results")
+    parser.add_argument("results", nargs="+",
+                        help="results file(s), one per repeated run")
     parser.add_argument("--baseline",
                         default="bench/BENCH_throughput.baseline.json")
     parser.add_argument("--tolerance", type=float, default=0.10)
@@ -257,14 +273,15 @@ def main():
                         "ns/ref trajectory from")
     args = parser.parse_args()
 
-    results = load_json(args.results, "results")
+    runs = [load_json(path, "results") for path in args.results]
     baseline = load_json(args.baseline, "baseline")
 
     failures = []
-    failures += check_speedup_gates(results, baseline, args.tolerance)
-    failures += check_overhead_gates(results, baseline)
-    failures += check_profile_attribution(results)
-    failures += check_service_gates(results, baseline)
+    for results in runs:
+        failures += check_speedup_gates(results, baseline, args.tolerance)
+        failures += check_overhead_gates(results, baseline)
+        failures += check_profile_attribution(results)
+    failures += check_service_gates(runs, baseline)
 
     if args.history:
         print_history(args.history)

@@ -143,15 +143,19 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     std::uint64_t bufferRetired() const { return buffer_.retired(); }
 
     /**
-     * Mutation-free admission probe: how many references stamped at
-     * bus cycle @p now the transaction buffer could still absorb
-     * without posting a retry, counting entries that would retire by
-     * then. The IESSERV admission controller meters per-session feed
-     * credits with this (docs/SERVICE.md).
+     * Mutation-free admission walk: how many of @p txns, fed in order,
+     * this board would accept before the first one that finds the
+     * transaction buffer full at its own bus cycle
+     * (TransactionBuffer::admissiblePrefix). Exact for a board with no
+     * hooks attached; with an injector or health monitoring it is
+     * conservative, since drops, sampling and shedding take no slot.
+     * The IESSERV admission controller meters paced feed lines with
+     * this (docs/SERVICE.md).
      */
-    std::size_t bufferAdmissibleAt(Cycle now) const
+    std::size_t admissiblePrefix(const bus::BusTransaction *txns,
+                                 std::size_t count) const
     {
-        return buffer_.admissibleAt(now);
+        return buffer_.admissiblePrefix(txns, count);
     }
 
     /** Trace-capture buffer, when the mode is enabled. */

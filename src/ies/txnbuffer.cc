@@ -38,16 +38,17 @@ TransactionBuffer::push(const bus::BusTransaction &txn)
 }
 
 std::uint64_t
-TransactionBuffer::creditsAt(Cycle now) const
+TransactionBuffer::creditsAt(std::uint64_t bank, Cycle last,
+                             Cycle now) const
 {
-    if (now <= lastEarnCycle_)
-        return credits_;
+    if (now <= last)
+        return bank;
     // An injected retirement stall suppresses credit earning for
     // the stalled span; the span is skipped, never paid back.
-    Cycle from = lastEarnCycle_;
+    Cycle from = last;
     if (from < stallUntil_)
         from = now < stallUntil_ ? now : stallUntil_;
-    std::uint64_t credits = credits_;
+    std::uint64_t credits = bank;
     if (now > from)
         credits += (now - from) * throughputPercent_;
     // Cap banked credits at one buffer's worth of retirements so an
@@ -61,18 +62,34 @@ TransactionBuffer::earn(Cycle now)
 {
     if (now <= lastEarnCycle_)
         return;
-    credits_ = creditsAt(now);
+    credits_ = creditsAt(credits_, lastEarnCycle_, now);
     lastEarnCycle_ = now;
 }
 
 std::size_t
-TransactionBuffer::admissibleAt(Cycle now) const
+TransactionBuffer::admissiblePrefix(const bus::BusTransaction *txns,
+                                    std::size_t count) const
 {
-    const std::size_t retirable = static_cast<std::size_t>(
-        std::min<std::uint64_t>(count_, creditsAt(now) / 100));
-    const std::size_t held = count_ - retirable;
-    const std::size_t cap = effectiveCapacity(now);
-    return held >= cap ? 0 : cap - held;
+    // drain(cycle) until nullopt, then push(), on copies of the three
+    // fields they touch.
+    std::size_t held = count_;
+    std::uint64_t bank = credits_;
+    Cycle last = lastEarnCycle_;
+    for (std::size_t i = 0; i < count; ++i) {
+        const bus::BusTransaction &txn = txns[i];
+        if (bus::isFilteredOp(txn.op))
+            continue;
+        bank = creditsAt(bank, last, txn.cycle);
+        last = std::max(last, txn.cycle);
+        const std::uint64_t retiring =
+            std::min<std::uint64_t>(held, bank / 100);
+        held -= retiring;
+        bank -= retiring * 100;
+        if (held >= effectiveCapacity(txn.cycle))
+            return i;
+        ++held;
+    }
+    return count;
 }
 
 bus::BusTransaction

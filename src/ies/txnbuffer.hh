@@ -96,16 +96,19 @@ class TransactionBuffer
     }
 
     /**
-     * Mutation-free admission probe: how many further tenures arriving
-     * at bus cycle @p now this buffer could accept without a rejection
-     * — the free slots left once every entry retirable by @p now has
-     * drained. Shares earn()'s credit arithmetic (creditsAt) and
-     * honours slot-loss capacity without touching any state, so a
-     * caller can meter admission *before* offering work:
-     * the IESSERV service layer prices its per-session feed credits
-     * with this (docs/SERVICE.md).
+     * Mutation-free admission walk: the length of the longest prefix
+     * of @p txns, offered in order each at its own bus cycle, that
+     * this buffer would accept without a rejection. Mirrors the
+     * board's admission step by step on a private copy of the pacing
+     * state: a record the address filter drops (bus::isFilteredOp)
+     * never reaches the buffer; every other record earns credits up to
+     * its cycle (creditsAt, as earn() does), retires what they cover,
+     * and takes a slot if one is free under effectiveCapacity(). The
+     * IESSERV service layer meters each paced feed line with this
+     * (docs/SERVICE.md).
      */
-    std::size_t admissibleAt(Cycle now) const;
+    std::size_t admissiblePrefix(const bus::BusTransaction *txns,
+                                 std::size_t count) const;
 
     /** Capacity minus any slot-loss fault active at bus cycle @p now. */
     std::size_t effectiveCapacity(Cycle now) const
@@ -180,11 +183,13 @@ class TransactionBuffer
 
   private:
     /**
-     * Credits banked at bus cycle @p now: the current bank plus what
-     * the span (lastEarnCycle_, now] earns outside any stall window,
-     * capped at one buffer's worth of retirements.
+     * Credits banked at bus cycle @p now by a buffer holding @p bank
+     * credits earned up to cycle @p last: @p bank plus what the span
+     * (last, now] earns outside any stall window, capped at one
+     * buffer's worth of retirements.
      */
-    std::uint64_t creditsAt(Cycle now) const;
+    std::uint64_t creditsAt(std::uint64_t bank, Cycle last,
+                            Cycle now) const;
 
     /** Earn drain credits for the span (lastEarnCycle_, now]. */
     void earn(Cycle now);

@@ -112,7 +112,6 @@ ServiceClient::feedAll(const std::vector<bus::BusTransaction> &txns,
 
     std::string line;
     std::size_t next = 0;
-    int zeroProgress = 0;
     while (next < txns.size() && channel_) {
         const std::size_t n = std::min(batch, txns.size() - next);
         line.assign("feed");
@@ -136,16 +135,12 @@ ServiceClient::feedAll(const std::vector<bus::BusTransaction> &txns,
             break;
         totals.accepted += accepted;
         if (fed == 0) {
+            // The head record does not fit at its own cycle, and only
+            // this client feeds the session: a re-send would meet the
+            // same board and be refused again.
             ++totals.resends;
-            // A paced session earns admission as the stream's cycles
-            // advance, so retrying the same head eventually lands —
-            // unless the stream itself cannot fit (same-cycle burst
-            // beyond capacity), which this valve catches.
-            if (++zeroProgress > 10000)
-                break;
-            continue;
+            break;
         }
-        zeroProgress = 0;
         next += fed;
     }
     if (next > 0)

@@ -5,10 +5,11 @@
  * ServiceClient wraps one AF_UNIX connection to an iesserv daemon. Its
  * feedAll() loop is the reference implementation of the credit-paced
  * upload protocol: offer a batch, read `fed A accepted B of N`, and
- * re-send the tail the daemon did not admit (paced sessions are
- * back-pressured, never dropped). The load-test harness and the
- * lifecycle tests both drive the daemon through this class so the
- * protocol has exactly one client-side implementation to keep honest.
+ * carry on from the first record the daemon did not admit (paced
+ * sessions are back-pressured, never dropped). The load-test harness
+ * and the lifecycle tests both drive the daemon through this class so
+ * the protocol has exactly one client-side implementation to keep
+ * honest.
  */
 
 #ifndef MEMORIES_SERVICE_CLIENT_HH
@@ -31,10 +32,11 @@ struct FeedTotals
     std::uint64_t offered = 0;  //!< records handed to feedAll
     std::uint64_t accepted = 0; //!< records the board accepted
     /**
-     * Feed lines the daemon admitted no record of (`fed 0`), each
-     * re-offered whole. A partly admitted line's tail is re-sent too
-     * but not counted here; `stream status` offered ÷ attempted is
-     * the re-send ratio over all records (docs/SERVICE.md).
+     * Feed lines the daemon admitted no record of (`fed 0`): 0 or 1,
+     * since feedAll stops at the first. A partly admitted line's tail
+     * is re-sent as the next line's head but not counted here;
+     * `stream status` offered ÷ attempted is the re-send ratio over
+     * all records (docs/SERVICE.md).
      */
     std::uint64_t resends = 0;
     std::uint64_t feedLines = 0; //!< feed requests sent
@@ -72,10 +74,12 @@ class ServiceClient
 
     /**
      * Stream @p txns as packed v2 records in feed lines of at most
-     * @p batch records, re-sending whatever a paced session does not
-     * admit. Gives up (returning what happened so far) only when the
-     * transport dies or the daemon stops making progress AND stops
-     * back-pressuring coherently (a malformed reply).
+     * @p batch records, each line starting at the first record the
+     * previous one did not admit. Returns (with what happened so far)
+     * at the first `fed 0` reply — the head record does not fit at its
+     * own cycle, and a re-send would meet the same board — or when the
+     * transport dies or a reply is malformed. A stream that fits in
+     * batch mode is admitted whole.
      *
      * When @p latencies_us is non-null, the round-trip time of every
      * feed request is appended in microseconds (the load harness

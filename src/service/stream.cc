@@ -1,6 +1,5 @@
 #include "service/stream.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -122,9 +121,11 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
     ies::nextWord(line); // the family name
 
     // One pass over the words, straight from the request line: count
-    // them all, and decode until the batch limit or the first bad one.
-    // The whole line is rejected on any error, the limit check first.
-    words_.clear();
+    // them all, and decode and unpack on the session's cycle chain
+    // until the batch limit or the first bad one. The whole line is
+    // rejected on any error, the limit check first.
+    txns_.clear();
+    Cycle prev = prevCycle_;
     std::size_t n = 0;
     std::string_view bad;
     for (std::string_view word = ies::nextWord(line); !word.empty();
@@ -132,10 +133,12 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
         if (++n > maxBatch_ || !bad.empty())
             continue;
         const auto raw = decodeRecordHex(word);
-        if (raw)
-            words_.push_back(*raw);
-        else
+        if (!raw) {
             bad = word;
+            continue;
+        }
+        txns_.push_back(trace::BusRecord(*raw).unpack(prev));
+        prev = txns_.back().cycle;
     }
     if (n == 0)
         fatal("usage: feed <hex16> [<hex16> ...]");
@@ -149,27 +152,16 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
     ++feedLines_;
     refsOffered_ += n;
 
-    // Admission: paced mode admits only what the credit-paced buffer
-    // could absorb at the head record's cycle; raw mode attempts the
-    // whole line exactly once (overflow drops and all).
-    std::size_t attempted = n;
-    if (paced_) {
-        const Cycle head =
-            trace::BusRecord(words_[0]).unpack(prevCycle_).cycle;
-        attempted = std::min(attempted, board.bufferAdmissibleAt(head));
-    }
+    // Admission: paced mode admits the longest prefix the board takes
+    // with every record at its own cycle; raw mode attempts the whole
+    // line exactly once (overflow drops and all).
+    const std::size_t attempted =
+        paced_ ? board.admissiblePrefix(txns_.data(), n) : n;
     if (attempted == 0) {
         ++backpressure_;
         return "fed 0 accepted 0 of " + std::to_string(n);
     }
-
-    // Unpack only the admitted prefix, on the session's cycle chain.
-    txns_.clear();
-    Cycle prev = prevCycle_;
-    for (std::size_t i = 0; i < attempted; ++i) {
-        txns_.push_back(trace::BusRecord(words_[i]).unpack(prev));
-        prev = txns_.back().cycle;
-    }
+    txns_.resize(attempted);
     std::string notes;
     const std::size_t accepted = feedAttempted(console, txns_, notes);
     return "fed " + std::to_string(attempted) + " accepted " +

@@ -27,12 +27,14 @@
  *
  * Admission control (paced mode, the default) reuses the board's
  * credit-paced transaction-buffer semantics: a feed line is admitted
- * only up to TransactionBuffer::admissibleAt(first record's cycle), so
- * an over-rate client exhausts credits and is *back-pressured* — told
- * to re-send the tail — rather than having references dropped. Raw
- * mode (`stream pace off`) attempts every record exactly once, making
- * the session byte-identical to an in-process feedBatch of the same
- * stream even when that stream overflows (drops and all); the
+ * up to MemoriesBoard::admissiblePrefix — the records the buffer would
+ * take in order, each at its own cycle — so an in-rate line lands
+ * whole, and an over-rate client is *back-pressured* (told where its
+ * line stopped) rather than having references dropped. A `fed 0`
+ * reply is final for that line: re-sending it meets the same board.
+ * Raw mode (`stream pace off`) attempts every record exactly once,
+ * making the session byte-identical to an in-process feedBatch of the
+ * same stream even when that stream overflows (drops and all); the
  * conformance tier leans on this.
  *
  * Health ladder: when a feed drives the board to Quarantined, the
@@ -155,9 +157,7 @@ class StreamIngest
     ies::ExperimentFleet fleet_;
     std::vector<std::uint64_t> fleetSeeds_;
 
-    /** handleFeed's buffers, reused across lines: the decoded record
-     *  words, and the unpacked prefix it hands to the board. */
-    std::vector<std::uint64_t> words_;
+    /** handleFeed's unpacked records, reused across lines. */
     std::vector<bus::BusTransaction> txns_;
 };
 

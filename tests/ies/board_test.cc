@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "common/logging.hh"
 
 namespace memories::ies
@@ -221,6 +225,61 @@ TEST(BoardTest, PostsRetryOnBufferOverflow)
     }
     EXPECT_EQ(worst, bus::SnoopResponse::Retry);
     EXPECT_GT(board.retriesPosted(), 0u);
+}
+
+TEST(BoardTest, AdmissiblePrefixStopsAtTheFirstRefusal)
+{
+    // The admission walk must name exactly the record a hook-free
+    // board refuses first. Two identical boards take the same random
+    // history; then one walks a random line and the other is fed it.
+    std::mt19937_64 rng(16);
+    const auto pick = [&](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+    };
+    constexpr std::size_t maxLine = 40;
+    const auto randomLine = [&](Cycle &cycle, std::size_t n) {
+        std::vector<bus::BusTransaction> line;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (pick(0, 2) != 0) // same-cycle runs are common
+                cycle += pick(0, 5);
+            bus::BusTransaction t =
+                txn(pick(0, 1023) * 128,
+                    pick(0, 9) == 0 ? bus::BusOp::IoRead
+                                    : bus::BusOp::Read,
+                    static_cast<CpuId>(pick(0, 3)));
+            t.cycle = cycle;
+            line.push_back(t);
+        }
+        return line;
+    };
+    std::size_t cut = 0;
+    constexpr int trials = 200;
+    for (int trial = 0; trial < trials; ++trial) {
+        BoardConfig cfg = makeUniformBoard(1, 4, smallCache());
+        cfg.bufferEntries = pick(1, 12);
+        cfg.sdramThroughputPercent = static_cast<unsigned>(pick(10, 60));
+        MemoriesBoard walked(cfg), fed(cfg);
+        Cycle cycle = 0;
+        const auto history = randomLine(cycle, pick(0, maxLine));
+        walked.feedBatch(history);
+        fed.feedBatch(history);
+
+        const auto line = randomLine(cycle, pick(1, maxLine));
+        bool accepted[maxLine];
+        fed.feedBatch(line.data(), line.size(), accepted);
+        const std::size_t first = static_cast<std::size_t>(
+            std::find(accepted, accepted + line.size(), false) -
+            accepted);
+        ASSERT_EQ(walked.admissiblePrefix(line.data(), line.size()),
+                  first)
+            << "trial " << trial;
+        ASSERT_EQ(walked.feedBatch(line.data(), first), first)
+            << "trial " << trial;
+        cut += first < line.size();
+    }
+    // Both outcomes are exercised: lines cut short and lines whole.
+    EXPECT_GT(cut, std::size_t{trials / 10});
+    EXPECT_LT(cut, std::size_t{trials * 9 / 10});
 }
 
 TEST(BoardTest, NeverRetriesAtPaperUtilization)

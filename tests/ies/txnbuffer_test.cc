@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "common/logging.hh"
 
 namespace memories::ies
@@ -125,62 +128,196 @@ TEST(TxnBufferTest, BoardDefaultsSustainTypicalUtilization)
     EXPECT_LT(buf.highWater(), 16u);
 }
 
-TEST(TxnBufferTest, AdmissibleAtIsPure)
+/** @p n read records at @p cycle, after @p before. */
+std::vector<bus::BusTransaction>
+burstAt(Cycle cycle, std::size_t n,
+        std::vector<bus::BusTransaction> before = {})
+{
+    for (std::size_t i = 0; i < n; ++i)
+        before.push_back(txnAt(cycle));
+    return before;
+}
+
+/**
+ * How many of @p line a copy of the buffer accepts when fed the way
+ * the board feeds it: records the address filter drops are skipped,
+ * every other one runs drain(cycle) until nullopt, then push(); the
+ * count stops at the first rejection.
+ */
+std::size_t
+acceptedByCopy(TransactionBuffer copy,
+               const std::vector<bus::BusTransaction> &line)
+{
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        if (bus::isFilteredOp(line[i].op))
+            continue;
+        while (copy.drain(line[i].cycle)) {
+        }
+        if (!copy.push(line[i]))
+            return i;
+    }
+    return line.size();
+}
+
+std::size_t
+walk(const TransactionBuffer &buf,
+     const std::vector<bus::BusTransaction> &line)
+{
+    return buf.admissiblePrefix(line.data(), line.size());
+}
+
+std::vector<std::uint8_t>
+stateBytes(const TransactionBuffer &buf)
+{
+    ckpt::Sink sink;
+    buf.saveState(sink);
+    return sink.bytes();
+}
+
+TEST(TxnBufferTest, AdmissibleIsPure)
 {
     TransactionBuffer buf(8, 42);
     for (int i = 0; i < 6; ++i)
         buf.push(txnAt(0));
-    const std::size_t first = buf.admissibleAt(500);
+    const auto before = stateBytes(buf);
+    const auto line = burstAt(500, 16);
+    const std::size_t first = walk(buf, line);
+    EXPECT_EQ(first, acceptedByCopy(buf, line));
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(buf.admissibleAt(500), first); // probing never mutates
+        EXPECT_EQ(walk(buf, line), first); // walking never mutates
+    EXPECT_EQ(stateBytes(buf), before);
     EXPECT_EQ(buf.size(), 6u);
     EXPECT_EQ(buf.retired(), 0u);
 }
 
 TEST(TxnBufferTest, AdmissibleMatchesDrainThenPush)
 {
-    // The probe must predict exactly how many same-cycle pushes a
-    // drain(now)-then-push sequence would accept.
-    for (Cycle now : {0ull, 3ull, 10ull, 250ull, 1'000'000ull}) {
-        TransactionBuffer probe(8, 42);
-        TransactionBuffer real(8, 42);
-        for (int i = 0; i < 8; ++i) {
-            probe.push(txnAt(0));
-            real.push(txnAt(0));
-        }
-        const std::size_t predicted = probe.admissibleAt(now);
-        while (real.drain(now)) {
-        }
-        std::size_t accepted = 0;
-        while (real.push(txnAt(now)))
-            ++accepted;
-        EXPECT_EQ(predicted, accepted) << "now=" << now;
+    // A full buffer and a same-cycle line: the credits earned by
+    // `now` retire part of the backlog, and that many records fit.
+    struct Case
+    {
+        Cycle now;
+        std::size_t want;
+    };
+    for (const Case c : {Case{0, 0}, Case{3, 1}, Case{10, 4},
+                         Case{250, 8}, Case{1'000'000, 8}}) {
+        TransactionBuffer buf(8, 42);
+        for (int i = 0; i < 8; ++i)
+            buf.push(txnAt(0));
+        const auto line = burstAt(c.now, 12);
+        EXPECT_EQ(acceptedByCopy(buf, line), c.want) << "now=" << c.now;
+        EXPECT_EQ(walk(buf, line), c.want) << "now=" << c.now;
     }
+
+    // One record every other cycle earns 84 credits against the 100
+    // one retirement costs: the empty buffer fills by about one slot
+    // every six records, and the walk stops where the copy first
+    // rejects.
+    TransactionBuffer buf(8, 42);
+    std::vector<bus::BusTransaction> line;
+    for (Cycle c = 1; c <= 200; c += 2)
+        line.push_back(txnAt(c));
+    EXPECT_EQ(acceptedByCopy(buf, line), 47u);
+    EXPECT_EQ(walk(buf, line), 47u);
 }
 
 TEST(TxnBufferTest, AdmissibleHonoursStallAndSlotLoss)
 {
     // A retirement stall suppresses the earned span; a slot-loss fault
-    // shrinks the capacity the probe reports against.
+    // shrinks the capacity each record is checked against.
     TransactionBuffer buf(8, 100);
     for (int i = 0; i < 8; ++i)
         buf.push(txnAt(0));
     buf.injectStall(1'000);
-    EXPECT_EQ(buf.admissibleAt(500), 0u); // no credits earned inside stall
-    EXPECT_EQ(buf.admissibleAt(1'004), 4u);
+    const auto expect = [&](const std::vector<bus::BusTransaction> &line,
+                            std::size_t want) {
+        EXPECT_EQ(acceptedByCopy(buf, line), want);
+        EXPECT_EQ(walk(buf, line), want);
+    };
+    expect(burstAt(500, 8), 0);   // no credits earned inside the stall
+    expect(burstAt(1'004, 8), 4); // four cycles past it retire four
+    // A line crossing the stall's end: nothing fits before cycle 1001,
+    // so the walk stops at its first record.
+    expect(burstAt(1'004, 8, burstAt(999, 1)), 0);
     buf.injectSlotLoss(6, 2'000);
-    // By cycle 1008 all 8 are retirable but only 2 slots exist.
-    EXPECT_EQ(buf.admissibleAt(1'008), 2u);
-    EXPECT_EQ(buf.admissibleAt(2'000), 8u); // fault expired
+    // By cycle 1008 all 8 are retirable but only 2 slots exist, and a
+    // refused record ends the prefix even if later ones would fit.
+    expect(burstAt(1'008, 8), 2);
+    expect(burstAt(2'000, 8, burstAt(1'008, 3)), 2);
+    expect(burstAt(2'000, 12), 8); // fault expired
 }
 
 TEST(TxnBufferTest, AdmissibleCapsBankedCredits)
 {
-    // A long idle stretch banks at most capacity*100 credits; the probe
-    // must apply the same cap instead of promising unbounded drain.
+    // A long idle stretch banks at most capacity*100 credits. The cap
+    // retires the held entry and then three same-cycle arrivals, so a
+    // burst fits capacity plus those three — never unbounded.
     TransactionBuffer buf(4, 50);
     buf.push(txnAt(0));
-    EXPECT_EQ(buf.admissibleAt(1'000'000), 4u); // never above capacity
+    const auto line = burstAt(1'000'000, 16);
+    EXPECT_EQ(acceptedByCopy(buf, line), 7u);
+    EXPECT_EQ(walk(buf, line), 7u);
+}
+
+TEST(TxnBufferTest, AdmissibleSkipsFilteredOps)
+{
+    // The address filter drops non-memory ops before the buffer: they
+    // take no slot and earn nothing, wherever they sit in the line.
+    TransactionBuffer buf(2, 42);
+    auto line = burstAt(0, 5);
+    line[0].op = bus::BusOp::IoRead;
+    line[2].op = bus::BusOp::Sync;
+    EXPECT_EQ(acceptedByCopy(buf, line), 4u);
+    EXPECT_EQ(walk(buf, line), 4u);
+}
+
+TEST(TxnBufferTest, AdmissibleEqualsTheBufferOnRandomHistories)
+{
+    // Random capacities, rates, histories, stall and slot-loss
+    // windows, filtered ops, same-cycle bursts and cycles older than
+    // the last earn: the walk must equal what a copy of the buffer
+    // accepts, and must leave the buffer untouched.
+    std::mt19937_64 rng(20'240'917);
+    const auto pick = [&](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+    };
+    std::size_t partial = 0;
+    constexpr int trials = 4'000;
+    for (int trial = 0; trial < trials; ++trial) {
+        TransactionBuffer buf(pick(1, 16),
+                              static_cast<unsigned>(pick(1, 100)));
+        Cycle now = pick(0, 50);
+        for (std::uint64_t i = pick(0, 40); i > 0; --i) {
+            now += pick(0, 4);
+            while (buf.drain(now)) {
+            }
+            buf.push(txnAt(now));
+        }
+        if (pick(0, 3) == 0)
+            buf.injectStall(now + pick(0, 60));
+        if (pick(0, 3) == 0)
+            buf.injectSlotLoss(pick(1, 16), now + pick(0, 60));
+
+        std::vector<bus::BusTransaction> line;
+        Cycle cycle = now >= 8 && pick(0, 4) == 0 ? now - pick(1, 8) : now;
+        for (std::uint64_t i = pick(1, 48); i > 0; --i) {
+            if (pick(0, 2) != 0) // same-cycle runs are common
+                cycle += pick(0, 6);
+            bus::BusTransaction txn = txnAt(cycle);
+            if (pick(0, 7) == 0)
+                txn.op = bus::BusOp::IoWrite;
+            line.push_back(txn);
+        }
+
+        const auto before = stateBytes(buf);
+        const std::size_t want = acceptedByCopy(buf, line);
+        ASSERT_EQ(walk(buf, line), want) << "trial " << trial;
+        ASSERT_EQ(stateBytes(buf), before) << "trial " << trial;
+        partial += want < line.size();
+    }
+    // Both outcomes are exercised: lines cut short and lines whole.
+    EXPECT_GT(partial, std::size_t{trials / 10});
+    EXPECT_LT(partial, std::size_t{trials * 9 / 10});
 }
 
 TEST(TxnBufferTest, SustainedOverloadEventuallyRejects)

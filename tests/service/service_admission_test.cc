@@ -1,12 +1,14 @@
 /**
  * @file
- * Admission-control tier: paced sessions price every feed line with
- * the credit-paced buffer's admission probe. An over-rate client is
+ * Admission-control tier: paced sessions admit every feed line up to
+ * the board's admission walk, each record at its own cycle. An in-rate
+ * line lands whole, however long; an over-rate client is
  * back-pressured — credits exhaust, the daemon clamps or refuses the
- * line, nothing is dropped, lost_inflight stays 0 — while a
- * concurrent in-rate session is entirely unaffected (its board stays
- * byte-identical to its solo golden run). A feed line is validated in
- * full before anything is admitted, whatever its whitespace.
+ * line, feedAll stops at the first refusal, nothing is dropped,
+ * lost_inflight stays 0 — while a concurrent in-rate session is
+ * entirely unaffected (its board stays byte-identical to its solo
+ * golden run). A feed line is validated in full before anything is
+ * admitted, whatever its whitespace.
  */
 
 #include <gtest/gtest.h>
@@ -37,11 +39,11 @@ tinyBufferScript()
     };
 }
 
-/** One feed line of records at the given cycles, chained from prev. */
-std::string
-feedLine(const std::vector<Cycle> &cycles, Cycle &prev)
+/** Reads by CPU 0 at the given cycles, one line apart. */
+std::vector<bus::BusTransaction>
+recordsAt(const std::vector<Cycle> &cycles)
 {
-    std::string line = "feed";
+    std::vector<bus::BusTransaction> txns;
     std::uint64_t addr = 0x10000;
     for (const Cycle c : cycles) {
         bus::BusTransaction txn;
@@ -49,9 +51,20 @@ feedLine(const std::vector<Cycle> &cycles, Cycle &prev)
         txn.cycle = c;
         txn.op = bus::BusOp::Read;
         txn.cpu = 0;
+        txns.push_back(txn);
+    }
+    return txns;
+}
+
+/** One feed line of records at the given cycles, chained from prev. */
+std::string
+feedLine(const std::vector<Cycle> &cycles, Cycle &prev)
+{
+    std::string line = "feed";
+    for (const bus::BusTransaction &txn : recordsAt(cycles)) {
         line += ' ';
         line += encodeRecordHex(trace::BusRecord::pack(txn, prev).raw);
-        prev = c;
+        prev = txn.cycle;
     }
     return line;
 }
@@ -69,7 +82,7 @@ TEST(ServiceAdmissionTest, CreditsExhaustThenRecoverWithoutDrops)
     ASSERT_TRUE(reply.ok);
     EXPECT_EQ(reply.lines[0], "fed 4 accepted 4 of 4");
 
-    // Buffer full, no credits earned at cycle 0: the probe refuses the
+    // Buffer full, no credits earned at cycle 0: the walk refuses the
     // line outright. Nothing was pushed, so nothing can be dropped.
     reply = client.exec(feedLine({0}, prev));
     ASSERT_TRUE(reply.ok);
@@ -96,6 +109,56 @@ TEST(ServiceAdmissionTest, CreditsExhaustThenRecoverWithoutDrops)
     ASSERT_TRUE(stats.ok);
     EXPECT_NE(stats.text().find("lost-inflight 0"), std::string::npos)
         << stats.text();
+}
+
+TEST(ServiceAdmissionTest, InRateLineLongerThanTheBufferLandsWhole)
+{
+    TestDaemon daemon;
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    configureSession(client, tinyBufferScript());
+
+    // Ten cycles at 42% earn four retirements, so each record finds the
+    // previous one gone: every record is admitted at its own cycle,
+    // though the line holds four buffers' worth.
+    std::vector<Cycle> cycles;
+    for (Cycle c = 10; c <= 160; c += 10)
+        cycles.push_back(c);
+    Cycle prev = 0;
+    EXPECT_EQ(client.exec(feedLine(cycles, prev)).text(),
+              "fed 16 accepted 16 of 16");
+    EXPECT_NE(client.exec("stream status")
+                  .text()
+                  .find("backpressure 0 overflow-drops 0 feed-lines 1"),
+              std::string::npos);
+}
+
+TEST(ServiceAdmissionTest, FeedAllStopsAtTheFirstRefusedLine)
+{
+    TestDaemon daemon;
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    configureSession(client, tinyBufferScript());
+
+    // Six records at cycle 1 into four slots with 42 credits banked:
+    // the fifth can never be admitted at its own cycle, and only this
+    // client moves the session's board, so re-sending it is futile.
+    std::vector<Cycle> cycles(6, 1);
+    for (Cycle c = 11; cycles.size() < 16; c += 10)
+        cycles.push_back(c);
+    const FeedTotals totals = client.feedAll(recordsAt(cycles));
+    EXPECT_EQ(totals.offered, 16u);
+    EXPECT_EQ(totals.accepted, 4u);
+    EXPECT_EQ(totals.feedLines, 2u); // fed 4 of 16, then fed 0 of 12
+    EXPECT_EQ(totals.resends, 1u);
+
+    const std::string status = client.exec("stream status").text();
+    EXPECT_NE(status.find("offered 28 attempted 4 accepted 4"),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.find("backpressure 1 overflow-drops 0 feed-lines 2"),
+              std::string::npos)
+        << status;
 }
 
 TEST(ServiceAdmissionTest, BadTokenAfterTheAdmittedPrefixRejectsTheLine)
@@ -184,14 +247,23 @@ TEST(ServiceAdmissionTest, TabAndCrLfSeparatedLinesMatchSingleSpaced)
 
 TEST(ServiceAdmissionTest, OverRateClientDoesNotPerturbInRatePeer)
 {
-    const auto overrate = stream(/*seed=*/21, /*count=*/8'000);
+    // Session A: a 12-entry buffer and a stream that ends in a
+    // same-cycle burst of 64, more than its 12 slots plus at most 12
+    // banked retirements can take: A is over-rate at that point.
+    auto overrate = stream(/*seed=*/21, /*count=*/8'000);
+    const std::size_t steady = overrate.size();
+    for (int i = 0; i < 64; ++i) {
+        bus::BusTransaction txn = overrate.back();
+        txn.addr += 128;
+        txn.cycle = overrate[steady - 1].cycle + 1;
+        txn.op = bus::BusOp::Read;
+        overrate.push_back(txn);
+    }
     const auto inrate = stream(/*seed=*/22, /*count=*/8'000);
     const auto golden = goldenRun(configScript(), canonical(inrate));
 
     TestDaemon daemon;
 
-    // Session A: a tiny buffer and huge offered batches — every line
-    // is clamped to what admission allows at the head cycle.
     auto tight = configScript();
     tight[4] = "buffer 12";
     ServiceClient a;
@@ -203,20 +275,22 @@ TEST(ServiceAdmissionTest, OverRateClientDoesNotPerturbInRatePeer)
     ASSERT_TRUE(b.connect(daemon.socket()));
     configureSession(b, configScript());
 
+    // Short lines from A, so its requests interleave with B's.
     FeedTotals ta, tb;
-    std::thread feedA([&] { ta = a.feedAll(overrate, /*batch=*/512); });
+    std::thread feedA([&] { ta = a.feedAll(overrate, /*batch=*/64); });
     std::thread feedB([&] { tb = b.feedAll(inrate, /*batch=*/256); });
     feedA.join();
     feedB.join();
 
-    // A was throttled hard (many more lines than offered/batch), yet
-    // everything eventually landed and nothing was dropped.
-    EXPECT_EQ(ta.accepted, ta.offered);
-    EXPECT_GT(ta.feedLines, 4 * (overrate.size() / 512))
-        << "expected heavy admission clamping";
+    // A landed its steady part, was back-pressured inside the burst,
+    // and feedAll returned at the first refused line. Nothing was
+    // dropped.
+    EXPECT_GE(ta.accepted, steady);
+    EXPECT_LT(ta.accepted, ta.offered);
+    EXPECT_EQ(ta.resends, 1u);
     const auto status = a.exec("stream status");
     ASSERT_TRUE(status.ok);
-    EXPECT_NE(status.text().find("overflow-drops 0"),
+    EXPECT_NE(status.text().find("backpressure 1 overflow-drops 0"),
               std::string::npos)
         << status.text();
     const auto stats = a.exec("stats");
