@@ -1,11 +1,13 @@
 #include "campaign/console.hh"
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "campaign/runner.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "oracle/diff.hh"
 
 namespace memories::campaign
@@ -13,15 +15,6 @@ namespace memories::campaign
 
 namespace
 {
-
-std::uint64_t
-parseCount(const std::string &token, const char *what)
-{
-    if (token.empty() ||
-        token.find_first_not_of("0123456789") != std::string::npos)
-        fatal("bad ", what, " '", token, "'");
-    return std::stoull(token);
-}
 
 std::string
 handleCampaign(ies::Console &, std::string_view line)
@@ -35,15 +28,16 @@ handleCampaign(ies::Console &, std::string_view line)
             fatal("usage: campaign start <dir> <seeds> <txns> "
                   "[every]");
         const std::string &dir = tokens[2];
-        const std::uint64_t seeds = parseCount(tokens[3], "seed count");
-        const std::uint64_t txns = parseCount(tokens[4], "txn count");
+        const std::uint64_t seeds = parseUnsigned(tokens[3], "seed count");
+        const std::uint64_t txns = parseUnsigned(tokens[4], "txn count");
         const std::uint64_t every =
-            tokens.size() == 6 ? parseCount(tokens[5], "cadence")
-                               : std::min<std::uint64_t>(txns, 4096);
+            tokens.size() == 6
+                ? parseUnsigned(tokens[5], "cadence",
+                                std::numeric_limits<std::uint32_t>::max())
+                : std::min<std::uint64_t>(txns, 4096);
         ckpt::ensureDir(dir);
         const CampaignPlan plan =
-            buildPlan(oracle::latticeConfigs(), 1,
-                      static_cast<std::size_t>(seeds), txns,
+            buildPlan(oracle::latticeConfigs(), 1, seeds, txns,
                       static_cast<std::uint32_t>(every));
         CampaignRunner runner(oracle::latticeConfigs(), dir);
         const CampaignTotals totals = runner.start(plan);

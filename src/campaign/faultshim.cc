@@ -3,23 +3,10 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace memories::campaign
 {
-
-namespace
-{
-
-std::uint64_t
-parseUint(const std::string &token, const std::string &spec)
-{
-    if (token.empty() ||
-        token.find_first_not_of("0123456789") != std::string::npos)
-        fatal("bad number '", token, "' in fault spec '", spec, "'");
-    return std::stoull(token);
-}
-
-} // namespace
 
 std::vector<ScriptedFault>
 parseFaultSpec(const std::string &spec)
@@ -42,11 +29,12 @@ parseFaultSpec(const std::string &spec)
         std::uint64_t at = 0;
         const std::size_t colon = op.find(':');
         if (colon != std::string::npos) {
-            at = parseUint(op.substr(colon + 1), spec);
+            at = parseUnsigned(std::string_view(op).substr(colon + 1),
+                               "fault spec '" + spec + "' offset");
             op = op.substr(0, colon);
         }
         ScriptedFault f;
-        f.op = parseUint(op, spec);
+        f.op = parseUnsigned(op, "fault spec '" + spec + "' op");
         f.fault.at = static_cast<std::size_t>(at);
         if (kind == "shortwrite")
             f.fault.kind = ckpt::DiskFaultKind::ShortWrite;

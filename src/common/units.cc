@@ -1,6 +1,5 @@
 #include "common/units.hh"
 
-#include <cctype>
 #include <cstdio>
 
 #include "common/logging.hh"
@@ -10,25 +9,54 @@ namespace memories
 {
 
 std::uint64_t
+parseUnsigned(std::string_view token, std::string_view what,
+              std::uint64_t max, unsigned base)
+{
+    std::string_view digits = token;
+    if (base == 0) {
+        if (digits.size() > 2 && digits[0] == '0' &&
+            (digits[1] == 'x' || digits[1] == 'X')) {
+            base = 16;
+            digits.remove_prefix(2);
+        } else {
+            base = digits.size() > 1 && digits[0] == '0' ? 8 : 10;
+        }
+    }
+    if (digits.empty())
+        fatal(what, " '", token, "' is not a number");
+    std::uint64_t value = 0;
+    for (const char c : digits) {
+        unsigned digit = base; // not a digit in any base
+        if (c >= '0' && c <= '9')
+            digit = static_cast<unsigned>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            digit = static_cast<unsigned>(c - 'a') + 10;
+        else if (c >= 'A' && c <= 'F')
+            digit = static_cast<unsigned>(c - 'A') + 10;
+        if (digit >= base)
+            fatal(what, " '", token, "' is not a number");
+        // value * base + digit <= max, without overflowing.
+        if (digit > max || value > (max - digit) / base)
+            fatal(what, " '", token, "' is out of range (max ", max, ")");
+        value = value * base + digit;
+    }
+    return value;
+}
+
+std::uint64_t
 parseByteSize(std::string_view text)
 {
     if (text.empty())
         fatal("empty byte-size string");
 
-    std::size_t pos = 0;
-    std::uint64_t value = 0;
-    bool have_digit = false;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-        have_digit = true;
-        ++pos;
-    }
-    if (!have_digit)
+    std::size_t digits = text.find_first_not_of("0123456789");
+    if (digits == std::string_view::npos)
+        digits = text.size();
+    if (digits == 0)
         fatal("byte-size string '", std::string(text),
               "' does not start with a number");
 
-    std::string_view unit = text.substr(pos);
+    std::string_view unit = text.substr(digits);
     std::uint64_t scale = 1;
     if (unit.empty() || unit == "B" || unit == "b") {
         scale = 1;
@@ -41,7 +69,10 @@ parseByteSize(std::string_view text)
     } else {
         fatal("unknown byte-size unit '", std::string(unit), "'");
     }
-    return value * scale;
+    return parseUnsigned(text.substr(0, digits), "byte size",
+                         std::numeric_limits<std::uint64_t>::max() /
+                             scale) *
+           scale;
 }
 
 std::string

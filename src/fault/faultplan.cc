@@ -1,9 +1,10 @@
 #include "fault/faultplan.hh"
 
-#include <fstream>
 #include <sstream>
 
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace memories::fault
 {
@@ -38,21 +39,6 @@ kindFromName(std::string_view name, FaultKind &out)
         }
     }
     return false;
-}
-
-std::uint64_t
-parseU64(const std::string &token, const std::string &line)
-{
-    std::uint64_t v = 0;
-    std::size_t used = 0;
-    try {
-        v = std::stoull(token, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != token.size())
-        fatal("fault plan: bad integer '", token, "' in '", line, "'");
-    return v;
 }
 
 double
@@ -90,8 +76,12 @@ parseLine(const std::string &line)
         if (!(is >> value))
             fatal("fault plan: key '", key, "' missing a value in '",
                   line, "'");
+        const auto integer = [&](std::uint64_t max = UINT64_MAX) {
+            return parseUnsigned(value, "fault plan '" + line + "' " + key,
+                                 max);
+        };
         if (key == "at") {
-            spec.atTenure = parseU64(value, line);
+            spec.atTenure = integer();
             if (spec.atTenure == 0)
                 fatal("fault plan: 'at' is 1-based; got 0 in '", line,
                       "'");
@@ -100,21 +90,13 @@ parseLine(const std::string &line)
             spec.probability = parseProb(value, line);
             has_trigger = true;
         } else if (key == "bit") {
-            const std::uint64_t bit = parseU64(value, line);
-            if (bit > 63)
-                fatal("fault plan: bit ", bit, " out of range in '",
-                      line, "'");
-            spec.bit = static_cast<unsigned>(bit);
+            spec.bit = static_cast<unsigned>(integer(63));
         } else if (key == "cycles") {
-            spec.cycles = parseU64(value, line);
+            spec.cycles = integer();
         } else if (key == "slots") {
-            spec.slots = static_cast<std::size_t>(parseU64(value, line));
+            spec.slots = integer();
         } else if (key == "node") {
-            const std::uint64_t node = parseU64(value, line);
-            if (node > 0xff)
-                fatal("fault plan: node ", node, " out of range in '",
-                      line, "'");
-            spec.node = static_cast<std::uint8_t>(node);
+            spec.node = static_cast<std::uint8_t>(integer(0xff));
         } else {
             fatal("fault plan: unknown key '", key, "' in '", line, "'");
         }
@@ -195,12 +177,9 @@ FaultPlan::parse(std::string_view text)
 FaultPlan
 FaultPlan::load(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("cannot open fault plan '", path, "'");
-    std::ostringstream text;
-    text << is.rdbuf();
-    return parse(text.str());
+    const std::vector<std::uint8_t> bytes =
+        ckpt::readFileBytes(path, "fault plan");
+    return parse(std::string(bytes.begin(), bytes.end()));
 }
 
 std::string

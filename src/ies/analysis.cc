@@ -91,52 +91,6 @@ BoardReport::toCsv() const
     return os.str();
 }
 
-std::string
-BoardReport::toText() const
-{
-    std::ostringstream os;
-    os << "memory tenures " << memoryTenures << ", committed "
-       << committed << ", filtered " << filtered << ", retries "
-       << retriesPosted << ", buffer high-water " << bufferHighWater
-       << "\n";
-    if (captureDropped > 0) {
-        os << "  ** lossy capture: " << captureDropped
-           << " references dropped after the capture buffer filled **\n";
-    }
-    if (lostInflight > 0) {
-        os << "  ** lossy buffer: " << lostInflight
-           << " committed tenures lost in flight **\n";
-    }
-    if (faultDropped + sampledOut + shed + quarantined > 0 ||
-        healthState != "healthy") {
-        os << "  health " << healthState << ": fault-dropped "
-           << faultDropped << " sampled-out " << sampledOut << " shed "
-           << shed << " quarantined " << quarantined << " transitions "
-           << healthTransitions << "\n";
-    }
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        const auto &s = nodes[n];
-        os << "  " << nodeLabels[n] << ": refs " << s.localRefs
-           << " miss-ratio " << s.missRatio() << " (cache "
-           << s.satisfiedByCache << " / mod-int "
-           << s.satisfiedByModIntervention << " / shr-int "
-           << s.satisfiedByShrIntervention << " / memory "
-           << s.satisfiedByMemory << ")\n";
-    }
-    return os.str();
-}
-
-std::string
-countersToCsv(const CounterBank &bank)
-{
-    std::ostringstream os;
-    os << "counter,value\n";
-    bank.snapshot([&os](const CounterSample &s) {
-        os << s.name << ',' << s.value << '\n';
-    });
-    return os.str();
-}
-
 FleetReport
 FleetReport::capture(const ExperimentFleet &fleet)
 {

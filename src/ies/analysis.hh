@@ -72,15 +72,7 @@ struct BoardReport
      * form).
      */
     std::string toCsv() const;
-
-    /** Render as aligned human-readable text. */
-    std::string toText() const;
 };
-
-/**
- * Export any counter bank as two-column CSV ("counter,value").
- */
-std::string countersToCsv(const CounterBank &bank);
 
 /**
  * Structured snapshot of a fleet replay's fidelity: what the tap

@@ -1,10 +1,12 @@
 #include "ies/commandmap.hh"
 
-#include <cstdio>
+#include <limits>
 #include <sstream>
 #include <vector>
 
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace memories::ies
 {
@@ -62,19 +64,22 @@ CommandMap::parse(std::string_view text)
         if (tokens.empty())
             continue;
         const std::string &kind = tokens[0];
+        const auto opcode = [&] {
+            return static_cast<std::uint32_t>(parseUnsigned(
+                tokens[1],
+                "command map line " + std::to_string(lineno) + " opcode",
+                std::numeric_limits<std::uint32_t>::max(), 0));
+        };
         if (kind == "map") {
             if (tokens.size() != 3)
                 fatal("command map line ", lineno,
                       ": expected 'map <opcode> <OP>'");
-            cmap.map(static_cast<std::uint32_t>(
-                         std::stoul(tokens[1], nullptr, 0)),
-                     bus::busOpFromName(tokens[2]));
+            cmap.map(opcode(), bus::busOpFromName(tokens[2]));
         } else if (kind == "drop") {
             if (tokens.size() != 2)
                 fatal("command map line ", lineno,
                       ": expected 'drop <opcode>'");
-            cmap.drop(static_cast<std::uint32_t>(
-                std::stoul(tokens[1], nullptr, 0)));
+            cmap.drop(opcode());
         } else if (kind == "unknown") {
             if (tokens.size() != 2 ||
                 (tokens[1] != "drop" && tokens[1] != "fatal")) {
@@ -95,16 +100,9 @@ CommandMap::parse(std::string_view text)
 CommandMap
 CommandMap::load(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open command map file '", path, "'");
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    return parse(text);
+    const std::vector<std::uint8_t> bytes =
+        ckpt::readFileBytes(path, "command map file");
+    return parse(std::string(bytes.begin(), bytes.end()));
 }
 
 CommandMap

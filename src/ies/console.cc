@@ -1,11 +1,12 @@
 #include "ies/console.hh"
 
-#include <cstdio>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 
 #include "checkpoint/file.hh"
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "ies/analysis.hh"
@@ -126,46 +127,7 @@ splitWords(std::string_view line)
 namespace
 {
 
-/**
- * Every top-level name Console::handle() matches. execute() consults
- * this before the extension registry, so no registered family can
- * shadow a builtin.
- */
-constexpr std::string_view builtinCommands[] = {
-    "node",       "buffer",        "throughput", "capture",  "init",
-    "stats",      "counters",      "clear",      "reset",    "dump-trace",
-    "save-state", "load-state",    "ckpt",       "monitor",  "trace",
-    "prof",       "save-protocol", "export-csv", "fault",    "health",
-    "script",     "shutdown",      "help",
-};
-
-bool
-isBuiltin(std::string_view cmd)
-{
-    for (const std::string_view name : builtinCommands)
-        if (name == cmd)
-            return true;
-    return false;
-}
-
-/** Parse an unsigned decimal token; fatal() on anything else. */
-std::uint64_t
-parseNumber(const std::string &token)
-{
-    if (token.empty() || token[0] == '-')
-        fatal("'", token, "' is not a non-negative number");
-    try {
-        std::size_t pos = 0;
-        const auto value = std::stoull(token, &pos, 10);
-        if (pos != token.size())
-            fatal("'", token, "' is not a number");
-        return value;
-    } catch (const FatalError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal("'", token, "' is not a number");
-    }
-}
+constexpr std::uint64_t maxUnsigned = std::numeric_limits<unsigned>::max();
 
 std::vector<CpuId>
 parseCpuList(const std::string &text)
@@ -176,7 +138,8 @@ parseCpuList(const std::string &text)
     while (std::getline(is, part, ',')) {
         if (part.empty())
             fatal("empty CPU id in list '", text, "'");
-        cpus.push_back(static_cast<CpuId>(parseNumber(part)));
+        cpus.push_back(static_cast<CpuId>(parseUnsigned(
+            part, "CPU id", std::numeric_limits<CpuId>::max())));
     }
     if (cpus.empty())
         fatal("empty CPU list");
@@ -187,6 +150,47 @@ parseCpuList(const std::string &text)
 
 Console::Console(bus::Bus6xx &bus) : bus_(bus)
 {
+    // The builtin families. A configuring family's successful lines
+    // before init restage the board, so they are recorded for replay.
+    using Handler = std::string (Console::*)(const Tokens &);
+    struct Builtin
+    {
+        const char *name;
+        Handler handler;
+        bool configures;
+    };
+    static constexpr Builtin builtins[] = {
+        {"node", &Console::handleNode, true},
+        {"buffer", &Console::handleBuffer, true},
+        {"throughput", &Console::handleThroughput, true},
+        {"capture", &Console::handleCapture, true},
+        {"health", &Console::handleHealth, true},
+        {"init", &Console::handleInit, false},
+        {"stats", &Console::handleStats, false},
+        {"counters", &Console::handleCounters, false},
+        {"clear", &Console::handleClear, false},
+        {"reset", &Console::handleReset, false},
+        {"dump-trace", &Console::handleDumpTrace, false},
+        {"save-state", &Console::handleCkpt, false},
+        {"load-state", &Console::handleCkpt, false},
+        {"ckpt", &Console::handleCkpt, false},
+        {"save-protocol", &Console::handleSaveProtocol, false},
+        {"export-csv", &Console::handleExportCsv, false},
+        {"monitor", &Console::handleMonitor, false},
+        {"trace", &Console::handleTrace, false},
+        {"prof", &Console::handleProf, false},
+        {"fault", &Console::handleFault, false},
+        {"script", &Console::handleScript, false},
+        {"shutdown", &Console::handleShutdown, false},
+        {"help", &Console::handleHelp, false},
+    };
+    for (const Builtin &b : builtins) {
+        commands_[b.name] = {
+            [handler = b.handler](Console &c, std::string_view line) {
+                return (c.*handler)(splitWords(line));
+            },
+            true, b.configures};
+    }
 }
 
 Console::~Console()
@@ -252,13 +256,31 @@ Console::nodeFor(std::size_t index)
     return staged_.nodes[index];
 }
 
+BoardConfig &
+Console::requireStaged(const Tokens &tokens)
+{
+    if (board_)
+        fatal("'", tokens[0], "' is only legal before init");
+    return staged_;
+}
+
+MemoriesBoard &
+Console::requireBoard(const Tokens &tokens)
+{
+    if (!board_)
+        fatal("'", tokens[0], "' requires an initialized board");
+    return *board_;
+}
+
 void
 Console::registerCommand(const std::string &name,
                          CommandHandler handler)
 {
     if (name.empty() || !handler)
         fatal("registerCommand needs a name and a handler");
-    extensions_[name] = std::move(handler);
+    Command &command = commands_[name];
+    if (!command.builtin)
+        command.handler = std::move(handler);
 }
 
 std::string
@@ -266,13 +288,24 @@ Console::execute(std::string_view command_line)
 {
     try {
         std::string_view rest = command_line;
-        const std::string_view cmd = nextWord(rest);
-        if (!isBuiltin(cmd)) {
-            const auto ext = extensions_.find(cmd);
-            if (ext != extensions_.end())
-                return ext->second(*this, command_line);
+        const std::string_view name = nextWord(rest);
+        if (name.empty())
+            return "";
+        const auto it = commands_.find(name);
+        if (it == commands_.end())
+            fatal("unknown command '", name, "'");
+        // A configuring family's line before init is recorded once it
+        // succeeds, except its status query (the bare name or `<name>
+        // status`), which only reads.
+        bool record = it->second.configures && !board_;
+        if (record) {
+            const std::string_view sub = nextWord(rest);
+            record = !sub.empty() && sub != "status";
         }
-        return handle(splitWords(command_line));
+        std::string reply = it->second.handler(*this, command_line);
+        if (record)
+            configLines_.emplace_back(command_line);
+        return reply;
     } catch (const FatalError &err) {
         return std::string("error: ") + err.what();
     } catch (const std::exception &err) {
@@ -285,332 +318,327 @@ Console::execute(std::string_view command_line)
 }
 
 std::string
-Console::handle(const std::vector<std::string> &tokens)
+Console::handleNode(const Tokens &tokens)
 {
-    if (tokens.empty())
-        return "";
-    const std::string &cmd = tokens[0];
-
-    auto require_staged = [&] {
-        if (board_)
-            fatal("'", cmd, "' is only legal before init");
-    };
-    auto require_board = [&]() -> MemoriesBoard & {
-        if (!board_)
-            fatal("'", cmd, "' requires an initialized board");
-        return *board_;
-    };
-
-    if (cmd == "node") {
-        require_staged();
-        if (tokens.size() < 3)
-            fatal("usage: node <i> <subcommand> ...");
-        NodeConfig &node = nodeFor(parseNumber(tokens[1]));
-        const std::string &sub = tokens[2];
-        if (sub == "cache") {
-            if (tokens.size() < 6)
-                fatal("usage: node <i> cache <size> <assoc> <line> "
-                      "[policy]");
-            node.cache.sizeBytes = parseByteSize(tokens[3]);
-            node.cache.assoc =
-                static_cast<unsigned>(parseNumber(tokens[4]));
-            node.cache.lineSize = parseByteSize(tokens[5]);
-            if (tokens.size() > 6) {
-                const std::string &pol = tokens[6];
-                if (pol == "LRU")
-                    node.cache.policy = cache::ReplacementPolicy::LRU;
-                else if (pol == "FIFO")
-                    node.cache.policy = cache::ReplacementPolicy::FIFO;
-                else if (pol == "Random")
-                    node.cache.policy =
-                        cache::ReplacementPolicy::Random;
-                else if (pol == "TreePLRU")
-                    node.cache.policy =
-                        cache::ReplacementPolicy::TreePLRU;
-                else
-                    fatal("unknown replacement policy '", pol, "'");
-            }
-            node.cache.validate(cache::boardBounds());
-            return "node cache set to " + node.cache.describe();
+    requireStaged(tokens);
+    if (tokens.size() < 3)
+        fatal("usage: node <i> <subcommand> ...");
+    NodeConfig &node = nodeFor(parseUnsigned(tokens[1], "node index"));
+    const std::string &sub = tokens[2];
+    if (sub == "cache") {
+        if (tokens.size() < 6)
+            fatal("usage: node <i> cache <size> <assoc> <line> "
+                  "[policy]");
+        node.cache.sizeBytes = parseByteSize(tokens[3]);
+        node.cache.assoc = static_cast<unsigned>(
+            parseUnsigned(tokens[4], "associativity", maxUnsigned));
+        node.cache.lineSize = parseByteSize(tokens[5]);
+        if (tokens.size() > 6) {
+            const std::string &pol = tokens[6];
+            if (pol == "LRU")
+                node.cache.policy = cache::ReplacementPolicy::LRU;
+            else if (pol == "FIFO")
+                node.cache.policy = cache::ReplacementPolicy::FIFO;
+            else if (pol == "Random")
+                node.cache.policy =
+                    cache::ReplacementPolicy::Random;
+            else if (pol == "TreePLRU")
+                node.cache.policy =
+                    cache::ReplacementPolicy::TreePLRU;
+            else
+                fatal("unknown replacement policy '", pol, "'");
         }
-        if (sub == "cpus") {
-            if (tokens.size() != 4)
-                fatal("usage: node <i> cpus <id>[,<id>...]");
-            node.cpus = parseCpuList(tokens[3]);
-            return "node cpus set (" + std::to_string(node.cpus.size()) +
-                   " processors)";
-        }
-        if (sub == "protocol") {
-            if (tokens.size() != 4)
-                fatal("usage: node <i> protocol <name>");
-            node.protocol = protocol::makeBuiltinTable(tokens[3]);
-            return "node protocol set to " + node.protocol.name();
-        }
-        if (sub == "protocol-file") {
-            if (tokens.size() != 4)
-                fatal("usage: node <i> protocol-file <path>");
-            node.protocol = protocol::loadMapFile(tokens[3]);
-            return "node protocol loaded: " + node.protocol.name();
-        }
-        if (sub == "machine") {
-            if (tokens.size() != 4)
-                fatal("usage: node <i> machine <m>");
-            node.targetMachine =
-                static_cast<unsigned>(parseNumber(tokens[3]));
-            return "node target machine set";
-        }
-        fatal("unknown node subcommand '", sub, "'");
+        node.cache.validate(cache::boardBounds());
+        return "node cache set to " + node.cache.describe();
     }
-
-    if (cmd == "buffer") {
-        require_staged();
-        if (tokens.size() != 2)
-            fatal("usage: buffer <entries>");
-        staged_.bufferEntries = parseNumber(tokens[1]);
-        return "buffer depth set";
+    if (sub == "cpus") {
+        if (tokens.size() != 4)
+            fatal("usage: node <i> cpus <id>[,<id>...]");
+        node.cpus = parseCpuList(tokens[3]);
+        return "node cpus set (" + std::to_string(node.cpus.size()) +
+               " processors)";
     }
-    if (cmd == "throughput") {
-        require_staged();
-        if (tokens.size() != 2)
-            fatal("usage: throughput <percent>");
-        staged_.sdramThroughputPercent =
-            static_cast<unsigned>(parseNumber(tokens[1]));
-        return "SDRAM throughput set";
+    if (sub == "protocol") {
+        if (tokens.size() != 4)
+            fatal("usage: node <i> protocol <name>");
+        node.protocol = protocol::makeBuiltinTable(tokens[3]);
+        return "node protocol set to " + node.protocol.name();
     }
-    if (cmd == "capture") {
-        require_staged();
-        if (tokens.size() != 2)
-            fatal("usage: capture <records>");
-        staged_.traceCapture = true;
-        staged_.traceCaptureRecords = parseNumber(tokens[1]);
-        return "trace capture armed";
+    if (sub == "protocol-file") {
+        if (tokens.size() != 4)
+            fatal("usage: node <i> protocol-file <path>");
+        node.protocol = protocol::loadMapFile(tokens[3]);
+        return "node protocol loaded: " + node.protocol.name();
     }
-    if (cmd == "init") {
-        require_staged();
-        staged_.validate();
-        board_ = std::make_unique<MemoriesBoard>(staged_);
-        board_->plugInto(bus_);
-        if (recorder_)
-            board_->attachFlightRecorder(*recorder_);
-        return "board initialized: " +
-               std::to_string(board_->numNodes()) + " node(s) attached";
+    if (sub == "machine") {
+        if (tokens.size() != 4)
+            fatal("usage: node <i> machine <m>");
+        node.targetMachine = static_cast<unsigned>(
+            parseUnsigned(tokens[3], "target machine", maxUnsigned));
+        return "node target machine set";
     }
-    if (cmd == "stats")
-        return require_board().dumpStats();
-    if (cmd == "counters") {
-        auto &board = require_board();
-        std::ostringstream os;
-        const auto emit = [&os](const CounterSample &s) {
-            os << s.name << " " << s.value << "\n";
-        };
-        board.globalCounters().snapshot(emit);
-        for (std::size_t i = 0; i < board.numNodes(); ++i)
-            board.node(i).counters().snapshot(emit);
-        return os.str();
-    }
-    if (cmd == "clear") {
-        require_board().clearCounters();
-        return "counters cleared";
-    }
-    if (cmd == "reset") {
-        require_board().reset();
-        return "board reset";
-    }
-    if (cmd == "dump-trace") {
-        if (tokens.size() != 2)
-            fatal("usage: dump-trace <path>");
-        auto &board = require_board();
-        auto *capture = board.captureBuffer();
-        if (!capture)
-            fatal("trace capture was not armed before init");
-        capture->dumpToFile(tokens[1]);
-        std::string reply = "wrote " + std::to_string(capture->size()) +
-                            " records to " + tokens[1];
-        if (capture->dropped() > 0) {
-            reply += " (LOSSY: " + std::to_string(capture->dropped()) +
-                     " references dropped after the buffer filled)";
-        }
-        return reply;
-    }
-    if (cmd == "save-state") {
-        if (tokens.size() != 2)
-            fatal("usage: save-state <path>");
-        require_board().saveState(tokens[1]);
-        return "board state saved to " + tokens[1];
-    }
-    if (cmd == "load-state") {
-        if (tokens.size() != 2)
-            fatal("usage: load-state <path>");
-        require_board().loadState(tokens[1]);
-        return "board state restored from " + tokens[1];
-    }
-    if (cmd == "ckpt") {
-        if (tokens.size() < 2)
-            fatal("usage: ckpt <save|load|info> <path>");
-        const std::string &sub = tokens[1];
-        if (sub == "save") {
-            if (tokens.size() != 3)
-                fatal("usage: ckpt save <path>");
-            require_board().saveState(tokens[2]);
-            return "checkpoint saved to " + tokens[2];
-        }
-        if (sub == "load") {
-            if (tokens.size() != 3)
-                fatal("usage: ckpt load <path>");
-            require_board().loadState(tokens[2]);
-            return "checkpoint restored from " + tokens[2];
-        }
-        if (sub == "info") {
-            if (tokens.size() != 3)
-                fatal("usage: ckpt info <path>");
-            return ckpt::CheckpointImage::fromFile(tokens[2]).describe();
-        }
-        fatal("unknown ckpt subcommand '", sub, "'");
-    }
-    if (cmd == "save-protocol") {
-        if (tokens.size() != 3)
-            fatal("usage: save-protocol <node> <path>");
-        const std::size_t index = parseNumber(tokens[1]);
-        const protocol::ProtocolTable *table = nullptr;
-        if (board_) {
-            if (index >= board_->numNodes())
-                fatal("node index ", index, " out of range");
-            table = &board_->node(index).config().protocol;
-        } else {
-            if (index >= staged_.nodes.size())
-                fatal("node index ", index, " out of range");
-            table = &staged_.nodes[index].protocol;
-        }
-        std::FILE *f = std::fopen(tokens[2].c_str(), "wb");
-        if (!f)
-            fatal("cannot create '", tokens[2], "'");
-        const std::string text = table->toMapText();
-        const bool ok =
-            std::fwrite(text.data(), 1, text.size(), f) == text.size();
-        std::fclose(f);
-        if (!ok)
-            fatal("failed writing '", tokens[2], "'");
-        return "saved protocol " + table->name() + " to " + tokens[2];
-    }
-    if (cmd == "export-csv") {
-        if (tokens.size() != 2)
-            fatal("usage: export-csv <path>");
-        auto &board = require_board();
-        std::FILE *f = std::fopen(tokens[1].c_str(), "wb");
-        if (!f)
-            fatal("cannot create '", tokens[1], "'");
-        const std::string csv = BoardReport::capture(board).toCsv();
-        const bool ok =
-            std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
-        std::fclose(f);
-        if (!ok)
-            fatal("failed writing '", tokens[1], "'");
-        return "exported statistics to " + tokens[1];
-    }
-    if (cmd == "monitor") {
-        auto &board = require_board();
-        if (tokens.size() == 1 || tokens[1] == "show") {
-            if (!monitor_)
-                fatal("no monitor session; use: monitor start "
-                      "<cycles> [jsonl-path]");
-            if (monitor_->view.latest().empty())
-                return "no window closed yet (monitoring every " +
-                       std::to_string(monitor_->sampler.windowCycles()) +
-                       " bus cycles)";
-            return monitor_->view.latest();
-        }
-        if (tokens[1] == "start") {
-            if (tokens.size() < 3 || tokens.size() > 4)
-                fatal("usage: monitor start <cycles> [jsonl-path]");
-            if (monitor_)
-                fatal("monitor already running; 'monitor stop' first");
-            const Cycle window = parseNumber(tokens[2]);
-            auto mon = std::make_unique<ConsoleMonitor>(window);
-            board.attachTelemetry(mon->sampler);
-            mon->sampler.addExporter(mon->view);
-            if (tokens.size() == 4) {
-                mon->jsonl =
-                    std::make_unique<telemetry::JsonLinesExporter>(
-                        tokens[3]);
-                mon->sampler.addExporter(*mon->jsonl);
-            }
-            monitor_ = std::move(mon);
-            // Attach last: registers the bus's own sources and makes
-            // the bus clock the sampler from here on. The session may
-            // already be deep into bus time, so skip the sampler ahead
-            // rather than emitting every empty window since cycle 0.
-            bus_.attachSampler(monitor_->sampler);
-            monitor_->sampler.resync(bus_.now());
-            return "monitoring every " + tokens[2] + " bus cycles" +
-                   (tokens.size() == 4 ? " -> " + tokens[3] : "");
-        }
-        if (tokens[1] == "stop") {
-            if (!monitor_)
-                fatal("no monitor session to stop");
-            stopMonitor();
-            return "monitor stopped";
-        }
-        fatal("unknown monitor subcommand '", tokens[1], "'");
-    }
-    if (cmd == "trace")
-        return handleTrace(tokens);
-    if (cmd == "prof")
-        return handleProf(tokens);
-    if (cmd == "fault")
-        return handleFault(tokens);
-    if (cmd == "health")
-        return handleHealth(tokens);
-    if (cmd == "script") {
-        if (tokens.size() != 2)
-            fatal("usage: script <path>");
-        std::FILE *f = std::fopen(tokens[1].c_str(), "rb");
-        if (!f)
-            fatal("cannot open script '", tokens[1], "'");
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, got);
-        std::fclose(f);
-
-        std::string output;
-        std::istringstream lines(text);
-        std::string line;
-        while (std::getline(lines, line)) {
-            if (line.empty() || line[0] == '#')
-                continue;
-            const std::string reply = execute(line);
-            output += "> " + line + "\n";
-            if (!reply.empty())
-                output += reply + "\n";
-            if (reply.rfind("error:", 0) == 0)
-                break; // stop the script at the first error
-        }
-        return output;
-    }
-    if (cmd == "shutdown") {
-        auto &board = require_board();
-        stopMonitor();  // its sampler reads this board's counters
-        stopProf();     // the profiler is attached to this board
-        disarmFaults(); // the injector is attached to this board
-        board.unplug(bus_);
-        board_.reset();
-        return "board detached";
-    }
-    if (cmd == "help") {
-        std::string text =
-            "commands: node buffer throughput capture init stats "
-            "counters monitor trace prof fault health clear reset "
-            "dump-trace ckpt save-state load-state shutdown";
-        for (const auto &[name, handler] : extensions_)
-            text += " " + name;
-        return text;
-    }
-    fatal("unknown command '", cmd, "'");
+    fatal("unknown node subcommand '", sub, "'");
 }
 
 std::string
-Console::handleTrace(const std::vector<std::string> &tokens)
+Console::handleBuffer(const Tokens &tokens)
+{
+    BoardConfig &staged = requireStaged(tokens);
+    if (tokens.size() != 2)
+        fatal("usage: buffer <entries>");
+    staged.bufferEntries = parseUnsigned(tokens[1], "buffer depth");
+    return "buffer depth set";
+}
+
+std::string
+Console::handleThroughput(const Tokens &tokens)
+{
+    BoardConfig &staged = requireStaged(tokens);
+    if (tokens.size() != 2)
+        fatal("usage: throughput <percent>");
+    staged.sdramThroughputPercent = static_cast<unsigned>(
+        parseUnsigned(tokens[1], "throughput percent", maxUnsigned));
+    return "SDRAM throughput set";
+}
+
+std::string
+Console::handleCapture(const Tokens &tokens)
+{
+    BoardConfig &staged = requireStaged(tokens);
+    if (tokens.size() != 2)
+        fatal("usage: capture <records>");
+    staged.traceCapture = true;
+    staged.traceCaptureRecords =
+        parseUnsigned(tokens[1], "capture records");
+    return "trace capture armed";
+}
+
+std::string
+Console::handleInit(const Tokens &tokens)
+{
+    requireStaged(tokens);
+    staged_.validate();
+    board_ = std::make_unique<MemoriesBoard>(staged_);
+    board_->plugInto(bus_);
+    if (recorder_)
+        board_->attachFlightRecorder(*recorder_);
+    return "board initialized: " + std::to_string(board_->numNodes()) +
+           " node(s) attached";
+}
+
+std::string
+Console::handleStats(const Tokens &tokens)
+{
+    return requireBoard(tokens).dumpStats();
+}
+
+std::string
+Console::handleCounters(const Tokens &tokens)
+{
+    auto &board = requireBoard(tokens);
+    std::ostringstream os;
+    const auto emit = [&os](const CounterSample &s) {
+        os << s.name << " " << s.value << "\n";
+    };
+    board.globalCounters().snapshot(emit);
+    for (std::size_t i = 0; i < board.numNodes(); ++i)
+        board.node(i).counters().snapshot(emit);
+    return os.str();
+}
+
+std::string
+Console::handleClear(const Tokens &tokens)
+{
+    requireBoard(tokens).clearCounters();
+    return "counters cleared";
+}
+
+std::string
+Console::handleReset(const Tokens &tokens)
+{
+    requireBoard(tokens).reset();
+    return "board reset";
+}
+
+std::string
+Console::handleDumpTrace(const Tokens &tokens)
+{
+    if (tokens.size() != 2)
+        fatal("usage: dump-trace <path>");
+    auto &board = requireBoard(tokens);
+    auto *capture = board.captureBuffer();
+    if (!capture)
+        fatal("trace capture was not armed before init");
+    capture->dumpToFile(tokens[1]);
+    std::string reply = "wrote " + std::to_string(capture->size()) +
+                        " records to " + tokens[1];
+    if (capture->dropped() > 0) {
+        reply += " (LOSSY: " + std::to_string(capture->dropped()) +
+                 " references dropped after the buffer filled)";
+    }
+    return reply;
+}
+
+std::string
+Console::handleCkpt(const Tokens &tokens)
+{
+    // save-state <path> and load-state <path> are ckpt save|load.
+    const std::string &cmd = tokens[0];
+    if (cmd != "ckpt") {
+        if (tokens.size() != 2)
+            fatal("usage: ", cmd, " <path>");
+        if (cmd == "save-state") {
+            requireBoard(tokens).saveState(tokens[1]);
+            return "board state saved to " + tokens[1];
+        }
+        requireBoard(tokens).loadState(tokens[1]);
+        return "board state restored from " + tokens[1];
+    }
+    if (tokens.size() < 2)
+        fatal("usage: ckpt <save|load|info> <path>");
+    const std::string &sub = tokens[1];
+    if (sub == "save") {
+        if (tokens.size() != 3)
+            fatal("usage: ckpt save <path>");
+        requireBoard(tokens).saveState(tokens[2]);
+        return "checkpoint saved to " + tokens[2];
+    }
+    if (sub == "load") {
+        if (tokens.size() != 3)
+            fatal("usage: ckpt load <path>");
+        requireBoard(tokens).loadState(tokens[2]);
+        return "checkpoint restored from " + tokens[2];
+    }
+    if (sub == "info") {
+        if (tokens.size() != 3)
+            fatal("usage: ckpt info <path>");
+        return ckpt::CheckpointImage::fromFile(tokens[2]).describe();
+    }
+    fatal("unknown ckpt subcommand '", sub, "'");
+}
+
+std::string
+Console::handleSaveProtocol(const Tokens &tokens)
+{
+    if (tokens.size() != 3)
+        fatal("usage: save-protocol <node> <path>");
+    const std::uint64_t index = parseUnsigned(tokens[1], "node index");
+    const std::size_t nodes =
+        board_ ? board_->numNodes() : staged_.nodes.size();
+    if (index >= nodes)
+        fatal("node index ", index, " out of range");
+    const protocol::ProtocolTable &table =
+        board_ ? board_->node(index).config().protocol
+               : staged_.nodes[index].protocol;
+    const std::string text = table.toMapText();
+    ckpt::atomicWriteFile(tokens[2], text.data(), text.size());
+    return "saved protocol " + table.name() + " to " + tokens[2];
+}
+
+std::string
+Console::handleExportCsv(const Tokens &tokens)
+{
+    if (tokens.size() != 2)
+        fatal("usage: export-csv <path>");
+    const std::string csv =
+        BoardReport::capture(requireBoard(tokens)).toCsv();
+    ckpt::atomicWriteFile(tokens[1], csv.data(), csv.size());
+    return "exported statistics to " + tokens[1];
+}
+
+std::string
+Console::handleMonitor(const Tokens &tokens)
+{
+    auto &board = requireBoard(tokens);
+    if (tokens.size() == 1 || tokens[1] == "show") {
+        if (!monitor_)
+            fatal("no monitor session; use: monitor start "
+                  "<cycles> [jsonl-path]");
+        if (monitor_->view.latest().empty())
+            return "no window closed yet (monitoring every " +
+                   std::to_string(monitor_->sampler.windowCycles()) +
+                   " bus cycles)";
+        return monitor_->view.latest();
+    }
+    if (tokens[1] == "start") {
+        if (tokens.size() < 3 || tokens.size() > 4)
+            fatal("usage: monitor start <cycles> [jsonl-path]");
+        if (monitor_)
+            fatal("monitor already running; 'monitor stop' first");
+        const Cycle window = parseUnsigned(tokens[2], "monitor window");
+        auto mon = std::make_unique<ConsoleMonitor>(window);
+        board.attachTelemetry(mon->sampler);
+        mon->sampler.addExporter(mon->view);
+        if (tokens.size() == 4) {
+            mon->jsonl =
+                std::make_unique<telemetry::JsonLinesExporter>(tokens[3]);
+            mon->sampler.addExporter(*mon->jsonl);
+        }
+        monitor_ = std::move(mon);
+        // Attach last: registers the bus's own sources and makes
+        // the bus clock the sampler from here on. The session may
+        // already be deep into bus time, so skip the sampler ahead
+        // rather than emitting every empty window since cycle 0.
+        bus_.attachSampler(monitor_->sampler);
+        monitor_->sampler.resync(bus_.now());
+        return "monitoring every " + tokens[2] + " bus cycles" +
+               (tokens.size() == 4 ? " -> " + tokens[3] : "");
+    }
+    if (tokens[1] == "stop") {
+        if (!monitor_)
+            fatal("no monitor session to stop");
+        stopMonitor();
+        return "monitor stopped";
+    }
+    fatal("unknown monitor subcommand '", tokens[1], "'");
+}
+
+std::string
+Console::handleScript(const Tokens &tokens)
+{
+    if (tokens.size() != 2)
+        fatal("usage: script <path>");
+    const std::vector<std::uint8_t> bytes =
+        ckpt::readFileBytes(tokens[1], "script");
+    std::string output;
+    std::istringstream lines(std::string(bytes.begin(), bytes.end()));
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        const std::string reply = execute(line);
+        output += "> " + line + "\n";
+        if (!reply.empty())
+            output += reply + "\n";
+        if (reply.rfind("error:", 0) == 0)
+            break; // stop the script at the first error
+    }
+    return output;
+}
+
+std::string
+Console::handleShutdown(const Tokens &tokens)
+{
+    auto &board = requireBoard(tokens);
+    stopMonitor();  // its sampler reads this board's counters
+    stopProf();     // the profiler is attached to this board
+    disarmFaults(); // the injector is attached to this board
+    board.unplug(bus_);
+    board_.reset();
+    return "board detached";
+}
+
+std::string
+Console::handleHelp(const Tokens &)
+{
+    std::string text = "commands:";
+    for (const auto &[name, command] : commands_)
+        text += " " + name;
+    return text;
+}
+
+std::string
+Console::handleTrace(const Tokens &tokens)
 {
     if (tokens.size() < 2)
         fatal("usage: trace <start|status|show|mark|dump|chrome|"
@@ -630,7 +658,7 @@ Console::handleTrace(const std::vector<std::string> &tokens)
             fatal("flight recorder already running; 'trace stop' first");
         std::size_t capacity = std::size_t{1} << 16;
         if (tokens.size() == 3)
-            capacity = parseNumber(tokens[2]);
+            capacity = parseUnsigned(tokens[2], "event count");
         recorder_ = std::make_unique<trace::FlightRecorder>(capacity);
         bus_.attachFlightRecorder(*recorder_);
         if (board_)
@@ -655,7 +683,7 @@ Console::handleTrace(const std::vector<std::string> &tokens)
         auto &rec = require_recorder();
         std::size_t n = 16;
         if (tokens.size() == 3)
-            n = parseNumber(tokens[2]);
+            n = parseUnsigned(tokens[2], "event count");
         const auto events = rec.snapshot();
         const std::size_t first =
             events.size() > n ? events.size() - n : 0;
@@ -722,7 +750,7 @@ Console::handleTrace(const std::vector<std::string> &tokens)
 }
 
 std::string
-Console::handleProf(const std::vector<std::string> &tokens)
+Console::handleProf(const Tokens &tokens)
 {
     auto require_profiler = [&]() -> profile::Profiler & {
         if (!profiler_)
@@ -743,7 +771,7 @@ Console::handleProf(const std::vector<std::string> &tokens)
             fatal("no board; run init first");
         std::size_t capacity = std::size_t{1} << 16;
         if (tokens.size() == 3)
-            capacity = parseNumber(tokens[2]);
+            capacity = parseUnsigned(tokens[2], "span count");
         profiler_ = std::make_unique<profile::Profiler>(capacity);
         board_->attachProfiler(*profiler_);
         return "profiler attached (" + std::to_string(capacity) +
@@ -786,7 +814,7 @@ Console::handleProf(const std::vector<std::string> &tokens)
 }
 
 std::string
-Console::handleFault(const std::vector<std::string> &tokens)
+Console::handleFault(const Tokens &tokens)
 {
     if (tokens.size() < 2)
         fatal("usage: fault <load|arm|status|disarm> ...");
@@ -813,7 +841,7 @@ Console::handleFault(const std::vector<std::string> &tokens)
             fatal("no fault plan; use: fault load <path>");
         std::uint64_t seed = 1;
         if (tokens.size() == 3)
-            seed = parseNumber(tokens[2]);
+            seed = parseUnsigned(tokens[2], "seed");
         injector_ = std::make_unique<fault::FaultInjector>(plan_, seed);
         board_->attachFaultInjector(*injector_);
         // On the live bus the injector is one more snooper, so
@@ -846,7 +874,7 @@ Console::handleFault(const std::vector<std::string> &tokens)
 }
 
 std::string
-Console::handleHealth(const std::vector<std::string> &tokens)
+Console::handleHealth(const Tokens &tokens)
 {
     if (tokens.size() == 1 ||
         (tokens.size() == 2 && tokens[1] == "status")) {
@@ -882,24 +910,26 @@ Console::handleHealth(const std::vector<std::string> &tokens)
     }
     if (tokens.size() != 3)
         fatal("usage: health <key> <value>");
-    const std::uint64_t value = parseNumber(tokens[2]);
-    if (key == "degrade-occupancy")
-        staged_.health.degradeOccupancyPercent =
-            static_cast<unsigned>(value);
-    else if (key == "degrade-window")
-        staged_.health.degradeWindow = static_cast<unsigned>(value);
-    else if (key == "recover-window")
-        staged_.health.recoverWindow = static_cast<unsigned>(value);
-    else if (key == "sampling-shift")
-        staged_.health.degradedSamplingShift =
-            static_cast<unsigned>(value);
-    else if (key == "backoff-limit")
-        staged_.health.backoffLimit = static_cast<unsigned>(value);
-    else if (key == "quarantine-storms")
-        staged_.health.quarantineStorms = static_cast<unsigned>(value);
-    else
-        fatal("unknown health key '", key, "'");
-    return "health " + key + " set to " + tokens[2];
+    static constexpr struct
+    {
+        std::string_view key;
+        unsigned fault::HealthPolicy::*field;
+    } knobs[] = {
+        {"degrade-occupancy", &fault::HealthPolicy::degradeOccupancyPercent},
+        {"degrade-window", &fault::HealthPolicy::degradeWindow},
+        {"recover-window", &fault::HealthPolicy::recoverWindow},
+        {"sampling-shift", &fault::HealthPolicy::degradedSamplingShift},
+        {"backoff-limit", &fault::HealthPolicy::backoffLimit},
+        {"quarantine-storms", &fault::HealthPolicy::quarantineStorms},
+    };
+    for (const auto &knob : knobs) {
+        if (knob.key != key)
+            continue;
+        staged_.health.*knob.field = static_cast<unsigned>(
+            parseUnsigned(tokens[2], "health " + key, maxUnsigned));
+        return "health " + key + " set to " + tokens[2];
+    }
+    fatal("unknown health key '", key, "'");
 }
 
 } // namespace memories::ies

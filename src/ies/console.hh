@@ -20,6 +20,10 @@
  *   clear                    -- zero all counters
  *   reset                    -- cold-start directories + counters
  *   dump-trace <path>        -- write the capture buffer to disk
+ *   save-state <path>        -- write the board as an IESCKPT file
+ *   load-state <path>        -- restore the board from one
+ *   ckpt save|load <path>    -- the same
+ *   ckpt info <path>         -- describe an IESCKPT file
  *   save-protocol <i> <path> -- write node i's table as a map file
  *   export-csv <path>        -- write per-node statistics as CSV
  *   monitor start <cycles> [jsonl-path]
@@ -53,16 +57,22 @@
  *   script <path>            -- execute commands from a file
  *   shutdown                 -- unplug from the bus
  *
- * Libraries layered above the board can register further command
- * families with registerCommand(); campaign::registerConsoleCommands
- * adds `campaign start|resume|status` (see src/campaign/console.hh).
+ *   help                     -- list every command family
+ *
+ * Every family, builtin or registered, lives in one command table:
+ * one lookup dispatches a line and `help` lists the table. Libraries
+ * layered above the board register further families with
+ * registerCommand(); campaign::registerConsoleCommands adds
+ * `campaign start|resume|status` (see src/campaign/console.hh).
  *
  * Tokens are separated by runs of the six C-locale whitespace
  * characters (space, \t, \n, \v, \f, \r), so a tab-separated or
  * "\r\n"-terminated line means the same as a single-spaced one.
  *
  * Configuration commands are only legal before init; fatal() errors
- * come back as "error: ..." strings, like a console status line.
+ * come back as "error: ..." strings, like a console status line. The
+ * console records the configuration lines it accepted before init
+ * (configLines()), so a session can replay them to restage the board.
  */
 
 #ifndef MEMORIES_IES_CONSOLE_HH
@@ -155,23 +165,68 @@ class Console
         std::function<std::string(Console &, std::string_view line)>;
 
     /**
-     * Register @p handler for top-level command @p name. Libraries
-     * that sit *above* the board (the IESCAMP campaign engine) plug
-     * their command families in here instead of the console linking
-     * them — the console stays the bottom of the dependency stack.
-     * Re-registering a name replaces the old handler; built-in
-     * commands cannot be shadowed (they are matched first).
+     * Register @p handler for top-level command @p name, in the table
+     * that holds the builtins. Libraries that sit *above* the board
+     * (the IESCAMP campaign engine) plug their command families in
+     * here instead of the console linking them — the console stays
+     * the bottom of the dependency stack. Re-registering a name
+     * replaces the old handler; a builtin name keeps its builtin
+     * handler (builtins cannot be shadowed).
      */
     void registerCommand(const std::string &name,
                          CommandHandler handler);
 
+    /**
+     * The configuration lines accepted before init, in order, as
+     * typed: every successful `node`, `buffer`, `throughput`,
+     * `capture` and `health` line except a status query, including
+     * the lines a `script` ran. Replaying them on a fresh console
+     * stages the same board (session suspend/resume does).
+     */
+    const std::vector<std::string> &configLines() const
+    {
+        return configLines_;
+    }
+
   private:
-    std::string handle(const std::vector<std::string> &tokens);
-    std::string handleTrace(const std::vector<std::string> &tokens);
-    std::string handleProf(const std::vector<std::string> &tokens);
-    std::string handleFault(const std::vector<std::string> &tokens);
-    std::string handleHealth(const std::vector<std::string> &tokens);
+    using Tokens = std::vector<std::string>;
+
+    /** One top-level command family in the table. */
+    struct Command
+    {
+        CommandHandler handler;
+        bool builtin = false;
+        /** A successful line before init stages the board. */
+        bool configures = false;
+    };
+
+    std::string handleNode(const Tokens &tokens);
+    std::string handleBuffer(const Tokens &tokens);
+    std::string handleThroughput(const Tokens &tokens);
+    std::string handleCapture(const Tokens &tokens);
+    std::string handleInit(const Tokens &tokens);
+    std::string handleStats(const Tokens &tokens);
+    std::string handleCounters(const Tokens &tokens);
+    std::string handleClear(const Tokens &tokens);
+    std::string handleReset(const Tokens &tokens);
+    std::string handleDumpTrace(const Tokens &tokens);
+    std::string handleCkpt(const Tokens &tokens);
+    std::string handleSaveProtocol(const Tokens &tokens);
+    std::string handleExportCsv(const Tokens &tokens);
+    std::string handleMonitor(const Tokens &tokens);
+    std::string handleTrace(const Tokens &tokens);
+    std::string handleProf(const Tokens &tokens);
+    std::string handleFault(const Tokens &tokens);
+    std::string handleHealth(const Tokens &tokens);
+    std::string handleScript(const Tokens &tokens);
+    std::string handleShutdown(const Tokens &tokens);
+    std::string handleHelp(const Tokens &tokens);
+
     NodeConfig &nodeFor(std::size_t index);
+    /** The staged config; fatal() naming tokens[0] after init. */
+    BoardConfig &requireStaged(const Tokens &tokens);
+    /** The live board; fatal() naming tokens[0] before init. */
+    MemoriesBoard &requireBoard(const Tokens &tokens);
 
     void stopMonitor();
     void stopTrace();
@@ -187,7 +242,8 @@ class Console
     fault::FaultPlan plan_;
     bool planLoaded_ = false;
     std::unique_ptr<fault::FaultInjector> injector_;
-    std::map<std::string, CommandHandler, std::less<>> extensions_;
+    std::map<std::string, Command, std::less<>> commands_;
+    std::vector<std::string> configLines_;
 };
 
 } // namespace memories::ies

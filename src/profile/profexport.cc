@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
 #include "trace/chrometrace.hh"
 
@@ -97,12 +97,8 @@ foldedStacks(const Profiler &profiler)
 void
 writeFoldedFile(const Profiler &profiler, const std::string &path)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot create folded-stack file '", path, "'");
-    os << foldedStacks(profiler);
-    if (!os)
-        fatal("failed writing folded-stack file '", path, "'");
+    const std::string folded = foldedStacks(profiler);
+    ckpt::atomicWriteFile(path, folded.data(), folded.size());
 }
 
 std::string
@@ -159,12 +155,8 @@ writeMergedChromeTraceFile(
     const Profiler &profiler, const std::string &path,
     const trace::FlightRecorder *labels)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot create merged chrome trace file '", path, "'");
-    os << mergedChromeTrace(events, profiler, labels);
-    if (!os)
-        fatal("failed writing merged chrome trace file '", path, "'");
+    const std::string json = mergedChromeTrace(events, profiler, labels);
+    ckpt::atomicWriteFile(path, json.data(), json.size());
 }
 
 std::string

@@ -1,9 +1,9 @@
 #include "protocol/table.hh"
 
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
 
 namespace memories::protocol
@@ -242,16 +242,9 @@ parseMapText(std::string_view text)
 ProtocolTable
 loadMapFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open protocol map file '", path, "'");
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    return parseMapText(text);
+    const std::vector<std::uint8_t> bytes =
+        ckpt::readFileBytes(path, "protocol map file");
+    return parseMapText(std::string(bytes.begin(), bytes.end()));
 }
 
 } // namespace memories::protocol

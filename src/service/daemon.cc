@@ -294,9 +294,6 @@ Daemon::serveClient(Slot &slot)
 
     channel.sendReply(true, "iesserv ready session " + session.name());
 
-    std::uint64_t lastOffered = 0;
-    std::uint64_t lastAccepted = 0;
-    std::uint64_t lastBackpressure = 0;
     bool wasEvicted = false;
 
     std::string line;
@@ -311,17 +308,12 @@ Daemon::serveClient(Slot &slot)
         if (!ok)
             errors_.fetch_add(1, std::memory_order_relaxed);
 
-        const StreamIngest &ingest = session.ingest();
-        refsOffered_.fetch_add(ingest.refsOffered() - lastOffered,
-                               std::memory_order_relaxed);
-        refsAccepted_.fetch_add(ingest.refsAccepted() - lastAccepted,
+        const StreamIngest::Increments added =
+            session.ingest().takeIncrements();
+        refsOffered_.fetch_add(added.offered, std::memory_order_relaxed);
+        refsAccepted_.fetch_add(added.accepted, std::memory_order_relaxed);
+        backpressure_.fetch_add(added.backpressure,
                                 std::memory_order_relaxed);
-        backpressure_.fetch_add(
-            ingest.backpressureEvents() - lastBackpressure,
-            std::memory_order_relaxed);
-        lastOffered = ingest.refsOffered();
-        lastAccepted = ingest.refsAccepted();
-        lastBackpressure = ingest.backpressureEvents();
         tickTelemetry();
 
         if (!channel.sendReply(ok, reply))

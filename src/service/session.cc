@@ -1,11 +1,11 @@
 #include "service/session.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "campaign/console.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "fault/health.hh"
 
 namespace memories::service
@@ -38,15 +38,8 @@ parseField(const std::string &line, const std::string &key)
     if (line.rfind(key + " ", 0) != 0)
         fatal("session manifest: expected '", key, " ...', got '", line,
               "'");
-    const std::string value = line.substr(key.size() + 1);
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
-        fatal("session manifest: bad ", key, " '", value, "'");
-    try {
-        return std::stoull(value);
-    } catch (const std::exception &) {
-        fatal("session manifest: ", key, " '", value, "' out of range");
-    }
+    return parseUnsigned(std::string_view(line).substr(key.size() + 1),
+                         "session manifest " + key);
 }
 
 } // namespace
@@ -73,75 +66,10 @@ Session::manifestPath(const std::string &state_dir, const std::string &name)
     return state_dir + "/" + name + ".iessess";
 }
 
-void
-Session::recordConfigLine(const std::string &line)
-{
-    const std::vector<std::string> tokens = ies::splitWords(line);
-    if (tokens.empty())
-        return;
-    const std::string &family = tokens[0];
-    const bool config =
-        family == "node" || family == "buffer" || family == "throughput" ||
-        family == "capture" ||
-        (family == "health" && tokens.size() >= 2 &&
-         tokens[1] != "status");
-    if (config)
-        configScript_.push_back(line);
-}
-
 std::string
 Session::execute(const std::string &line)
 {
-    // Expand `script` here, not in the console: the console runs the
-    // file's lines internally, which would bypass config recording
-    // and leave a scripted session unable to resume. Routing each
-    // line back through execute() records exactly the config lines a
-    // hand-typed session would.
-    std::string_view rest = line;
-    if (ies::nextWord(rest) == "script")
-        return executeScript(ies::splitWords(line));
-    const bool preInit = !console_->initialized();
-    const std::string reply = console_->execute(line);
-    if (preInit && reply.rfind("error:", 0) != 0)
-        recordConfigLine(line);
-    return reply;
-}
-
-std::string
-Session::executeScript(const std::vector<std::string> &tokens)
-{
-    try {
-        if (tokens.size() != 2)
-            fatal("usage: script <path>");
-        std::FILE *f = std::fopen(tokens[1].c_str(), "rb");
-        if (!f)
-            fatal("cannot open script '", tokens[1], "'");
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-            text.append(buf, got);
-        std::fclose(f);
-
-        // Same surface behavior as the console's builtin: skip blank
-        // and '#' lines, echo each command, stop at the first error.
-        std::string output;
-        std::istringstream lines(text);
-        std::string line;
-        while (std::getline(lines, line)) {
-            if (line.empty() || line[0] == '#')
-                continue;
-            const std::string reply = execute(line);
-            output += "> " + line + "\n";
-            if (!reply.empty())
-                output += reply + "\n";
-            if (reply.rfind("error:", 0) == 0)
-                break;
-        }
-        return output;
-    } catch (const FatalError &err) {
-        return std::string("error: ") + err.what();
-    }
+    return console_->execute(line);
 }
 
 std::string
@@ -230,8 +158,9 @@ Session::suspend()
     for (std::size_t i = 0; i < fleet.numExperiments(); ++i)
         os << "twin " << ingest_.fleetSeed(i) << " " << fleet.label(i)
            << "\n";
-    os << "config-lines " << configScript_.size() << "\n";
-    for (const std::string &line : configScript_)
+    const std::vector<std::string> &config = console_->configLines();
+    os << "config-lines " << config.size() << "\n";
+    for (const std::string &line : config)
         os << line << "\n";
     os << "end\n";
     const std::string manifest = os.str();
@@ -293,17 +222,9 @@ Session::resume(const std::string &name)
         if (tokens.size() != 3 || tokens[0] != "twin")
             fatal("session manifest ", path, ": bad twin line '", line,
                   "'");
-        if (tokens[1].find_first_not_of("0123456789") != std::string::npos)
-            fatal("session manifest ", path, ": bad twin seed '",
-                  tokens[1], "'");
-        std::uint64_t seed = 0;
-        try {
-            seed = std::stoull(tokens[1]);
-        } catch (const std::exception &) {
-            fatal("session manifest ", path, ": twin seed '", tokens[1],
-                  "' out of range");
-        }
-        twinEntries.push_back({seed, tokens[2]});
+        twinEntries.push_back(
+            {parseUnsigned(tokens[1], "session manifest twin seed"),
+             tokens[2]});
     }
     const std::uint64_t configLines =
         parseField(nextLine(), "config-lines");
@@ -315,12 +236,12 @@ Session::resume(const std::string &name)
 
     // Rebuild: config script, init, board + twin checkpoints, stream
     // scalars. Every step fails closed through fatal(), leaving the
-    // caller's "error: ..." reply to describe the first mismatch.
+    // caller's "error: ..." reply to describe the first mismatch. The
+    // console records the replayed lines for the next suspend.
     for (const std::string &cfg : script) {
         const std::string reply = console_->execute(cfg);
         if (reply.rfind("error:", 0) == 0)
             fatal("resume: config replay of '", cfg, "' failed: ", reply);
-        configScript_.push_back(cfg);
     }
     const std::string initReply = console_->execute("init");
     if (initReply.rfind("error:", 0) == 0)

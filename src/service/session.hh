@@ -66,8 +66,8 @@ class Session
 
     /**
      * Execute one request line and return the reply text ("error: ..."
-     * for failures, like the console). Also maintains the config
-     * script used by suspend and serves the `session` family.
+     * for failures, like the console). The console records the config
+     * lines suspend persists; the session serves the `session` family.
      */
     std::string execute(const std::string &line);
 
@@ -98,8 +98,6 @@ class Session
     std::string handleSession(const std::vector<std::string> &tokens);
     std::string suspend();
     std::string resume(const std::string &name);
-    std::string executeScript(const std::vector<std::string> &tokens);
-    void recordConfigLine(const std::string &line);
     void setName(const std::string &name)
     {
         std::lock_guard<std::mutex> lock(nameMu_);
@@ -113,8 +111,6 @@ class Session
     std::unique_ptr<bus::Bus6xx> bus_;
     std::unique_ptr<ies::Console> console_;
     StreamIngest ingest_;
-    /** Pre-init configuration lines, replayed verbatim on resume. */
-    std::vector<std::string> configScript_;
     bool suspendedOk_ = false;
 };
 

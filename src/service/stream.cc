@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "service/wire.hh"
 #include "trace/record.hh"
 #include "trace/tracefile.hh"
@@ -12,19 +13,6 @@ namespace memories::service
 
 namespace
 {
-
-std::uint64_t
-parseCount(const std::string &token, const char *what)
-{
-    if (token.empty() ||
-        token.find_first_not_of("0123456789") != std::string::npos)
-        fatal("bad ", what, " '", token, "'");
-    try {
-        return std::stoull(token);
-    } catch (const std::exception &) {
-        fatal(what, " '", token, "' is out of range");
-    }
-}
 
 ies::MemoriesBoard &
 requireBoard(ies::Console &console, const char *family)
@@ -89,6 +77,7 @@ StreamIngest::feedAttempted(ies::Console &console,
 
     refsAttempted_ += txns.size();
     refsAccepted_ += accepted;
+    added_.accepted += accepted;
     overflowDrops_ += txns.size() - accepted;
     prevCycle_ = txns.back().cycle;
 
@@ -151,6 +140,7 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
 
     ++feedLines_;
     refsOffered_ += n;
+    added_.offered += n;
 
     // Admission: paced mode admits the longest prefix the board takes
     // with every record at its own cycle; raw mode attempts the whole
@@ -159,6 +149,7 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
         paced_ ? board.admissiblePrefix(txns_.data(), n) : n;
     if (attempted == 0) {
         ++backpressure_;
+        ++added_.backpressure;
         return "fed 0 accepted 0 of " + std::to_string(n);
     }
     txns_.resize(attempted);
@@ -202,6 +193,7 @@ StreamIngest::replayFile(ies::Console &console, const std::string &path)
         // exactly once (raw semantics) — there is no client to
         // back-pressure.
         refsOffered_ += chunk.size();
+        added_.offered += chunk.size();
         ++feedLines_;
         replayed += chunk.size();
         accepted += feedAttempted(console, chunk, notes);
@@ -277,7 +269,7 @@ StreamIngest::handleFleet(ies::Console &console,
                                : "twin" +
                                      std::to_string(fleet_.numExperiments());
         const std::uint64_t seed =
-            tokens.size() == 4 ? parseCount(tokens[3], "seed") : 1;
+            tokens.size() == 4 ? parseUnsigned(tokens[3], "seed") : 1;
         const std::size_t index = addTwin(board.config(), seed, label);
         return "fleet board " + std::to_string(index) + " '" + label +
                "' added";
@@ -285,8 +277,7 @@ StreamIngest::handleFleet(ies::Console &console,
     if (sub == "counters" || sub == "stats") {
         if (tokens.size() != 3)
             fatal("usage: fleet ", sub, " <index>");
-        const std::size_t i =
-            static_cast<std::size_t>(parseCount(tokens[2], "fleet index"));
+        const std::size_t i = parseUnsigned(tokens[2], "fleet index");
         if (i >= fleet_.numExperiments())
             fatal("fleet index ", i, " out of range (",
                   fleet_.numExperiments(), " boards)");

@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ies/console.hh"
@@ -85,6 +86,21 @@ class StreamIngest
     std::uint64_t overflowDrops() const { return overflowDrops_; }
     std::uint64_t feedLines() const { return feedLines_; }
     std::uint64_t resyncs() const { return resyncs_; }
+
+    /**
+     * What the feeds since the last call added to the offered,
+     * accepted and backpressure counters, then zero. Unlike those
+     * cumulative counters, which `stream reset` zeroes and `session
+     * resume` restores, these only grow with real ingest, so the
+     * daemon sums them into its totals.
+     */
+    struct Increments
+    {
+        std::uint64_t offered = 0;
+        std::uint64_t accepted = 0;
+        std::uint64_t backpressure = 0;
+    };
+    Increments takeIncrements() { return std::exchange(added_, {}); }
 
     /** True once a quarantined board had no healthy twin to resync
      *  from — the session layer must evict this session. */
@@ -152,6 +168,7 @@ class StreamIngest
     std::uint64_t overflowDrops_ = 0;
     std::uint64_t feedLines_ = 0;
     std::uint64_t resyncs_ = 0;
+    Increments added_;
     bool evictRequested_ = false;
 
     ies::ExperimentFleet fleet_;

@@ -6,6 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/logging.hh"
+#include "common/units.hh"
+
 namespace memories::service
 {
 
@@ -167,20 +170,15 @@ LineChannel::readReply()
     } else {
         return std::nullopt;
     }
-    const std::string count = head.substr(off);
-    if (count.empty() ||
-        count.find_first_not_of("0123456789") != std::string::npos)
-        return std::nullopt;
-    unsigned long long n;
+    std::uint64_t n = 0;
     try {
-        n = std::stoull(count);
-    } catch (const std::exception &) {
-        return std::nullopt; // out-of-range count is garbage framing
+        n = parseUnsigned(std::string_view(head).substr(off),
+                          "reply line count", maxLineBytes);
+    } catch (const FatalError &) {
+        return std::nullopt; // garbage framing
     }
-    if (n > maxLineBytes)
-        return std::nullopt;
     reply.lines.reserve(n);
-    for (unsigned long long i = 0; i < n; ++i) {
+    for (std::uint64_t i = 0; i < n; ++i) {
         std::string line;
         if (!readLine(line))
             return std::nullopt;

@@ -1,14 +1,13 @@
 #include "trace/chrometrace.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
 
 #include "bus/busop.hh"
-#include "common/logging.hh"
+#include "checkpoint/io.hh"
 #include "protocol/state.hh"
 
 namespace memories::trace
@@ -310,12 +309,8 @@ writeChromeTraceFile(const std::vector<LifecycleEvent> &events,
                      const std::string &path,
                      const FlightRecorder *labels)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot create chrome trace file '", path, "'");
-    writeChromeTrace(events, os, labels);
-    if (!os)
-        fatal("failed writing chrome trace file '", path, "'");
+    const std::string json = chromeTraceToString(events, labels);
+    ckpt::atomicWriteFile(path, json.data(), json.size());
 }
 
 std::string

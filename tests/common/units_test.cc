@@ -31,6 +31,49 @@ TEST(UnitsTest, RejectsGarbage)
     EXPECT_THROW(parseByteSize("12XB"), FatalError);
 }
 
+TEST(UnitsTest, RejectsSizesBeyond64Bits)
+{
+    EXPECT_EQ(parseByteSize("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseByteSize("17592186044415MB"), 17592186044415ull * MiB);
+    EXPECT_THROW(parseByteSize("18446744073711648768"), FatalError);
+    EXPECT_THROW(parseByteSize("17592186044416MB"), FatalError);
+    EXPECT_THROW(parseByteSize("17179869184GB"), FatalError);
+}
+
+TEST(UnitsTest, ParseUnsignedTakesDecimalDigitsUpToTheMax)
+{
+    EXPECT_EQ(parseUnsigned("0", "n"), 0u);
+    EXPECT_EQ(parseUnsigned("007", "n"), 7u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615", "n"), UINT64_MAX);
+    EXPECT_EQ(parseUnsigned("255", "n", 255), 255u);
+    for (const char *bad : {"", "+1", "-1", " 1", "1 ", "1x", "0x10",
+                            "18446744073709551616"})
+        EXPECT_THROW(parseUnsigned(bad, "n"), FatalError) << bad;
+    try {
+        parseUnsigned("256", "CPU id", 255);
+        FAIL() << "256 does not fit a CPU id";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "CPU id '256' is out of range (max 255)");
+    }
+}
+
+TEST(UnitsTest, ParseUnsignedBaseZeroReadsLikeC)
+{
+    constexpr std::uint64_t any = UINT64_MAX;
+    EXPECT_EQ(parseUnsigned("0x1f", "n", any, 0), 0x1fu);
+    EXPECT_EQ(parseUnsigned("0X1F", "n", any, 0), 0x1fu);
+    EXPECT_EQ(parseUnsigned("010", "n", any, 0), 8u);
+    EXPECT_EQ(parseUnsigned("0", "n", any, 0), 0u);
+    EXPECT_EQ(parseUnsigned("19", "n", any, 0), 19u);
+    EXPECT_EQ(parseUnsigned("0xffffffffffffffff", "n", any, 0), any);
+    for (const char *bad : {"0x", "08", "0x10zz", "1a", "zz",
+                            "0x10000000000000000"})
+        EXPECT_THROW(parseUnsigned(bad, "n", any, 0), FatalError) << bad;
+    EXPECT_THROW(parseUnsigned("0x100000000", "n", UINT32_MAX, 0),
+                 FatalError);
+}
+
 TEST(UnitsTest, FormatPicksLargestExactUnit)
 {
     EXPECT_EQ(formatByteSize(8 * GiB), "8GB");

@@ -114,8 +114,6 @@ TEST(BoardFaultTest, SlotLossLosesCommittedTenureWithoutPanic)
     const auto report = BoardReport::capture(board);
     EXPECT_EQ(report.lostInflight, 1u);
     EXPECT_NE(report.toCsv().find("lost_inflight"), std::string::npos);
-    EXPECT_NE(report.toText().find("lost in flight"),
-              std::string::npos);
 }
 
 TEST(BoardFaultTest, RetirementStallDefersRetirement)
@@ -213,7 +211,7 @@ TEST(BoardFaultTest, OverflowStormsDegradeThenQuarantine)
     const auto report = BoardReport::capture(board);
     EXPECT_EQ(report.healthState, "quarantined");
     EXPECT_EQ(report.shed, 3u);
-    EXPECT_NE(report.toText().find("quarantined"), std::string::npos);
+    EXPECT_NE(board.dumpStats().find("quarantined"), std::string::npos);
 }
 
 /** (addr, arg0, anomaly kind) of every BufferOverflow event. */

@@ -63,7 +63,6 @@ struct RunResult
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::string boardCsv;
-    std::string boardText;
     std::string chromeJson;
 };
 
@@ -90,7 +89,6 @@ runBoard(bool with_null_injector)
         r.counters.emplace_back(std::string(s.name), s.value);
     const auto report = BoardReport::capture(board);
     r.boardCsv = report.toCsv();
-    r.boardText = report.toText();
     r.chromeJson = trace::chromeTraceToString(recorder.snapshot(),
                                               &recorder);
     return r;
@@ -108,7 +106,6 @@ TEST(NullEquivalenceTest, EmptyPlanBoardIsBitExactWithBareBoard)
             << bare.counters[i].first;
     }
     EXPECT_EQ(bare.boardCsv, nulled.boardCsv);
-    EXPECT_EQ(bare.boardText, nulled.boardText);
     EXPECT_EQ(bare.chromeJson, nulled.chromeJson);
 }
 

@@ -81,24 +81,6 @@ TEST(AnalysisTest, CsvHasHeaderAndRows)
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
-TEST(AnalysisTest, TextReportMentionsNodes)
-{
-    bus::Bus6xx bus;
-    MemoriesBoard board(makeUniformBoard(1, 8, cacheOf(2)));
-    board.plugInto(bus);
-    const auto text = BoardReport::capture(board).toText();
-    EXPECT_NE(text.find("miss-ratio"), std::string::npos);
-}
-
-TEST(AnalysisTest, CountersToCsv)
-{
-    CounterBank bank;
-    bank.bump(bank.add("a.b"), 7);
-    const auto csv = countersToCsv(bank);
-    EXPECT_NE(csv.find("counter,value"), std::string::npos);
-    EXPECT_NE(csv.find("a.b,7"), std::string::npos);
-}
-
 TEST(AnalysisTest, L3SpeedupEstimateMatchesCaseStudy3)
 {
     // Paper: "performance improves from 2-25% for these applications".

@@ -82,6 +82,26 @@ TEST(CommandMapTest, ParseRejectsGarbage)
     EXPECT_THROW(CommandMap::parse("unknown maybe\n"), FatalError);
 }
 
+TEST(CommandMapTest, MalformedOpcodesAreRejected)
+{
+    EXPECT_THROW(CommandMap::parse("map 0x10zz READ\n"), FatalError);
+    EXPECT_THROW(CommandMap::parse("map 0x100000001 RWITM\n"),
+                 FatalError);
+    EXPECT_THROW(CommandMap::parse("map zz READ\n"), FatalError);
+}
+
+TEST(CommandMapTest, OpcodesReadAsCIntegers)
+{
+    const auto cmap = CommandMap::parse("map 0x1F READ\n"
+                                        "map 010 RWITM\n"
+                                        "map 9 WB\n"
+                                        "drop 0xffffffff\n");
+    EXPECT_EQ(*cmap.translate(0x1f), bus::BusOp::Read);
+    EXPECT_EQ(*cmap.translate(8), bus::BusOp::Rwitm); // octal
+    EXPECT_EQ(*cmap.translate(9), bus::BusOp::WriteBack);
+    EXPECT_FALSE(cmap.translate(0xffffffff).has_value());
+}
+
 TEST(CommandMapTest, P6MapCoversTheBasics)
 {
     const auto cmap = makeP6BusCommandMap();

@@ -86,9 +86,20 @@ TEST(ConsoleFuzzTest, GarbageCommandsNeverEscape)
         "campaign status /definitely/not/there",
         "campaign status",
         "campaign frobnicate x",
+        // Numbers that overflow their field.
+        "node 0 cache 18446744073711648768 4 128B",
+        "node 0 cache 17592186044418MB 4 128B",
+        "node 0 cpus 256,257",
+        "throughput 4294967338",
+        "health degrade-window 4294967297",
+        "campaign start d 99999999999999999999999 1 1",
     };
-    for (const char *cmd : garbage)
-        EXPECT_NO_THROW(console.execute(cmd)) << "command: " << cmd;
+    for (const char *cmd : garbage) {
+        std::string reply;
+        EXPECT_NO_THROW(reply = console.execute(cmd)) << "command: " << cmd;
+        EXPECT_NE(reply.rfind("error: internal:", 0), 0u)
+            << "command: " << cmd << " -> " << reply;
+    }
 }
 
 TEST(ConsoleFuzzTest, RandomTokenSoupIsHandled)

@@ -11,6 +11,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "checkpoint/io.hh"
+
 namespace memories::ies
 {
 namespace
@@ -152,6 +154,39 @@ TEST_F(ConsoleScriptTest, ExportCsvRequiresBoard)
     Console console(bus);
     EXPECT_NE(console.execute("export-csv /tmp/x.csv").find("error:"),
               std::string::npos);
+}
+
+/** Fails every atomic write before a byte lands, like a full disk. */
+struct FullDisk final : ckpt::DiskFaultShim
+{
+    ckpt::DiskFault onAtomicWrite(const std::string &) override
+    {
+        return {ckpt::DiskFaultKind::NoSpace, 0};
+    }
+};
+
+TEST_F(ConsoleScriptTest, FailedWritesLeaveTheOldFileByteIdentical)
+{
+    const auto path = writeFile("full_disk.out", "previous contents\n");
+    bus::Bus6xx bus;
+    Console console(bus);
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0");
+    ASSERT_EQ(console.execute("init").rfind("error:", 0),
+              std::string::npos);
+    ASSERT_EQ(console.execute("trace start 64").rfind("error:", 0),
+              std::string::npos);
+
+    FullDisk fullDisk;
+    ckpt::DiskFaultShim *previous = ckpt::setDiskFaultShim(&fullDisk);
+    const std::string saved = console.execute("save-protocol 0 " + path);
+    const std::string traced = console.execute("trace chrome " + path);
+    ckpt::setDiskFaultShim(previous);
+
+    EXPECT_EQ(saved.rfind("error: ", 0), 0u) << saved;
+    EXPECT_EQ(traced.rfind("error: ", 0), 0u) << traced;
+    EXPECT_EQ(readFile(path), "previous contents\n");
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <set>
 #include <vector>
 
 #include "trace/tracefile.hh"
@@ -168,6 +170,86 @@ TEST(ConsoleTest, HelpListsCommands)
     const auto help = console.execute("help");
     EXPECT_NE(help.find("init"), std::string::npos);
     EXPECT_NE(help.find("stats"), std::string::npos);
+}
+
+TEST(ConsoleTest, HelpNamesEveryCommandItDispatches)
+{
+    bus::Bus6xx bus;
+    Console console(bus);
+    console.registerCommand("echo", [](Console &, std::string_view) {
+        return std::string("echoed");
+    });
+    const std::vector<std::string> words =
+        splitWords(console.execute("help"));
+    ASSERT_FALSE(words.empty());
+    EXPECT_EQ(words[0], "commands:");
+    const std::set<std::string> listed(words.begin() + 1, words.end());
+
+    // Every family the console dispatches is listed...
+    for (const char *name :
+         {"node", "buffer", "throughput", "capture", "init", "stats",
+          "counters", "clear", "reset", "dump-trace", "save-state",
+          "load-state", "ckpt", "monitor", "trace", "prof",
+          "save-protocol", "export-csv", "fault", "health", "script",
+          "shutdown", "help", "echo"})
+        EXPECT_EQ(listed.count(name), 1u) << name;
+    // ...and every listed name dispatches.
+    for (const std::string &name : listed)
+        EXPECT_EQ(console.execute(name).find("unknown command"),
+                  std::string::npos)
+            << name;
+}
+
+TEST(ConsoleTest, RecordsTheConfigLinesItAcceptsBeforeInit)
+{
+    const std::string script =
+        ::testing::TempDir() + "console_config_lines.script";
+    std::ofstream(script) << "# staged by a script\nbuffer 64\n"
+                             "throughput 42\n";
+
+    bus::Bus6xx bus;
+    Console console(bus);
+    for (const std::string &line : {
+             std::string("node 0 cache 2MB 4 128B"),
+             std::string("buffer -1"),               // error
+             std::string("node 0\tcpus 0,1\r"),
+             std::string("health"),                  // status query
+             std::string("health status"),           // status query
+             std::string("health on"),
+             std::string("health degrade-window 8"),
+             std::string("capture 64"),
+             std::string("help"),
+             "script " + script, // its lines, not the script line
+             std::string("init"),
+             std::string("stats"),
+             std::string("buffer 8"), // error after init
+         })
+        console.execute(line);
+    EXPECT_EQ(console.configLines(),
+              (std::vector<std::string>{
+                  "node 0 cache 2MB 4 128B", "node 0\tcpus 0,1\r",
+                  "health on", "health degrade-window 8", "capture 64",
+                  "buffer 64", "throughput 42"}));
+    std::remove(script.c_str());
+}
+
+TEST(ConsoleTest, NumbersThatDoNotFitAreRejected)
+{
+    bus::Bus6xx bus;
+    Console console(bus);
+    for (const char *line : {
+             "node 0 cache 18446744073711648768 4 128B",
+             "node 0 cache 17592186044418MB 4 128B",
+             "node 0 cpus 256,257",
+             "throughput 4294967338",
+             "health degrade-window 4294967297",
+         }) {
+        const std::string reply = console.execute(line);
+        EXPECT_EQ(reply.rfind("error: ", 0), 0u) << line << ": " << reply;
+        EXPECT_NE(reply.find("out of range"), std::string::npos)
+            << line << ": " << reply;
+    }
+    EXPECT_TRUE(console.configLines().empty());
 }
 
 TEST(ConsoleTest, TokensSplitOnTheSixWhitespaceCharacters)

@@ -225,6 +225,45 @@ TEST(ServiceLifecycleTest, TamperedManifestFailsClosedOnResume)
     EXPECT_TRUE(client.exec("session status").ok);
 }
 
+TEST(ServiceLifecycleTest, DaemonTotalsCountEachRecordOnce)
+{
+    // `stream reset` zeroes a session's ingest counters and `session
+    // resume` restores them; the daemon's totals must move only with
+    // records actually fed.
+    const auto raw = stream(/*seed=*/18, /*count=*/1'000);
+    TestDaemon daemon;
+    std::uint64_t accepted = 0;
+    {
+        ServiceClient client;
+        ASSERT_TRUE(client.connect(daemon.socket()));
+        configureSession(client, configScript());
+        ASSERT_TRUE(client.exec("stream pace off").ok);
+        ASSERT_TRUE(client.exec("session name totals").ok);
+        accepted = client.feedAll(raw, /*batch=*/256).accepted;
+        ASSERT_GT(accepted, 0u);
+        EXPECT_EQ(daemon.get().refsAccepted(), accepted);
+
+        ASSERT_TRUE(client.exec("stream reset").ok);
+        EXPECT_EQ(daemon.get().refsAccepted(), accepted)
+            << "stream reset moved the daemon's total";
+
+        client.setChainCycle(0);
+        accepted += client.feedAll(raw, /*batch=*/256).accepted;
+        EXPECT_EQ(daemon.get().refsAccepted(), accepted);
+        ASSERT_TRUE(client.exec("session suspend").ok);
+    }
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    ASSERT_TRUE(client.exec("session resume totals").ok);
+    EXPECT_EQ(daemon.get().refsAccepted(), accepted)
+        << "session resume moved the daemon's total";
+    const auto status = client.exec("server status");
+    EXPECT_NE(status.text().find("refs offered 2000 accepted " +
+                                 std::to_string(accepted)),
+              std::string::npos)
+        << status.text();
+}
+
 TEST(ServiceLifecycleTest, TwinFleetTracksTheMainBoard)
 {
     const auto raw = stream(/*seed=*/15, /*count=*/6'000);

@@ -83,6 +83,12 @@ TEST(ServiceProtocolFuzzTest, GarbageRequestsAlwaysGetFramedReplies)
         "buffer 99999999999999999999999",
         "throughput 99999999999999999999999",
         "prof start 99999999999999999999999",
+        "node 0 cache 18446744073711648768 4 128B",
+        "node 0 cache 17592186044418MB 4 128B",
+        "node 0 cpus 256,257",
+        "throughput 4294967338",
+        "health degrade-window 4294967297",
+        "campaign start d 99999999999999999999999 1 1",
         "session",
         "session name",
         "session name ../escape",
@@ -104,6 +110,8 @@ TEST(ServiceProtocolFuzzTest, GarbageRequestsAlwaysGetFramedReplies)
         if (!reply.ok) {
             EXPECT_FALSE(reply.lines.empty()) << "cmd: " << cmd;
         }
+        EXPECT_NE(reply.text().rfind("error: internal:", 0), 0u)
+            << "cmd: " << cmd << " -> " << reply.text();
     }
     EXPECT_TRUE(client.exec("session status").ok);
 }
