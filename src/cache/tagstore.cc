@@ -1,6 +1,7 @@
 #include "cache/tagstore.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -288,24 +289,21 @@ TagStore::saveState(ckpt::Sink &sink) const
     }
 }
 
-TagStore::State
-TagStore::decodeState(ckpt::Source &source) const
+void
+TagStore::loadState(ckpt::Source &source)
 {
-    State state;
-
     const std::uint64_t words = source.u64();
     if (words != numSets_ * stride_) {
         fatal(source.context(), ": directory holds ", words,
               " frame words but this geometry needs ", numSets_ * stride_);
     }
-    state.frames.reserve(words);
     for (std::uint64_t i = 0; i < words; ++i)
-        state.frames.push_back(source.u64());
+        frames_[i] = source.u64();
     // Tag|state words must fit the 56-bit packed tag discipline; the
     // stamp words are unconstrained.
     for (std::uint64_t s = 0; s < numSets_; ++s) {
         for (unsigned w = 0; w < assoc_; ++w) {
-            const std::uint64_t ts = state.frames[s * stride_ + w];
+            const std::uint64_t ts = setBlock(s)[w];
             if (stateOf(ts) != invalidState && setIndex(tagOf(ts)) != s) {
                 fatal(source.context(), ": line 0x", tagOf(ts),
                       " stored in set ", s, " does not map there");
@@ -318,41 +316,26 @@ TagStore::decodeState(ckpt::Source &source) const
         fatal(source.context(), ": ", plruCount,
               " PLRU entries but this store has ", plruBits_.size());
     }
-    state.plru.reserve(plruCount);
-    for (std::uint64_t i = 0; i < plruCount; ++i)
-        state.plru.push_back(source.u8());
+    for (std::uint8_t &bits : plruBits_)
+        bits = source.u8();
 
     const std::uint64_t rngCount = source.u64();
     if (rngCount != rngs_.size()) {
         fatal(source.context(), ": ", rngCount,
               " replacement RNG streams but this store has ", rngs_.size());
     }
-    state.rngWords.reserve(rngCount * 4);
-    for (std::uint64_t i = 0; i < rngCount; ++i) {
+    for (std::size_t i = 0; i < rngs_.size(); ++i) {
+        std::array<std::uint64_t, 4> state{};
         std::uint64_t ored = 0;
-        for (unsigned w = 0; w < 4; ++w) {
-            const std::uint64_t v = source.u64();
-            ored |= v;
-            state.rngWords.push_back(v);
+        for (std::uint64_t &w : state) {
+            w = source.u64();
+            ored |= w;
         }
         if (ored == 0) {
             fatal(source.context(), ": set ", i,
                   " RNG stream is the invalid all-zero state");
         }
-    }
-    return state;
-}
-
-void
-TagStore::restoreState(const State &state)
-{
-    std::copy(state.frames.begin(), state.frames.end(), frames_);
-    std::copy(state.plru.begin(), state.plru.end(), plruBits_.begin());
-    for (std::size_t i = 0; i < rngs_.size(); ++i) {
-        rngs_[i].setState({state.rngWords[i * 4 + 0],
-                           state.rngWords[i * 4 + 1],
-                           state.rngWords[i * 4 + 2],
-                           state.rngWords[i * 4 + 3]});
+        rngs_[i].setState(state);
     }
 }
 

@@ -82,6 +82,15 @@ class TagStore
      */
     explicit TagStore(const CacheConfig &config, std::uint64_t seed = 1);
 
+    /**
+     * Movable but not copyable: frames_ points into slab_, so a copy
+     * would share the source's frames. A move takes the slab whole.
+     */
+    TagStore(const TagStore &) = delete;
+    TagStore &operator=(const TagStore &) = delete;
+    TagStore(TagStore &&) = default;
+    TagStore &operator=(TagStore &&) = default;
+
     /** Line-aligned address of @p addr under this geometry. */
     Addr lineAlign(Addr addr) const { return addr & ~(lineSize_ - 1); }
 
@@ -150,27 +159,15 @@ class TagStore
      */
     void saveState(ckpt::Sink &sink) const;
 
-    /** Decoded-but-unapplied directory state (see decodeState). */
-    struct State
-    {
-        std::vector<std::uint64_t> frames;   //!< numSets * stride words
-        std::vector<std::uint8_t> plru;      //!< per-set PLRU bits
-        std::vector<std::uint64_t> rngWords; //!< 4 words per set Rng
-    };
-
     /**
-     * Validate-only half of loadState: decode a saveState() payload and
-     * check it against this store's geometry without mutating anything.
-     * fatal() on any mismatch, so a caller staging a multi-component
-     * restore can guarantee the live store is untouched on failure.
+     * StateCodec: load a saveState() payload straight into this store.
+     * fatal() when it does not fit this geometry, a line sits in a set
+     * it does not map to, or an RNG stream is all zero. A throw can
+     * leave the store half-loaded, so a restore loads into a freshly
+     * built store and keeps it only once everything loaded
+     * (MemoriesBoard::loadState).
      */
-    State decodeState(ckpt::Source &source) const;
-
-    /** Apply a state staged by decodeState(). */
-    void restoreState(const State &state);
-
-    /** StateCodec: decodeState + restoreState in one step. */
-    void loadState(ckpt::Source &source) { restoreState(decodeState(source)); }
+    void loadState(ckpt::Source &source);
 
     const CacheConfig &config() const { return config_; }
 

@@ -15,8 +15,11 @@
  *  - *Fail closed.* Source throws (fatal()) on any truncated or
  *    malformed read, tagged with a caller-supplied context string, so
  *    a bad checkpoint produces a diagnostic instead of a corrupt
- *    board. Components decode into staging values and validate before
- *    mutating any live state.
+ *    board. The board stages and components load: each component's
+ *    loadState decodes straight into the object and may leave it
+ *    half-written when it throws, so MemoriesBoard::loadState and
+ *    resyncFrom load every section into a staged object and move the
+ *    staged objects into the live ones only once all of them loaded.
  *  - *Explicitly sized.* Every variable-length field is preceded by
  *    its count; nothing is inferred from stream position.
  *  - *Header-only.* Sink/Source are fully inline so low-level modules

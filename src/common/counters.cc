@@ -68,33 +68,22 @@ CounterBank::saveState(ckpt::Sink &sink) const
     snapshot([&](const CounterSample &s) { sink.u64(s.value); });
 }
 
-std::vector<std::uint64_t>
-CounterBank::decodeState(ckpt::Source &source) const
+void
+CounterBank::loadState(ckpt::Source &source)
 {
     const std::uint64_t count = source.u64();
     if (count != counters_.size()) {
         fatal(source.context(), ": holds ", count,
               " counters but this bank has ", counters_.size());
     }
-    std::vector<std::uint64_t> values;
-    values.reserve(counters_.size());
     for (std::size_t i = 0; i < counters_.size(); ++i) {
         const std::uint64_t v = source.u64();
         if (v > Counter40::mask) {
             fatal(source.context(), ": counter '", names_[i],
                   "' value ", v, " exceeds the 40-bit width");
         }
-        values.push_back(v);
-    }
-    return values;
-}
-
-void
-CounterBank::restoreState(const std::vector<std::uint64_t> &values)
-{
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
         counters_[i].clear();
-        counters_[i].add(values[i]);
+        counters_[i].add(v);
     }
 }
 

@@ -143,25 +143,13 @@ class CounterBank
     void saveState(ckpt::Sink &sink) const;
 
     /**
-     * StateCodec: restore a bank saved by saveState(). Fails closed —
-     * fatal() without touching any counter when the stored count does
-     * not match size() or a value exceeds the 40-bit width.
+     * StateCodec: load a bank saved by saveState() straight into this
+     * one. fatal() when the stored count does not match size() or a
+     * value exceeds the 40-bit width. A throw can leave the bank
+     * half-loaded, so a restore loads into a staged copy and keeps it
+     * only once everything loaded (MemoriesBoard::loadState).
      */
-    void loadState(ckpt::Source &source)
-    {
-        restoreState(decodeState(source));
-    }
-
-    /**
-     * Validate-only half of loadState: decode and bounds-check the
-     * value array without touching this bank. Containers that must
-     * stay untouched on *any* section failure (MemoriesBoard) decode
-     * every component first and apply the staged values after.
-     */
-    std::vector<std::uint64_t> decodeState(ckpt::Source &source) const;
-
-    /** Apply values staged by decodeState(). */
-    void restoreState(const std::vector<std::uint64_t> &values);
+    void loadState(ckpt::Source &source);
 
   private:
     std::vector<Counter40> counters_;

@@ -106,29 +106,17 @@ HealthMonitor::saveState(ckpt::Sink &sink) const
     sink.u64(shedRemaining_);
 }
 
-HealthMonitor::State
-HealthMonitor::decodeState(ckpt::Source &source) const
+void
+HealthMonitor::loadState(ckpt::Source &source)
 {
-    State state;
     const std::uint8_t ladder = source.u8();
     if (ladder > static_cast<std::uint8_t>(HealthState::Quarantined))
         fatal(source.context(), ": unknown health state ", unsigned{ladder});
-    state.state = static_cast<HealthState>(ladder);
-    state.pressured = source.u32();
-    state.calm = source.u32();
-    state.storms = source.u32();
-    state.shedRemaining = source.u64();
-    return state;
-}
-
-void
-HealthMonitor::restoreState(const State &state)
-{
-    state_ = state.state;
-    pressured_ = state.pressured;
-    calm_ = state.calm;
-    storms_ = state.storms;
-    shedRemaining_ = state.shedRemaining;
+    state_ = static_cast<HealthState>(ladder);
+    pressured_ = source.u32();
+    calm_ = source.u32();
+    storms_ = source.u32();
+    shedRemaining_ = source.u64();
 }
 
 std::string

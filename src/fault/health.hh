@@ -153,29 +153,15 @@ class HealthMonitor
      */
     void saveState(ckpt::Sink &sink) const;
 
-    /** Decoded-but-unapplied monitor state (see decodeState). */
-    struct State
-    {
-        HealthState state = HealthState::Healthy;
-        unsigned pressured = 0;
-        unsigned calm = 0;
-        unsigned storms = 0;
-        std::uint64_t shedRemaining = 0;
-    };
-
-    /** Validate-only half of loadState; fatal() on an unknown ladder
-     *  state, no mutation. */
-    State decodeState(ckpt::Source &source) const;
-
     /**
-     * Apply a state staged by decodeState(). Sets the ladder position
-     * directly — restoring a checkpoint resumes a run rather than
-     * transitioning within one, so the transition hook does NOT fire.
+     * StateCodec: load a saveState() payload straight into this
+     * monitor; fatal() on an unknown ladder state. Sets the ladder
+     * position directly — restoring a checkpoint resumes a run rather
+     * than transitioning within one, so the transition hook does NOT
+     * fire. A throw can leave the monitor half-loaded, so a restore
+     * loads into a staged copy (MemoriesBoard::loadState).
      */
-    void restoreState(const State &state);
-
-    /** StateCodec: decodeState + restoreState in one step. */
-    void loadState(ckpt::Source &source) { restoreState(decodeState(source)); }
+    void loadState(ckpt::Source &source);
 
   private:
     void moveTo(HealthState to);

@@ -1,5 +1,6 @@
 #include "fault/injector.hh"
 
+#include <array>
 #include <sstream>
 #include <utility>
 
@@ -165,8 +166,8 @@ FaultInjector::saveState(ckpt::Sink &sink) const
     counters_.saveState(sink);
 }
 
-FaultInjector::State
-FaultInjector::decodeState(ckpt::Source &source) const
+void
+FaultInjector::loadState(ckpt::Source &source)
 {
     const std::uint64_t seed = source.u64();
     if (seed != seed_) {
@@ -179,31 +180,21 @@ FaultInjector::decodeState(ckpt::Source &source) const
               ": checkpointed fault plan differs from the attached plan — "
               "the fault schedule would not resume deterministically");
     }
-    State state;
+    std::array<std::uint64_t, 4> rng{};
     std::uint64_t ored = 0;
-    for (unsigned w = 0; w < 4; ++w) {
-        state.rng[w] = source.u64();
-        ored |= state.rng[w];
+    for (std::uint64_t &w : rng) {
+        w = source.u64();
+        ored |= w;
     }
     if (ored == 0) {
         fatal(source.context(),
               ": injector RNG stream is the invalid all-zero state");
     }
-    state.busTenures = source.u64();
-    state.streamTenures = source.u64();
-    state.commits = source.u64();
-    state.counters = counters_.decodeState(source);
-    return state;
-}
-
-void
-FaultInjector::restoreState(const State &state)
-{
-    rng_.setState(state.rng);
-    busTenures_ = state.busTenures;
-    streamTenures_ = state.streamTenures;
-    commits_ = state.commits;
-    counters_.restoreState(state.counters);
+    rng_.setState(rng);
+    busTenures_ = source.u64();
+    streamTenures_ = source.u64();
+    commits_ = source.u64();
+    counters_.loadState(source);
 }
 
 std::uint64_t

@@ -131,28 +131,15 @@ class FaultInjector final : public bus::BusSnooper
      */
     void saveState(ckpt::Sink &sink) const;
 
-    /** Decoded-but-unapplied injector state (see decodeState). */
-    struct State
-    {
-        std::array<std::uint64_t, 4> rng{};
-        std::uint64_t busTenures = 0;
-        std::uint64_t streamTenures = 0;
-        std::uint64_t commits = 0;
-        std::vector<std::uint64_t> counters;
-    };
-
     /**
-     * Validate-only half of loadState: fatal() when the saved seed or
-     * plan hash differs from this injector's (the checkpointed fault
-     * schedule would not resume deterministically), no mutation.
+     * StateCodec: load a saveState() payload straight into this
+     * injector. fatal() when the saved seed or plan hash differs from
+     * this injector's (the checkpointed fault schedule would not
+     * resume deterministically) or the RNG stream is all zero. A throw
+     * can leave the injector half-loaded, so a restore loads into a
+     * staged copy (MemoriesBoard::loadState).
      */
-    State decodeState(ckpt::Source &source) const;
-
-    /** Apply a state staged by decodeState(). */
-    void restoreState(const State &state);
-
-    /** StateCodec: decodeState + restoreState in one step. */
-    void loadState(ckpt::Source &source) { restoreState(decodeState(source)); }
+    void loadState(ckpt::Source &source);
 
   private:
     /**

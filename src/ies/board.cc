@@ -14,6 +14,23 @@
 namespace memories::ies
 {
 
+namespace
+{
+
+/** Load section @p id of @p image into @p component, which must
+ *  consume the payload exactly. */
+template <typename Component>
+void
+loadSection(const ckpt::CheckpointImage &image, std::uint32_t id,
+            Component &component)
+{
+    ckpt::Source source = image.open(id);
+    component.loadState(source);
+    source.expectEnd();
+}
+
+} // namespace
+
 MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
     : config_(config),
       buffer_(config.bufferEntries, config.sdramThroughputPercent),
@@ -170,10 +187,10 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
         fatal("resync source has ", healthy.nodes_.size(),
               " nodes but this board has ", nodes_.size());
     }
-    // Round-trip each directory through the StateCodec and stage every
-    // decoded state before touching anything, so a mismatch partway
-    // through leaves this board intact.
-    std::vector<NodeController::State> staged;
+    // Round-trip each healthy node through the StateCodec into a
+    // freshly built controller, staging every one before touching
+    // anything, so a mismatch partway through leaves this board intact.
+    std::vector<NodeController> staged;
     staged.reserve(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         if (healthy.nodes_[i]->geometrySignature() !=
@@ -181,10 +198,11 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
             fatal("resync geometry mismatch at node ", i);
         }
         ckpt::Sink sink;
-        healthy.nodes_[i]->saveDirectoryState(sink);
+        healthy.nodes_[i]->saveState(sink);
         ckpt::Source source(sink.bytes().data(), sink.size(),
                             "resync node " + std::to_string(i));
-        staged.push_back(nodes_[i]->decodeDirectoryState(source));
+        staged.emplace_back(static_cast<NodeId>(i), config_.nodes[i]);
+        staged.back().loadState(source);
         source.expectEnd();
     }
     // Buffered tenures predate the mirrored directories; retiring them
@@ -193,7 +211,7 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
     while (buffer_.drainUnpaced())
         global_.bump(hLostInflight_);
     for (std::size_t i = 0; i < nodes_.size(); ++i)
-        nodes_[i]->restoreDirectoryState(staged[i]);
+        nodes_[i]->takeDirectory(std::move(staged[i]));
     health_.resync();
 }
 
@@ -682,16 +700,19 @@ MemoriesBoard::loadState(const ckpt::CheckpointImage &image)
               "is attached; detach it before restoring");
     }
 
-    // Decode every section into staging state before mutating anything,
-    // so any failure leaves the board untouched.
+    // Load every section into a staged object before touching the
+    // live board: copies of the global bank, buffer, health monitor
+    // and injector, so their wiring (telemetry histograms, the health
+    // hook, the recorder) rides along, and a freshly built controller
+    // per node. A throw anywhere leaves the board as it was.
     ckpt::Source boardSrc = image.open(ckpt::secBoard);
     const std::uint64_t nodeCount = boardSrc.u64();
     if (nodeCount != nodes_.size()) {
         fatal(boardSrc.context(), ": checkpoint holds ", nodeCount,
               " nodes but this board has ", nodes_.size());
     }
-    const std::vector<std::uint64_t> globalValues =
-        global_.decodeState(boardSrc);
+    CounterBank global = global_;
+    global.loadState(boardSrc);
     const std::uint8_t hasPending = boardSrc.u8();
     if (hasPending > 1)
         fatal(boardSrc.context(), ": pending flag must be 0 or 1");
@@ -703,44 +724,39 @@ MemoriesBoard::loadState(const ckpt::CheckpointImage &image)
     const std::uint32_t healthTraceId = boardSrc.u32();
     boardSrc.expectEnd();
 
-    ckpt::Source bufferSrc = image.open(ckpt::secBuffer);
-    const TransactionBuffer::State bufferState =
-        buffer_.decodeState(bufferSrc);
-    bufferSrc.expectEnd();
-
-    ckpt::Source healthSrc = image.open(ckpt::secHealth);
-    const fault::HealthMonitor::State healthState =
-        health_.decodeState(healthSrc);
-    healthSrc.expectEnd();
-
-    std::optional<fault::FaultInjector::State> injectorState;
+    TransactionBuffer buffer = buffer_;
+    loadSection(image, ckpt::secBuffer, buffer);
+    fault::HealthMonitor health = health_;
+    loadSection(image, ckpt::secHealth, health);
+    std::optional<fault::FaultInjector> injector;
     if (injector_) {
-        ckpt::Source injectorSrc = image.open(ckpt::secInjector);
-        injectorState = injector_->decodeState(injectorSrc);
-        injectorSrc.expectEnd();
+        injector.emplace(*injector_);
+        loadSection(image, ckpt::secInjector, *injector);
     }
-
-    std::vector<NodeController::State> nodeStates;
-    nodeStates.reserve(nodes_.size());
+    std::vector<NodeController> nodes;
+    nodes.reserve(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        ckpt::Source nodeSrc = image.open(
-            ckpt::secNodeBase + static_cast<std::uint32_t>(i));
-        nodeStates.push_back(nodes_[i]->decodeState(nodeSrc));
-        nodeSrc.expectEnd();
+        nodes.emplace_back(static_cast<NodeId>(i), config_.nodes[i]);
+        loadSection(image, ckpt::secNodeBase + static_cast<std::uint32_t>(i),
+                    nodes.back());
     }
 
-    // Everything validated — commit the staged state.
-    global_.restoreState(globalValues);
+    // Everything loaded: move the staged objects into the live ones,
+    // which keep their addresses (callers hold node(i) and the
+    // injector).
+    global_ = std::move(global);
     pending_ = pending;
     pendingRetried_ = pendingRetried;
     healthCycle_ = healthCycle;
     healthTraceId_ = healthTraceId;
-    buffer_.restoreState(bufferState);
-    health_.restoreState(healthState);
+    buffer_ = std::move(buffer);
+    health_ = std::move(health);
     if (injector_)
-        injector_->restoreState(*injectorState);
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        nodes_[i]->restoreState(nodeStates[i]);
+        *injector_ = std::move(*injector);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        *nodes_[i] = std::move(nodes[i]);
+        nodes_[i]->setFlightRecorder(recorder_, boardId_);
+    }
 }
 
 void

@@ -204,7 +204,10 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * BoardConfig::validationErrors(fingerprint)), an injector must be
      * attached iff one was attached at save time, and every section
      * must decode cleanly — any failure is a fatal() diagnostic that
-     * leaves the board completely untouched.
+     * leaves the board completely untouched. Each section loads into
+     * a staged object, and the live components take the staged state
+     * only once every section loaded; node(i) and the attached
+     * injector keep their addresses.
      */
     void loadState(const std::string &path);
 
@@ -295,9 +298,9 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     /**
      * Recover a quarantined board by mirroring @p healthy's directories
-     * through the same StateCodec the checkpoint path uses (each node's
-     * saveDirectoryState/decodeDirectoryState/restoreDirectoryState),
-     * so the copy is exact down to recency stamps and replacement RNG
+     * through the same StateCodec the checkpoint path uses (each
+     * healthy node's saveState, loaded into a staged controller), so
+     * the copy is exact down to recency stamps and replacement RNG
      * streams. Node counts and geometries must match; fatal() before
      * anything is touched otherwise. Only the directories move:
      * counters stay (a resynced board keeps its own history, unlike a

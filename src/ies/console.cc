@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "checkpoint/file.hh"
@@ -296,13 +297,23 @@ Console::execute(std::string_view command_line)
             fatal("unknown command '", name, "'");
         // A configuring family's line before init is recorded once it
         // succeeds, except its status query (the bare name or `<name>
-        // status`), which only reads.
-        bool record = it->second.configures && !board_;
-        if (record) {
+        // status`), which only reads. A rejected one leaves the staged
+        // config as it was, so the recorded lines restage it exactly.
+        std::optional<BoardConfig> undo;
+        bool record = false;
+        if (it->second.configures && !board_) {
+            undo = staged_;
             const std::string_view sub = nextWord(rest);
             record = !sub.empty() && sub != "status";
         }
-        std::string reply = it->second.handler(*this, command_line);
+        std::string reply;
+        try {
+            reply = it->second.handler(*this, command_line);
+        } catch (...) {
+            if (undo)
+                staged_ = std::move(*undo);
+            throw;
+        }
         if (record)
             configLines_.emplace_back(command_line);
         return reply;

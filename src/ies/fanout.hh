@@ -318,18 +318,6 @@ class ExperimentFleet final : public bus::BusObserver
     }
 
     /**
-     * Recover board @p sick by mirroring board @p healthy's
-     * directories (MemoriesBoard::resyncFrom). Only meaningful between
-     * runs — both boards must be quiescent — and only bit-faithful
-     * when the two boards share a configuration.
-     */
-    void resyncBoard(std::size_t sick, std::size_t healthy)
-    {
-        requireIdle("resyncBoard");
-        boards_[sick]->resyncFrom(*boards_[healthy]);
-    }
-
-    /**
      * Checkpoint board @p i to @p path as an IESCKPT container
      * (MemoriesBoard::saveState). Only between runs: the board must be
      * quiescent so the capture is a consistent cut.

@@ -340,34 +340,6 @@ NodeController::saveState(ckpt::Sink &sink) const
 {
     sink.u64(geometrySignature());
     counters_.saveState(sink);
-    saveDirectoryState(sink);
-}
-
-NodeController::State
-NodeController::decodeState(ckpt::Source &source) const
-{
-    const std::uint64_t sig = source.u64();
-    if (sig != geometrySignature()) {
-        fatal(source.context(),
-              ": cache geometry mismatch (checkpointed node has a "
-              "different size/assoc/line/policy/sampling)");
-    }
-    State state;
-    state.counters = counters_.decodeState(source);
-    decodeDirectoryInto(state, source);
-    return state;
-}
-
-void
-NodeController::restoreState(const State &state)
-{
-    counters_.restoreState(state.counters);
-    restoreDirectoryState(state);
-}
-
-void
-NodeController::saveDirectoryState(ckpt::Sink &sink) const
-{
     sink.u64(corrupted_.size());
     for (Addr addr : corrupted_)
         sink.u64(addr);
@@ -375,33 +347,24 @@ NodeController::saveDirectoryState(ckpt::Sink &sink) const
 }
 
 void
-NodeController::decodeDirectoryInto(State &state,
-                                    ckpt::Source &source) const
+NodeController::loadState(ckpt::Source &source)
 {
+    const std::uint64_t sig = source.u64();
+    if (sig != geometrySignature()) {
+        fatal(source.context(),
+              ": cache geometry mismatch (checkpointed node has a "
+              "different size/assoc/line/policy/sampling)");
+    }
+    counters_.loadState(source);
     const std::uint64_t corruptCount = source.u64();
     if (corruptCount > directory_.config().numSets() * config_.cache.assoc) {
         fatal(source.context(), ": ", corruptCount,
               " pending parity scrubs exceed the directory size");
     }
-    state.corrupted.reserve(corruptCount);
+    corrupted_.clear();
     for (std::uint64_t i = 0; i < corruptCount; ++i)
-        state.corrupted.push_back(source.u64());
-    state.directory = directory_.decodeState(source);
-}
-
-NodeController::State
-NodeController::decodeDirectoryState(ckpt::Source &source) const
-{
-    State state;
-    decodeDirectoryInto(state, source);
-    return state;
-}
-
-void
-NodeController::restoreDirectoryState(const State &state)
-{
-    corrupted_ = state.corrupted;
-    directory_.restoreState(state.directory);
+        corrupted_.push_back(source.u64());
+    directory_.loadState(source);
 }
 
 } // namespace memories::ies

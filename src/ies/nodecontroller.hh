@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,30 +147,16 @@ class NodeController
     unsigned samplingShift() const { return config_.setSamplingShift; }
 
     /**
-     * Visit every valid directory line as (lineAddr, state) — the
-     * canonical directory traversal. Observational consumers (the
-     * differential oracle, directorySnapshot) are built on it; exact
-     * state capture goes through the StateCodec (saveState), which
-     * additionally carries replacement metadata this visitor cannot
-     * express.
-     */
-    void exportDirectory(
-        const std::function<void(Addr, cache::LineStateRaw)> &fn) const
-    {
-        directory_.forEachValid(fn);
-    }
-
-    /**
-     * Compatibility shim over exportDirectory(): directory contents as
-     * (line address, state) pairs sorted by address, the materialized
-     * form the differential oracle compares. Prefer exportDirectory()
-     * in new code.
+     * Directory contents as (line address, state) pairs sorted by
+     * address: the form the differential oracle compares. Exact state
+     * capture goes through the StateCodec (saveState), which also
+     * carries the replacement metadata this view cannot express.
      */
     std::vector<std::pair<Addr, cache::LineStateRaw>>
     directorySnapshot() const
     {
         std::vector<std::pair<Addr, cache::LineStateRaw>> lines;
-        exportDirectory([&](Addr addr, cache::LineStateRaw s) {
+        directory_.forEachValid([&](Addr addr, cache::LineStateRaw s) {
             lines.emplace_back(addr, s);
         });
         std::sort(lines.begin(), lines.end());
@@ -189,34 +174,26 @@ class NodeController
      */
     void saveState(ckpt::Sink &sink) const;
 
-    /** Decoded-but-unapplied node state (see decodeState). */
-    struct State
+    /**
+     * StateCodec: load a saveState() payload straight into this node.
+     * fatal() when the saved geometry signature does not match this
+     * node's or any part fails to decode. A throw can leave the node
+     * half-loaded, so a restore loads into a freshly built node and
+     * keeps it only once everything loaded (MemoriesBoard::loadState).
+     */
+    void loadState(ckpt::Source &source);
+
+    /**
+     * Take @p from's directory and pending parity scrubs, keeping this
+     * node's counters: the commit step of MemoriesBoard::resyncFrom,
+     * after @p from loaded a healthy board's node state. Geometries
+     * must match (the caller checks geometrySignature()).
+     */
+    void takeDirectory(NodeController &&from)
     {
-        std::vector<std::uint64_t> counters;
-        std::vector<Addr> corrupted;
-        cache::TagStore::State directory;
-    };
-
-    /**
-     * Validate-only half of loadState: fatal() when the saved geometry
-     * signature does not match this node's, no mutation.
-     */
-    State decodeState(ckpt::Source &source) const;
-
-    /** Apply a state staged by decodeState(). */
-    void restoreState(const State &state);
-
-    /** StateCodec: decodeState + restoreState in one step. */
-    void loadState(ckpt::Source &source) { restoreState(decodeState(source)); }
-
-    /**
-     * Directory-only codec half for the resync path: like saveState /
-     * decodeState but without the counter bank (a resynced board keeps
-     * its own counters; a restored board gets the saved ones).
-     */
-    void saveDirectoryState(ckpt::Sink &sink) const;
-    State decodeDirectoryState(ckpt::Source &source) const;
-    void restoreDirectoryState(const State &state);
+        directory_ = std::move(from.directory_);
+        corrupted_ = std::move(from.corrupted_);
+    }
 
     /** References that fell outside the sampled sets. */
     std::uint64_t unsampledRefs() const
@@ -239,9 +216,6 @@ class NodeController
     }
 
   private:
-    /** Shared decode body of decodeState/decodeDirectoryState. */
-    void decodeDirectoryInto(State &state, ckpt::Source &source) const;
-
     /** True when @p addr falls in a tracked (sampled) set. */
     bool inSample(Addr addr) const;
 

@@ -160,54 +160,36 @@ TransactionBuffer::saveState(ckpt::Sink &sink) const
     sink.u64(retired_);
 }
 
-TransactionBuffer::State
-TransactionBuffer::decodeState(ckpt::Source &source) const
+void
+TransactionBuffer::loadState(ckpt::Source &source)
 {
-    State state;
     const std::uint64_t count = source.u64();
     if (count > capacity_) {
         fatal(source.context(), ": ", count,
               " in-flight entries exceed this buffer's capacity of ",
               capacity_);
     }
-    state.entries.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i)
-        state.entries.push_back(bus::decodeTransaction(source));
-    state.lastEarnCycle = source.u64();
-    state.stallUntil = source.u64();
-    state.slotLossSlots = source.u64();
-    state.slotLossUntil = source.u64();
-    state.credits = source.u64();
+    head_ = 0;
+    count_ = static_cast<std::size_t>(count);
+    for (std::size_t i = 0; i < count_; ++i)
+        ring_[i] = bus::decodeTransaction(source);
+    lastEarnCycle_ = source.u64();
+    stallUntil_ = source.u64();
+    slotLossSlots_ = source.u64();
+    slotLossUntil_ = source.u64();
+    credits_ = source.u64();
     const std::uint64_t cap = static_cast<std::uint64_t>(capacity_) * 100;
-    if (state.credits > cap) {
-        fatal(source.context(), ": ", state.credits,
+    if (credits_ > cap) {
+        fatal(source.context(), ": ", credits_,
               " banked credits exceed the earning cap of ", cap);
     }
-    state.highWater = source.u64();
-    if (state.highWater > capacity_) {
-        fatal(source.context(), ": high-water mark ", state.highWater,
+    highWater_ = source.u64();
+    if (highWater_ > capacity_) {
+        fatal(source.context(), ": high-water mark ", highWater_,
               " exceeds capacity ", capacity_);
     }
-    state.rejected = source.u64();
-    state.retired = source.u64();
-    return state;
-}
-
-void
-TransactionBuffer::restoreState(const State &state)
-{
-    head_ = 0;
-    count_ = state.entries.size();
-    for (std::size_t i = 0; i < count_; ++i)
-        ring_[i] = state.entries[i];
-    lastEarnCycle_ = state.lastEarnCycle;
-    stallUntil_ = state.stallUntil;
-    slotLossSlots_ = state.slotLossSlots;
-    slotLossUntil_ = state.slotLossUntil;
-    credits_ = state.credits;
-    highWater_ = state.highWater;
-    rejected_ = state.rejected;
-    retired_ = state.retired;
+    rejected_ = source.u64();
+    retired_ = source.u64();
 }
 
 } // namespace memories::ies

@@ -153,33 +153,14 @@ class TransactionBuffer
      */
     void saveState(ckpt::Sink &sink) const;
 
-    /** Decoded-but-unapplied buffer state (see decodeState). */
-    struct State
-    {
-        std::vector<bus::BusTransaction> entries; //!< FIFO order
-        Cycle lastEarnCycle = 0;
-        Cycle stallUntil = 0;
-        std::uint64_t slotLossSlots = 0;
-        Cycle slotLossUntil = 0;
-        std::uint64_t credits = 0;
-        std::uint64_t highWater = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t retired = 0;
-    };
-
     /**
-     * Validate-only half of loadState: decode a saveState() payload
-     * against this buffer's capacity without mutating anything;
-     * fatal() on occupancy overflow, unknown bus ops, or credits
-     * beyond the earning cap.
+     * StateCodec: load a saveState() payload straight into this
+     * buffer. fatal() on occupancy overflow, unknown bus ops, credits
+     * beyond the earning cap or a high-water mark beyond capacity. A
+     * throw can leave the buffer half-loaded, so a restore loads into
+     * a staged copy (MemoriesBoard::loadState).
      */
-    State decodeState(ckpt::Source &source) const;
-
-    /** Apply a state staged by decodeState(). */
-    void restoreState(const State &state);
-
-    /** StateCodec: decodeState + restoreState in one step. */
-    void loadState(ckpt::Source &source) { restoreState(decodeState(source)); }
+    void loadState(ckpt::Source &source);
 
   private:
     /**

@@ -84,23 +84,32 @@ StreamIngest::feedAttempted(ies::Console &console,
     // Health ladder: a quarantined board is pulled back from the first
     // healthy same-fingerprint twin; with no twin the session is done.
     if (board.healthState() == fault::HealthState::Quarantined) {
-        const std::uint64_t want = board.config().fingerprint();
-        for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
-            ies::MemoriesBoard &twin = fleet_.board(i);
-            if (twin.healthState() == fault::HealthState::Healthy &&
-                twin.config().fingerprint() == want) {
-                board.resyncFrom(twin);
-                ++resyncs_;
-                notes += "\nresynced from twin " + std::to_string(i) +
-                         " '" + fleet_.label(i) + "'";
-                return accepted;
-            }
+        const std::string note = resyncFromTwin(board);
+        if (note.empty()) {
+            evictRequested_ = true;
+            fatal("quarantined: no healthy twin to resync from; "
+                  "session must be evicted");
         }
-        evictRequested_ = true;
-        fatal("quarantined: no healthy twin to resync from; "
-              "session must be evicted");
+        notes += "\n" + note;
     }
     return accepted;
+}
+
+std::string
+StreamIngest::resyncFromTwin(ies::MemoriesBoard &board)
+{
+    const std::uint64_t want = board.config().fingerprint();
+    for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
+        ies::MemoriesBoard &twin = fleet_.board(i);
+        if (twin.healthState() == fault::HealthState::Healthy &&
+            twin.config().fingerprint() == want) {
+            board.resyncFrom(twin);
+            ++resyncs_;
+            return "resynced from twin " + std::to_string(i) + " '" +
+                   fleet_.label(i) + "'";
+        }
+    }
+    return "";
 }
 
 std::string
@@ -284,19 +293,11 @@ StreamIngest::handleFleet(ies::Console &console,
         return fleet_.board(i).dumpStats();
     }
     if (sub == "resync") {
-        ies::MemoriesBoard &board = requireBoard(console, "fleet resync");
-        const std::uint64_t want = board.config().fingerprint();
-        for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
-            ies::MemoriesBoard &twin = fleet_.board(i);
-            if (twin.healthState() == fault::HealthState::Healthy &&
-                twin.config().fingerprint() == want) {
-                board.resyncFrom(twin);
-                ++resyncs_;
-                return "resynced from twin " + std::to_string(i) + " '" +
-                       fleet_.label(i) + "'";
-            }
-        }
-        fatal("no healthy same-fingerprint twin to resync from");
+        const std::string note =
+            resyncFromTwin(requireBoard(console, "fleet resync"));
+        if (note.empty())
+            fatal("no healthy same-fingerprint twin to resync from");
+        return note;
     }
     fatal("usage: fleet [add [label] [seed]|list|counters <i>|resync]");
 }

@@ -152,6 +152,13 @@ class StreamIngest
                             const std::vector<std::string> &tokens);
     std::string replayFile(ies::Console &console, const std::string &path);
 
+    /**
+     * Resync @p board from the first healthy twin with its config
+     * fingerprint. @return the reply note ("resynced from twin ..."),
+     * or an empty string when no twin qualifies.
+     */
+    std::string resyncFromTwin(ies::MemoriesBoard &board);
+
     /** Feed @p txns to the board and twins; handles the health ladder.
      *  @return board-accepted count. */
     std::size_t feedAttempted(ies::Console &console,

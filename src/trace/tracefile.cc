@@ -9,7 +9,34 @@ namespace memories::trace
 
 namespace
 {
+
 constexpr std::size_t ioChunkRecords = 1 << 16;
+
+/**
+ * fatal() unless @p file, positioned just past its header, holds the
+ * @p count items of @p item_bytes each that the header declares. A
+ * longer file stays readable: the writers append items before they
+ * rewrite the header.
+ */
+void
+requireDeclared(std::FILE *file, std::uint64_t count,
+                std::uint64_t item_bytes, const std::string &what,
+                const char *items)
+{
+    const long start = std::ftell(file);
+    if (start < 0 || std::fseek(file, 0, SEEK_END) != 0)
+        fatal("cannot size ", what);
+    const long end = std::ftell(file);
+    if (end < start || std::fseek(file, start, SEEK_SET) != 0)
+        fatal("cannot size ", what);
+    const std::uint64_t held =
+        static_cast<std::uint64_t>(end - start) / item_bytes;
+    if (held < count) {
+        fatal(what, " is truncated: its header declares ", count, " ",
+              items, " but it holds ", held);
+    }
+}
+
 } // namespace
 
 TraceWriter::TraceWriter(const std::string &path)
@@ -96,6 +123,8 @@ TraceReader::TraceReader(const std::string &path)
         if (std::fread(&dropped_, sizeof(dropped_), 1, file_.get()) != 1)
             fatal("trace file '", path, "' is truncated");
     }
+    requireDeclared(file_.get(), count_, sizeof(std::uint64_t),
+                    "trace file '" + path + "'", "records");
     buffer_.reserve(ioChunkRecords);
 }
 
@@ -270,6 +299,9 @@ LifecycleReader::LifecycleReader(const std::string &path)
         fatal("lifecycle dump '", path, "' has unsupported version ",
               header[1]);
     count_ = header[2];
+    requireDeclared(file_.get(), count_,
+                    lifecycleWords * sizeof(std::uint64_t),
+                    "lifecycle dump '" + path + "'", "events");
 }
 
 LifecycleReader::~LifecycleReader() = default;

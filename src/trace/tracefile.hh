@@ -93,7 +93,10 @@ class TraceWriter
 class TraceReader
 {
   public:
-    /** Open @p path; fatal() on missing file or bad magic/version. */
+    /**
+     * Open @p path; fatal() on a missing file, bad magic/version, or
+     * fewer records than the header declares.
+     */
     explicit TraceReader(const std::string &path);
 
     ~TraceReader();
@@ -199,7 +202,10 @@ class LifecycleWriter
 class LifecycleReader
 {
   public:
-    /** Open @p path; fatal() on missing file or bad magic/version. */
+    /**
+     * Open @p path; fatal() on a missing file, bad magic/version, or
+     * fewer events than the header declares.
+     */
     explicit LifecycleReader(const std::string &path);
 
     ~LifecycleReader();

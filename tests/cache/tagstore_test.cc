@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
+#include <utility>
 
 #include "common/random.hh"
 
@@ -188,6 +190,19 @@ TEST(TagStoreTest, OccupancyNeverExceedsCapacity)
     for (int i = 0; i < 10000; ++i)
         ts.allocate(rng.nextBounded(1 << 20) * 128, 1);
     EXPECT_LE(ts.occupancy(), ts.config().numLines());
+}
+
+TEST(TagStoreTest, MovesButNeverCopies)
+{
+    // The frame view points into the slab: a copy would share the
+    // source's frames, so only moves exist, and a move keeps the lines.
+    EXPECT_FALSE(std::is_copy_constructible_v<TagStore>);
+    EXPECT_FALSE(std::is_copy_assignable_v<TagStore>);
+    TagStore ts(smallConfig());
+    ts.allocate(0x1000, 1);
+    TagStore moved(std::move(ts));
+    EXPECT_TRUE(moved.probe(0x1000).hit);
+    EXPECT_FALSE(moved.probe(0x2000).hit);
 }
 
 /** Property sweep: working set <= capacity never misses after warmup. */

@@ -47,11 +47,11 @@ txn(Addr addr, bus::BusOp op, CpuId cpu, Cycle cycle = 0)
 
 /** Feed a deterministic warm-up stream so every section has state. */
 void
-warmUp(MemoriesBoard &board, std::uint64_t seed = 11)
+warmUp(MemoriesBoard &board, std::uint64_t seed = 11, int tenures = 4000)
 {
     Rng rng(seed);
     Cycle cycle = 0;
-    for (int i = 0; i < 4000; ++i) {
+    for (int i = 0; i < tenures; ++i) {
         cycle += 3;
         board.feedCommitted(txn(rng.nextBounded(1 << 13) * 128,
                                 rng.nextBool(0.3) ? bus::BusOp::Rwitm
@@ -61,7 +61,7 @@ warmUp(MemoriesBoard &board, std::uint64_t seed = 11)
     }
 }
 
-/** Everything observable about a board, for untouched-ness checks. */
+/** Counters, directories and buffer counts, for round-trip checks. */
 struct BoardFingerprint
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -91,21 +91,52 @@ fingerprintOf(const MemoriesBoard &board)
     return fp;
 }
 
+/**
+ * Everything @p board saves, rendered to container bytes: every
+ * section, the attached injector's (RNG stream, opportunity counts,
+ * injection counters) included.
+ */
+std::vector<std::uint8_t>
+stateBytes(const MemoriesBoard &board)
+{
+    ckpt::CheckpointWriter writer;
+    board.saveState(writer);
+    return writer.bytes(board.config().fingerprint());
+}
+
 /** A warmed board's checkpoint rendered to container bytes. */
 std::vector<std::uint8_t>
 checkpointBytes(const BoardConfig &cfg)
 {
     MemoriesBoard source(cfg);
     warmUp(source);
-    ckpt::CheckpointWriter writer;
-    source.saveState(writer);
-    return writer.bytes(cfg.fingerprint());
+    return stateBytes(source);
 }
 
 /**
- * Expect that restoring @p bytes into a fresh-but-warm board throws
- * and leaves the board exactly as it was.
+ * Expect that restoring @p bytes into @p board throws and leaves every
+ * byte the board (and its injector) saves exactly as it was.
+ * @return the diagnostic.
  */
+std::string
+expectFailsClosed(MemoriesBoard &board,
+                  const std::vector<std::uint8_t> &bytes,
+                  const std::string &what)
+{
+    const std::vector<std::uint8_t> before = stateBytes(board);
+    std::string error;
+    try {
+        board.loadState(ckpt::CheckpointImage::fromBytes(bytes, what));
+        ADD_FAILURE() << what << ": restore did not throw";
+    } catch (const FatalError &e) {
+        error = e.what();
+    }
+    EXPECT_EQ(stateBytes(board), before)
+        << what << ": rejected restore mutated the board";
+    return error;
+}
+
+/** expectFailsClosed on a fresh board warmed apart from the checkpoint. */
 void
 expectFailsClosed(const BoardConfig &cfg,
                   const std::vector<std::uint8_t> &bytes,
@@ -113,17 +144,7 @@ expectFailsClosed(const BoardConfig &cfg,
 {
     MemoriesBoard board(cfg);
     warmUp(board, /*seed=*/99); // distinct state from the checkpoint
-    const BoardFingerprint before = fingerprintOf(board);
-    EXPECT_THROW(
-        {
-            const auto image =
-                ckpt::CheckpointImage::fromBytes(bytes, what);
-            board.loadState(image);
-        },
-        FatalError)
-        << what;
-    EXPECT_EQ(fingerprintOf(board), before)
-        << what << ": rejected restore mutated the board";
+    expectFailsClosed(board, bytes, what);
 }
 
 TEST(IesckptFormatTest, RoundTripThroughBytesIsExact)
@@ -214,8 +235,9 @@ TEST(IesckptFormatTest, CounterCountMismatchFailsClosed)
     small.saveState(sink);
     const auto bytes = sink.bytes();
     ckpt::Source source(bytes.data(), bytes.size(), "counter test");
-    EXPECT_THROW(big.decodeState(source), FatalError);
-    // decodeState is validate-only: the live bank kept its values.
+    EXPECT_THROW(big.loadState(source), FatalError);
+    // The count is checked before any value loads: the bank kept its
+    // values.
     EXPECT_EQ(big.valueByName("c"), 7u);
 }
 
@@ -262,11 +284,7 @@ TEST(IesckptFormatTest, InjectorPresenceMustMatch)
         fault::FaultInjector inj(plan, 5);
         board.attachFaultInjector(inj);
         warmUp(board, 99);
-        const BoardFingerprint before = fingerprintOf(board);
-        EXPECT_THROW(board.loadState(ckpt::CheckpointImage::fromBytes(
-                         without_injector, "unexpected injector")),
-                     FatalError);
-        EXPECT_EQ(fingerprintOf(board), before);
+        expectFailsClosed(board, without_injector, "unexpected injector");
     }
 
     // And the matching pair round-trips, including the injector RNG.
@@ -297,11 +315,62 @@ TEST(IesckptFormatTest, InjectorSeedMismatchFailsClosed)
     fault::FaultInjector wrong_seed(plan, 6);
     board.attachFaultInjector(wrong_seed);
     warmUp(board, 99);
-    const BoardFingerprint before = fingerprintOf(board);
-    EXPECT_THROW(board.loadState(ckpt::CheckpointImage::fromBytes(
-                     bytes, "wrong injector seed")),
-                 FatalError);
-    EXPECT_EQ(fingerprintOf(board), before);
+    expectFailsClosed(board, bytes, "wrong injector seed");
+}
+
+TEST(IesckptFormatTest, BadLastNodeSectionFailsClosed)
+{
+    // Every CRC holds and only the last section fails validation, so
+    // every other section has loaded into its staged object by then.
+    const BoardConfig cfg = makeUniformBoard(2, 4, smallCache());
+    const auto plan = fault::FaultPlan::parse("dropreply prob 0.02\n");
+    std::vector<std::uint8_t> good;
+    {
+        MemoriesBoard source(cfg);
+        fault::FaultInjector inj(plan, 5);
+        source.attachFaultInjector(inj);
+        warmUp(source);
+        good = stateBytes(source);
+    }
+
+    // Re-seal the sections with one directory word of the last node
+    // patched: set 0, way 0 now holds valid line 1, which maps to set 1.
+    const auto image = ckpt::CheckpointImage::fromBytes(good, "good");
+    const std::uint32_t last = image.sectionIds().back();
+    ASSERT_EQ(last, ckpt::secNodeBase + 1);
+    ckpt::Source node = image.open(last);
+    node.u64(); // geometry signature
+    const std::uint64_t counters = node.u64();
+    for (std::uint64_t i = 0; i < counters; ++i)
+        node.u64();
+    ASSERT_EQ(node.u64(), 0u); // no pending parity scrubs
+    node.u64();                // frame word count
+    const std::size_t frame0 = image.sectionLength(last) - node.remaining();
+    ckpt::CheckpointWriter writer;
+    for (const std::uint32_t id : image.sectionIds()) {
+        std::vector<std::uint8_t> payload(image.sectionLength(id));
+        image.open(id).raw(payload.data(), payload.size());
+        if (id == last) {
+            const std::uint64_t word = (std::uint64_t{1} << 8) | 1;
+            for (unsigned b = 0; b < 8; ++b) {
+                payload[frame0 + b] =
+                    static_cast<std::uint8_t>(word >> (8 * b));
+            }
+        }
+        writer.section(id).raw(payload.data(), payload.size());
+    }
+    const auto bad = writer.bytes(cfg.fingerprint());
+
+    MemoriesBoard board(cfg);
+    fault::FaultInjector inj(plan, 5);
+    board.attachFaultInjector(inj);
+    warmUp(board, 99, 3000); // every section differs from the checkpoint
+    const std::string error =
+        expectFailsClosed(board, bad, "bad last node section");
+    EXPECT_NE(error.find("node1"), std::string::npos) << error;
+    EXPECT_NE(error.find("stored in set 0 does not map there"),
+              std::string::npos)
+        << error;
 }
 
 TEST(IesckptFormatTest, FileRoundTripMatchesByteRoundTrip)

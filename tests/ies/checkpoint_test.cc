@@ -13,6 +13,7 @@
 #include "common/random.hh"
 #include "ies/board.hh"
 #include "ies/console.hh"
+#include "trace/lifecycle.hh"
 
 namespace memories::ies
 {
@@ -83,12 +84,42 @@ TEST_F(CheckpointTest, SaveAndRestoreRoundTripsDirectories)
     EXPECT_EQ(restored.node(0).probeState(0x0000), probe_state);
 
     // Every line of the original is present with the same state.
-    board.node(0).exportDirectory(
-        [&](Addr addr, cache::LineStateRaw state) {
-            EXPECT_EQ(static_cast<cache::LineStateRaw>(
-                          restored.node(0).probeState(addr)),
-                      state);
-        });
+    for (const auto &[addr, state] : board.node(0).directorySnapshot()) {
+        EXPECT_EQ(static_cast<cache::LineStateRaw>(
+                      restored.node(0).probeState(addr)),
+                  state);
+    }
+}
+
+TEST_F(CheckpointTest, RestoreKeepsNodesInPlaceAndRewiresRecorder)
+{
+    MemoriesBoard board(makeUniformBoard(2, 4, smallCache()));
+    for (int i = 0; i < 64; ++i)
+        board.feedCommitted(txn(i * 128, bus::BusOp::Read, i % 8));
+    board.drainAll();
+    board.saveState(path_);
+
+    MemoriesBoard restored(makeUniformBoard(2, 4, smallCache()));
+    trace::FlightRecorder recorder(1024);
+    restored.attachFlightRecorder(recorder);
+    const NodeController *node0 = &restored.node(0);
+    const NodeController *node1 = &restored.node(1);
+    restored.loadState(path_);
+    EXPECT_EQ(&restored.node(0), node0);
+    EXPECT_EQ(&restored.node(1), node1);
+    EXPECT_EQ(restored.node(0).directoryOccupancy(),
+              board.node(0).directoryOccupancy());
+
+    // The restored nodes still record into the board's recorder.
+    restored.feedCommitted(txn(0, bus::BusOp::Read, 0));
+    restored.drainAll();
+    std::size_t nodeEvents = 0;
+    for (const trace::LifecycleEvent &ev : recorder.snapshot()) {
+        if (ev.kind == trace::EventKind::CacheHit ||
+            ev.kind == trace::EventKind::CacheMiss)
+            ++nodeEvents;
+    }
+    EXPECT_GT(nodeEvents, 0u);
 }
 
 TEST_F(CheckpointTest, RestoreRejectsGeometryMismatch)

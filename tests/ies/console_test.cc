@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "trace/tracefile.hh"
@@ -231,6 +232,38 @@ TEST(ConsoleTest, RecordsTheConfigLinesItAcceptsBeforeInit)
                   "health on", "health degrade-window 8", "capture 64",
                   "buffer 64", "throughput 42"}));
     std::remove(script.c_str());
+}
+
+TEST(ConsoleTest, RejectedConfigLineLeavesTheStagedBoardAsItWas)
+{
+    // Both consoles run the staged lines; only one also runs the
+    // rejected line. After it, init and stats read the same on both.
+    const struct
+    {
+        std::vector<std::string> staged;
+        std::string rejected;
+    } cases[] = {
+        {{}, "node 5 cpus 1,x"},
+        {{"node 0 cpus 0,1"}, "node 0 cache 4MB 4 128B Bogus"},
+        {{"node 0 cpus 0,1"}, "node 0 cache 3MB 4 128B"},
+    };
+    for (const auto &c : cases) {
+        bus::Bus6xx seenBus;
+        bus::Bus6xx freshBus;
+        Console seen(seenBus);
+        Console fresh(freshBus);
+        for (const std::string &line : c.staged) {
+            seen.execute(line);
+            fresh.execute(line);
+        }
+        EXPECT_EQ(seen.execute(c.rejected).rfind("error: ", 0), 0u)
+            << c.rejected;
+        EXPECT_EQ(seen.configLines(), fresh.configLines()) << c.rejected;
+        EXPECT_EQ(seen.execute("init"), fresh.execute("init"))
+            << c.rejected;
+        EXPECT_EQ(seen.execute("stats"), fresh.execute("stats"))
+            << c.rejected;
+    }
 }
 
 TEST(ConsoleTest, NumbersThatDoNotFitAreRejected)

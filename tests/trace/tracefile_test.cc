@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <unistd.h>
 
@@ -206,6 +207,65 @@ TEST_F(TraceFileTest, LifecycleReaderRejectsBusTraceFile)
         writer.flush();
     }
     EXPECT_THROW(LifecycleReader reader(path_), FatalError);
+}
+
+/** Expect opening @p path with @p Reader to fail, naming the path. */
+template <typename Reader>
+void
+expectTruncated(const std::string &path)
+{
+    try {
+        Reader reader(path);
+        ADD_FAILURE() << "a file shorter than its count opened";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + path + "' is truncated"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST_F(TraceFileTest, TraceShorterThanItsCountIsFatal)
+{
+    {
+        TraceWriter writer(path_);
+        for (Cycle i = 0; i < 100; ++i)
+            writer.append(txnAt(0x1000 + 128 * i, 5 * i));
+        writer.flush();
+    }
+    const auto full = std::filesystem::file_size(path_);
+    // A longer file than its count stays readable (writers append
+    // records before they rewrite the header)...
+    std::filesystem::resize_file(path_, full + sizeof(std::uint64_t));
+    {
+        TraceReader reader(path_);
+        bus::BusTransaction txn;
+        std::uint64_t read = 0;
+        while (reader.next(txn))
+            ++read;
+        EXPECT_EQ(read, 100u);
+    }
+    // ...but one with 40 of its 100 records cut off is rejected.
+    std::filesystem::resize_file(path_, full - 40 * sizeof(std::uint64_t));
+    expectTruncated<TraceReader>(path_);
+}
+
+TEST_F(TraceFileTest, LifecycleDumpShorterThanItsCountIsFatal)
+{
+    {
+        LifecycleWriter writer(path_);
+        for (std::uint64_t i = 0; i < 50; ++i) {
+            LifecycleEvent ev;
+            ev.seq = i;
+            ev.cycle = 3 * i;
+            writer.append(ev);
+        }
+        writer.flush();
+    }
+    // Cut mid-event: 39 whole events of the declared 50 remain.
+    std::filesystem::resize_file(
+        path_, std::filesystem::file_size(path_) - 430);
+    expectTruncated<LifecycleReader>(path_);
 }
 
 TEST_F(TraceFileTest, SurvivesBufferBoundary)

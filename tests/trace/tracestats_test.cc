@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <unistd.h>
 
 namespace memories::trace
 {
@@ -75,8 +77,14 @@ class TraceToolsTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        in_ = ::testing::TempDir() + "tracestats_in.ies";
-        out_ = ::testing::TempDir() + "tracestats_out.ies";
+        // Keyed on the process: ctest runs each test in its own
+        // process, in parallel under -j.
+        static int counter = 0;
+        const std::string stem = ::testing::TempDir() + "tracestats_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 std::to_string(++counter);
+        in_ = stem + "_in.ies";
+        out_ = stem + "_out.ies";
         TraceWriter writer(in_);
         for (int i = 0; i < 100; ++i) {
             writer.append(txn(0x1000u + 128u * i,
