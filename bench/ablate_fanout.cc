@@ -7,8 +7,8 @@
  * processing all four geometries in lock step, the way the hardware
  * board runs Figure 4 style studies — and (b) an ExperimentFleet of
  * four single-config boards at 1, 2, 4 and 8 workers. Both sides use
- * the identical feedCommitted() replay path, so the comparison
- * isolates the fan-out machinery itself.
+ * the identical feedBatch() replay path, so the comparison isolates
+ * the fan-out machinery itself.
  *
  * Reported: streams/sec (full stream replays per second) and the
  * aggregate configs-emulated/sec (streams/sec x 4 configs), with the
@@ -16,6 +16,7 @@
  * row is expected to clear 2x.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -39,19 +40,19 @@ sweep()
 }
 
 /** Record the committed stream of one host run. */
-std::vector<ies::FleetEvent>
+std::vector<bus::BusTransaction>
 recordStream(std::uint64_t refs)
 {
     struct Recorder final : bus::BusObserver
     {
-        std::vector<ies::FleetEvent> events;
+        std::vector<bus::BusTransaction> events;
         void observeResult(const bus::BusTransaction &txn,
                            bus::SnoopResponse combined) override
         {
             if (bus::isFilteredOp(txn.op) ||
                 combined == bus::SnoopResponse::Retry)
                 return;
-            events.push_back(ies::FleetEvent{txn, combined});
+            events.push_back(txn);
         }
     };
 
@@ -87,14 +88,20 @@ main(int argc, char **argv)
                 events.size(), static_cast<unsigned long long>(refs),
                 std::thread::hardware_concurrency());
 
+    // A replay feed has no liveness concern, so large batches amortize
+    // the ring lock and keep each board's working set hot across a
+    // long run of events; the serial board takes the same chunks.
+    constexpr std::size_t chunk = 8192;
+
     // Serial baseline: one 4-node multi-config board, lock-step.
     double serial_cps = 0;
     {
         auto board = ies::MemoriesBoard::make(
             ies::makeMultiConfigBoard(configs, 8));
         bench::Stopwatch sw;
-        for (const auto &ev : events)
-            board->feedCommitted(ev.txn);
+        for (std::size_t i = 0; i < events.size(); i += chunk)
+            board->feedBatch(events.data() + i,
+                             std::min(chunk, events.size() - i));
         board->drainAll();
         const double secs = sw.seconds();
         const double streams = 1.0 / secs;
@@ -104,19 +111,16 @@ main(int argc, char **argv)
     }
 
     for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-        // Throughput-oriented options: a replay feed has no liveness
-        // concern, so large batches amortize the ring lock and keep
-        // each board's working set hot across a long run of events.
         ies::FleetOptions opts;
         opts.ringCapacity = 1u << 17;
-        opts.batchSize = 8192;
+        opts.batchSize = chunk;
         ies::ExperimentFleet fleet(opts);
         for (const auto &cfg : configs)
             fleet.addExperiment(ies::makeUniformBoard(1, 8, cfg));
         fleet.start(workers);
         bench::Stopwatch sw;
-        for (const auto &ev : events)
-            fleet.publish(ev.txn, ev.combined);
+        for (const auto &txn : events)
+            fleet.publish(txn);
         fleet.finish();
         const double secs = sw.seconds();
         const double streams = 1.0 / secs;

@@ -17,15 +17,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "bench/benchutil.hh"
+#include "common/logging.hh"
+#include "common/units.hh"
 #include "oracle/stimulus.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
@@ -34,6 +37,17 @@ namespace
 {
 
 using namespace memories;
+
+/** A --refs value: a non-negative decimal count of millions. */
+double
+parseMillions(const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !(v >= 0) || v > 1e6)
+        fatal("--refs '", text, "' is not a count of millions");
+    return v;
+}
 
 struct LoadArgs
 {
@@ -44,26 +58,41 @@ struct LoadArgs
     std::string socketPath;     //!< empty = own in-process daemon
     std::string jsonPath;
 
+    /** Parse argv; prints a usage line and exits 2 on a bad flag. */
     static LoadArgs
     parse(int argc, char **argv)
     {
         LoadArgs args;
-        for (int i = 1; i < argc; ++i) {
-            if (std::strncmp(argv[i], "--clients=", 10) == 0)
-                args.clients = std::strtoull(argv[i] + 10, nullptr, 10);
-            else if (std::strncmp(argv[i], "--configs=", 10) == 0)
-                args.configs = std::strtoull(argv[i] + 10, nullptr, 10);
-            else if (std::strncmp(argv[i], "--batch=", 8) == 0)
-                args.batch = std::strtoull(argv[i] + 8, nullptr, 10);
-            else if (std::strncmp(argv[i], "--refs=", 7) == 0)
-                args.refsMillions = std::strtod(argv[i] + 7, nullptr);
-            else if (std::strncmp(argv[i], "--socket=", 9) == 0)
-                args.socketPath = argv[i] + 9;
-            else if (std::strncmp(argv[i], "--json=", 7) == 0)
-                args.jsonPath = argv[i] + 7;
-            else
-                std::fprintf(stderr, "ignoring unknown option %s\n",
-                             argv[i]);
+        try {
+            for (int i = 1; i < argc; ++i) {
+                const std::string_view arg = argv[i];
+                const std::size_t eq = arg.find('=');
+                if (eq == std::string_view::npos)
+                    fatal("option '", arg, "' needs =<value>");
+                const std::string_view name = arg.substr(0, eq);
+                const std::string_view value = arg.substr(eq + 1);
+                if (name == "--clients")
+                    args.clients = parseUnsigned(value, name);
+                else if (name == "--configs")
+                    args.configs = parseUnsigned(value, name);
+                else if (name == "--batch")
+                    args.batch = parseUnsigned(value, name);
+                else if (name == "--refs")
+                    args.refsMillions = parseMillions(std::string(value));
+                else if (name == "--socket")
+                    args.socketPath = value;
+                else if (name == "--json")
+                    args.jsonPath = value;
+                else
+                    fatal("unknown option '", arg, "'");
+            }
+        } catch (const FatalError &e) {
+            std::fprintf(stderr,
+                         "loadtest: %s\nusage: loadtest [--clients=N] "
+                         "[--configs=M] [--refs=F] [--batch=B] "
+                         "[--socket=PATH] [--json=FILE]\n",
+                         e.what());
+            std::exit(2);
         }
         if (args.clients == 0)
             args.clients = 1;

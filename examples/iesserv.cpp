@@ -23,10 +23,17 @@
 #include <string>
 #include <thread>
 
+#include "common/logging.hh"
+#include "common/units.hh"
 #include "service/daemon.hh"
 
 namespace
 {
+
+constexpr const char *usage =
+    "usage: iesserv [--socket <path>] [--state-dir <dir>] "
+    "[--max-sessions <n>] [--max-batch <n>] [--window <requests>] "
+    "[--jsonl <path>]\n";
 
 std::atomic<bool> stopRequested{false};
 
@@ -47,39 +54,43 @@ main(int argc, char **argv)
     options.socketPath = "/tmp/iesserv.sock";
     options.stateDir = "/tmp/iesserv-state";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--socket")
-            options.socketPath = value();
-        else if (arg == "--state-dir")
-            options.stateDir = value();
-        else if (arg == "--max-sessions")
-            options.maxSessions = std::stoull(value());
-        else if (arg == "--max-batch")
-            options.maxBatch = std::stoull(value());
-        else if (arg == "--window")
-            options.windowRequests = std::stoull(value());
-        else if (arg == "--jsonl")
-            options.jsonlPath = value();
-        else {
-            std::fprintf(
-                stderr,
-                "usage: iesserv [--socket <path>] [--state-dir <dir>] "
-                "[--max-sessions <n>] [--max-batch <n>] "
-                "[--window <requests>] [--jsonl <path>]\n");
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal(arg, " needs a value");
+                return argv[++i];
+            };
+            if (arg == "--socket")
+                options.socketPath = value();
+            else if (arg == "--state-dir")
+                options.stateDir = value();
+            else if (arg == "--max-sessions")
+                options.maxSessions = parseUnsigned(value(), arg);
+            else if (arg == "--max-batch")
+                options.maxBatch = parseUnsigned(value(), arg);
+            else if (arg == "--window")
+                options.windowRequests = parseUnsigned(value(), arg);
+            else if (arg == "--jsonl")
+                options.jsonlPath = value();
+            else
+                fatal("unknown option '", arg, "'");
         }
+        if (options.maxSessions == 0 || options.maxBatch == 0)
+            fatal("--max-sessions and --max-batch must be positive");
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "iesserv: %s\n%s", e.what(), usage);
+        return 2;
     }
 
     service::Daemon daemon(options);
-    daemon.start();
+    try {
+        daemon.start();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "iesserv: %s\n", e.what());
+        return 1;
+    }
     std::printf("iesserv listening on %s (state %s, max %zu sessions)\n",
                 options.socketPath.c_str(), options.stateDir.c_str(),
                 options.maxSessions);

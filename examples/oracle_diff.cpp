@@ -28,7 +28,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -38,13 +37,20 @@
 namespace
 {
 
-std::uint64_t
-parseArg(const char *arg, const char *name, std::uint64_t fallback)
+constexpr const char *usage =
+    "usage: oracle_diff [--seeds=N] [--txns=N] [--start-seed=N] "
+    "[--out=DIR]\n"
+    "       oracle_diff --from-checkpoint=FILE --config=NAME "
+    "[--trace=FILE | --txns=N --start-seed=N]\n";
+
+/** The value of @p arg when it reads "<name>=<value>", else null. */
+const char *
+flagValue(const char *arg, const char *name)
 {
     const std::size_t len = std::strlen(name);
     if (std::strncmp(arg, name, len) != 0 || arg[len] != '=')
-        return fallback;
-    return std::strtoull(arg + len + 1, nullptr, 10);
+        return nullptr;
+    return arg + len + 1;
 }
 
 } // namespace
@@ -61,18 +67,31 @@ main(int argc, char **argv)
     std::string checkpoint;
     std::string config_name;
     std::string trace_path;
-    for (int i = 1; i < argc; ++i) {
-        seeds = parseArg(argv[i], "--seeds", seeds);
-        txns = parseArg(argv[i], "--txns", txns);
-        start_seed = parseArg(argv[i], "--start-seed", start_seed);
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out_dir = argv[i] + 6;
-        if (std::strncmp(argv[i], "--from-checkpoint=", 18) == 0)
-            checkpoint = argv[i] + 18;
-        if (std::strncmp(argv[i], "--config=", 9) == 0)
-            config_name = argv[i] + 9;
-        if (std::strncmp(argv[i], "--trace=", 8) == 0)
-            trace_path = argv[i] + 8;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const char *v = nullptr;
+            if ((v = flagValue(argv[i], "--seeds")))
+                seeds = parseUnsigned(v, "--seeds");
+            else if ((v = flagValue(argv[i], "--txns")))
+                txns = parseUnsigned(v, "--txns");
+            else if ((v = flagValue(argv[i], "--start-seed")))
+                start_seed = parseUnsigned(v, "--start-seed");
+            else if ((v = flagValue(argv[i], "--out")))
+                out_dir = v;
+            else if ((v = flagValue(argv[i], "--from-checkpoint")))
+                checkpoint = v;
+            else if ((v = flagValue(argv[i], "--config")))
+                config_name = v;
+            else if ((v = flagValue(argv[i], "--trace")))
+                trace_path = v;
+            else
+                fatal("unknown option '", argv[i], "'");
+        }
+        if (seeds == 0 || txns == 0)
+            fatal("--seeds and --txns must be positive");
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "oracle_diff: %s\n%s", e.what(), usage);
+        return 2;
     }
 
     if (!checkpoint.empty()) {

@@ -2,39 +2,12 @@
 
 #include <sstream>
 
+#include "checkpoint/file.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
 
 namespace memories::campaign
 {
-
-namespace
-{
-
-constexpr char magic[8] = {'I', 'E', 'S', 'C', 'A', 'M', 'P', '\0'};
-constexpr std::size_t headerBytes = 8 + 4 + 4 + 8 + 8 + 4;
-
-constexpr std::uint8_t recPlan = 1;
-constexpr std::uint8_t recUnit = 2;
-
-void
-saveUnitRecord(ckpt::Sink &sink, std::uint32_t index,
-               const UnitStatus &s)
-{
-    sink.u8(recUnit);
-    sink.u32(index);
-    sink.u8(static_cast<std::uint8_t>(s.state));
-    sink.u32(s.attempts);
-    sink.u64(s.position);
-    sink.u32(s.ckptCrc);
-    sink.u32(s.retireCrc);
-    sink.u64(s.overflowDrops);
-    sink.u64(s.consumed);
-    sink.u32(s.resultCrc);
-    sink.str(s.note);
-}
-
-} // namespace
 
 std::string_view
 unitStateName(UnitState state)
@@ -90,44 +63,27 @@ Manifest::create(const std::string &dir, const CampaignPlan &plan)
     return m;
 }
 
-std::vector<std::uint8_t>
-Manifest::renderLocked() const
-{
-    ckpt::Sink out;
-    out.raw(magic, sizeof(magic));
-    out.u32(manifestVersion);
-    out.u32(static_cast<std::uint32_t>(1 + units_.size()));
-    out.u64(sequence_);
-    out.u64(plan_.fingerprint());
-    out.u32(ckpt::crc32(out.bytes().data(), out.size()));
-
-    ckpt::Sink records;
-    const auto append = [&records](const ckpt::Sink &payload) {
-        records.u32(static_cast<std::uint32_t>(payload.size()));
-        records.u32(ckpt::crc32(payload.bytes().data(), payload.size()));
-        records.raw(payload.bytes().data(), payload.size());
-    };
-    ckpt::Sink planPayload;
-    planPayload.u8(recPlan);
-    plan_.save(planPayload);
-    append(planPayload);
-    for (std::size_t i = 0; i < units_.size(); ++i) {
-        ckpt::Sink unitPayload;
-        saveUnitRecord(unitPayload, static_cast<std::uint32_t>(i),
-                       units_[i]);
-        append(unitPayload);
-    }
-    out.raw(records.bytes().data(), records.size());
-    out.u32(ckpt::crc32(records.bytes().data(), records.size()));
-    return out.take();
-}
-
 void
 Manifest::persist()
 {
     ++sequence_;
-    const std::vector<std::uint8_t> blob = renderLocked();
-    ckpt::atomicWriteFile(manifestPath(dir_), blob.data(), blob.size());
+    ckpt::CheckpointWriter writer;
+    writer.section(ckpt::secCampaignSequence).u64(sequence_);
+    plan_.save(writer.section(ckpt::secCampaignPlan));
+    ckpt::Sink &units = writer.section(ckpt::secCampaignUnits);
+    units.u32(static_cast<std::uint32_t>(units_.size()));
+    for (const UnitStatus &s : units_) {
+        units.u8(static_cast<std::uint8_t>(s.state));
+        units.u32(s.attempts);
+        units.u64(s.position);
+        units.u32(s.ckptCrc);
+        units.u32(s.retireCrc);
+        units.u64(s.overflowDrops);
+        units.u64(s.consumed);
+        units.u32(s.resultCrc);
+        units.str(s.note);
+    }
+    writer.writeFile(manifestPath(dir_), plan_.fingerprint());
 }
 
 Manifest
@@ -143,115 +99,52 @@ Manifest::open(const std::string &dir)
         }
         fatal("no campaign manifest at '", path, "'");
     }
-    const std::vector<std::uint8_t> d =
-        ckpt::readFileBytes(path, "campaign manifest");
     const std::string context = "manifest '" + path + "'";
+    const ckpt::CheckpointImage image = ckpt::CheckpointImage::fromBytes(
+        ckpt::readFileBytes(path, "campaign manifest"), context);
+    if (image.sectionIds().size() != 3) {
+        fatal(context, ": ", image.sectionIds().size(),
+              " sections (want sequence, plan and units)");
+    }
 
-    ckpt::Source header(d.data(),
-                        d.size() < headerBytes ? d.size() : headerBytes,
-                        context + ": header");
-    char m[8];
-    header.raw(m, sizeof(m));
-    for (std::size_t i = 0; i < sizeof(magic); ++i) {
-        if (m[i] != magic[i])
-            fatal(context, ": not an IESCAMP manifest (bad magic)");
-    }
-    const std::uint32_t version = header.u32();
-    if (version != manifestVersion) {
-        fatal(context, ": unsupported manifest version ", version,
-              " (this build reads version ", manifestVersion, ")");
-    }
-    const std::uint32_t count = header.u32();
     Manifest out;
     out.dir_ = dir;
-    out.sequence_ = header.u64();
-    const std::uint64_t plan_fingerprint = header.u64();
-    const std::uint32_t header_crc = header.u32();
-    if (header_crc != ckpt::crc32(d.data(), headerBytes - 4))
-        fatal(context, ": header CRC mismatch (corrupt manifest)");
-    if (count == 0)
-        fatal(context, ": manifest declares zero records");
+    ckpt::Source sequence = image.open(ckpt::secCampaignSequence);
+    out.sequence_ = sequence.u64();
+    sequence.expectEnd();
 
-    // Parse the record log; any truncation — even exactly at a record
-    // boundary — is corruption, because atomic rewrites never publish
-    // a partial file.
-    if (d.size() < headerBytes + 4)
-        fatal(context, ": truncated before the record log");
-    const std::size_t records_len = d.size() - headerBytes - 4;
-    const std::uint8_t *records = d.data() + headerBytes;
-    ckpt::Source trailer(d.data() + headerBytes + records_len, 4,
-                         context + ": trailer");
-    if (trailer.u32() != ckpt::crc32(records, records_len))
-        fatal(context, ": trailer CRC mismatch (corrupt manifest)");
-
-    ckpt::Source log(records, records_len, context + ": record log");
-    bool sawPlan = false;
-    std::size_t unitRecords = 0;
-    for (std::uint32_t r = 0; r < count; ++r) {
-        const std::uint32_t len = log.u32();
-        const std::uint32_t crc = log.u32();
-        if (len > log.remaining()) {
-            fatal(context, ": record ", r, " extends past the end of ",
-                  "the manifest (truncated at a record boundary?)");
-        }
-        std::vector<std::uint8_t> payload(len);
-        log.raw(payload.data(), len);
-        if (crc != ckpt::crc32(payload.data(), payload.size()))
-            fatal(context, ": record ", r, " CRC mismatch");
-        ckpt::Source rec(payload.data(), payload.size(),
-                         context + ": record " + std::to_string(r));
-        const std::uint8_t type = rec.u8();
-        if (type == recPlan) {
-            if (sawPlan)
-                fatal(context, ": duplicate plan record");
-            if (r != 0)
-                fatal(context, ": plan record is not first");
-            sawPlan = true;
-            out.plan_ = CampaignPlan::load(rec);
-            out.units_.assign(out.plan_.units.size(), UnitStatus{});
-        } else if (type == recUnit) {
-            if (!sawPlan)
-                fatal(context, ": unit record before the plan record");
-            const std::uint32_t index = rec.u32();
-            if (index >= out.units_.size())
-                fatal(context, ": unit record index ", index,
-                      " out of range (plan has ", out.units_.size(),
-                      " units)");
-            UnitStatus s;
-            const std::uint8_t state = rec.u8();
-            if (state >
-                static_cast<std::uint8_t>(UnitState::Quarantined))
-                fatal(context, ": unknown unit state ",
-                      unsigned{state});
-            s.state = static_cast<UnitState>(state);
-            s.attempts = rec.u32();
-            s.position = rec.u64();
-            s.ckptCrc = rec.u32();
-            s.retireCrc = rec.u32();
-            s.overflowDrops = rec.u64();
-            s.consumed = rec.u64();
-            s.resultCrc = rec.u32();
-            s.note = rec.str();
-            out.units_[index] = std::move(s);
-            ++unitRecords;
-        } else {
-            fatal(context, ": unknown record type ", unsigned{type});
-        }
-        rec.expectEnd();
-    }
-    if (log.remaining() != 0)
-        fatal(context, ": ", log.remaining(),
-              " trailing bytes after the declared records");
-    if (!sawPlan)
-        fatal(context, ": no plan record");
-    if (unitRecords != out.units_.size())
-        fatal(context, ": ", unitRecords, " unit records for ",
-              out.units_.size(), " plan units");
-    if (plan_fingerprint != out.plan_.fingerprint()) {
+    ckpt::Source plan = image.open(ckpt::secCampaignPlan);
+    out.plan_ = CampaignPlan::load(plan);
+    plan.expectEnd();
+    if (image.configFingerprint() != out.plan_.fingerprint()) {
         fatal(context, ": plan fingerprint mismatch (header 0x",
-              std::hex, plan_fingerprint, ", records 0x",
+              std::hex, image.configFingerprint(), ", plan 0x",
               out.plan_.fingerprint(), std::dec, ")");
     }
+
+    ckpt::Source units = image.open(ckpt::secCampaignUnits);
+    const std::uint32_t count = units.u32();
+    if (count != out.plan_.units.size()) {
+        fatal(units.context(), ": ", count, " unit records for ",
+              out.plan_.units.size(), " plan units");
+    }
+    out.units_.resize(count);
+    for (UnitStatus &s : out.units_) {
+        const std::uint8_t state = units.u8();
+        if (state > static_cast<std::uint8_t>(UnitState::Quarantined))
+            fatal(units.context(), ": unknown unit state ",
+                  unsigned{state});
+        s.state = static_cast<UnitState>(state);
+        s.attempts = units.u32();
+        s.position = units.u64();
+        s.ckptCrc = units.u32();
+        s.retireCrc = units.u32();
+        s.overflowDrops = units.u64();
+        s.consumed = units.u64();
+        s.resultCrc = units.u32();
+        s.note = units.str();
+    }
+    units.expectEnd();
     return out;
 }
 

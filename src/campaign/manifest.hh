@@ -1,7 +1,7 @@
 /**
  * @file
- * The IESCAMP campaign manifest: a versioned, CRC-guarded record of
- * every unit's lifecycle, durable against kill -9 at any instruction
+ * The IESCAMP campaign manifest: a CRC-guarded record of every unit's
+ * lifecycle, durable against kill -9 at any instruction
  * (docs/FORMATS.md §8).
  *
  * The manifest is *write-ahead* in the architectural sense: every
@@ -16,29 +16,18 @@
  *
  * That atomicity is what lets corruption fail closed. Because no
  * legal crash can tear the file, *any* malformed manifest — bad
- * magic, truncation at any boundary, a flipped bit in a record, a
- * trailer CRC mismatch — is evidence of disk corruption, and open()
- * throws FatalError instead of guessing. The one crash artifact a
- * reader may see is a stale `manifest.iescamp.tmp` beside a valid
- * manifest (ignored), or — after a torn rename with no published
- * manifest at all — a .tmp with nothing else, which open() also
- * refuses to trust.
+ * magic, truncation at any boundary, a flipped bit anywhere, trailing
+ * bytes — is evidence of disk corruption, and open() throws
+ * FatalError instead of guessing. The one crash artifact a reader may
+ * see is a stale `manifest.iescamp.tmp` beside a valid manifest
+ * (ignored), or — after a torn rename with no published manifest at
+ * all — a .tmp with nothing else, which open() also refuses to trust.
  *
- * Layout (integers little-endian, ckpt::Sink encoding):
- *
- *   magic   "IESCAMP\0"                              8 bytes
- *   u32     version (currently 1)
- *   u32     record count
- *   u64     sequence (bumped on every rewrite)
- *   u64     plan fingerprint (CampaignPlan::fingerprint)
- *   u32     header CRC-32 over the 32 bytes above
- *   -- records, in order --
- *   u32     payload length     u32   payload CRC-32
- *           payload bytes
- *   -- u32  trailer CRC-32 over all record bytes --
- *
- * Record payloads begin with a type byte: type 1 is the plan (always
- * the first record, exactly once), type 2 is one unit's status.
+ * The file is an IESCKPT container (checkpoint/file.hh) whose header
+ * fingerprint is the plan fingerprint (CampaignPlan::fingerprint),
+ * with three sections: the sequence number (bumped on every rewrite),
+ * the plan, and every unit's status in plan order. The container's
+ * CRCs and tiling rule are the manifest's only framing.
  */
 
 #ifndef MEMORIES_CAMPAIGN_MANIFEST_HH
@@ -53,9 +42,6 @@
 
 namespace memories::campaign
 {
-
-/** Manifest format version this build writes and reads. */
-inline constexpr std::uint32_t manifestVersion = 1;
 
 /** Where a unit sits in its lifecycle. */
 enum class UnitState : std::uint8_t
@@ -113,9 +99,10 @@ class Manifest
                            const CampaignPlan &plan);
 
     /**
-     * Load the manifest in @p dir, validating magic, version, both
-     * CRC layers and record structure. Fails closed (FatalError) on
-     * any violation — including a torn rename that left only a .tmp.
+     * Load the manifest in @p dir: the container's magic, version,
+     * CRCs and tiling, then each section's structure and the plan
+     * fingerprint. Fails closed (FatalError) on any violation —
+     * including a torn rename that left only a .tmp.
      */
     static Manifest open(const std::string &dir);
 
@@ -150,8 +137,6 @@ class Manifest
 
   private:
     Manifest() = default;
-
-    std::vector<std::uint8_t> renderLocked() const;
 
     std::string dir_;
     CampaignPlan plan_;

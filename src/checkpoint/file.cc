@@ -24,9 +24,15 @@ sectionName(std::uint32_t id)
       case secBuffer:   return "buffer";
       case secHealth:   return "health";
       case secInjector: return "injector";
+      case secSession:  return "session";
+      case secCampaignSequence: return "sequence";
+      case secCampaignPlan:     return "plan";
+      case secCampaignUnits:    return "units";
       default:
         break;
     }
+    if (id >= secTwinBase)
+        return "twin" + std::to_string(id - secTwinBase);
     if (id >= secNodeBase)
         return "node" + std::to_string(id - secNodeBase);
     return "section" + std::to_string(id);
@@ -119,20 +125,34 @@ CheckpointImage::fromBytes(std::vector<std::uint8_t> data,
         fatal(context, ": truncated section table (", count,
               " sections declared, file holds ", d.size(), " bytes)");
     }
-    const std::uint32_t table_crc = crc32(
-        d.data() + headerBytes, table_end - headerBytes - 4);
-    Source table(d.data() + headerBytes, table_end - headerBytes,
+    const std::size_t table_len = table_end - headerBytes - 4;
+    Source table(d.data() + headerBytes, table_len,
                  context + ": section table");
+    Source stored(d.data() + headerBytes + table_len, 4,
+                  context + ": section table");
+    if (stored.u32() != crc32(d.data() + headerBytes, table_len))
+        fatal(context, ": section table CRC mismatch");
+    // The payloads tile the rest of the file in table order, so every
+    // byte after the table lies under exactly one section CRC.
+    std::size_t next = table_end;
     for (std::uint32_t i = 0; i < count; ++i) {
         Section s;
         s.id = table.u32();
         const std::uint32_t payload_crc = table.u32();
-        s.offset = static_cast<std::size_t>(table.u64());
-        s.length = static_cast<std::size_t>(table.u64());
-        if (s.offset > d.size() || s.length > d.size() - s.offset) {
+        const std::uint64_t offset = table.u64();
+        const std::uint64_t length = table.u64();
+        if (offset != next) {
+            fatal(context, ": section ", sectionName(s.id),
+                  " starts at byte ", offset, ", not at byte ", next,
+                  " where the previous one ends");
+        }
+        if (length > d.size() - next) {
             fatal(context, ": section ", sectionName(s.id),
                   " extends past the end of the file");
         }
+        s.offset = next;
+        s.length = static_cast<std::size_t>(length);
+        next += s.length;
         if (payload_crc != crc32(d.data() + s.offset, s.length)) {
             fatal(context, ": section ", sectionName(s.id),
                   " CRC mismatch (corrupt checkpoint)");
@@ -145,8 +165,10 @@ CheckpointImage::fromBytes(std::vector<std::uint8_t> data,
         image.sections_.push_back(s);
         image.ids_.push_back(s.id);
     }
-    if (table.u32() != table_crc)
-        fatal(context, ": section table CRC mismatch");
+    if (next != d.size()) {
+        fatal(context, ": ", d.size() - next,
+              " bytes after the last section");
+    }
     return image;
 }
 

@@ -8,22 +8,32 @@
  *   magic   "IESCKPT\0"                                   8 bytes
  *   u32     version (currently 1)
  *   u32     section count
- *   u64     board-config fingerprint (BoardConfig::fingerprint,
- *           which folds in every node's ProtocolTable::fingerprint)
+ *   u64     fingerprint: the board-config fingerprint
+ *           (BoardConfig::fingerprint, which folds in every node's
+ *           ProtocolTable::fingerprint), or a campaign manifest's plan
+ *           fingerprint
  *   u32     header CRC-32 over the 24 bytes above
  *   -- section table, one entry per section --
  *   u32     section id        u32  payload CRC-32
  *   u64     payload offset    u64  payload length
  *   u32     table CRC-32 over all table entries
- *   -- section payloads, at their recorded offsets --
+ *   -- section payloads, back to back in table order --
  *
  * Section payloads are opaque StateCodec streams produced by each
  * component's saveState(Sink&); the container only frames and
- * checksums them. CheckpointImage validates magic, version, both
- * structural CRCs and every section CRC *before* handing out a single
- * payload byte, so a component loadState never sees corrupt framing —
- * restores fail closed with a diagnostic and the target board is left
- * untouched.
+ * checksums them. The payloads tile the rest of the file: the first
+ * starts right after the table CRC, each next one where the previous
+ * ends, and the last ends at the end of the file, so no byte of a
+ * valid file lies outside the CRCs. CheckpointImage validates magic,
+ * version, both structural CRCs, that tiling and every section CRC
+ * *before* handing out a single payload byte, so a component loadState
+ * never sees corrupt framing — restores fail closed with a diagnostic
+ * and the target board is left untouched.
+ *
+ * Every state file the program reads back uses this container: board
+ * checkpoints, suspended IESSERV sessions (the board's sections plus a
+ * session section and one section per twin board) and IESCAMP
+ * campaign manifests (docs/FORMATS.md §7-8).
  */
 
 #ifndef MEMORIES_CHECKPOINT_FILE_HH
@@ -41,7 +51,7 @@ namespace memories::ckpt
 /** File format version this build writes and reads. */
 inline constexpr std::uint32_t formatVersion = 1;
 
-/** Well-known section ids of a board checkpoint. */
+/** Well-known section ids. */
 enum SectionId : std::uint32_t
 {
     /** Board meta: node count, global counters, pending tenure. */
@@ -52,8 +62,19 @@ enum SectionId : std::uint32_t
     secHealth = 0x03,
     /** FaultInjector: RNG stream and opportunity counters. */
     secInjector = 0x04,
+    /** Suspended session: name, stream scalars, twin roster, config. */
+    secSession = 0x10,
+    /** Campaign manifest: the sequence number of the rewrite. */
+    secCampaignSequence = 0x20,
+    /** Campaign manifest: the CampaignPlan. */
+    secCampaignPlan = 0x21,
+    /** Campaign manifest: every unit's status, in plan order. */
+    secCampaignUnits = 0x22,
     /** NodeController n: secNodeBase + n (directory, counters, RNGs). */
     secNodeBase = 0x100,
+    /** Session twin board n: secTwinBase + n, the twin's own IESCKPT
+     *  container bytes (node ids end below it: NodeId is 8 bits). */
+    secTwinBase = 0x200,
 };
 
 /** Human-readable name of a section id ("ckpt info"). */
@@ -96,9 +117,10 @@ class CheckpointImage
 {
   public:
     /**
-     * Parse @p data, validating magic, version, header/table CRCs and
-     * every section CRC. @p context names the checkpoint in
-     * diagnostics (a path, or "resync"). fatal() on any violation.
+     * Parse @p data, validating magic, version, header/table CRCs,
+     * that the payloads tile the file, and every section CRC.
+     * @p context names the file in diagnostics. fatal() on any
+     * violation.
      */
     static CheckpointImage fromBytes(std::vector<std::uint8_t> data,
                                      const std::string &context);

@@ -1,10 +1,12 @@
 /**
  * @file
- * Durable file I/O for checkpoint and campaign state, with a
+ * Durable file I/O for checkpoint, session and campaign state, with a
  * deterministic disk-fault injection shim.
  *
- * Every durable artifact in the tree — IESCKPT checkpoints, IESCAMP
- * campaign manifests, unit result files — goes through one primitive:
+ * Every durable artifact in the tree — IESCKPT containers (board
+ * checkpoints, suspended sessions, campaign manifests), unit result
+ * files, the console's exports — goes through one primitive, and a
+ * state file is written by exactly one call of it:
  *
  *   atomicWriteFile(path, data, len)
  *

@@ -520,6 +520,16 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
         // then emulate its retirements in one prefetching pass.
         ok_count = admitBatch<false>(txns, count, accepted);
         emulateSlab();
+        // The serial path notes every unfiltered tenure for health
+        // events; note the batch's last one, so the checkpoint bytes
+        // do not depend on which path fed the board.
+        for (std::size_t i = count; i-- > 0;) {
+            if (!bus::isFilteredOp(txns[i].op)) {
+                healthCycle_ = txns[i].cycle;
+                healthTraceId_ = txns[i].traceId;
+                break;
+            }
+        }
     } else {
         // A hook watches every tenure: the serial path, emulating each
         // retirement as it drains.

@@ -1,11 +1,12 @@
 #include "service/session.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "campaign/console.hh"
+#include "checkpoint/file.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
-#include "common/units.hh"
 #include "fault/health.hh"
 
 namespace memories::service
@@ -32,16 +33,6 @@ validateName(const std::string &name)
         fatal("session name may not start with '.'");
 }
 
-std::uint64_t
-parseField(const std::string &line, const std::string &key)
-{
-    if (line.rfind(key + " ", 0) != 0)
-        fatal("session manifest: expected '", key, " ...', got '", line,
-              "'");
-    return parseUnsigned(std::string_view(line).substr(key.size() + 1),
-                         "session manifest " + key);
-}
-
 } // namespace
 
 Session::Session(const SessionOptions &options, std::string name)
@@ -61,9 +52,9 @@ Session::Session(const SessionOptions &options, std::string name)
 Session::~Session() = default;
 
 std::string
-Session::manifestPath(const std::string &state_dir, const std::string &name)
+Session::statePath(const std::string &state_dir, const std::string &name)
 {
-    return state_dir + "/" + name + ".iessess";
+    return state_dir + "/" + name + ".ckpt";
 }
 
 std::string
@@ -84,7 +75,7 @@ Session::handleSession(const std::vector<std::string> &tokens)
                    : (console_->initialized() ? "serving" : "fresh"))
            << "\n"
            << "refs " << ingest_.refsAccepted() << " twins "
-           << ingest_.fleet().numExperiments();
+           << ingest_.twins().size();
         if (console_->initialized())
             os << "\nhealth "
                << fault::healthStateName(
@@ -133,43 +124,41 @@ Session::suspend()
               "('monitor stop')");
     validateName(name_);
 
+    // One container, one atomic write: the main board's sections, the
+    // session section, then each twin's own container as one section.
+    const ies::MemoriesBoard &board = *console_->board();
+    ckpt::CheckpointWriter writer;
+    board.saveState(writer);
+    {
+        ckpt::Sink &session = writer.section(ckpt::secSession);
+        session.str(name_);
+        ingest_.saveState(session);
+        session.u64(ingest_.twins().size());
+        for (const StreamIngest::Twin &twin : ingest_.twins()) {
+            session.u64(twin.seed);
+            session.str(twin.label);
+        }
+        const std::vector<std::string> &config = console_->configLines();
+        session.u64(config.size());
+        for (const std::string &line : config)
+            session.str(line);
+    }
+    for (std::size_t i = 0; i < ingest_.twins().size(); ++i) {
+        const ies::MemoriesBoard &twin = *ingest_.twins()[i].board;
+        ckpt::CheckpointWriter own;
+        twin.saveState(own);
+        const std::vector<std::uint8_t> bytes =
+            own.bytes(twin.config().fingerprint());
+        writer.section(ckpt::secTwinBase + static_cast<std::uint32_t>(i))
+            .raw(bytes.data(), bytes.size());
+    }
     ckpt::ensureDir(options_.stateDir);
-    const std::string base = options_.stateDir + "/" + name_;
-    console_->board()->saveState(base + ".ckpt");
-    ies::ExperimentFleet &fleet = ingest_.fleet();
-    for (std::size_t i = 0; i < fleet.numExperiments(); ++i)
-        fleet.board(i).saveState(base + ".twin" + std::to_string(i) +
-                                 ".ckpt");
-
-    const StreamIngest::State s = ingest_.state();
-    std::ostringstream os;
-    os << "IESSESS 1\n"
-       << "name " << name_ << "\n"
-       << "pace " << (s.paced ? 1 : 0) << "\n"
-       << "prev-cycle " << s.prevCycle << "\n"
-       << "offered " << s.refsOffered << "\n"
-       << "attempted " << s.refsAttempted << "\n"
-       << "accepted " << s.refsAccepted << "\n"
-       << "backpressure " << s.backpressure << "\n"
-       << "overflow " << s.overflowDrops << "\n"
-       << "feed-lines " << s.feedLines << "\n"
-       << "resyncs " << s.resyncs << "\n"
-       << "twins " << fleet.numExperiments() << "\n";
-    for (std::size_t i = 0; i < fleet.numExperiments(); ++i)
-        os << "twin " << ingest_.fleetSeed(i) << " " << fleet.label(i)
-           << "\n";
-    const std::vector<std::string> &config = console_->configLines();
-    os << "config-lines " << config.size() << "\n";
-    for (const std::string &line : config)
-        os << line << "\n";
-    os << "end\n";
-    const std::string manifest = os.str();
-    ckpt::atomicWriteFile(manifestPath(options_.stateDir, name_),
-                          manifest.data(), manifest.size());
+    writer.writeFile(statePath(options_.stateDir, name_),
+                     board.config().fingerprint());
 
     suspendedOk_ = true;
     return "suspended '" + name_ + "' (" +
-           std::to_string(s.refsAccepted) +
+           std::to_string(ingest_.refsAccepted()) +
            " refs); reconnect and run: session resume " + name_;
 }
 
@@ -181,63 +170,42 @@ Session::resume(const std::string &name)
     if (ingest_.refsOffered() != 0)
         fatal("session resume requires a fresh session (no feeds yet)");
 
-    const std::string path = manifestPath(options_.stateDir, name);
-    const std::vector<std::uint8_t> bytes =
-        ckpt::readFileBytes(path, "session manifest");
-    std::istringstream is(
-        std::string(reinterpret_cast<const char *>(bytes.data()),
-                    bytes.size()));
-    std::string line;
-    auto nextLine = [&]() -> std::string & {
-        if (!std::getline(is, line))
-            fatal("session manifest ", path, ": truncated");
-        return line;
-    };
-
-    if (nextLine() != "IESSESS 1")
-        fatal("session manifest ", path, ": bad magic/version '", line,
-              "'");
-    if (nextLine() != "name " + name)
-        fatal("session manifest ", path, ": name mismatch ('", line,
-              "')");
-    StreamIngest::State s;
-    s.paced = parseField(nextLine(), "pace") != 0;
-    s.prevCycle = parseField(nextLine(), "prev-cycle");
-    s.refsOffered = parseField(nextLine(), "offered");
-    s.refsAttempted = parseField(nextLine(), "attempted");
-    s.refsAccepted = parseField(nextLine(), "accepted");
-    s.backpressure = parseField(nextLine(), "backpressure");
-    s.overflowDrops = parseField(nextLine(), "overflow");
-    s.feedLines = parseField(nextLine(), "feed-lines");
-    s.resyncs = parseField(nextLine(), "resyncs");
-    const std::uint64_t twins = parseField(nextLine(), "twins");
-    struct TwinEntry
-    {
-        std::uint64_t seed;
-        std::string label;
-    };
-    std::vector<TwinEntry> twinEntries;
-    for (std::uint64_t i = 0; i < twins; ++i) {
-        const std::vector<std::string> tokens = ies::splitWords(nextLine());
-        if (tokens.size() != 3 || tokens[0] != "twin")
-            fatal("session manifest ", path, ": bad twin line '", line,
-                  "'");
-        twinEntries.push_back(
-            {parseUnsigned(tokens[1], "session manifest twin seed"),
-             tokens[2]});
+    // Parse and CRC-check the whole file and decode the session
+    // section before the console runs a line: a corrupt file leaves
+    // the session fresh.
+    const std::string path = statePath(options_.stateDir, name);
+    const ckpt::CheckpointImage image = ckpt::CheckpointImage::fromBytes(
+        ckpt::readFileBytes(path, "session file"),
+        "session file '" + path + "'");
+    ckpt::Source session = image.open(ckpt::secSession);
+    if (session.str() != name)
+        fatal(session.context(), ": holds another session's name");
+    StreamIngest staged(options_.maxBatch);
+    staged.loadState(session);
+    std::vector<std::pair<std::uint64_t, std::string>> roster;
+    for (std::uint64_t i = 0, n = session.u64(); i < n; ++i) {
+        const std::uint64_t seed = session.u64();
+        roster.emplace_back(seed, session.str());
     }
-    const std::uint64_t configLines =
-        parseField(nextLine(), "config-lines");
     std::vector<std::string> script;
-    for (std::uint64_t i = 0; i < configLines; ++i)
-        script.push_back(nextLine());
-    if (nextLine() != "end")
-        fatal("session manifest ", path, ": missing 'end'");
+    for (std::uint64_t i = 0, n = session.u64(); i < n; ++i)
+        script.push_back(session.str());
+    session.expectEnd();
+    std::vector<ckpt::CheckpointImage> twinImages;
+    for (std::size_t i = 0; i < roster.size(); ++i) {
+        ckpt::Source twin =
+            image.open(ckpt::secTwinBase + static_cast<std::uint32_t>(i));
+        std::vector<std::uint8_t> bytes(twin.remaining());
+        twin.raw(bytes.data(), bytes.size());
+        twinImages.push_back(ckpt::CheckpointImage::fromBytes(
+            std::move(bytes), twin.context()));
+    }
 
-    // Rebuild: config script, init, board + twin checkpoints, stream
-    // scalars. Every step fails closed through fatal(), leaving the
-    // caller's "error: ..." reply to describe the first mismatch. The
-    // console records the replayed lines for the next suspend.
+    // Rebuild: config lines, init, the main board and the twins, then
+    // the stream scalars. Every step fails closed through fatal(),
+    // leaving the caller's "error: ..." reply to describe the first
+    // mismatch. The console records the replayed lines for the next
+    // suspend.
     for (const std::string &cfg : script) {
         const std::string reply = console_->execute(cfg);
         if (reply.rfind("error:", 0) == 0)
@@ -246,20 +214,17 @@ Session::resume(const std::string &name)
     const std::string initReply = console_->execute("init");
     if (initReply.rfind("error:", 0) == 0)
         fatal("resume: init failed: ", initReply);
-    const std::string base = options_.stateDir + "/" + name;
-    console_->board()->loadState(base + ".ckpt");
-    for (std::size_t i = 0; i < twinEntries.size(); ++i) {
-        const std::size_t index =
-            ingest_.addTwin(console_->board()->config(),
-                            twinEntries[i].seed, twinEntries[i].label);
-        ingest_.fleet().board(index).loadState(
-            base + ".twin" + std::to_string(i) + ".ckpt");
+    ies::MemoriesBoard &board = *console_->board();
+    board.loadState(image);
+    for (std::size_t i = 0; i < roster.size(); ++i) {
+        staged.addTwin(board.config(), roster[i].first, roster[i].second)
+            .loadState(twinImages[i]);
     }
-    ingest_.restore(s);
+    ingest_ = std::move(staged);
     setName(name);
     return "resumed '" + name + "' at cycle " +
-           std::to_string(s.prevCycle) + " (" +
-           std::to_string(s.refsAccepted) + " refs)";
+           std::to_string(ingest_.prevCycle()) + " (" +
+           std::to_string(ingest_.refsAccepted()) + " refs)";
 }
 
 } // namespace memories::service

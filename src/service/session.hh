@@ -10,20 +10,21 @@
  *     Fresh --session resume <name>--> Serving (state restored)
  *     Serving --quarantine w/o twin--> Evicted (connection closes)
  *
- * Suspend persists two durable artifacts under the session state
- * directory, both through the checkpoint layer's atomic-write
- * primitive:
+ * Suspend writes one file, `<state-dir>/<name>.ckpt`, through one
+ * call of the checkpoint layer's atomic-write primitive, so it is
+ * all-or-nothing: a failed suspend leaves the previous file as it
+ * was. The file is an IESCKPT container holding the main board's own
+ * sections (so `ckpt info` and `load-state` read it), a session
+ * section (name, stream scalars, twin roster, the console's config
+ * lines) and one section per twin board with that twin's own
+ * container bytes (docs/SERVICE.md, docs/FORMATS.md §7).
  *
- *   <name>.iessess        text manifest: config script, stream-ingest
- *                         state, twin roster (docs/SERVICE.md)
- *   <name>.ckpt           the board as an IESCKPT container
- *   <name>.twin<i>.ckpt   each twin board likewise
- *
- * Resume replays the manifest's config script through the console,
- * inits, restores every board from its checkpoint, and restores the
- * stream-ingest scalars — a resumed session continues the cycle-delta
- * chain exactly where the suspended one stopped, so the conformance
- * tier can require byte-identical counters across the break.
+ * Resume parses and CRC-checks the whole file and decodes the session
+ * section before the console runs a line, then replays the config
+ * lines, inits, restores every board, and restores the stream scalars
+ * — a resumed session continues the cycle-delta chain exactly where
+ * the suspended one stopped, so the conformance tier can require
+ * byte-identical counters across the break.
  *
  * The Session is transport-free (it maps request lines to reply
  * strings); the daemon owns sockets, the tests call execute() in
@@ -48,7 +49,7 @@ namespace memories::service
 /** Session tunables shared by daemon and in-process tests. */
 struct SessionOptions
 {
-    /** Directory for suspend manifests + checkpoints. */
+    /** Directory for suspended-session files. */
     std::string stateDir = "iesserv-state";
     /** Most records accepted on one feed line. */
     std::size_t maxBatch = 4096;
@@ -90,9 +91,9 @@ class Session
     /** True when the health ladder ran out of twins; evict. */
     bool evictRequested() const { return ingest_.evictRequested(); }
 
-    /** Manifest path a suspend of @p name would write. */
-    static std::string manifestPath(const std::string &state_dir,
-                                    const std::string &name);
+    /** The one file a suspend of @p name writes. */
+    static std::string statePath(const std::string &state_dir,
+                                 const std::string &name);
 
   private:
     std::string handleSession(const std::vector<std::string> &tokens);

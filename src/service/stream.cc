@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "checkpoint/codec.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "service/wire.hh"
@@ -24,43 +25,44 @@ requireBoard(ies::Console &console, const char *family)
 
 } // namespace
 
-std::size_t
+ies::MemoriesBoard &
 StreamIngest::addTwin(const ies::BoardConfig &config, std::uint64_t seed,
                       const std::string &label)
 {
-    const std::size_t index = fleet_.addExperiment(config, seed, label);
-    fleetSeeds_.push_back(seed);
-    return index;
-}
-
-StreamIngest::State
-StreamIngest::state() const
-{
-    State s;
-    s.prevCycle = prevCycle_;
-    s.paced = paced_;
-    s.refsOffered = refsOffered_;
-    s.refsAttempted = refsAttempted_;
-    s.refsAccepted = refsAccepted_;
-    s.backpressure = backpressure_;
-    s.overflowDrops = overflowDrops_;
-    s.feedLines = feedLines_;
-    s.resyncs = resyncs_;
-    return s;
+    twins_.push_back(
+        Twin{label, seed, ies::MemoriesBoard::make(config, seed)});
+    return *twins_.back().board;
 }
 
 void
-StreamIngest::restore(const State &state)
+StreamIngest::saveState(ckpt::Sink &sink) const
 {
-    prevCycle_ = state.prevCycle;
-    paced_ = state.paced;
-    refsOffered_ = state.refsOffered;
-    refsAttempted_ = state.refsAttempted;
-    refsAccepted_ = state.refsAccepted;
-    backpressure_ = state.backpressure;
-    overflowDrops_ = state.overflowDrops;
-    feedLines_ = state.feedLines;
-    resyncs_ = state.resyncs;
+    sink.u8(paced_ ? 1 : 0);
+    sink.u64(prevCycle_);
+    sink.u64(refsOffered_);
+    sink.u64(refsAttempted_);
+    sink.u64(refsAccepted_);
+    sink.u64(backpressure_);
+    sink.u64(overflowDrops_);
+    sink.u64(feedLines_);
+    sink.u64(resyncs_);
+}
+
+void
+StreamIngest::loadState(ckpt::Source &source)
+{
+    const std::uint8_t paced = source.u8();
+    if (paced > 1)
+        fatal(source.context(), ": pace flag must be 0 or 1");
+    paced_ = paced != 0;
+    prevCycle_ = source.u64();
+    refsOffered_ = source.u64();
+    refsAttempted_ = source.u64();
+    refsAccepted_ = source.u64();
+    backpressure_ = source.u64();
+    overflowDrops_ = source.u64();
+    feedLines_ = source.u64();
+    resyncs_ = source.u64();
 }
 
 std::size_t
@@ -72,8 +74,8 @@ StreamIngest::feedAttempted(ies::Console &console,
     const std::size_t accepted = board.feedBatch(txns);
     // Twin boards see the identical attempted sequence (the session's
     // fan-out); their own buffers decide what they keep.
-    for (std::size_t i = 0; i < fleet_.numExperiments(); ++i)
-        fleet_.board(i).feedBatch(txns);
+    for (const Twin &twin : twins_)
+        twin.board->feedBatch(txns);
 
     refsAttempted_ += txns.size();
     refsAccepted_ += accepted;
@@ -99,14 +101,14 @@ std::string
 StreamIngest::resyncFromTwin(ies::MemoriesBoard &board)
 {
     const std::uint64_t want = board.config().fingerprint();
-    for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
-        ies::MemoriesBoard &twin = fleet_.board(i);
+    for (std::size_t i = 0; i < twins_.size(); ++i) {
+        const ies::MemoriesBoard &twin = *twins_[i].board;
         if (twin.healthState() == fault::HealthState::Healthy &&
             twin.config().fingerprint() == want) {
             board.resyncFrom(twin);
             ++resyncs_;
             return "resynced from twin " + std::to_string(i) + " '" +
-                   fleet_.label(i) + "'";
+                   twins_[i].label + "'";
         }
     }
     return "";
@@ -173,8 +175,8 @@ StreamIngest::handleDrain(ies::Console &console)
 {
     ies::MemoriesBoard &board = requireBoard(console, "drain");
     board.drainAll();
-    for (std::size_t i = 0; i < fleet_.numExperiments(); ++i)
-        fleet_.board(i).drainAll();
+    for (const Twin &twin : twins_)
+        twin.board->drainAll();
     return "drained buffer " + std::to_string(board.bufferSize()) +
            " retired " + std::to_string(board.bufferRetired());
 }
@@ -256,15 +258,15 @@ StreamIngest::handleFleet(ies::Console &console,
 {
     if (tokens.size() == 1 || tokens[1] == "list" ||
         tokens[1] == "status") {
-        if (fleet_.numExperiments() == 0)
+        if (twins_.empty())
             return "fleet empty";
         std::ostringstream os;
-        for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
+        for (std::size_t i = 0; i < twins_.size(); ++i) {
             if (i)
                 os << "\n";
-            os << i << " '" << fleet_.label(i) << "' seed "
-               << fleetSeeds_[i] << " health "
-               << fault::healthStateName(fleet_.board(i).healthState());
+            os << i << " '" << twins_[i].label << "' seed "
+               << twins_[i].seed << " health "
+               << fault::healthStateName(twins_[i].board->healthState());
         }
         return os.str();
     }
@@ -273,24 +275,22 @@ StreamIngest::handleFleet(ies::Console &console,
         ies::MemoriesBoard &board = requireBoard(console, "fleet add");
         if (tokens.size() > 4)
             fatal("usage: fleet add [label] [seed]");
+        const std::string index = std::to_string(twins_.size());
         const std::string label =
-            tokens.size() >= 3 ? tokens[2]
-                               : "twin" +
-                                     std::to_string(fleet_.numExperiments());
+            tokens.size() >= 3 ? tokens[2] : "twin" + index;
         const std::uint64_t seed =
             tokens.size() == 4 ? parseUnsigned(tokens[3], "seed") : 1;
-        const std::size_t index = addTwin(board.config(), seed, label);
-        return "fleet board " + std::to_string(index) + " '" + label +
-               "' added";
+        addTwin(board.config(), seed, label);
+        return "fleet board " + index + " '" + label + "' added";
     }
     if (sub == "counters" || sub == "stats") {
         if (tokens.size() != 3)
             fatal("usage: fleet ", sub, " <index>");
         const std::size_t i = parseUnsigned(tokens[2], "fleet index");
-        if (i >= fleet_.numExperiments())
-            fatal("fleet index ", i, " out of range (",
-                  fleet_.numExperiments(), " boards)");
-        return fleet_.board(i).dumpStats();
+        if (i >= twins_.size())
+            fatal("fleet index ", i, " out of range (", twins_.size(),
+                  " boards)");
+        return twins_[i].board->dumpStats();
     }
     if (sub == "resync") {
         const std::string note =

@@ -48,13 +48,20 @@
 #define MEMORIES_SERVICE_STREAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "ies/board.hh"
 #include "ies/console.hh"
-#include "ies/fanout.hh"
+
+namespace memories::ckpt
+{
+class Sink;
+class Source;
+} // namespace memories::ckpt
 
 namespace memories::service
 {
@@ -106,33 +113,32 @@ class StreamIngest
      *  from — the session layer must evict this session. */
     bool evictRequested() const { return evictRequested_; }
 
-    /** The session's twin-board fleet (suspend/resume walks it). */
-    ies::ExperimentFleet &fleet() { return fleet_; }
-    const ies::ExperimentFleet &fleet() const { return fleet_; }
-    std::uint64_t fleetSeed(std::size_t i) const { return fleetSeeds_[i]; }
+    /** One same-config twin board (`fleet add`), fed what the main
+     *  board is fed. */
+    struct Twin
+    {
+        std::string label;
+        std::uint64_t seed = 0;
+        std::unique_ptr<ies::MemoriesBoard> board;
+    };
+    const std::vector<Twin> &twins() const { return twins_; }
 
     /**
-     * Add a twin board cloned from @p config. Exposed (beside the
+     * Add a twin board built from @p config. Exposed (beside the
      * `fleet add` command) so session resume can rebuild twins.
      */
-    std::size_t addTwin(const ies::BoardConfig &config, std::uint64_t seed,
-                        const std::string &label);
+    ies::MemoriesBoard &addTwin(const ies::BoardConfig &config,
+                                std::uint64_t seed,
+                                const std::string &label);
 
-    /** Suspend/resume: the scalar stream state (docs/SERVICE.md). */
-    struct State
-    {
-        Cycle prevCycle = 0;
-        bool paced = true;
-        std::uint64_t refsOffered = 0;
-        std::uint64_t refsAttempted = 0;
-        std::uint64_t refsAccepted = 0;
-        std::uint64_t backpressure = 0;
-        std::uint64_t overflowDrops = 0;
-        std::uint64_t feedLines = 0;
-        std::uint64_t resyncs = 0;
-    };
-    State state() const;
-    void restore(const State &state);
+    /**
+     * Suspend/resume: the stream scalars (pace mode, the cycle-delta
+     * anchor and the cumulative counters; docs/SERVICE.md). loadState
+     * decodes straight into the object and may leave it half-written
+     * when it throws, so resume calls it on a staged StreamIngest.
+     */
+    void saveState(ckpt::Sink &sink) const;
+    void loadState(ckpt::Source &source);
 
     /**
      * Register the feed/drain/stream/fleet families on @p console.
@@ -178,8 +184,7 @@ class StreamIngest
     Increments added_;
     bool evictRequested_ = false;
 
-    ies::ExperimentFleet fleet_;
-    std::vector<std::uint64_t> fleetSeeds_;
+    std::vector<Twin> twins_;
 
     /** handleFeed's unpacked records, reused across lines. */
     std::vector<bus::BusTransaction> txns_;

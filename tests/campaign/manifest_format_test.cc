@@ -1,12 +1,12 @@
 /**
  * @file
  * IESCAMP manifest structure and fail-closed open (docs/FORMATS.md
- * §8): because the manifest is atomically rewritten, no legal crash
- * can tear it — so *every* malformed variant (truncation at any
- * boundary, a flipped bit anywhere, a torn first-write rename, bad
- * magic or version, structural nonsense) must be rejected with a
- * clear FatalError, and a rejected open must never let partial
- * results be reused.
+ * §8; the file is an IESCKPT container, §7): because the manifest is
+ * atomically rewritten, no legal crash can tear it — so *every*
+ * malformed variant (truncation at any boundary, a flipped bit
+ * anywhere, a torn first-write rename, bad magic or version,
+ * trailing bytes) must be rejected with a clear FatalError, and a
+ * rejected open must never let partial results be reused.
  */
 
 #include <gtest/gtest.h>
@@ -205,12 +205,13 @@ TEST_F(ManifestFormatTest, BadMagicAndVersionFailClosed)
 
     // A future version must be refused even with a fixed-up header
     // CRC — flipping the version alone is caught by the CRC, so
-    // recompute it to prove the version check itself fires.
+    // recompute it (the container's header CRC at bytes 24-27, over
+    // bytes 0-23) to prove the version check itself fires.
     bad = good;
     bad[8] = 99;
-    const std::uint32_t crc = ckpt::crc32(bad.data(), 28);
+    const std::uint32_t crc = ckpt::crc32(bad.data(), 24);
     for (int i = 0; i < 4; ++i)
-        bad[28 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+        bad[24 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
     writeRaw(bad);
     try {
         Manifest::open(dir_);

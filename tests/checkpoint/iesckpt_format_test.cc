@@ -211,6 +211,55 @@ TEST(IesckptFormatTest, WrongVersionFailsClosed)
     expectFailsClosed(cfg, bytes, "wrong version");
 }
 
+TEST(IesckptFormatTest, BytesNoSectionCoversFailClosed)
+{
+    // The payloads must run back to back, in table order, from the end
+    // of the table CRC to the end of the file. Junk after the last
+    // section, or a gap before the first, is rejected even though
+    // every CRC still holds.
+    const BoardConfig cfg = makeUniformBoard(1, 8, smallCache());
+    const auto good = checkpointBytes(cfg);
+    for (const std::size_t junk : {1, 7, 4096}) {
+        auto bad = good;
+        bad.insert(bad.end(), junk, 0x5a);
+        MemoriesBoard board(cfg);
+        warmUp(board, /*seed=*/99);
+        const std::string error = expectFailsClosed(
+            board, bad, std::to_string(junk) + " junk bytes");
+        EXPECT_NE(error.find(std::to_string(junk) +
+                             " bytes after the last section"),
+                  std::string::npos)
+            << error;
+    }
+
+    // One byte between the table CRC and the first payload, with every
+    // recorded offset moved past it and the table CRC re-sealed.
+    const std::size_t sections =
+        ckpt::CheckpointImage::fromBytes(good, "good").sectionIds().size();
+    const std::size_t table = 28;
+    const std::size_t tableLen = 24 * sections;
+    auto gap = good;
+    gap.insert(gap.begin() + table + tableLen + 4, 0x00);
+    for (std::size_t i = 0; i < sections; ++i) {
+        std::uint8_t *offset = gap.data() + table + 24 * i + 8;
+        std::uint64_t value = 0;
+        for (unsigned b = 0; b < 8; ++b)
+            value |= std::uint64_t{offset[b]} << (8 * b);
+        ++value;
+        for (unsigned b = 0; b < 8; ++b)
+            offset[b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    const std::uint32_t crc = ckpt::crc32(gap.data() + table, tableLen);
+    for (unsigned b = 0; b < 4; ++b)
+        gap[table + tableLen + b] = static_cast<std::uint8_t>(crc >> (8 * b));
+    MemoriesBoard board(cfg);
+    warmUp(board, /*seed=*/99);
+    const std::string error =
+        expectFailsClosed(board, gap, "gap before the first section");
+    EXPECT_NE(error.find("where the previous one ends"), std::string::npos)
+        << error;
+}
+
 TEST(IesckptFormatTest, PayloadCrcFlipFailsClosed)
 {
     const BoardConfig cfg = makeUniformBoard(1, 8, smallCache());

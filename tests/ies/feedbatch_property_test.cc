@@ -4,7 +4,8 @@
  * byte-identical to feeding the same stream through feedCommitted one
  * transaction at a time. "Byte-identical" is taken literally: the
  * acceptance flags, every global and node counter, every node's
- * directorySnapshot(), the buffer statistics, and — with a flight
+ * directorySnapshot(), the buffer statistics, the board's IESCKPT
+ * checkpoint bytes, and — with a flight
  * recorder attached — the retirement order and the chrome-trace JSON
  * rendered from the recorder ring, plus the anomaly count and the
  * final health state.
@@ -38,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/file.hh"
 #include "fault/faultplan.hh"
 #include "fault/injector.hh"
 #include "ies/board.hh"
@@ -61,6 +63,8 @@ struct Signature
     std::size_t bufferSize = 0;
     std::size_t bufferHighWater = 0;
     fault::HealthState health = fault::HealthState::Healthy;
+    /** Everything MemoriesBoard::saveState writes, as container bytes. */
+    std::vector<std::uint8_t> checkpoint;
     /** traceIds of Retire events, in ring order (recorded runs). */
     std::vector<std::uint32_t> retirementOrder;
     /** Chrome-trace JSON of the full recorder ring (recorded runs). */
@@ -90,6 +94,9 @@ signatureOf(const MemoriesBoard &board,
     sig.bufferSize = board.bufferSize();
     sig.bufferHighWater = board.bufferHighWater();
     sig.health = board.healthState();
+    ckpt::CheckpointWriter writer;
+    board.saveState(writer);
+    sig.checkpoint = writer.bytes(board.config().fingerprint());
     if (recorder) {
         const auto events = recorder->snapshot();
         for (const auto &ev : events) {
@@ -134,6 +141,8 @@ expectIdentical(const Signature &serial, const Signature &batched,
     EXPECT_EQ(serial.bufferSize, batched.bufferSize) << what;
     EXPECT_EQ(serial.bufferHighWater, batched.bufferHighWater) << what;
     EXPECT_EQ(serial.health, batched.health) << what;
+    EXPECT_TRUE(serial.checkpoint == batched.checkpoint)
+        << what << ": checkpoint bytes";
     EXPECT_EQ(serial.retirementOrder, batched.retirementOrder) << what;
     EXPECT_EQ(serial.chromeTrace, batched.chromeTrace) << what;
     EXPECT_EQ(serial.anomalies, batched.anomalies) << what;

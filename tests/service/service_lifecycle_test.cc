@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
+
 #include "servicetest.hh"
 
+#include "checkpoint/file.hh"
 #include "checkpoint/io.hh"
 #include "service/session.hh"
 
@@ -21,6 +25,64 @@ namespace
 {
 
 using namespace testing;
+
+/** The files in @p dir whose names start with "<name>.". */
+std::set<std::string>
+sessionFiles(const std::string &dir, const std::string &name)
+{
+    std::set<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string file = entry.path().filename().string();
+        if (file.rfind(name + ".", 0) == 0)
+            files.insert(file);
+    }
+    return files;
+}
+
+/** What `session resume` must bring back: the stream scalars, the
+ *  counters and the board's IESCKPT bytes. */
+struct ResumePoint
+{
+    std::string stream;
+    std::string counters;
+    std::string ckptBytes;
+
+    bool operator==(const ResumePoint &) const = default;
+};
+
+ResumePoint
+resumePoint(ServiceClient &client)
+{
+    ResumePoint point;
+    point.stream = client.exec("stream status").text();
+    const RunSignature sig = sessionSignature(client);
+    point.counters = sig.counters;
+    point.ckptBytes = sig.ckptBytes;
+    return point;
+}
+
+/**
+ * Fails the @p at-th atomic write after installation with ENOSPC,
+ * before a byte lands, and lets every other write through.
+ */
+class NoSpaceAt final : public ckpt::DiskFaultShim
+{
+  public:
+    explicit NoSpaceAt(std::size_t at) : at_(at) {}
+
+    ckpt::DiskFault onAtomicWrite(const std::string &) override
+    {
+        return {seen_++ == at_ ? ckpt::DiskFaultKind::NoSpace
+                               : ckpt::DiskFaultKind::None,
+                0};
+    }
+
+    bool fired() const { return seen_ > at_; }
+
+  private:
+    std::size_t at_;
+    std::size_t seen_ = 0;
+};
 
 TEST(ServiceLifecycleTest, PacedSessionMatchesGoldenFeedBatch)
 {
@@ -119,7 +181,9 @@ TEST(ServiceLifecycleTest, SuspendResumeMatchesStraightThroughRun)
     }
     EXPECT_EQ(daemon.get().sessionsSuspended(), 1u);
     EXPECT_TRUE(ckpt::fileExists(
-        Session::manifestPath(daemon.options.stateDir, "alpha")));
+        Session::statePath(daemon.options.stateDir, "alpha")));
+    EXPECT_EQ(sessionFiles(daemon.options.stateDir, "alpha"),
+              std::set<std::string>{"alpha.ckpt"});
 
     {
         ServiceClient client;
@@ -192,37 +256,106 @@ TEST(ServiceLifecycleTest, ScriptConfiguredSessionSuspendsAndResumes)
 
 TEST(ServiceLifecycleTest, TamperedManifestFailsClosedOnResume)
 {
-    // A manifest counter tampered to exceed uint64 must produce an
-    // "error:" reply on resume — the fail-closed promise — not an
-    // escaping std::out_of_range that kills the daemon.
+    // A flipped byte anywhere in the suspended file fails its section
+    // CRC while the whole file is checked, before the console runs a
+    // line: the reply is an error, the session stays fresh, and it
+    // configures and feeds as if the resume had never been tried.
+    const auto raw = stream(/*seed=*/17, /*count=*/1'000);
     TestDaemon daemon;
     {
         ServiceClient client;
         ASSERT_TRUE(client.connect(daemon.socket()));
         configureSession(client, configScript());
         ASSERT_TRUE(client.exec("session name tamper").ok);
-        client.feedAll(stream(/*seed=*/17, /*count=*/1'000),
-                       /*batch=*/256);
+        client.feedAll(raw, /*batch=*/256);
         ASSERT_TRUE(client.exec("session suspend").ok);
     }
     const auto path =
-        Session::manifestPath(daemon.options.stateDir, "tamper");
-    std::string manifest = readFileBytes(path);
-    const auto pos = manifest.find("offered ");
-    ASSERT_NE(pos, std::string::npos);
-    const auto eol = manifest.find('\n', pos);
-    manifest.replace(pos, eol - pos,
-                     "offered 99999999999999999999999");
-    std::ofstream(path, std::ios::binary) << manifest;
+        Session::statePath(daemon.options.stateDir, "tamper");
+    const std::string good = readFileBytes(path);
+    const auto image = ckpt::CheckpointImage::fromBytes(
+        {good.begin(), good.end()}, "suspended session");
 
     ServiceClient client;
     ASSERT_TRUE(client.connect(daemon.socket()));
-    const auto reply = client.exec("session resume tamper");
-    EXPECT_FALSE(reply.ok);
-    EXPECT_NE(reply.text().find("out of range"), std::string::npos)
-        << reply.text();
-    // The daemon survived and the session is still usable.
-    EXPECT_TRUE(client.exec("session status").ok);
+    for (const std::uint32_t id : {std::uint32_t{ckpt::secSession},
+                                   std::uint32_t{ckpt::secNodeBase + 1}}) {
+        // Payloads run back to back after the table, so a section's
+        // offset is the table end plus the lengths before it.
+        std::size_t at = 28 + 24 * image.sectionIds().size() + 4;
+        for (const std::uint32_t before : image.sectionIds()) {
+            if (before == id)
+                break;
+            at += image.sectionLength(before);
+        }
+        std::string bad = good;
+        bad[at + image.sectionLength(id) / 2] ^= 0x10;
+        std::ofstream(path, std::ios::binary) << bad;
+
+        const auto reply = client.exec("session resume tamper");
+        EXPECT_FALSE(reply.ok);
+        const std::string section = ckpt::sectionName(id);
+        EXPECT_NE(reply.text().find("section " + section + " CRC mismatch"),
+                  std::string::npos)
+            << reply.text();
+        const auto status = client.exec("session status");
+        EXPECT_NE(status.text().find("state fresh"), std::string::npos)
+            << section << ": " << status.text();
+    }
+
+    const auto golden = goldenRun(configScript(), canonical(raw));
+    configureSession(client, configScript());
+    client.feedAll(raw, /*batch=*/256);
+    ASSERT_TRUE(client.exec("drain").ok);
+    sessionSignature(client).expectEqual(golden, "after failed resumes");
+}
+
+TEST(ServiceLifecycleTest, FailedSuspendLeavesThePreviousOneWhole)
+{
+    // Fail each atomic write a second suspend makes, in turn, until
+    // one suspend lands: after every failure, resume must bring back
+    // the first suspend exactly, never new board state under old
+    // stream scalars.
+    const auto raw = stream(/*seed=*/19, /*count=*/6'000);
+    const std::vector<bus::BusTransaction> first(raw.begin(),
+                                                 raw.begin() + 2'000);
+    const std::vector<bus::BusTransaction> second(raw.begin() + 2'000,
+                                                  raw.end());
+    TestDaemon daemon;
+    {
+        ServiceClient client;
+        ASSERT_TRUE(client.connect(daemon.socket()));
+        configureSession(client, configScript());
+        ASSERT_TRUE(client.exec("session name alpha").ok);
+        client.feedAll(first, /*batch=*/256);
+        ASSERT_TRUE(client.exec("session suspend").ok);
+    }
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    ASSERT_TRUE(client.exec("session resume alpha").ok);
+    const ResumePoint suspended = resumePoint(client);
+    client.setChainCycle(first.back().cycle);
+    client.feedAll(second, /*batch=*/256);
+
+    for (std::size_t at = 0;; ++at) {
+        NoSpaceAt disk(at);
+        ckpt::DiskFaultShim *previous = ckpt::setDiskFaultShim(&disk);
+        const auto reply = client.exec("session suspend");
+        ckpt::setDiskFaultShim(previous);
+        if (!disk.fired()) {
+            EXPECT_TRUE(reply.ok) << reply.text();
+            break;
+        }
+        ASSERT_FALSE(reply.ok) << "write " << at << " failed unnoticed";
+
+        ServiceClient other;
+        ASSERT_TRUE(other.connect(daemon.socket()));
+        const auto resumed = other.exec("session resume alpha");
+        ASSERT_TRUE(resumed.ok) << resumed.text();
+        EXPECT_TRUE(resumePoint(other) == suspended)
+            << "write " << at << " failed, and resume no longer "
+            << "restores the first suspend";
+    }
 }
 
 TEST(ServiceLifecycleTest, DaemonTotalsCountEachRecordOnce)
@@ -285,6 +418,41 @@ TEST(ServiceLifecycleTest, TwinFleetTracksTheMainBoard)
 
     // Same config, same stream: the twin's stats must equal the main
     // board's (that equality is what makes it a valid resync donor).
+    const auto main_stats = client.exec("stats");
+    const auto twin_stats = client.exec("fleet stats 0");
+    ASSERT_TRUE(main_stats.ok);
+    ASSERT_TRUE(twin_stats.ok);
+    EXPECT_EQ(main_stats.text(), twin_stats.text());
+}
+
+TEST(ServiceLifecycleTest, SuspendResumeKeepsTheTwinRoster)
+{
+    const auto raw = stream(/*seed=*/20, /*count=*/6'000);
+    const std::vector<bus::BusTransaction> first(raw.begin(),
+                                                 raw.begin() + 3'000);
+    const std::vector<bus::BusTransaction> second(raw.begin() + 3'000,
+                                                  raw.end());
+    TestDaemon daemon;
+    {
+        ServiceClient client;
+        ASSERT_TRUE(client.connect(daemon.socket()));
+        configureSession(client, configScript());
+        ASSERT_TRUE(client.exec("fleet add shadow 7").ok);
+        ASSERT_TRUE(client.exec("session name twinned").ok);
+        client.feedAll(first, /*batch=*/256);
+        ASSERT_TRUE(client.exec("session suspend").ok);
+    }
+
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    const auto reply = client.exec("session resume twinned");
+    ASSERT_TRUE(reply.ok) << reply.text();
+    EXPECT_EQ(chomp(client.exec("fleet list").text()),
+              "0 'shadow' seed 7 health healthy");
+
+    client.setChainCycle(first.back().cycle);
+    client.feedAll(second, /*batch=*/256);
+    ASSERT_TRUE(client.exec("drain").ok);
     const auto main_stats = client.exec("stats");
     const auto twin_stats = client.exec("fleet stats 0");
     ASSERT_TRUE(main_stats.ok);
