@@ -13,12 +13,14 @@ The gate fails when a measured speedup falls more than --tolerance
 print a note — update the baseline deliberately, not from CI noise.
 
 The baseline may also carry "overhead_gates": ratio *ceilings* between
-two sections of the same run, used to bound the cost of the IESPROF
-profiler (numerator = instrumented section, denominator = its plain
-twin, max_ratio = the ceiling, checked without extra tolerance since
-the ceiling already embeds the allowance). An overhead gate whose
-sections are absent (the bench ran without --profile) is skipped with
-a note rather than failed.
+two sections of the same run, each bounding the cost of an
+observability layer (numerator = instrumented section, denominator =
+its plain twin, max_ratio = the ceiling, checked without extra
+tolerance since the ceiling already embeds the allowance). Two are
+checked in: the IESPROF profiler on the batch feed path and the flight
+recorder on the live bus + board path. An overhead gate whose sections
+are absent (the profiled ones appear only when the bench ran with
+--profile) is skipped with a note rather than failed.
 
 When the results file carries a "profile" object (bench ran with
 --profile), the per-stage attribution is sanity-checked: the direct
@@ -107,8 +109,8 @@ def check_overhead_gates(results, baseline):
         den = section_ns_per_ref(results, gate["denominator"],
                                  required=False)
         if num is None or den is None:
-            print(f"[SKIP] {gate['name']}: profiled sections absent "
-                  "(bench ran without --profile)")
+            print(f"[SKIP] {gate['name']}: sections absent (the "
+                  "profiled ones need --profile)")
             continue
         measured = num / den
         verdict = "OK" if measured <= gate["max_ratio"] else "FAIL"

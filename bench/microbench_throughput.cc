@@ -31,6 +31,14 @@ median(std::vector<double> samples)
     return samples[samples.size() / 2];
 }
 
+/**
+ * Rounds of the sections the gates compare with each other. They run
+ * interleaved, each on a fresh board, and each reports its median: a
+ * slow stretch of the host lands in every section instead of skewing
+ * one.
+ */
+constexpr int rounds = 11;
+
 } // namespace
 
 int
@@ -120,17 +128,13 @@ main(int argc, char **argv)
         // stream, fed one tenure at a time (serial), then in 4096-
         // tenure batches, then batched with an IESPROF profiler
         // attached (with --profile). feedbatch_test proves the paths
-        // produce byte-identical state; this is their price. The gates
-        // compare these sections with each other, so they run as
-        // interleaved rounds on fresh boards and each reports its
-        // median: a slow stretch of the host lands in every section
-        // instead of skewing one.
+        // produce byte-identical state; this is their price, measured
+        // in interleaved rounds (see `rounds`).
         const auto config = ies::makeUniformBoard(
             1, 8,
             cache::CacheConfig{64 * MiB, 4, 128,
                                cache::ReplacementPolicy::LRU});
         constexpr std::size_t chunk = 4096;
-        constexpr int rounds = 5;
         auto feed_batches = [&](ies::MemoriesBoard &board,
                                 std::size_t refs) {
             for (std::size_t at = 0; at < refs; at += chunk)
@@ -232,43 +236,47 @@ main(int argc, char **argv)
                static_cast<double>(trace.size()));
     }
     {
-        // Lifecycle-tracing overhead: the board+bus path again, first
-        // with no recorder attached (the one-branch "detached" cost
-        // every run now pays) and then with a flight recorder actually
-        // recording. The detached number must stay within noise of the
-        // plain board path above — the recorder's always-on claim.
-        bus::Bus6xx bus;
-        ies::MemoriesBoard board(ies::makeUniformBoard(
+        // Lifecycle-tracing overhead: the board+bus path with no
+        // recorder attached (the one-branch "detached" cost every run
+        // pays) and with a flight recorder recording every tenure. The
+        // detached number must stay within noise of the plain board
+        // path above — the recorder's always-on claim — and the
+        // attached one is gated against it, so the two run as
+        // interleaved rounds, each on a fresh bus and board.
+        const auto config = ies::makeUniformBoard(
             1, 8,
             cache::CacheConfig{64 * MiB, 4, 128,
-                               cache::ReplacementPolicy::LRU}));
-        board.plugInto(bus);
-        bench::Stopwatch detached;
-        for (const auto &txn : trace) {
-            bus.advanceTo(txn.cycle);
-            bus.issue(txn);
+                               cache::ReplacementPolicy::LRU});
+        auto bus_path = [&](trace::FlightRecorder *recorder) {
+            bus::Bus6xx bus;
+            ies::MemoriesBoard board(config);
+            board.plugInto(bus);
+            if (recorder) {
+                bus.attachFlightRecorder(*recorder);
+                board.attachFlightRecorder(*recorder, 0);
+            }
+            bench::Stopwatch clock;
+            for (const auto &txn : trace) {
+                bus.advanceTo(txn.cycle);
+                bus.issue(txn);
+            }
+            board.drainAll();
+            return clock.seconds();
+        };
+        std::vector<double> detached_s, attached_s;
+        std::uint64_t recorded = 0;
+        for (int r = 0; r < rounds; ++r) {
+            detached_s.push_back(bus_path(nullptr));
+            trace::FlightRecorder recorder(std::size_t{1} << 16);
+            attached_s.push_back(bus_path(&recorder));
+            recorded = recorder.recorded();
         }
-        board.drainAll();
-        report("board path, recorder detached", detached.seconds(),
-               static_cast<double>(trace.size()));
-
-        trace::FlightRecorder recorder(std::size_t{1} << 16);
-        bus.attachFlightRecorder(recorder);
-        board.attachFlightRecorder(recorder, 0);
-        bench::Stopwatch attached;
-        for (const auto &txn : trace) {
-            bus.advanceTo(txn.cycle);
-            bus.issue(txn);
-        }
-        board.drainAll();
-        report("board path, recorder attached", attached.seconds(),
-               static_cast<double>(trace.size()));
-        std::printf("  flight recorder: %llu events recorded, %llu "
-                    "retained, %llu overwritten\n",
-                    static_cast<unsigned long long>(recorder.recorded()),
-                    static_cast<unsigned long long>(recorder.size()),
-                    static_cast<unsigned long long>(
-                        recorder.overwritten()));
+        const auto refs = static_cast<double>(trace.size());
+        report("board path, recorder detached", median(detached_s), refs);
+        report("board path, recorder attached", median(attached_s), refs);
+        std::printf("  recorder sections: median of %d interleaved "
+                    "rounds, %llu events recorded a round\n",
+                    rounds, static_cast<unsigned long long>(recorded));
     }
     {
         workload::OltpParams oltp;

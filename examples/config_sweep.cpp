@@ -251,11 +251,10 @@ main(int argc, char **argv)
                                                            ".csv");
             sampler->addExporter(*jsonl);
             sampler->addExporter(*csv);
-            // Per-board worker progress is scheduling-dependent; the
-            // uploaded artifacts must be byte-stable run-to-run, so
-            // register only bus-thread sources (the per-board fidelity
-            // numbers land in sweep_fleet.csv after finish()).
-            fleet.attachTelemetry(*sampler, /*board_progress=*/false);
+            // Only bus-thread sources, so the uploaded artifacts are
+            // byte-stable run-to-run (the per-board fidelity numbers
+            // land in sweep_fleet.csv after finish()).
+            fleet.attachTelemetry(*sampler);
             machine.attachTelemetry(*sampler);
         }
 

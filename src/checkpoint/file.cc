@@ -28,6 +28,7 @@ sectionName(std::uint32_t id)
       case secCampaignSequence: return "sequence";
       case secCampaignPlan:     return "plan";
       case secCampaignUnits:    return "units";
+      case secLifecycle:        return "lifecycle";
       default:
         break;
     }

@@ -10,8 +10,8 @@
  *   u32     section count
  *   u64     fingerprint: the board-config fingerprint
  *           (BoardConfig::fingerprint, which folds in every node's
- *           ProtocolTable::fingerprint), or a campaign manifest's plan
- *           fingerprint
+ *           ProtocolTable::fingerprint), a campaign manifest's plan
+ *           fingerprint, or 0 for a lifecycle dump
  *   u32     header CRC-32 over the 24 bytes above
  *   -- section table, one entry per section --
  *   u32     section id        u32  payload CRC-32
@@ -32,8 +32,10 @@
  *
  * Every state file the program reads back uses this container: board
  * checkpoints, suspended IESSERV sessions (the board's sections plus a
- * session section and one section per twin board) and IESCAMP
- * campaign manifests (docs/FORMATS.md §7-8).
+ * session section and one section per twin board), IESCAMP campaign
+ * manifests and flight-recorder lifecycle dumps (docs/FORMATS.md
+ * §6-8). Captured bus traces (IESTRACE) are the one binary file the
+ * program reads back in its own framing.
  */
 
 #ifndef MEMORIES_CHECKPOINT_FILE_HH
@@ -70,6 +72,8 @@ enum SectionId : std::uint32_t
     secCampaignPlan = 0x21,
     /** Campaign manifest: every unit's status, in plan order. */
     secCampaignUnits = 0x22,
+    /** Lifecycle dump: event count, then five words per event. */
+    secLifecycle = 0x30,
     /** NodeController n: secNodeBase + n (directory, counters, RNGs). */
     secNodeBase = 0x100,
     /** Session twin board n: secTwinBase + n, the twin's own IESCKPT

@@ -4,9 +4,9 @@
  * deterministic disk-fault injection shim.
  *
  * Every durable artifact in the tree — IESCKPT containers (board
- * checkpoints, suspended sessions, campaign manifests), unit result
- * files, the console's exports — goes through one primitive, and a
- * state file is written by exactly one call of it:
+ * checkpoints, suspended sessions, campaign manifests, lifecycle
+ * dumps), unit result files, the console's exports — goes through one
+ * primitive, and a state file is written by exactly one call of it:
  *
  *   atomicWriteFile(path, data, len)
  *
@@ -18,6 +18,13 @@
  * leaves either the old complete file or the new complete file, never
  * a torn hybrid. Readers may find a stale `.tmp` beside a valid file
  * (a crash mid-write); they must ignore it.
+ *
+ * Two kinds of file do not go through it: IESTRACE bus traces
+ * (trace::TraceWriter streams records and rewrites its header as it
+ * grows) and telemetry streams (the JSONL/CSV exporters append window
+ * by window while a run goes on, and the Prometheus exporter truncates
+ * and rewrites its file each window). Neither is atomic or seen by the
+ * shim.
  *
  * The DiskFaultShim makes every failure path exercisable on a healthy
  * disk. When installed, each atomicWriteFile() call first asks the

@@ -429,12 +429,47 @@ Console::handleInit(const Tokens &tokens)
 {
     requireStaged(tokens);
     staged_.validate();
-    board_ = std::make_unique<MemoriesBoard>(staged_);
+    plugIn(std::make_unique<MemoriesBoard>(staged_));
+    return "board initialized: " + std::to_string(board_->numNodes()) +
+           " node(s) attached";
+}
+
+void
+Console::plugIn(std::unique_ptr<MemoriesBoard> board)
+{
+    board_ = std::move(board);
     board_->plugInto(bus_);
     if (recorder_)
         board_->attachFlightRecorder(*recorder_);
-    return "board initialized: " + std::to_string(board_->numNodes()) +
-           " node(s) attached";
+}
+
+void
+Console::initFrom(const std::vector<std::string> &lines,
+                  const std::function<void(MemoriesBoard &)> &load)
+{
+    if (board_)
+        fatal("the board is already initialized");
+    const BoardConfig staged = staged_;
+    const std::size_t recorded = configLines_.size();
+    try {
+        for (const std::string &line : lines) {
+            std::string_view rest = line;
+            const auto it = commands_.find(nextWord(rest));
+            if (it == commands_.end() || !it->second.configures)
+                fatal("'", line, "' is not a configuration line");
+            const std::string reply = execute(line);
+            if (reply.rfind("error:", 0) == 0)
+                fatal("config replay of '", line, "' failed: ", reply);
+        }
+        staged_.validate();
+        auto board = std::make_unique<MemoriesBoard>(staged_);
+        load(*board);
+        plugIn(std::move(board));
+    } catch (...) {
+        staged_ = staged;
+        configLines_.resize(recorded);
+        throw;
+    }
 }
 
 std::string
@@ -726,10 +761,9 @@ Console::handleTrace(const Tokens &tokens)
         if (tokens.size() != 3)
             fatal("usage: trace dump <path>");
         auto &rec = require_recorder();
-        trace::LifecycleWriter writer(tokens[2]);
-        writer.appendAll(rec.snapshot());
-        writer.flush();
-        return "wrote " + std::to_string(writer.count()) +
+        const auto events = rec.snapshot();
+        trace::writeLifecycleDump(tokens[2], events);
+        return "wrote " + std::to_string(events.size()) +
                " lifecycle events to " + tokens[2] + " (" +
                std::to_string(rec.overwritten()) +
                " older events overwritten)";
@@ -750,9 +784,7 @@ Console::handleTrace(const Tokens &tokens)
         rec.onAnomaly([path = tokens[2]](
                           const trace::FlightRecorder &r,
                           const trace::LifecycleEvent &) {
-            trace::LifecycleWriter writer(path);
-            writer.appendAll(r.snapshot());
-            writer.flush();
+            trace::writeLifecycleDump(path, r.snapshot());
         });
         return "flight recorder will dump to " + tokens[2] +
                " on every anomaly";

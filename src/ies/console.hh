@@ -34,7 +34,7 @@
  *   trace status             -- recorded/retained/anomaly counts
  *   trace show [n]           -- describe the last n retained events
  *   trace mark <label...>    -- drop an operator annotation in the ring
- *   trace dump <path>        -- write retained events (binary, IESSPANS)
+ *   trace dump <path>        -- write retained events (IESCKPT dump)
  *   trace chrome <path>      -- write retained events as Chrome JSON
  *   trace autodump <path>    -- dump automatically on every anomaly
  *   trace stop               -- detach and discard the recorder
@@ -177,6 +177,18 @@ class Console
                          CommandHandler handler);
 
     /**
+     * Run @p lines (configuration lines, as configLines() records
+     * them) and build the board they stage, hand it to @p load, and
+     * only then plug it in as `init` would. All or nothing: when a
+     * line is rejected or is not a configuration line, or @p load
+     * throws, the error propagates and the console is left as it was,
+     * staged config and recorded lines included. Session resume
+     * restores a suspended board this way.
+     */
+    void initFrom(const std::vector<std::string> &lines,
+                  const std::function<void(MemoriesBoard &)> &load);
+
+    /**
      * The configuration lines accepted before init, in order, as
      * typed: every successful `node`, `buffer`, `throughput`,
      * `capture` and `health` line except a status query, including
@@ -221,6 +233,9 @@ class Console
     std::string handleScript(const Tokens &tokens);
     std::string handleShutdown(const Tokens &tokens);
     std::string handleHelp(const Tokens &tokens);
+
+    /** Plug @p board into the bus as the live board (init's end). */
+    void plugIn(std::unique_ptr<MemoriesBoard> board);
 
     NodeConfig &nodeFor(std::size_t index);
     /** The staged config; fatal() naming tokens[0] after init. */

@@ -1,7 +1,6 @@
 #include "ies/fanout.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "bus/busop.hh"
 #include "common/logging.hh"
@@ -172,6 +171,23 @@ ExperimentFleet::start(std::size_t workers)
     requireIdle("start");
     if (boards_.empty())
         fatal("ExperimentFleet::start with no experiments added");
+    // A flight recorder has one writer thread: no two boards (run by
+    // workers) and no board and the tapped bus (run by the host) may
+    // share one.
+    for (std::size_t i = 0; i < boards_.size(); ++i) {
+        const trace::FlightRecorder *recorder =
+            boards_[i]->flightRecorder();
+        if (!recorder)
+            continue;
+        if (tappedBus_ && tappedBus_->flightRecorder() == recorder)
+            fatal("ExperimentFleet::start: board ", i,
+                  " shares the tapped bus's flight recorder");
+        for (std::size_t j = i + 1; j < boards_.size(); ++j) {
+            if (boards_[j]->flightRecorder() == recorder)
+                fatal("ExperimentFleet::start: boards ", i, " and ", j,
+                      " share a flight recorder");
+        }
+    }
     const std::size_t count =
         std::min(std::max<std::size_t>(workers, 1), boards_.size());
 
@@ -179,15 +195,8 @@ ExperimentFleet::start(std::size_t workers)
                                         boards_.size());
     producerBuf_.clear();
     producerBuf_.reserve(opts_.batchSize);
-    slotCount_ = boards_.size();
-    overflowDrops_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(slotCount_);
-    eventsConsumed_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(slotCount_);
-    for (std::size_t i = 0; i < slotCount_; ++i) {
-        overflowDrops_[i].store(0, std::memory_order_relaxed);
-        eventsConsumed_[i].store(0, std::memory_order_relaxed);
-    }
+    overflowDrops_.assign(boards_.size(), 0);
+    eventsConsumed_.assign(boards_.size(), 0);
     published_ = 0;
     tapFiltered_ = 0;
     tapRetryDropped_ = 0;
@@ -308,8 +317,8 @@ ExperimentFleet::feedBoard(std::size_t i, const bus::BusTransaction *events,
     // host would have replayed it; in replay there is no host to
     // replay it, so it is lost to this board only.
     const std::size_t accepted = boards_[i]->feedBatch(events, n);
-    overflowDrops_[i].fetch_add(n - accepted, std::memory_order_relaxed);
-    eventsConsumed_[i].fetch_add(n, std::memory_order_relaxed);
+    overflowDrops_[i] += n - accepted;
+    eventsConsumed_[i] += n;
 }
 
 void
@@ -330,55 +339,24 @@ std::uint64_t
 ExperimentFleet::overflowDrops(std::size_t i) const
 {
     requireIdle("overflowDrops");
-    return overflowDropsRelaxed(i);
+    return i < overflowDrops_.size() ? overflowDrops_[i] : 0;
 }
 
 std::uint64_t
 ExperimentFleet::eventsConsumed(std::size_t i) const
 {
     requireIdle("eventsConsumed");
-    return eventsConsumedRelaxed(i);
-}
-
-std::string
-ExperimentFleet::dumpStats() const
-{
-    requireIdle("dumpStats");
-    std::ostringstream os;
-    os << "=== experiment fleet ===\n";
-    os << "published " << published_ << " tap-filtered " << tapFiltered_
-       << " tap-retry-dropped " << tapRetryDropped_ << "\n";
-    for (std::size_t i = 0; i < boards_.size(); ++i) {
-        os << "board " << i << " (" << labels_[i] << "): consumed "
-           << eventsConsumedRelaxed(i) << " overflow-drops "
-           << overflowDropsRelaxed(i) << " backpressure-stalls "
-           << (ring_ ? ring_->stalls(i) : 0) << "\n";
-    }
-    return os.str();
+    return i < eventsConsumed_.size() ? eventsConsumed_[i] : 0;
 }
 
 void
-ExperimentFleet::attachTelemetry(telemetry::Sampler &sampler,
-                                 bool board_progress)
+ExperimentFleet::attachTelemetry(telemetry::Sampler &sampler)
 {
     sampler.addValue("fleet.published", [this] { return published_; });
     sampler.addValue("fleet.tap_filtered",
                      [this] { return tapFiltered_; });
     sampler.addValue("fleet.tap_retry_dropped",
                      [this] { return tapRetryDropped_; });
-    if (!board_progress)
-        return;
-    for (std::size_t i = 0; i < boards_.size(); ++i) {
-        const std::string prefix =
-            "fleet.board" + std::to_string(i) + ".";
-        sampler.addValue(prefix + "events_consumed",
-                         [this, i] { return eventsConsumedRelaxed(i); });
-        sampler.addValue(prefix + "overflow_drops",
-                         [this, i] { return overflowDropsRelaxed(i); });
-        sampler.addValue(prefix + "ring_stalls", [this, i] {
-            return ring_ ? ring_->stalls(i) : 0;
-        });
-    }
 }
 
 } // namespace memories::ies

@@ -41,7 +41,6 @@
 #ifndef MEMORIES_IES_FANOUT_HH
 #define MEMORIES_IES_FANOUT_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -174,6 +173,8 @@ class ExperimentFleet final : public bus::BusObserver
      * Spawn @p workers consumer threads (clamped to the experiment
      * count) and begin accepting events. Restartable: a finished fleet
      * may start() again with warm boards and fresh fleet counters.
+     * fatal() before any worker starts when two boards hold the same
+     * flight recorder, or a board holds the tapped bus's.
      */
     void start(std::size_t workers);
 
@@ -228,44 +229,32 @@ class ExperimentFleet final : public bus::BusObserver
     /** Events consumed by board @p i. Read after finish(). */
     std::uint64_t eventsConsumed(std::size_t i) const;
 
-    /** Multi-line fleet diagnostics (read after finish()). */
-    std::string dumpStats() const;
-
     /**
-     * Register the fleet's thread-safe observables with a sampler:
-     * tap-side totals (published, filtered, retry-dropped) plus, when
-     * @p board_progress is set, per-board events-consumed,
-     * overflow-drop, and ring-stall counts under "fleet.board<i>.".
-     * Call after every addExperiment() so all boards get sources, and
-     * Sampler::resync() after start() — start() zeroes the fleet
-     * counters, which would corrupt baselines captured earlier.
+     * Register the fleet's tap-side totals with a sampler:
+     * "fleet.published", "fleet.tap_filtered" and
+     * "fleet.tap_retry_dropped". Call Sampler::resync() after start()
+     * — start() zeroes these counters, which would corrupt baselines
+     * captured earlier.
      *
-     * Only these are safe to sample live: the tap counters are written
-     * on the bus-time thread (the sampler's thread) and the per-board
-     * counts are relaxed atomics / mutex-protected. The boards' own
-     * CounterBanks are written by worker threads and must NOT be
-     * registered while the fleet runs — use
-     * MemoriesBoard::attachTelemetry only on single-owner boards.
-     *
-     * The tap counters advance on the bus thread, so their windows are
-     * deterministic for a deterministic host run. The per-board counts
-     * measure *worker* progress against bus time: their final values
-     * are scheduling-independent, but the window each increment lands
-     * in is not. Pass board_progress=false when the telemetry stream
-     * must be byte-stable run-to-run (CI artifacts); the deterministic
-     * per-board fidelity numbers are in FleetReport after finish().
+     * The tap counters are written on the bus-time thread (the
+     * sampler's thread), so they are safe to sample live and their
+     * windows are deterministic for a deterministic host run. Nothing
+     * a worker writes is: the boards' CounterBanks and the per-board
+     * counts above are read after finish() (FleetReport), and
+     * MemoriesBoard::attachTelemetry is only for single-owner boards.
      */
-    void attachTelemetry(telemetry::Sampler &sampler,
-                         bool board_progress = true);
+    void attachTelemetry(telemetry::Sampler &sampler);
 
     /**
      * Attach a flight recorder to board @p i, tagging its lifecycle
-     * events with the board index. Use one recorder per board: each
-     * board is advanced by exactly one worker, so a private recorder
-     * needs no synchronization, and the resulting per-board streams
-     * can be compared directly with trace::firstDivergence() (two
-     * boards fed the same stream should diverge only where their
-     * configurations make them). Call before start().
+     * events with the board index. Use one recorder per board: a
+     * recorder has one writer thread, and each board is advanced by
+     * exactly one worker, so start() refuses two boards that share a
+     * recorder, or a board that shares the tapped bus's. The
+     * per-board streams can be compared directly with
+     * trace::firstDivergence() (two boards fed the same stream should
+     * diverge only where their configurations make them). Call before
+     * start().
      */
     void attachFlightRecorder(std::size_t i,
                               trace::FlightRecorder &recorder)
@@ -347,31 +336,13 @@ class ExperimentFleet final : public bus::BusObserver
     bus::Bus6xx *tappedBus_ = nullptr;
     bool running_ = false;
 
-    std::uint64_t overflowDropsRelaxed(std::size_t i) const
-    {
-        return i < slotCount_
-                   ? overflowDrops_[i].load(std::memory_order_relaxed)
-                   : 0;
-    }
-    std::uint64_t eventsConsumedRelaxed(std::size_t i) const
-    {
-        return i < slotCount_
-                   ? eventsConsumed_[i].load(std::memory_order_relaxed)
-                   : 0;
-    }
-
     std::uint64_t published_ = 0;
     std::uint64_t tapFiltered_ = 0;
     std::uint64_t tapRetryDropped_ = 0;
-    /**
-     * Written only by the owning worker, but relaxed-atomic so a
-     * telemetry sampler on the bus-time thread may read them live
-     * (plain uint64 reads would race under TSan). Arrays rather than
-     * vectors because std::atomic is not movable; sized at start().
-     */
-    std::unique_ptr<std::atomic<std::uint64_t>[]> overflowDrops_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> eventsConsumed_;
-    std::size_t slotCount_ = 0;
+    /** Per board, sized at start(): written only by the owning worker,
+     *  read after finish(). */
+    std::vector<std::uint64_t> overflowDrops_;
+    std::vector<std::uint64_t> eventsConsumed_;
 };
 
 } // namespace memories::ies

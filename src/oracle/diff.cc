@@ -510,9 +510,8 @@ runLattice(std::uint64_t firstSeed, std::size_t numSeeds,
                                          lc.name + "-seed" +
                                          std::to_string(seed);
                 writeTrace(base + ".trace", shrunk);
-                trace::LifecycleWriter spans(base + ".spans");
-                spans.appendAll(div.report.flightDump);
-                spans.flush();
+                trace::writeLifecycleDump(base + ".spans",
+                                          div.report.flightDump);
                 div.tracePath = base + ".trace";
             }
             run.divergences.push_back(std::move(div));

@@ -38,11 +38,8 @@ Profiler::~Profiler() = default;
 void
 Profiler::reset()
 {
-    for (StageCell &c : stageCells_) {
-        c.calls.store(0, std::memory_order_relaxed);
-        c.ns.store(0, std::memory_order_relaxed);
-        c.batchNs.store(0, std::memory_order_relaxed);
-    }
+    for (StageCell &c : stageCells_)
+        c = StageCell{};
     batches_ = 0;
     ring_.clear();
     spansDropped_ = 0;
@@ -54,7 +51,7 @@ Profiler::beginBatch(Cycle first_cycle)
     ++batches_;
     batchBeginCycle_ = first_cycle;
     for (StageCell &c : stageCells_)
-        c.batchNs.store(0, std::memory_order_relaxed);
+        c.batchNs = 0;
 }
 
 void
@@ -80,15 +77,14 @@ Profiler::endBatch(Cycle last_cycle, std::uint64_t root_t0)
     const std::uint64_t wall = nowNs() - root_t0;
     StageCell &root =
         stageCells_[static_cast<std::size_t>(Stage::FeedBatch)];
-    bump(root.calls, 1);
-    bump(root.ns, wall);
+    ++root.calls;
+    root.ns += wall;
 
     const Cycle begin = batchBeginCycle_;
     const Cycle end = std::max(last_cycle, begin);
     pushSpan(Stage::FeedBatch, begin, end, wall);
     for (std::size_t i = 1; i < numStages; ++i) {
-        const std::uint64_t ns =
-            stageCells_[i].batchNs.load(std::memory_order_relaxed);
+        const std::uint64_t ns = stageCells_[i].batchNs;
         if (ns > 0)
             pushSpan(static_cast<Stage>(i), begin, end, ns);
     }
@@ -100,10 +96,8 @@ Profiler::snapshot() const
     ProfReport report;
     report.stages.resize(numStages);
     for (std::size_t i = 0; i < numStages; ++i) {
-        const StageCell &c = stageCells_[i];
-        report.stages[i].calls =
-            c.calls.load(std::memory_order_relaxed);
-        report.stages[i].ns = c.ns.load(std::memory_order_relaxed);
+        report.stages[i].calls = stageCells_[i].calls;
+        report.stages[i].ns = stageCells_[i].ns;
     }
     report.batches = batches_;
     report.spansRecorded = ring_.size();
@@ -174,12 +168,8 @@ Profiler::attachTelemetry(telemetry::Sampler &sampler,
         const StageCell *cell = &stageCells_[i];
         const std::string base =
             prefix + ".stage." + stageName(static_cast<Stage>(i));
-        sampler.addValue(base + ".ns", [cell] {
-            return cell->ns.load(std::memory_order_relaxed);
-        });
-        sampler.addValue(base + ".calls", [cell] {
-            return cell->calls.load(std::memory_order_relaxed);
-        });
+        sampler.addValue(base + ".ns", [cell] { return cell->ns; });
+        sampler.addValue(base + ".calls", [cell] { return cell->calls; });
     }
 }
 

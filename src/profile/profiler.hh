@@ -25,9 +25,10 @@
  *     every stage is fully timed and a child never outweighs its
  *     parent. Measured overhead stays under 5% of the batch path
  *     (docs/PROFILING.md records the methodology).
- *  4. Single writer. Every cell is written only by the thread running
- *     the board's feedBatch; cells are relaxed atomics so a reader
- *     between batches never races.
+ *  4. Single writer. Every cell is a plain integer written only by the
+ *     thread running the board's feedBatch; readers (snapshot(), the
+ *     exporters, telemetry) run on that thread between batches, or
+ *     after it has been joined.
  *
  * Exports: a text report (describe()), folded-stack flamegraph lines
  * and Chrome-trace merge in profile/profexport.hh, and Sampler series
@@ -37,7 +38,6 @@
 #ifndef MEMORIES_PROFILE_PROFILER_HH
 #define MEMORIES_PROFILE_PROFILER_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -139,8 +139,7 @@ class Profiler
     }
 
     // --- Hot-path hooks. The board calls none of these when detached;
-    // each is a handful of relaxed atomic ops plus at most one clock
-    // read.
+    // each is a few integer adds plus at most one clock read.
 
     /** Open batch @p first_cycle..: resets per-batch accumulators. */
     void beginBatch(Cycle first_cycle);
@@ -182,30 +181,22 @@ class Profiler
                          const std::string &prefix = "prof");
 
   private:
-    /** Single-writer accumulators; relaxed atomics so the read side
-     *  may observe them between batches without UB. */
-    struct alignas(64) StageCell
+    /** One stage's accumulators (see design rule 4). batchNs is this
+     *  batch's share, which endBatch() turns into a span. */
+    struct StageCell
     {
-        std::atomic<std::uint64_t> calls{0};
-        std::atomic<std::uint64_t> ns{0};
-        std::atomic<std::uint64_t> batchNs{0};
+        std::uint64_t calls = 0;
+        std::uint64_t ns = 0;
+        std::uint64_t batchNs = 0;
     };
-
-    /** Single-writer add: plain load+store, never a locked RMW. */
-    static void
-    bump(std::atomic<std::uint64_t> &cell, std::uint64_t d)
-    {
-        cell.store(cell.load(std::memory_order_relaxed) + d,
-                   std::memory_order_relaxed);
-    }
 
     void
     addStage(Stage s, std::uint64_t d)
     {
         StageCell &c = stageCells_[static_cast<std::size_t>(s)];
-        bump(c.calls, 1);
-        bump(c.ns, d);
-        bump(c.batchNs, d);
+        ++c.calls;
+        c.ns += d;
+        c.batchNs += d;
     }
 
     void pushSpan(Stage s, Cycle begin, Cycle end, std::uint64_t wall_ns);

@@ -201,25 +201,20 @@ Session::resume(const std::string &name)
             std::move(bytes), twin.context()));
     }
 
-    // Rebuild: config lines, init, the main board and the twins, then
-    // the stream scalars. Every step fails closed through fatal(),
+    // Rebuild: the config lines stage the board, which loads its
+    // sections, and the twins load theirs, all before the console
+    // plugs the board in. Every step fails closed through fatal(),
     // leaving the caller's "error: ..." reply to describe the first
-    // mismatch. The console records the replayed lines for the next
-    // suspend.
-    for (const std::string &cfg : script) {
-        const std::string reply = console_->execute(cfg);
-        if (reply.rfind("error:", 0) == 0)
-            fatal("resume: config replay of '", cfg, "' failed: ", reply);
-    }
-    const std::string initReply = console_->execute("init");
-    if (initReply.rfind("error:", 0) == 0)
-        fatal("resume: init failed: ", initReply);
-    ies::MemoriesBoard &board = *console_->board();
-    board.loadState(image);
-    for (std::size_t i = 0; i < roster.size(); ++i) {
-        staged.addTwin(board.config(), roster[i].first, roster[i].second)
-            .loadState(twinImages[i]);
-    }
+    // mismatch, and a failure leaves the session as it was. The
+    // console records the replayed lines for the next suspend.
+    console_->initFrom(script, [&](ies::MemoriesBoard &board) {
+        board.loadState(image);
+        for (std::size_t i = 0; i < roster.size(); ++i) {
+            staged.addTwin(board.config(), roster[i].first,
+                           roster[i].second)
+                .loadState(twinImages[i]);
+        }
+    });
     ingest_ = std::move(staged);
     setName(name);
     return "resumed '" + name + "' at cycle " +

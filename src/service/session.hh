@@ -21,10 +21,12 @@
  *
  * Resume parses and CRC-checks the whole file and decodes the session
  * section before the console runs a line, then replays the config
- * lines, inits, restores every board, and restores the stream scalars
- * — a resumed session continues the cycle-delta chain exactly where
- * the suspended one stopped, so the conformance tier can require
- * byte-identical counters across the break.
+ * lines, restores every board and only then plugs the main board in
+ * (Console::initFrom), and restores the stream scalars — a resumed
+ * session continues the cycle-delta chain exactly where the suspended
+ * one stopped, so the conformance tier can require byte-identical
+ * counters across the break. A resume that fails at any step leaves
+ * the session as it was before the command.
  *
  * The Session is transport-free (it maps request lines to reply
  * strings); the daemon owns sockets, the tests call execute() in

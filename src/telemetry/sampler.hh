@@ -22,11 +22,10 @@
  *    until a window boundary actually passes.
  *
  * Threading: the sampler is driven from the thread that advances bus
- * time and reads its sources on that thread. Sources written by other
- * threads must be registered through thread-safe readers (see
- * ExperimentFleet::attachTelemetry, which exposes relaxed-atomic
- * per-board counters); CounterBanks owned by fleet worker threads must
- * not be registered live.
+ * time and reads its sources on that thread, so every source must be
+ * written on that thread too (ExperimentFleet::attachTelemetry
+ * registers only the fleet's tap counters); CounterBanks owned by
+ * fleet worker threads must not be registered live.
  */
 
 #ifndef MEMORIES_TELEMETRY_SAMPLER_HH

@@ -33,7 +33,7 @@ namespace memories::trace
 {
 
 /**
- * Write @p events (a FlightRecorder::snapshot() or LifecycleReader
+ * Write @p events (a FlightRecorder::snapshot() or readLifecycleDump
  * load, oldest first) as Chrome trace-event JSON to @p os.
  *
  * @param labels Optional recorder that resolves Mark label indices;

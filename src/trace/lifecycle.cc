@@ -158,20 +158,16 @@ FlightRecorder::markLabel(std::size_t index) const
 std::uint64_t
 FlightRecorder::size() const
 {
-    const std::uint64_t head = next_.load(std::memory_order_relaxed);
-    const std::uint64_t retained =
-        std::min<std::uint64_t>(head - baseSeq_, mask_ + 1);
-    return retained;
+    return std::min<std::uint64_t>(next_ - baseSeq_, mask_ + 1);
 }
 
 std::vector<LifecycleEvent>
 FlightRecorder::snapshot() const
 {
-    const std::uint64_t head = next_.load(std::memory_order_relaxed);
     const std::uint64_t n = size();
     std::vector<LifecycleEvent> out;
     out.reserve(n);
-    for (std::uint64_t seq = head - n; seq < head; ++seq)
+    for (std::uint64_t seq = next_ - n; seq < next_; ++seq)
         out.push_back(ring_[seq & mask_]);
     return out;
 }
@@ -179,7 +175,7 @@ FlightRecorder::snapshot() const
 void
 FlightRecorder::reset()
 {
-    baseSeq_ = next_.load(std::memory_order_relaxed);
+    baseSeq_ = next_;
     markLabels_.clear();
 }
 

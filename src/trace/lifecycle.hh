@@ -20,18 +20,19 @@
  * expose attach hooks that store one pointer, so the hot path costs a
  * single branch when no recorder is attached.
  *
- * Threading: writers claim slots with one relaxed fetch-add, so
- * concurrent writers (fleet worker boards sharing a recorder) never
- * corrupt each other's slots; snapshot() must only run while writers
- * are quiescent (after ExperimentFleet::finish(), or any time in
- * single-threaded use). The intended fleet setup is one recorder per
- * board, which also makes the streams diffable (firstDivergence()).
+ * Threading: a recorder has one writer thread. Everything attached to
+ * one recorder (a bus, a board, the board's injector) must be driven
+ * by that thread, and snapshot(), recorded() and size() are read on
+ * it or after it has been joined. ExperimentFleet::start() refuses a
+ * fleet that would break this (two boards, or a board and the tapped
+ * bus, sharing a recorder); the intended fleet setup is one recorder
+ * per board, which also makes the streams diffable
+ * (firstDivergence()).
  */
 
 #ifndef MEMORIES_TRACE_LIFECYCLE_HH
 #define MEMORIES_TRACE_LIFECYCLE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -167,11 +168,11 @@ struct LifecycleEvent
 /**
  * Fixed-capacity overwrite-oldest ring of lifecycle events.
  *
- * record() claims a slot with one relaxed fetch-add and writes in
- * place: wait-free for any number of writers, no allocation after
- * construction. Once the ring has wrapped, the oldest events are the
- * ones overwritten; sequence numbers keep counting, so a dump shows
- * exactly how much history was lost.
+ * record() stamps the next sequence number and writes in place, with
+ * no allocation after construction; it relies on the one writer
+ * thread the file comment requires. Once the ring has wrapped,
+ * the oldest events are the ones overwritten; sequence numbers keep
+ * counting, so a dump shows exactly how much history was lost.
  */
 class FlightRecorder
 {
@@ -186,10 +187,8 @@ class FlightRecorder
     /** Append one event; its seq field is assigned by the recorder. */
     void record(LifecycleEvent ev)
     {
-        const std::uint64_t seq =
-            next_.fetch_add(1, std::memory_order_relaxed);
-        ev.seq = seq;
-        ring_[seq & mask_] = ev;
+        ev.seq = next_++;
+        ring_[ev.seq & mask_] = ev;
     }
 
     /** Convenience: record an operator Mark with a label. */
@@ -210,7 +209,7 @@ class FlightRecorder
         ev.traceId = traceId;
         ev.arg0 = static_cast<std::uint8_t>(kind);
         record(ev);
-        anomalies_.fetch_add(1, std::memory_order_relaxed);
+        ++anomalies_;
         if (anomalyHook_)
             anomalyHook_(*this, ev);
     }
@@ -227,16 +226,13 @@ class FlightRecorder
     }
 
     /**
-     * Copy out the retained events, oldest first (ascending seq).
-     * Writers must be quiescent (see file comment).
+     * Copy out the retained events, oldest first (ascending seq). Read
+     * on the writer thread or after it has been joined (file comment).
      */
     std::vector<LifecycleEvent> snapshot() const;
 
     /** Events recorded since construction (including overwritten). */
-    std::uint64_t recorded() const
-    {
-        return next_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t recorded() const { return next_; }
 
     /** Events currently retained (min(recorded, capacity)). */
     std::uint64_t size() const;
@@ -248,10 +244,7 @@ class FlightRecorder
     std::size_t capacity() const { return mask_ + 1; }
 
     /** Anomaly notifications so far. */
-    std::uint64_t anomalies() const
-    {
-        return anomalies_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t anomalies() const { return anomalies_; }
 
     /** Label text of Mark event @p index (addr of the Mark event). */
     const std::string &markLabel(std::size_t index) const;
@@ -262,9 +255,9 @@ class FlightRecorder
   private:
     std::vector<LifecycleEvent> ring_;
     std::uint64_t mask_;
-    std::atomic<std::uint64_t> next_{0};
+    std::uint64_t next_ = 0;
     std::uint64_t baseSeq_ = 0; //!< first seq still replayable post-reset
-    std::atomic<std::uint64_t> anomalies_{0};
+    std::uint64_t anomalies_ = 0;
     std::vector<std::string> markLabels_;
     std::function<void(const FlightRecorder &, const LifecycleEvent &)>
         anomalyHook_;

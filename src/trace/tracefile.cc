@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "checkpoint/file.hh"
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
 
 namespace memories::trace
@@ -14,14 +16,12 @@ constexpr std::size_t ioChunkRecords = 1 << 16;
 
 /**
  * fatal() unless @p file, positioned just past its header, holds the
- * @p count items of @p item_bytes each that the header declares. A
- * longer file stays readable: the writers append items before they
- * rewrite the header.
+ * @p count records the header declares. A longer file stays readable:
+ * the writer appends records before it rewrites the header.
  */
 void
 requireDeclared(std::FILE *file, std::uint64_t count,
-                std::uint64_t item_bytes, const std::string &what,
-                const char *items)
+                const std::string &what)
 {
     const long start = std::ftell(file);
     if (start < 0 || std::fseek(file, 0, SEEK_END) != 0)
@@ -30,10 +30,10 @@ requireDeclared(std::FILE *file, std::uint64_t count,
     if (end < start || std::fseek(file, start, SEEK_SET) != 0)
         fatal("cannot size ", what);
     const std::uint64_t held =
-        static_cast<std::uint64_t>(end - start) / item_bytes;
+        static_cast<std::uint64_t>(end - start) / sizeof(std::uint64_t);
     if (held < count) {
-        fatal(what, " is truncated: its header declares ", count, " ",
-              items, " but it holds ", held);
+        fatal(what, " is truncated: its header declares ", count,
+              " records but it holds ", held);
     }
 }
 
@@ -123,8 +123,7 @@ TraceReader::TraceReader(const std::string &path)
         if (std::fread(&dropped_, sizeof(dropped_), 1, file_.get()) != 1)
             fatal("trace file '", path, "' is truncated");
     }
-    requireDeclared(file_.get(), count_, sizeof(std::uint64_t),
-                    "trace file '" + path + "'", "records");
+    requireDeclared(file_.get(), count_, "trace file '" + path + "'");
     buffer_.reserve(ioChunkRecords);
 }
 
@@ -222,111 +221,44 @@ unpackLifecycle(const std::uint64_t in[lifecycleWords])
 
 } // namespace
 
-LifecycleWriter::LifecycleWriter(const std::string &path)
-    : path_(path)
-{
-    file_.reset(std::fopen(path.c_str(), "wb"));
-    if (!file_)
-        fatal("cannot create lifecycle dump '", path, "'");
-    buffer_.reserve(ioChunkRecords);
-    writeHeader();
-}
-
-LifecycleWriter::~LifecycleWriter()
-{
-    try {
-        flush();
-    } catch (const FatalError &) {
-        // swallow: destruction must not throw
-    }
-}
-
 void
-LifecycleWriter::writeHeader()
+writeLifecycleDump(const std::string &path,
+                   const std::vector<LifecycleEvent> &events)
 {
-    std::uint64_t header[3] = {lifecycleMagic, lifecycleVersion, count_};
-    if (std::fseek(file_.get(), 0, SEEK_SET) != 0 ||
-        std::fwrite(header, sizeof(header), 1, file_.get()) != 1) {
-        fatal("failed writing lifecycle header to '", path_, "'");
-    }
-}
-
-void
-LifecycleWriter::append(const LifecycleEvent &event)
-{
+    ckpt::CheckpointWriter writer;
+    ckpt::Sink &sink = writer.section(ckpt::secLifecycle);
+    sink.u64(events.size());
     std::uint64_t words[lifecycleWords];
-    packLifecycle(event, words);
-    buffer_.insert(buffer_.end(), words, words + lifecycleWords);
-    ++count_;
-    if (buffer_.size() >= ioChunkRecords)
-        flush();
-}
-
-void
-LifecycleWriter::appendAll(const std::vector<LifecycleEvent> &events)
-{
-    for (const LifecycleEvent &ev : events)
-        append(ev);
-}
-
-void
-LifecycleWriter::flush()
-{
-    if (!buffer_.empty()) {
-        if (std::fseek(file_.get(), 0, SEEK_END) != 0 ||
-            std::fwrite(buffer_.data(), sizeof(std::uint64_t),
-                        buffer_.size(), file_.get()) != buffer_.size()) {
-            fatal("failed writing lifecycle events to '", path_, "'");
-        }
-        buffer_.clear();
+    for (const LifecycleEvent &ev : events) {
+        packLifecycle(ev, words);
+        for (const std::uint64_t word : words)
+            sink.u64(word);
     }
-    writeHeader();
-    std::fflush(file_.get());
-}
-
-LifecycleReader::LifecycleReader(const std::string &path)
-{
-    file_.reset(std::fopen(path.c_str(), "rb"));
-    if (!file_)
-        fatal("cannot open lifecycle dump '", path, "'");
-
-    std::uint64_t header[3];
-    if (std::fread(header, sizeof(header), 1, file_.get()) != 1)
-        fatal("lifecycle dump '", path, "' is truncated");
-    if (header[0] != lifecycleMagic)
-        fatal("'", path, "' is not a lifecycle dump");
-    if (header[1] != lifecycleVersion)
-        fatal("lifecycle dump '", path, "' has unsupported version ",
-              header[1]);
-    count_ = header[2];
-    requireDeclared(file_.get(), count_,
-                    lifecycleWords * sizeof(std::uint64_t),
-                    "lifecycle dump '" + path + "'", "events");
-}
-
-LifecycleReader::~LifecycleReader() = default;
-
-bool
-LifecycleReader::next(LifecycleEvent &event)
-{
-    if (readSoFar_ >= count_)
-        return false;
-    std::uint64_t words[lifecycleWords];
-    if (std::fread(words, sizeof(words), 1, file_.get()) != 1)
-        return false;
-    event = unpackLifecycle(words);
-    ++readSoFar_;
-    return true;
+    writer.writeFile(path, 0);
 }
 
 std::vector<LifecycleEvent>
-LifecycleReader::readAll()
+readLifecycleDump(const std::string &path)
 {
+    const ckpt::CheckpointImage image = ckpt::CheckpointImage::fromBytes(
+        ckpt::readFileBytes(path, "lifecycle dump"),
+        "lifecycle dump '" + path + "'");
+    ckpt::Source source = image.open(ckpt::secLifecycle);
+    const std::uint64_t count = source.u64();
+    constexpr std::size_t eventBytes = lifecycleWords * 8;
+    if (count != source.remaining() / eventBytes ||
+        source.remaining() % eventBytes != 0) {
+        fatal(source.context(), ": declares ", count,
+              " events but holds ", source.remaining(), " bytes of them");
+    }
     std::vector<LifecycleEvent> events;
-    events.reserve(count_);
-    LifecycleEvent ev;
-    while (next(ev))
-        events.push_back(ev);
+    events.reserve(static_cast<std::size_t>(count));
+    std::uint64_t words[lifecycleWords];
+    for (std::uint64_t i = 0; i < count; ++i) {
+        for (std::uint64_t &word : words)
+            word = source.u64();
+        events.push_back(unpackLifecycle(words));
+    }
     return events;
 }
 

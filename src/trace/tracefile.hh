@@ -7,10 +7,10 @@
  * dropped after filling) followed by packed BusRecords in little-endian
  * order. The board dumps its capture buffer through the console to disk
  * in this format, and the baseline trace-driven simulator replays it.
- * Lifecycle dumps: the flight recorder's span events in a packed
- * 40-byte-per-event binary layout (see docs/FORMATS.md §6), written by
- * LifecycleWriter and loaded by LifecycleReader for offline analysis or
- * Chrome-trace conversion.
+ * Lifecycle dumps: the flight recorder's events as one section of an
+ * IESCKPT container (docs/FORMATS.md §6-7), written by
+ * writeLifecycleDump in one atomic write and loaded by
+ * readLifecycleDump for offline analysis or Chrome-trace conversion.
  */
 
 #ifndef MEMORIES_TRACE_TRACEFILE_HH
@@ -148,93 +148,23 @@ class TraceReader
     std::size_t bufferPos_ = 0;
 };
 
-/** Magic bytes of a lifecycle-event dump ("IESSPANS"). */
-inline constexpr std::uint64_t lifecycleMagic = 0x4945535350414e53ull;
-
-/** Current lifecycle dump format version. */
-inline constexpr std::uint32_t lifecycleVersion = 1;
+/**
+ * Write @p events as a lifecycle dump: an IESCKPT container with
+ * config fingerprint 0 and one ckpt::secLifecycle section (docs/
+ * FORMATS.md §6). One atomic write, so a failed dump fatal()s and
+ * leaves any previous file at @p path byte-identical. This is the
+ * flight recorder's machine-readable dump; writeChromeTrace is the
+ * human one.
+ */
+void writeLifecycleDump(const std::string &path,
+                        const std::vector<LifecycleEvent> &events);
 
 /**
- * Streaming writer for a packed binary lifecycle-event dump: a 24-byte
- * header (magic, version, event count) followed by 40-byte packed
- * events (docs/FORMATS.md §6). This is the flight recorder's
- * machine-readable dump format; writeChromeTrace is the human one.
+ * Load every event of the lifecycle dump at @p path. fatal() when the
+ * file is missing, fails any container check, has no lifecycle
+ * section, or its event count does not match the section's payload.
  */
-class LifecycleWriter
-{
-  public:
-    /** Open @p path for writing; fatal() if it cannot be created. */
-    explicit LifecycleWriter(const std::string &path);
-
-    /** Flushes the header and closes the file. */
-    ~LifecycleWriter();
-
-    LifecycleWriter(const LifecycleWriter &) = delete;
-    LifecycleWriter &operator=(const LifecycleWriter &) = delete;
-
-    /** Append one event. */
-    void append(const LifecycleEvent &event);
-
-    /** Append a whole snapshot. */
-    void appendAll(const std::vector<LifecycleEvent> &events);
-
-    /** Events written so far. */
-    std::uint64_t count() const { return count_; }
-
-    /** Flush buffered events and rewrite the header. */
-    void flush();
-
-  private:
-    struct FileCloser
-    {
-        void operator()(std::FILE *f) const { if (f) std::fclose(f); }
-    };
-
-    void writeHeader();
-
-    std::unique_ptr<std::FILE, FileCloser> file_;
-    std::string path_;
-    std::vector<std::uint64_t> buffer_;
-    std::uint64_t count_ = 0;
-};
-
-/** Reader for lifecycle-event dumps written by LifecycleWriter. */
-class LifecycleReader
-{
-  public:
-    /**
-     * Open @p path; fatal() on a missing file, bad magic/version, or
-     * fewer events than the header declares.
-     */
-    explicit LifecycleReader(const std::string &path);
-
-    ~LifecycleReader();
-
-    LifecycleReader(const LifecycleReader &) = delete;
-    LifecycleReader &operator=(const LifecycleReader &) = delete;
-
-    /** Total events in the file. */
-    std::uint64_t count() const { return count_; }
-
-    /**
-     * Read the next event into @p event.
-     * @return false at end of dump.
-     */
-    bool next(LifecycleEvent &event);
-
-    /** Load every event (convenience for chrome-trace conversion). */
-    std::vector<LifecycleEvent> readAll();
-
-  private:
-    struct FileCloser
-    {
-        void operator()(std::FILE *f) const { if (f) std::fclose(f); }
-    };
-
-    std::unique_ptr<std::FILE, FileCloser> file_;
-    std::uint64_t count_ = 0;
-    std::uint64_t readSoFar_ = 0;
-};
+std::vector<LifecycleEvent> readLifecycleDump(const std::string &path);
 
 } // namespace memories::trace
 

@@ -181,10 +181,12 @@ TEST_F(ConsoleScriptTest, FailedWritesLeaveTheOldFileByteIdentical)
     ckpt::DiskFaultShim *previous = ckpt::setDiskFaultShim(&fullDisk);
     const std::string saved = console.execute("save-protocol 0 " + path);
     const std::string traced = console.execute("trace chrome " + path);
+    const std::string dumped = console.execute("trace dump " + path);
     ckpt::setDiskFaultShim(previous);
 
     EXPECT_EQ(saved.rfind("error: ", 0), 0u) << saved;
     EXPECT_EQ(traced.rfind("error: ", 0), 0u) << traced;
+    EXPECT_EQ(dumped.rfind("error: ", 0), 0u) << dumped;
     EXPECT_EQ(readFile(path), "previous contents\n");
     std::remove(path.c_str());
 }

@@ -415,15 +415,14 @@ TEST(ConsoleTest, TraceCommandFamilyDrivesFlightRecorder)
     EXPECT_NE(shown.find("phase one done"), std::string::npos) << shown;
 
     const std::string dumpPath =
-        ::testing::TempDir() + "console_trace_dump.iesspan";
+        ::testing::TempDir() + "console_trace_dump.spans";
     const std::string jsonPath =
         ::testing::TempDir() + "console_trace_dump.json";
     console.execute("trace dump " + dumpPath);
     console.execute("trace chrome " + jsonPath);
-    {
-        trace::LifecycleReader reader(dumpPath);
-        EXPECT_GT(reader.count(), 0u);
-    }
+    EXPECT_FALSE(trace::readLifecycleDump(dumpPath).empty());
+    const auto info = console.execute("ckpt info " + dumpPath);
+    EXPECT_NE(info.find("lifecycle:"), std::string::npos) << info;
     {
         std::FILE *f = std::fopen(jsonPath.c_str(), "rb");
         ASSERT_NE(f, nullptr);
@@ -446,7 +445,7 @@ TEST(ConsoleTest, TraceAutodumpWritesRingOnAnomaly)
     // overflow anomaly; the armed autodump must leave the lifecycle
     // history on disk without any further operator action.
     const std::string dumpPath =
-        ::testing::TempDir() + "console_autodump.iesspan";
+        ::testing::TempDir() + "console_autodump.spans";
     std::remove(dumpPath.c_str());
 
     bus::Bus6xx bus;
@@ -463,8 +462,9 @@ TEST(ConsoleTest, TraceAutodumpWritesRingOnAnomaly)
 
     ASSERT_NE(console.flightRecorder(), nullptr);
     EXPECT_GE(console.flightRecorder()->anomalies(), 1u);
-    trace::LifecycleReader reader(dumpPath);
-    EXPECT_GT(reader.count(), 0u);
+    const auto dumped = trace::readLifecycleDump(dumpPath);
+    ASSERT_FALSE(dumped.empty());
+    EXPECT_EQ(dumped.back().kind, trace::EventKind::Anomaly);
     std::remove(dumpPath.c_str());
 }
 

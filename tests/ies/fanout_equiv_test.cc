@@ -22,7 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "host/machine.hh"
+#include "ies/analysis.hh"
 #include "ies/board.hh"
 #include "ies/fanout.hh"
 #include "workload/synthetic.hh"
@@ -251,11 +253,54 @@ TEST(FanoutFleetTest, FleetStatsDumpMentionsEveryBoard)
     fleet.publish(bus::BusTransaction{0x1000, 0, bus::BusOp::Read, 0,
                                       128, false});
     fleet.finish();
-    const std::string dump = fleet.dumpStats();
-    EXPECT_NE(dump.find("tiny"), std::string::npos);
-    EXPECT_NE(dump.find("experiment1"), std::string::npos);
+    const std::string text = FleetReport::capture(fleet).toText();
+    EXPECT_NE(text.find("tiny: consumed 1"), std::string::npos) << text;
+    EXPECT_NE(text.find("experiment1: consumed 1"), std::string::npos)
+        << text;
     EXPECT_EQ(fleet.eventsConsumed(0), 1u);
     EXPECT_EQ(fleet.eventsConsumed(1), 1u);
+}
+
+TEST(FanoutFleetTest, StartRefusesBoardsThatShareARecorder)
+{
+    // A recorder has one writer thread: two workers, or a worker and
+    // the host thread driving the tapped bus, must not share one.
+    trace::FlightRecorder shared(1 << 10);
+    {
+        ExperimentFleet fleet;
+        fleet.addExperiment(sweepConfigs()[0], kBoardSeed);
+        fleet.addExperiment(sweepConfigs()[1], kBoardSeed);
+        fleet.attachFlightRecorder(0, shared);
+        fleet.attachFlightRecorder(1, shared);
+        EXPECT_THROW(fleet.start(2), FatalError);
+        EXPECT_FALSE(fleet.running());
+    }
+    {
+        bus::Bus6xx bus;
+        bus.attachFlightRecorder(shared);
+        ExperimentFleet fleet;
+        fleet.addExperiment(sweepConfigs()[0], kBoardSeed);
+        fleet.attachFlightRecorder(0, shared);
+        fleet.attach(bus);
+        EXPECT_THROW(fleet.start(1), FatalError);
+        EXPECT_FALSE(fleet.running());
+        fleet.detach(bus);
+    }
+    EXPECT_EQ(shared.recorded(), 0u);
+
+    // One recorder per board, and another on the bus, is the contract.
+    trace::FlightRecorder own(1 << 10);
+    bus::Bus6xx bus;
+    bus.attachFlightRecorder(shared);
+    ExperimentFleet fleet;
+    fleet.addExperiment(sweepConfigs()[0], kBoardSeed);
+    fleet.attachFlightRecorder(0, own);
+    fleet.attach(bus);
+    fleet.start(1);
+    fleet.publish(bus::BusTransaction{0x1000, 0, bus::BusOp::Read, 0,
+                                      128, false});
+    fleet.finish();
+    EXPECT_GT(own.recorded(), 0u);
 }
 
 } // namespace

@@ -109,17 +109,14 @@ TEST(LifecycleIntegrationTest, ForcedOverflowAutoDumpsFullLifecycle)
     // hook then dumps the ring — the flight-recorder workflow the
     // console's `trace autodump` wires up.
     const std::string dumpPath =
-        ::testing::TempDir() + "lifecycle_autodump_test.iesspan";
+        ::testing::TempDir() + "lifecycle_autodump_test.spans";
     std::remove(dumpPath.c_str());
 
     trace::FlightRecorder recorder(1 << 10);
     std::uint64_t dumps = 0;
     recorder.onAnomaly([&](const trace::FlightRecorder &rec,
                            const trace::LifecycleEvent &) {
-        trace::LifecycleWriter writer(dumpPath);
-        for (const auto &ev : rec.snapshot())
-            writer.append(ev);
-        writer.flush();
+        trace::writeLifecycleDump(dumpPath, rec.snapshot());
         ++dumps;
     });
 
@@ -137,8 +134,7 @@ TEST(LifecycleIntegrationTest, ForcedOverflowAutoDumpsFullLifecycle)
     EXPECT_GE(recorder.anomalies(), 1u);
     EXPECT_GE(dumps, 1u);
 
-    trace::LifecycleReader reader(dumpPath);
-    const auto dumped = reader.readAll();
+    const auto dumped = trace::readLifecycleDump(dumpPath);
     EXPECT_TRUE(hasKind(dumped, trace::EventKind::BusIssue));
     EXPECT_TRUE(hasKind(dumped, trace::EventKind::BoardCommit));
     EXPECT_TRUE(hasKind(dumped, trace::EventKind::BufferOverflow));

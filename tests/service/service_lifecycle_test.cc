@@ -310,6 +310,70 @@ TEST(ServiceLifecycleTest, TamperedManifestFailsClosedOnResume)
     sessionSignature(client).expectEqual(golden, "after failed resumes");
 }
 
+TEST(ServiceLifecycleTest, ResumeOfAMismatchedBoardLeavesTheSessionFresh)
+{
+    // A CRC-valid suspended file whose config lines stage another board
+    // than its sections came from fails only when the board loads
+    // them. The session must still be left fresh, so the intact file
+    // resumes on the same connection and continues to the golden.
+    const auto raw = stream(/*seed=*/18, /*count=*/6'000);
+    const auto golden = goldenRun(configScript(), canonical(raw));
+    const std::vector<bus::BusTransaction> first(raw.begin(),
+                                                 raw.begin() + 3'000);
+    const std::vector<bus::BusTransaction> second(raw.begin() + 3'000,
+                                                  raw.end());
+
+    TestDaemon daemon;
+    {
+        ServiceClient client;
+        ASSERT_TRUE(client.connect(daemon.socket()));
+        configureSession(client, configScript());
+        ASSERT_TRUE(client.exec("session name alpha").ok);
+        ASSERT_EQ(client.feedAll(first, /*batch=*/256).accepted,
+                  first.size());
+        ASSERT_TRUE(client.exec("session suspend").ok);
+    }
+    const auto path = Session::statePath(daemon.options.stateDir, "alpha");
+    const std::string good = readFileBytes(path);
+
+    // Rewrite `buffer 64` as `buffer 65` in the session section and
+    // re-seal every CRC by writing the sections into a new container.
+    const auto image = ckpt::CheckpointImage::fromBytes(
+        {good.begin(), good.end()}, "suspended session");
+    ckpt::CheckpointWriter resealed;
+    for (const std::uint32_t id : image.sectionIds()) {
+        ckpt::Source source = image.open(id);
+        std::string payload(source.remaining(), '\0');
+        source.raw(payload.data(), payload.size());
+        if (id == ckpt::secSession) {
+            const std::size_t at = payload.find("buffer 64");
+            ASSERT_NE(at, std::string::npos);
+            payload[at + 8] = '5';
+        }
+        resealed.section(id).raw(payload.data(), payload.size());
+    }
+    resealed.writeFile(path, image.configFingerprint());
+
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    const auto failed = client.exec("session resume alpha");
+    EXPECT_FALSE(failed.ok);
+    EXPECT_NE(failed.text().find("fingerprint"), std::string::npos)
+        << failed.text();
+    const auto status = client.exec("session status").text();
+    EXPECT_NE(status.find("state fresh"), std::string::npos) << status;
+    EXPECT_NE(status.find("refs 0"), std::string::npos) << status;
+
+    std::ofstream(path, std::ios::binary) << good;
+    const auto resumed = client.exec("session resume alpha");
+    ASSERT_TRUE(resumed.ok) << resumed.text();
+    client.setChainCycle(first.back().cycle);
+    ASSERT_EQ(client.feedAll(second, /*batch=*/256).accepted,
+              second.size());
+    ASSERT_TRUE(client.exec("drain").ok);
+    sessionSignature(client).expectEqual(golden, "resume after a failed one");
+}
+
 TEST(ServiceLifecycleTest, FailedSuspendLeavesThePreviousOneWhole)
 {
     // Fail each atomic write a second suspend makes, in turn, until

@@ -7,7 +7,10 @@
 #include <string>
 #include <unistd.h>
 
+#include "checkpoint/file.hh"
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "ies/board.hh"
 
 namespace memories::trace
 {
@@ -184,38 +187,62 @@ TEST_F(TraceFileTest, LifecycleEventsRoundTrip)
         ev.arg1 = static_cast<std::uint8_t>(255 - i);
         original.push_back(ev);
     }
-    {
-        LifecycleWriter writer(path_);
-        for (const auto &ev : original)
-            writer.append(ev);
-        writer.flush();
-        EXPECT_EQ(writer.count(), original.size());
-    }
-    LifecycleReader reader(path_);
-    EXPECT_EQ(reader.count(), original.size());
-    const auto loaded = reader.readAll();
+    writeLifecycleDump(path_, original);
+    const auto loaded = readLifecycleDump(path_);
     ASSERT_EQ(loaded.size(), original.size());
     for (std::size_t i = 0; i < loaded.size(); ++i)
         EXPECT_TRUE(loaded[i] == original[i]) << "event " << i;
+
+    // A dump is an IESCKPT container: fingerprint 0, one section of a
+    // count word and five words per event.
+    const auto image = ckpt::CheckpointImage::fromFile(path_);
+    EXPECT_EQ(image.configFingerprint(), 0u);
+    EXPECT_EQ(image.sectionIds(),
+              std::vector<std::uint32_t>{ckpt::secLifecycle});
+    EXPECT_EQ(image.sectionLength(ckpt::secLifecycle),
+              8 + 40 * original.size());
+
+    writeLifecycleDump(path_, {});
+    EXPECT_TRUE(readLifecycleDump(path_).empty());
 }
 
-TEST_F(TraceFileTest, LifecycleReaderRejectsBusTraceFile)
+/** Expect readLifecycleDump(@p path) to fail with @p needle. */
+void
+expectDumpRejected(const std::string &path, const std::string &needle)
+{
+    try {
+        readLifecycleDump(path);
+        ADD_FAILURE() << "read a file that is not a whole dump";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+}
+
+TEST_F(TraceFileTest, LifecycleDumpRejectsBusTraceAndBoardCheckpoint)
 {
     {
         TraceWriter writer(path_);
         writer.append(txnAt(0x1000, 0));
         writer.flush();
     }
-    EXPECT_THROW(LifecycleReader reader(path_), FatalError);
+    expectDumpRejected(path_, "not an IESCKPT checkpoint");
+
+    // A board checkpoint is a valid container without the section.
+    const ies::MemoriesBoard board(ies::makeUniformBoard(
+        1, 1,
+        cache::CacheConfig{2 * MiB, 2, 128,
+                           cache::ReplacementPolicy::LRU}));
+    board.saveState(path_);
+    expectDumpRejected(path_, "missing section lifecycle");
 }
 
-/** Expect opening @p path with @p Reader to fail, naming the path. */
-template <typename Reader>
+/** Expect opening the trace at @p path to fail, naming the path. */
 void
 expectTruncated(const std::string &path)
 {
     try {
-        Reader reader(path);
+        TraceReader reader(path);
         ADD_FAILURE() << "a file shorter than its count opened";
     } catch (const FatalError &e) {
         const std::string what = e.what();
@@ -247,25 +274,46 @@ TEST_F(TraceFileTest, TraceShorterThanItsCountIsFatal)
     }
     // ...but one with 40 of its 100 records cut off is rejected.
     std::filesystem::resize_file(path_, full - 40 * sizeof(std::uint64_t));
-    expectTruncated<TraceReader>(path_);
+    expectTruncated(path_);
+}
+
+/** Write a 50-event dump to @p path; returns its bytes. */
+std::vector<std::uint8_t>
+writeFiftyEventDump(const std::string &path)
+{
+    std::vector<LifecycleEvent> events;
+    for (std::uint64_t i = 0; i < 50; ++i) {
+        LifecycleEvent ev;
+        ev.seq = i;
+        ev.cycle = 3 * i;
+        events.push_back(ev);
+    }
+    writeLifecycleDump(path, events);
+    return ckpt::readFileBytes(path, "dump");
 }
 
 TEST_F(TraceFileTest, LifecycleDumpShorterThanItsCountIsFatal)
 {
-    {
-        LifecycleWriter writer(path_);
-        for (std::uint64_t i = 0; i < 50; ++i) {
-            LifecycleEvent ev;
-            ev.seq = i;
-            ev.cycle = 3 * i;
-            writer.append(ev);
-        }
-        writer.flush();
-    }
+    const auto bytes = writeFiftyEventDump(path_);
     // Cut mid-event: 39 whole events of the declared 50 remain.
-    std::filesystem::resize_file(
-        path_, std::filesystem::file_size(path_) - 430);
-    expectTruncated<LifecycleReader>(path_);
+    std::filesystem::resize_file(path_, bytes.size() - 430);
+    expectDumpRejected(path_, "extends past the end of the file");
+
+    // A count that disagrees with the payload, under valid CRCs.
+    ckpt::CheckpointWriter writer;
+    ckpt::Sink &sink = writer.section(ckpt::secLifecycle);
+    sink.u64(51);
+    sink.raw(bytes.data() + bytes.size() - 40 * 50, 40 * 50);
+    writer.writeFile(path_, 0);
+    expectDumpRejected(path_, "declares 51 events but holds 2000 bytes");
+}
+
+TEST_F(TraceFileTest, LifecycleDumpWithAFlippedByteIsFatal)
+{
+    auto bytes = writeFiftyEventDump(path_);
+    bytes[bytes.size() - 7] ^= 0x10; // inside the last event
+    ckpt::atomicWriteFile(path_, bytes.data(), bytes.size());
+    expectDumpRejected(path_, "lifecycle CRC mismatch");
 }
 
 TEST_F(TraceFileTest, SurvivesBufferBoundary)
