@@ -88,12 +88,11 @@ main(int argc, char **argv)
 
     // Replay the captured trace through the detailed C simulator —
     // the validation loop the authors used for the board design.
-    trace::TraceReader reader(trace_path);
     sim::DetailedParams detailed;
     detailed.cache = cache::CacheConfig{64 * MiB, 4, 128,
                                         cache::ReplacementPolicy::LRU};
     sim::DetailedCacheSimulator csim(detailed);
-    const auto replayed = csim.runTrace(reader);
+    const auto replayed = csim.runTrace(trace_path);
     std::printf("replayed %llu records through the detailed simulator: "
                 "miss ratio %.4f (mean latency %.1f cycles)\n",
                 static_cast<unsigned long long>(replayed),

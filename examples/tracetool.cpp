@@ -22,8 +22,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "memories/memories.hh"
@@ -32,6 +32,14 @@ namespace
 {
 
 using namespace memories;
+
+constexpr const char *usage =
+    "usage: tracetool stats <trace>\n"
+    "       tracetool slice <in> <out> <from> <count>\n"
+    "       tracetool filter <in> <out> <cpu 0-15>\n"
+    "       tracetool replay <trace> <size> <assoc>\n"
+    "       tracetool chrome <trace> <out.json>\n"
+    "       tracetool demo [--chrome-trace out.json]\n";
 
 int
 cmdStats(const std::string &path)
@@ -45,43 +53,41 @@ int
 cmdSlice(const std::string &in, const std::string &out,
          std::uint64_t from, std::uint64_t count)
 {
-    trace::TraceReader reader(in);
-    trace::TraceWriter writer(out);
-    const auto copied = trace::sliceTrace(reader, writer, from, count);
+    const auto sliced =
+        trace::sliceTrace(trace::readBusTrace(in).stream, from, count);
+    trace::writeBusTrace(out, sliced);
     std::printf("copied %llu records to %s\n",
-                static_cast<unsigned long long>(copied), out.c_str());
+                static_cast<unsigned long long>(sliced.size()),
+                out.c_str());
     return 0;
 }
 
 int
 cmdFilter(const std::string &in, const std::string &out, unsigned cpu)
 {
-    trace::TraceReader reader(in);
-    trace::TraceWriter writer(out);
-    const auto copied = trace::filterTrace(
-        reader, writer, [cpu](const bus::BusTransaction &txn) {
-            return txn.cpu == cpu;
-        });
+    const auto kept = trace::filterTrace(
+        trace::readBusTrace(in).stream,
+        [cpu](const bus::BusTransaction &txn) { return txn.cpu == cpu; });
+    trace::writeBusTrace(out, kept);
     std::printf("kept %llu records from cpu %u in %s\n",
-                static_cast<unsigned long long>(copied), cpu,
+                static_cast<unsigned long long>(kept.size()), cpu,
                 out.c_str());
     return 0;
 }
 
 int
-cmdReplay(const std::string &path, const std::string &size,
-          unsigned assoc)
+cmdReplay(const std::string &path, std::uint64_t size, unsigned assoc)
 {
     sim::DetailedParams params;
-    params.cache = cache::CacheConfig{parseByteSize(size), assoc, 128,
+    params.cache = cache::CacheConfig{size, assoc, 128,
                                       cache::ReplacementPolicy::LRU};
     sim::DetailedCacheSimulator simulator(params);
-    trace::TraceReader reader(path);
-    const auto n = simulator.runTrace(reader);
+    const auto n = simulator.runTrace(path);
     const auto stats = simulator.stats();
     std::printf("replayed %llu records through %s %u-way: miss ratio "
                 "%.4f, mean latency %.1f cycles\n",
-                static_cast<unsigned long long>(n), size.c_str(), assoc,
+                static_cast<unsigned long long>(n),
+                formatByteSize(size).c_str(), assoc,
                 stats.missRatio(), stats.meanLatencyCycles);
     return 0;
 }
@@ -104,14 +110,12 @@ cmdChrome(const std::string &in, const std::string &out)
     board->plugInto(bus);
     board->attachFlightRecorder(recorder, 0);
 
-    trace::TraceReader reader(in);
-    bus::BusTransaction txn;
-    std::uint64_t replayed = 0;
-    while (reader.next(txn)) {
+    const trace::BusTrace trace = trace::readBusTrace(in);
+    for (const bus::BusTransaction &txn : trace.stream) {
         bus.advanceTo(txn.cycle);
         bus.issue(txn);
-        ++replayed;
     }
+    const std::uint64_t replayed = trace.stream.size();
     board->drainAll();
     board->unplug(bus);
 
@@ -165,7 +169,7 @@ demo(const std::string &chrome_out)
     std::printf("\n== filter cpu 0 ==\n");
     cmdFilter(path, path + ".cpu0", 0);
     std::printf("\n== replay ==\n");
-    cmdReplay(path, "16MB", 4);
+    cmdReplay(path, 16 * MiB, 4);
     if (!chrome_out.empty()) {
         std::printf("\n== chrome trace ==\n");
         cmdChrome(path, chrome_out);
@@ -182,6 +186,8 @@ demo(const std::string &chrome_out)
 int
 main(int argc, char **argv)
 {
+    using namespace memories;
+
     try {
         if (argc < 2 || std::strcmp(argv[1], "demo") == 0) {
             std::string chrome_out;
@@ -192,27 +198,39 @@ main(int argc, char **argv)
             return demo(chrome_out);
         }
         const std::string cmd = argv[1];
-        if (cmd == "stats" && argc == 3)
+        // The numbers are checked before any file is read: a malformed
+        // one is a usage error, never a silent zero.
+        std::uint64_t first = 0, second = 0;
+        try {
+            if (cmd == "slice" && argc == 6) {
+                first = parseUnsigned(argv[4], "from");
+                second = parseUnsigned(argv[5], "count");
+            } else if (cmd == "filter" && argc == 5) {
+                // The packed record names CPUs 0-15 only.
+                first = parseUnsigned(argv[4], "cpu", 15);
+            } else if (cmd == "replay" && argc == 5) {
+                first = parseByteSize(argv[3]);
+                second = parseUnsigned(
+                    argv[4], "assoc", std::numeric_limits<unsigned>::max());
+            } else if (!(cmd == "stats" && argc == 3) &&
+                       !(cmd == "chrome" && argc == 4)) {
+                fatal("unknown command or wrong argument count");
+            }
+        } catch (const FatalError &err) {
+            std::fprintf(stderr, "tracetool: %s\n%s", err.what(), usage);
+            return 2;
+        }
+        if (cmd == "stats")
             return cmdStats(argv[2]);
-        if (cmd == "slice" && argc == 6)
-            return cmdSlice(argv[2], argv[3],
-                            std::strtoull(argv[4], nullptr, 10),
-                            std::strtoull(argv[5], nullptr, 10));
-        if (cmd == "filter" && argc == 5)
+        if (cmd == "slice")
+            return cmdSlice(argv[2], argv[3], first, second);
+        if (cmd == "filter")
             return cmdFilter(argv[2], argv[3],
-                             static_cast<unsigned>(
-                                 std::strtoul(argv[4], nullptr, 10)));
-        if (cmd == "replay" && argc == 5)
-            return cmdReplay(argv[2], argv[3],
-                             static_cast<unsigned>(
-                                 std::strtoul(argv[4], nullptr, 10)));
-        if (cmd == "chrome" && argc == 4)
-            return cmdChrome(argv[2], argv[3]);
-        std::fprintf(stderr,
-                     "usage: tracetool stats|slice|filter|replay|"
-                     "chrome|demo ...\n");
-        return 2;
-    } catch (const memories::FatalError &err) {
+                             static_cast<unsigned>(first));
+        if (cmd == "replay")
+            return cmdReplay(argv[2], first, static_cast<unsigned>(second));
+        return cmdChrome(argv[2], argv[3]);
+    } catch (const FatalError &err) {
         std::fprintf(stderr, "fatal: %s\n", err.what());
         return 1;
     }

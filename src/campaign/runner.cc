@@ -24,19 +24,6 @@ namespace
 {
 
 /**
- * Unit result container ("IESCRES\0"): the per-unit campaign artifact.
- * Everything in it is a pure function of (config, seed, txns), so a
- * golden uninterrupted run and any killed-and-resumed run must produce
- * byte-identical files — which is exactly what the resilience tests
- * diff. Layout (ckpt::Sink encoding, trailing CRC-32 over all prior
- * bytes): header fields, per-node directory digests, then the global
- * and per-node counter banks.
- */
-constexpr char resultMagic[8] = {'I', 'E', 'S', 'C', 'R', 'E', 'S',
-                                 '\0'};
-constexpr std::uint32_t resultVersion = 1;
-
-/**
  * Fold a segment's SDRAM retirement order into the running digest.
  * seq is deliberately excluded: recorders are fresh per segment, and
  * the fields folded here already pin the order and identity of every
@@ -61,13 +48,22 @@ foldRetirements(std::uint32_t crc,
     return crc;
 }
 
+/**
+ * The per-unit campaign artifact: an IESCKPT container under the
+ * unit's config fingerprint with one ckpt::secCampaignResult section
+ * (docs/FORMATS.md §8). Everything in it is a pure function of
+ * (config, seed, txns), so a golden uninterrupted run and any
+ * killed-and-resumed run must produce byte-identical files — which is
+ * exactly what the resilience tests diff. Payload: the unit's fields,
+ * per-node directory digests, then the global and per-node counter
+ * banks.
+ */
 std::vector<std::uint8_t>
 renderResult(const ies::MemoriesBoard &board, std::size_t unit,
              const UnitSpec &spec, const UnitStatus &status)
 {
-    ckpt::Sink out;
-    out.raw(resultMagic, sizeof(resultMagic));
-    out.u32(resultVersion);
+    ckpt::CheckpointWriter writer;
+    ckpt::Sink &out = writer.section(ckpt::secCampaignResult);
     out.u32(static_cast<std::uint32_t>(unit));
     out.u64(spec.seed);
     out.u64(spec.txns);
@@ -100,9 +96,7 @@ renderResult(const ies::MemoriesBoard &board, std::size_t unit,
     bank(board.globalCounters());
     for (std::size_t n = 0; n < board.numNodes(); ++n)
         bank(board.node(n).counters());
-
-    out.u32(ckpt::crc32(out.bytes().data(), out.size()));
-    return out.take();
+    return writer.bytes(spec.configFingerprint);
 }
 
 /**

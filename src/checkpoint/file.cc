@@ -28,7 +28,9 @@ sectionName(std::uint32_t id)
       case secCampaignSequence: return "sequence";
       case secCampaignPlan:     return "plan";
       case secCampaignUnits:    return "units";
+      case secCampaignResult:   return "result";
       case secLifecycle:        return "lifecycle";
+      case secBusTrace:         return "bus_trace";
       default:
         break;
     }

@@ -10,8 +10,9 @@
  *   u32     section count
  *   u64     fingerprint: the board-config fingerprint
  *           (BoardConfig::fingerprint, which folds in every node's
- *           ProtocolTable::fingerprint), a campaign manifest's plan
- *           fingerprint, or 0 for a lifecycle dump
+ *           ProtocolTable::fingerprint; a campaign unit result carries
+ *           its unit's), a campaign manifest's plan fingerprint, or 0
+ *           for a lifecycle dump or a bus trace
  *   u32     header CRC-32 over the 24 bytes above
  *   -- section table, one entry per section --
  *   u32     section id        u32  payload CRC-32
@@ -30,12 +31,12 @@
  * never sees corrupt framing — restores fail closed with a diagnostic
  * and the target board is left untouched.
  *
- * Every state file the program reads back uses this container: board
- * checkpoints, suspended IESSERV sessions (the board's sections plus a
- * session section and one section per twin board), IESCAMP campaign
- * manifests and flight-recorder lifecycle dumps (docs/FORMATS.md
- * §6-8). Captured bus traces (IESTRACE) are the one binary file the
- * program reads back in its own framing.
+ * Every binary file the program writes whole and reads back uses this
+ * container: board checkpoints, suspended IESSERV sessions (the
+ * board's sections plus a session section and one section per twin
+ * board), IESCAMP campaign manifests and unit results, captured bus
+ * traces and flight-recorder lifecycle dumps (docs/FORMATS.md §3,
+ * §6-8).
  */
 
 #ifndef MEMORIES_CHECKPOINT_FILE_HH
@@ -72,8 +73,12 @@ enum SectionId : std::uint32_t
     secCampaignPlan = 0x21,
     /** Campaign manifest: every unit's status, in plan order. */
     secCampaignUnits = 0x22,
+    /** Campaign unit result: digests and counters of one unit. */
+    secCampaignResult = 0x23,
     /** Lifecycle dump: event count, then five words per event. */
     secLifecycle = 0x30,
+    /** Bus trace: dropped count, record count, packed records. */
+    secBusTrace = 0x31,
     /** NodeController n: secNodeBase + n (directory, counters, RNGs). */
     secNodeBase = 0x100,
     /** Session twin board n: secTwinBase + n, the twin's own IESCKPT

@@ -164,18 +164,32 @@ atomicWriteFile(const std::string &path, const void *data,
 std::vector<std::uint8_t>
 readFileBytes(const std::string &path, const std::string &what)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    // Non-blocking, so that opening a FIFO returns at once and meets
+    // the regular-file check instead of waiting for a writer.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+    if (fd < 0)
         fatal("cannot open ", what, " '", path, "'");
+    struct ::stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+        ::close(fd);
+        fatal(what, " '", path, "' is not a regular file");
+    }
     std::vector<std::uint8_t> data;
+    data.reserve(static_cast<std::size_t>(st.st_size));
     std::uint8_t buf[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
+    for (;;) {
+        const ::ssize_t got = ::read(fd, buf, sizeof(buf));
+        if (got == 0)
+            break;
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            ::close(fd);
+            fatal("failed reading ", what, " '", path, "'");
+        }
         data.insert(data.end(), buf, buf + got);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error)
-        fatal("failed reading ", what, " '", path, "'");
+    }
+    ::close(fd);
     return data;
 }
 

@@ -4,9 +4,10 @@
  * deterministic disk-fault injection shim.
  *
  * Every durable artifact in the tree — IESCKPT containers (board
- * checkpoints, suspended sessions, campaign manifests, lifecycle
- * dumps), unit result files, the console's exports — goes through one
- * primitive, and a state file is written by exactly one call of it:
+ * checkpoints, suspended sessions, campaign manifests and unit
+ * results, bus traces, lifecycle dumps) and the console's exports —
+ * goes through one primitive, and a state file is written by exactly
+ * one call of it:
  *
  *   atomicWriteFile(path, data, len)
  *
@@ -19,12 +20,10 @@
  * a torn hybrid. Readers may find a stale `.tmp` beside a valid file
  * (a crash mid-write); they must ignore it.
  *
- * Two kinds of file do not go through it: IESTRACE bus traces
- * (trace::TraceWriter streams records and rewrites its header as it
- * grows) and telemetry streams (the JSONL/CSV exporters append window
- * by window while a run goes on, and the Prometheus exporter truncates
- * and rewrites its file each window). Neither is atomic or seen by the
- * shim.
+ * Only the telemetry streams do not go through it: the JSONL/CSV
+ * exporters append window by window while a run goes on, and the
+ * Prometheus exporter truncates and rewrites its file each window.
+ * They are neither atomic nor seen by the shim.
  *
  * The DiskFaultShim makes every failure path exercisable on a healthy
  * disk. When installed, each atomicWriteFile() call first asks the
@@ -109,7 +108,8 @@ void atomicWriteFile(const std::string &path, const void *data,
 
 /**
  * Read the whole file at @p path; fatal() (naming @p what) when it is
- * missing or unreadable.
+ * missing, unreadable or not a regular file (a device or a pipe may
+ * never end: /dev/zero would read until memory runs out).
  */
 std::vector<std::uint8_t> readFileBytes(const std::string &path,
                                         const std::string &what);

@@ -232,10 +232,9 @@ ExperimentFleet::finish()
 void
 ExperimentFleet::replayFile(const std::string &path, std::size_t workers)
 {
-    trace::TraceReader reader(path);
+    const trace::BusTrace trace = trace::readBusTrace(path);
     start(workers);
-    bus::BusTransaction txn;
-    while (reader.next(txn))
+    for (const bus::BusTransaction &txn : trace.stream)
         publish(txn);
     finish();
 }

@@ -185,9 +185,10 @@ class ExperimentFleet final : public bus::BusObserver
     void finish();
 
     /**
-     * Offline mode: replay a captured trace file into the fleet using
-     * @p workers threads. Equivalent to start(); publish() per record;
-     * finish().
+     * Offline mode: replay a captured bus trace into the fleet using
+     * @p workers threads. Reads the whole file first, so a damaged
+     * trace fails before any worker starts; then start(); publish()
+     * per record; finish().
      */
     void replayFile(const std::string &path, std::size_t workers);
 

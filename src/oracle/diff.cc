@@ -509,7 +509,7 @@ runLattice(std::uint64_t firstSeed, std::size_t numSeeds,
                 const std::string base = dumpDir + "/divergence-" +
                                          lc.name + "-seed" +
                                          std::to_string(seed);
-                writeTrace(base + ".trace", shrunk);
+                trace::writeBusTrace(base + ".trace", shrunk);
                 trace::writeLifecycleDump(base + ".spans",
                                           div.report.flightDump);
                 div.tracePath = base + ".trace";

@@ -209,27 +209,13 @@ canonicalizeForReplay(const std::vector<bus::BusTransaction> &stream)
     return canon;
 }
 
-void
-writeTrace(const std::string &path,
-           const std::vector<bus::BusTransaction> &stream)
-{
-    trace::TraceWriter writer(path);
-    for (const bus::BusTransaction &txn : stream)
-        writer.append(txn);
-    writer.flush();
-}
-
 std::vector<bus::BusTransaction>
 readTrace(const std::string &path)
 {
-    trace::TraceReader reader(path);
-    std::vector<bus::BusTransaction> stream;
-    stream.reserve(reader.count());
-    bus::BusTransaction txn;
-    while (reader.next(txn)) {
-        txn.traceId = static_cast<std::uint32_t>(stream.size() + 1);
-        stream.push_back(txn);
-    }
+    std::vector<bus::BusTransaction> stream =
+        trace::readBusTrace(path).stream;
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        stream[i].traceId = static_cast<std::uint32_t>(i + 1);
     return stream;
 }
 

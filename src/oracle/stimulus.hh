@@ -122,13 +122,10 @@ shrinkStream(std::vector<bus::BusTransaction> stream,
 std::vector<bus::BusTransaction>
 canonicalizeForReplay(const std::vector<bus::BusTransaction> &stream);
 
-/** Write @p stream as a binary bus trace (trace::TraceWriter). */
-void writeTrace(const std::string &path,
-                const std::vector<bus::BusTransaction> &stream);
-
 /**
- * Read a binary bus trace back as a replayable stream: traceIds are
- * re-stamped 1..n (the packed record does not store them).
+ * Read a bus trace (trace::readBusTrace) back as a replayable stream:
+ * traceIds are re-stamped 1..n (the packed record does not store
+ * them). trace::writeBusTrace writes one.
  */
 std::vector<bus::BusTransaction> readTrace(const std::string &path);
 

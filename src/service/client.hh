@@ -73,7 +73,7 @@ class ServiceClient
     Reply exec(const std::string &line);
 
     /**
-     * Stream @p txns as packed v2 records in feed lines of at most
+     * Stream @p txns as packed records in feed lines of at most
      * @p batch records, each line starting at the first record the
      * previous one did not admit. Returns (with what happened so far)
      * at the first `fed 0` reply — the head record does not fit at its

@@ -1,5 +1,6 @@
 #include "service/stream.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "checkpoint/codec.hh"
@@ -67,21 +68,21 @@ StreamIngest::loadState(ckpt::Source &source)
 
 std::size_t
 StreamIngest::feedAttempted(ies::Console &console,
-                            const std::vector<bus::BusTransaction> &txns,
-                            std::string &notes)
+                            const bus::BusTransaction *txns,
+                            std::size_t count, std::string &notes)
 {
     ies::MemoriesBoard &board = *console.board();
-    const std::size_t accepted = board.feedBatch(txns);
+    const std::size_t accepted = board.feedBatch(txns, count);
     // Twin boards see the identical attempted sequence (the session's
     // fan-out); their own buffers decide what they keep.
     for (const Twin &twin : twins_)
-        twin.board->feedBatch(txns);
+        twin.board->feedBatch(txns, count);
 
-    refsAttempted_ += txns.size();
+    refsAttempted_ += count;
     refsAccepted_ += accepted;
     added_.accepted += accepted;
-    overflowDrops_ += txns.size() - accepted;
-    prevCycle_ = txns.back().cycle;
+    overflowDrops_ += count - accepted;
+    prevCycle_ = txns[count - 1].cycle;
 
     // Health ladder: a quarantined board is pulled back from the first
     // healthy same-fingerprint twin; with no twin the session is done.
@@ -163,9 +164,9 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
         ++added_.backpressure;
         return "fed 0 accepted 0 of " + std::to_string(n);
     }
-    txns_.resize(attempted);
     std::string notes;
-    const std::size_t accepted = feedAttempted(console, txns_, notes);
+    const std::size_t accepted =
+        feedAttempted(console, txns_.data(), attempted, notes);
     return "fed " + std::to_string(attempted) + " accepted " +
            std::to_string(accepted) + " of " + std::to_string(n) + notes;
 }
@@ -185,30 +186,22 @@ std::string
 StreamIngest::replayFile(ies::Console &console, const std::string &path)
 {
     requireBoard(console, "stream replay");
-    trace::TraceReader reader(path);
-    std::uint64_t replayed = 0;
+    const std::vector<bus::BusTransaction> stream =
+        trace::readBusTrace(path).stream;
     std::uint64_t accepted = 0;
-    std::vector<bus::BusTransaction> chunk;
-    chunk.reserve(maxBatch_);
-    bus::BusTransaction txn;
-    bool more = reader.next(txn);
     std::string notes;
-    while (more) {
-        chunk.clear();
-        while (chunk.size() < maxBatch_ && more) {
-            chunk.push_back(txn);
-            more = reader.next(txn);
-        }
+    for (std::size_t at = 0; at < stream.size(); at += maxBatch_) {
+        const std::size_t n = std::min(maxBatch_, stream.size() - at);
         // A captured trace is already paced by its recorded
         // inter-arrival deltas, so replay always attempts each record
         // exactly once (raw semantics) — there is no client to
         // back-pressure.
-        refsOffered_ += chunk.size();
-        added_.offered += chunk.size();
+        refsOffered_ += n;
+        added_.offered += n;
         ++feedLines_;
-        replayed += chunk.size();
-        accepted += feedAttempted(console, chunk, notes);
+        accepted += feedAttempted(console, stream.data() + at, n, notes);
     }
+    const std::uint64_t replayed = stream.size();
     std::string reply = "replayed " + std::to_string(replayed) +
                         " accepted " + std::to_string(accepted) +
                         " dropped " + std::to_string(replayed - accepted);

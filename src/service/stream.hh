@@ -12,13 +12,13 @@
  *
  * Ingest grammar (docs/SERVICE.md has the full spec):
  *
- *   feed <hex16> [<hex16> ...]   -- offer packed v2 BusRecords, cycle
+ *   feed <hex16> [<hex16> ...]   -- offer packed BusRecords, cycle
  *                                   deltas chained across feed lines
  *   drain                        -- end-of-stream: drain board + fleet
  *   stream [status]              -- ingest counters and mode
  *   stream pace on|off           -- admission mode (see below)
  *   stream reset                 -- fresh stream (zero chain + counters)
- *   stream replay <path>         -- server-side v2 trace file ingest
+ *   stream replay <path>         -- server-side bus trace file ingest
  *   fleet add [label] [seed]     -- add a same-config twin board
  *   fleet [list|status]          -- twin boards and their health
  *   fleet counters <i>           -- twin board's raw counter dump
@@ -165,11 +165,11 @@ class StreamIngest
      */
     std::string resyncFromTwin(ies::MemoriesBoard &board);
 
-    /** Feed @p txns to the board and twins; handles the health ladder.
-     *  @return board-accepted count. */
+    /** Feed the @p count records at @p txns to the board and twins;
+     *  handles the health ladder. @return board-accepted count. */
     std::size_t feedAttempted(ies::Console &console,
-                              const std::vector<bus::BusTransaction> &txns,
-                              std::string &notes);
+                              const bus::BusTransaction *txns,
+                              std::size_t count, std::string &notes);
 
     std::size_t maxBatch_;
     bool paced_ = true;

@@ -16,7 +16,7 @@
  * the connection stays usable afterwards except where the session
  * layer decides to evict (docs/SERVICE.md).
  *
- * Bulk ingest rides the same grammar: `feed` takes v2 BusRecords
+ * Bulk ingest rides the same grammar: `feed` takes packed BusRecords
  * (trace/record.hh) as 16-digit lower-case hex words, one token per
  * reference, cycle-delta chained per session exactly like a trace
  * file. LineChannel is the shared buffered line reader/writer over a

@@ -3,6 +3,7 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "protocol/state.hh"
+#include "trace/tracefile.hh"
 
 namespace memories::sim
 {
@@ -126,16 +127,13 @@ DetailedCacheSimulator::process(const bus::BusTransaction &txn)
 }
 
 std::uint64_t
-DetailedCacheSimulator::runTrace(trace::TraceReader &reader)
+DetailedCacheSimulator::runTrace(const std::string &path)
 {
-    bus::BusTransaction txn;
-    std::uint64_t n = 0;
-    while (reader.next(txn)) {
+    const trace::BusTrace trace = trace::readBusTrace(path);
+    for (const bus::BusTransaction &txn : trace.stream)
         process(txn);
-        ++n;
-    }
     finish();
-    return n;
+    return trace.stream.size();
 }
 
 void

@@ -17,13 +17,13 @@
 
 #include <cstdint>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "bus/transaction.hh"
 #include "cache/tagstore.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "trace/tracefile.hh"
 
 namespace memories::sim
 {
@@ -69,8 +69,11 @@ class DetailedCacheSimulator
     /** Simulate one transaction in full detail. */
     void process(const bus::BusTransaction &txn);
 
-    /** Replay an entire trace file. @return transactions processed. */
-    std::uint64_t runTrace(trace::TraceReader &reader);
+    /**
+     * Replay the whole bus trace at @p path (trace::readBusTrace) and
+     * finish(). @return transactions processed.
+     */
+    std::uint64_t runTrace(const std::string &path);
 
     /** Drain the event queue (call at end of run). */
     void finish();

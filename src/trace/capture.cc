@@ -31,13 +31,18 @@ CaptureBuffer::record(const bus::BusTransaction &txn)
 void
 CaptureBuffer::dumpToFile(const std::string &path) const
 {
-    TraceWriter writer(path);
-    // A lossy capture declares itself in the v2 header so every reader
-    // (tracestats, replay) knows the trace is a truncated prefix.
-    writer.setDroppedAtCapture(dropped_);
-    for (std::uint64_t raw : records_)
-        writer.appendRecord(BusRecord(raw));
-    writer.flush();
+    // Unpacking re-chains the cycles the records were packed against,
+    // so writeBusTrace packs every record back to the same word. A
+    // lossy capture declares itself so every reader (tracestats,
+    // replay) knows the trace is a truncated prefix.
+    std::vector<bus::BusTransaction> stream;
+    stream.reserve(records_.size());
+    Cycle prev = 0;
+    for (const std::uint64_t raw : records_) {
+        stream.push_back(BusRecord(raw).unpack(prev));
+        prev = stream.back().cycle;
+    }
+    writeBusTrace(path, stream, dropped_);
 }
 
 void

@@ -53,7 +53,11 @@ class CaptureBuffer
     /** Access a captured record. */
     BusRecord at(std::uint64_t i) const { return BusRecord(records_[i]); }
 
-    /** Write the captured content to @p path as a trace file. */
+    /**
+     * Write the captured content to @p path as a bus trace
+     * (writeBusTrace): one atomic write, so a failed dump fatal()s
+     * and leaves any previous file at @p path byte-identical.
+     */
     void dumpToFile(const std::string &path) const;
 
     /** Clear the buffer for a new capture window. */

@@ -1,182 +1,59 @@
 #include "trace/tracefile.hh"
 
-#include <cstring>
-
 #include "checkpoint/file.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "trace/record.hh"
 
 namespace memories::trace
 {
 
-namespace
-{
-
-constexpr std::size_t ioChunkRecords = 1 << 16;
-
-/**
- * fatal() unless @p file, positioned just past its header, holds the
- * @p count records the header declares. A longer file stays readable:
- * the writer appends records before it rewrites the header.
- */
 void
-requireDeclared(std::FILE *file, std::uint64_t count,
-                const std::string &what)
+writeBusTrace(const std::string &path,
+              const std::vector<bus::BusTransaction> &stream,
+              std::uint64_t dropped_at_capture)
 {
-    const long start = std::ftell(file);
-    if (start < 0 || std::fseek(file, 0, SEEK_END) != 0)
-        fatal("cannot size ", what);
-    const long end = std::ftell(file);
-    if (end < start || std::fseek(file, start, SEEK_SET) != 0)
-        fatal("cannot size ", what);
-    const std::uint64_t held =
-        static_cast<std::uint64_t>(end - start) / sizeof(std::uint64_t);
-    if (held < count) {
-        fatal(what, " is truncated: its header declares ", count,
-              " records but it holds ", held);
+    ckpt::CheckpointWriter writer;
+    ckpt::Sink &sink = writer.section(ckpt::secBusTrace);
+    sink.u64(dropped_at_capture);
+    sink.u64(stream.size());
+    Cycle prev = 0;
+    for (const bus::BusTransaction &txn : stream) {
+        sink.u64(BusRecord::pack(txn, prev).raw);
+        prev = txn.cycle;
     }
+    writer.writeFile(path, 0);
 }
 
-} // namespace
-
-TraceWriter::TraceWriter(const std::string &path)
-    : path_(path)
+BusTrace
+readBusTrace(const std::string &path)
 {
-    file_.reset(std::fopen(path.c_str(), "wb"));
-    if (!file_)
-        fatal("cannot create trace file '", path, "'");
-    buffer_.reserve(ioChunkRecords);
-    writeHeader();
-}
-
-TraceWriter::~TraceWriter()
-{
-    // Best effort: flush() can't report errors from a destructor, but the
-    // explicit flush() API is there for callers who care.
-    try {
-        flush();
-    } catch (const FatalError &) {
-        // swallow: destruction must not throw
+    const ckpt::CheckpointImage image = ckpt::CheckpointImage::fromBytes(
+        ckpt::readFileBytes(path, "bus trace"),
+        "bus trace '" + path + "'");
+    ckpt::Source source = image.open(ckpt::secBusTrace);
+    BusTrace trace;
+    trace.droppedAtCapture = source.u64();
+    const std::uint64_t count = source.u64();
+    if (count != source.remaining() / 8 || source.remaining() % 8 != 0) {
+        fatal(source.context(), ": declares ", count,
+              " records but holds ", source.remaining(),
+              " bytes of them");
     }
-}
-
-void
-TraceWriter::writeHeader()
-{
-    std::uint64_t header[4] = {traceMagic, traceVersion, count_,
-                               dropped_};
-    if (std::fseek(file_.get(), 0, SEEK_SET) != 0 ||
-        std::fwrite(header, sizeof(header), 1, file_.get()) != 1) {
-        fatal("failed writing trace header to '", path_, "'");
-    }
-}
-
-void
-TraceWriter::append(const bus::BusTransaction &txn)
-{
-    appendRecord(BusRecord::pack(txn, prevCycle_));
-    prevCycle_ = txn.cycle;
-}
-
-void
-TraceWriter::appendRecord(BusRecord rec)
-{
-    buffer_.push_back(rec.raw);
-    ++count_;
-    if (buffer_.size() >= ioChunkRecords)
-        flush();
-}
-
-void
-TraceWriter::flush()
-{
-    if (!buffer_.empty()) {
-        if (std::fseek(file_.get(), 0, SEEK_END) != 0 ||
-            std::fwrite(buffer_.data(), sizeof(std::uint64_t),
-                        buffer_.size(), file_.get()) != buffer_.size()) {
-            fatal("failed writing trace records to '", path_, "'");
+    trace.stream.reserve(static_cast<std::size_t>(count));
+    Cycle prev = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const BusRecord rec(source.u64());
+        // Four bits name the command, but only numBusOps values exist.
+        if (static_cast<std::size_t>(rec.op()) >= bus::numBusOps) {
+            fatal(source.context(), ": record ", i,
+                  " has unknown bus command ",
+                  static_cast<unsigned>(rec.op()));
         }
-        buffer_.clear();
+        trace.stream.push_back(rec.unpack(prev));
+        prev = trace.stream.back().cycle;
     }
-    writeHeader();
-    std::fflush(file_.get());
-}
-
-TraceReader::TraceReader(const std::string &path)
-{
-    file_.reset(std::fopen(path.c_str(), "rb"));
-    if (!file_)
-        fatal("cannot open trace file '", path, "'");
-
-    std::uint64_t header[3];
-    if (std::fread(header, sizeof(header), 1, file_.get()) != 1)
-        fatal("trace file '", path, "' is truncated");
-    if (header[0] != traceMagic)
-        fatal("trace file '", path, "' has bad magic");
-    if (header[1] != 1 && header[1] != traceVersion)
-        fatal("trace file '", path, "' has unsupported version ",
-              header[1]);
-    count_ = header[2];
-    // v2 appends the capture-time dropped count to the header.
-    if (header[1] >= 2) {
-        headerWords_ = 4;
-        if (std::fread(&dropped_, sizeof(dropped_), 1, file_.get()) != 1)
-            fatal("trace file '", path, "' is truncated");
-    }
-    requireDeclared(file_.get(), count_, "trace file '" + path + "'");
-    buffer_.reserve(ioChunkRecords);
-}
-
-TraceReader::~TraceReader() = default;
-
-void
-TraceReader::fillBuffer()
-{
-    buffer_.resize(ioChunkRecords);
-    std::size_t got = std::fread(buffer_.data(), sizeof(std::uint64_t),
-                                 buffer_.size(), file_.get());
-    buffer_.resize(got);
-    bufferPos_ = 0;
-}
-
-bool
-TraceReader::next(BusRecord &rec)
-{
-    if (readSoFar_ >= count_)
-        return false;
-    if (bufferPos_ >= buffer_.size()) {
-        fillBuffer();
-        if (buffer_.empty())
-            return false;
-    }
-    rec = BusRecord(buffer_[bufferPos_++]);
-    ++readSoFar_;
-    return true;
-}
-
-bool
-TraceReader::next(bus::BusTransaction &txn)
-{
-    BusRecord rec;
-    if (!next(rec))
-        return false;
-    txn = rec.unpack(prevCycle_);
-    prevCycle_ = txn.cycle;
-    return true;
-}
-
-void
-TraceReader::rewind()
-{
-    if (std::fseek(file_.get(),
-                   static_cast<long>(headerWords_ *
-                                     sizeof(std::uint64_t)),
-                   SEEK_SET) != 0)
-        fatal("failed to rewind trace file");
-    readSoFar_ = 0;
-    prevCycle_ = 0;
-    buffer_.clear();
-    bufferPos_ = 0;
+    return trace;
 }
 
 namespace

@@ -2,151 +2,69 @@
  * @file
  * Binary trace files: the console-side persistence of captured traces.
  *
- * Two formats live here. Bus traces: a header (magic, version, record
- * count and — since v2 — the count of references the capture buffer
- * dropped after filling) followed by packed BusRecords in little-endian
- * order. The board dumps its capture buffer through the console to disk
- * in this format, and the baseline trace-driven simulator replays it.
- * Lifecycle dumps: the flight recorder's events as one section of an
- * IESCKPT container (docs/FORMATS.md §6-7), written by
- * writeLifecycleDump in one atomic write and loaded by
- * readLifecycleDump for offline analysis or Chrome-trace conversion.
+ * Two kinds of file live here, each an IESCKPT container (docs/
+ * FORMATS.md §7) with config fingerprint 0 and one section, written
+ * whole in one atomic write and read back whole. The functions below
+ * are the only code that knows either section's layout.
+ * Bus traces (§3): the dropped-at-capture count, the record count and
+ * the packed BusRecords. The board dumps its capture buffer through
+ * the console in this format; the slice/filter tools, the detailed
+ * simulator, the fan-out fleet, the wire's `stream replay` and the
+ * oracle replay it.
+ * Lifecycle dumps (§6): the flight recorder's events, written by
+ * writeLifecycleDump and loaded by readLifecycleDump for offline
+ * analysis.
  */
 
 #ifndef MEMORIES_TRACE_TRACEFILE_HH
 #define MEMORIES_TRACE_TRACEFILE_HH
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "bus/transaction.hh"
 #include "trace/lifecycle.hh"
-#include "trace/record.hh"
 
 namespace memories::trace
 {
 
-/** Magic bytes at the start of every trace file ("IESTRACE"). */
-inline constexpr std::uint64_t traceMagic = 0x4945535452414345ull;
+/** A bus trace as read back from its file. */
+struct BusTrace
+{
+    /**
+     * The references in capture order: cycles re-chained from the
+     * packed deltas, addresses at the 128-byte capture granularity,
+     * traceId 0 (the packed record does not store it).
+     */
+    std::vector<bus::BusTransaction> stream;
+    /**
+     * References the capture dropped after its buffer filled
+     * (CaptureBuffer::dropped()). Nonzero means the trace is a lossy
+     * prefix of the bus stream it observed.
+     */
+    std::uint64_t droppedAtCapture = 0;
+};
 
 /**
- * Current trace file format version. v2 adds the capture-time dropped
- * count to the header; v1 files (24-byte header) remain readable.
+ * Write @p stream as a bus trace: an IESCKPT container with config
+ * fingerprint 0 and one ckpt::secBusTrace section (docs/FORMATS.md
+ * §3), each reference packed against the previous one's cycle. One
+ * atomic write, so a failed write fatal()s and leaves any previous
+ * file at @p path byte-identical.
+ * @param dropped_at_capture Declared to every reader (BusTrace).
  */
-inline constexpr std::uint32_t traceVersion = 2;
+void writeBusTrace(const std::string &path,
+                   const std::vector<bus::BusTransaction> &stream,
+                   std::uint64_t dropped_at_capture = 0);
 
-/** Streaming writer for a binary bus trace. */
-class TraceWriter
-{
-  public:
-    /** Open @p path for writing; fatal() if the file cannot be created. */
-    explicit TraceWriter(const std::string &path);
-
-    /** Flushes the header and closes the file. */
-    ~TraceWriter();
-
-    TraceWriter(const TraceWriter &) = delete;
-    TraceWriter &operator=(const TraceWriter &) = delete;
-
-    /** Append a transaction (packed against the previous one's cycle). */
-    void append(const bus::BusTransaction &txn);
-
-    /** Append an already-packed record. */
-    void appendRecord(BusRecord rec);
-
-    /** Records written so far. */
-    std::uint64_t count() const { return count_; }
-
-    /**
-     * Record in the header how many references the capture dropped
-     * after its buffer filled (CaptureBuffer::dropped()), so a lossy
-     * capture declares itself to every future reader. Takes effect at
-     * the next flush().
-     */
-    void setDroppedAtCapture(std::uint64_t dropped)
-    {
-        dropped_ = dropped;
-    }
-
-    /** Flush buffered records and rewrite the header. */
-    void flush();
-
-  private:
-    struct FileCloser
-    {
-        void operator()(std::FILE *f) const { if (f) std::fclose(f); }
-    };
-
-    void writeHeader();
-
-    std::unique_ptr<std::FILE, FileCloser> file_;
-    std::string path_;
-    std::vector<std::uint64_t> buffer_;
-    std::uint64_t count_ = 0;
-    std::uint64_t dropped_ = 0;
-    Cycle prevCycle_ = 0;
-};
-
-/** Reader that loads or streams a binary bus trace. */
-class TraceReader
-{
-  public:
-    /**
-     * Open @p path; fatal() on a missing file, bad magic/version, or
-     * fewer records than the header declares.
-     */
-    explicit TraceReader(const std::string &path);
-
-    ~TraceReader();
-
-    TraceReader(const TraceReader &) = delete;
-    TraceReader &operator=(const TraceReader &) = delete;
-
-    /** Total records in the file. */
-    std::uint64_t count() const { return count_; }
-
-    /**
-     * References the capture dropped after its buffer filled (v2
-     * headers; 0 for v1 files, which predate the field). Nonzero means
-     * the trace is a lossy prefix of the bus stream it observed.
-     */
-    std::uint64_t droppedAtCapture() const { return dropped_; }
-
-    /**
-     * Read the next record into @p rec.
-     * @return false at end of trace.
-     */
-    bool next(BusRecord &rec);
-
-    /**
-     * Read the next record as an unpacked transaction (cycle
-     * reconstruction is handled internally).
-     * @return false at end of trace.
-     */
-    bool next(bus::BusTransaction &txn);
-
-    /** Rewind to the first record. */
-    void rewind();
-
-  private:
-    struct FileCloser
-    {
-        void operator()(std::FILE *f) const { if (f) std::fclose(f); }
-    };
-
-    void fillBuffer();
-
-    std::unique_ptr<std::FILE, FileCloser> file_;
-    std::uint64_t count_ = 0;
-    std::uint64_t dropped_ = 0;
-    std::uint64_t headerWords_ = 3;
-    std::uint64_t readSoFar_ = 0;
-    Cycle prevCycle_ = 0;
-    std::vector<std::uint64_t> buffer_;
-    std::size_t bufferPos_ = 0;
-};
+/**
+ * Load the whole bus trace at @p path. fatal() when the file is
+ * missing, fails any container check, has no bus-trace section, its
+ * record count does not match the section's payload, or a record
+ * names an unknown bus command.
+ */
+BusTrace readBusTrace(const std::string &path);
 
 /**
  * Write @p events as a lifecycle dump: an IESCKPT container with

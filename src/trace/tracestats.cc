@@ -1,9 +1,12 @@
 #include "trace/tracestats.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/stats.hh"
 #include "common/units.hh"
+#include "trace/tracefile.hh"
 
 namespace memories::trace
 {
@@ -26,11 +29,10 @@ TraceStats::record(const bus::BusTransaction &txn)
 TraceStats
 TraceStats::fromFile(const std::string &path)
 {
-    TraceReader reader(path);
+    const BusTrace trace = readBusTrace(path);
     TraceStats stats;
-    stats.dropped_ = reader.droppedAtCapture();
-    bus::BusTransaction txn;
-    while (reader.next(txn))
+    stats.dropped_ = trace.droppedAtCapture;
+    for (const bus::BusTransaction &txn : trace.stream)
         stats.record(txn);
     return stats;
 }
@@ -87,36 +89,24 @@ TraceStats::report() const
     return os.str();
 }
 
-std::uint64_t
-sliceTrace(TraceReader &reader, TraceWriter &writer, std::uint64_t from,
-           std::uint64_t count)
+std::vector<bus::BusTransaction>
+sliceTrace(const std::vector<bus::BusTransaction> &stream,
+           std::uint64_t from, std::uint64_t count)
 {
-    bus::BusTransaction txn;
-    std::uint64_t index = 0, copied = 0;
-    while (copied < count && reader.next(txn)) {
-        if (index++ < from)
-            continue;
-        writer.append(txn);
-        ++copied;
-    }
-    writer.flush();
-    return copied;
+    const std::size_t begin = std::min<std::uint64_t>(from, stream.size());
+    const std::size_t end =
+        begin + std::min<std::uint64_t>(count, stream.size() - begin);
+    return {stream.begin() + begin, stream.begin() + end};
 }
 
-std::uint64_t
-filterTrace(TraceReader &reader, TraceWriter &writer,
+std::vector<bus::BusTransaction>
+filterTrace(const std::vector<bus::BusTransaction> &stream,
             const std::function<bool(const bus::BusTransaction &)> &keep)
 {
-    bus::BusTransaction txn;
-    std::uint64_t copied = 0;
-    while (reader.next(txn)) {
-        if (keep(txn)) {
-            writer.append(txn);
-            ++copied;
-        }
-    }
-    writer.flush();
-    return copied;
+    std::vector<bus::BusTransaction> kept;
+    std::copy_if(stream.begin(), stream.end(), std::back_inserter(kept),
+                 keep);
+    return kept;
 }
 
 } // namespace memories::trace

@@ -17,10 +17,10 @@
 #include <functional>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "bus/transaction.hh"
 #include "common/types.hh"
-#include "trace/tracefile.hh"
 
 namespace memories::trace
 {
@@ -41,9 +41,9 @@ class TraceStats
 
     /**
      * References the capture dropped after its buffer filled, as
-     * declared by the trace file's v2 header (0 for v1 files and for
-     * stats built with record()). Nonzero means every number below
-     * understates the bus stream the board actually saw.
+     * declared by the trace file (0 for stats built with record()).
+     * Nonzero means every number below understates the bus stream the
+     * board actually saw.
      */
     std::uint64_t droppedAtCapture() const { return dropped_; }
     std::uint64_t opCount(bus::BusOp op) const
@@ -83,19 +83,17 @@ class TraceStats
 };
 
 /**
- * Copy @p count records starting at record @p from into @p writer.
- * @return records actually copied (less when the trace is shorter).
+ * The @p count references of @p stream starting at index @p from
+ * (fewer when the stream is shorter).
  */
-std::uint64_t sliceTrace(TraceReader &reader, TraceWriter &writer,
-                         std::uint64_t from, std::uint64_t count);
+std::vector<bus::BusTransaction>
+sliceTrace(const std::vector<bus::BusTransaction> &stream,
+           std::uint64_t from, std::uint64_t count);
 
-/**
- * Copy the records for which @p keep returns true.
- * @return records copied.
- */
-std::uint64_t filterTrace(TraceReader &reader, TraceWriter &writer,
-                          const std::function<
-                              bool(const bus::BusTransaction &)> &keep);
+/** The references of @p stream for which @p keep returns true. */
+std::vector<bus::BusTransaction>
+filterTrace(const std::vector<bus::BusTransaction> &stream,
+            const std::function<bool(const bus::BusTransaction &)> &keep);
 
 } // namespace memories::trace
 

@@ -12,12 +12,14 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bus/bus6xx.hh"
 #include "campaign/console.hh"
 #include "campaign/manifest.hh"
 #include "campaign/plan.hh"
 #include "campaign/runner.hh"
+#include "checkpoint/file.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
 #include "ies/console.hh"
@@ -114,7 +116,18 @@ TEST_F(CampaignConsoleTest, StartRunsTinyCampaignToCompletion)
               oracle::latticeConfigs().size());
     for (std::size_t i = 0; i < m.units().size(); ++i) {
         EXPECT_EQ(m.unit(i).state, UnitState::Done) << "unit " << i;
-        EXPECT_TRUE(ckpt::fileExists(m.resultPath(i)))
+        // A result is a container under its unit's config fingerprint
+        // with one result section; the manifest hashes the whole file.
+        const auto bytes = ckpt::readFileBytes(m.resultPath(i), "result");
+        EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()),
+                  m.unit(i).resultCrc)
+            << "unit " << i;
+        const auto image = ckpt::CheckpointImage::fromBytes(bytes, "result");
+        EXPECT_EQ(image.configFingerprint(),
+                  m.plan().units[i].configFingerprint)
+            << "unit " << i;
+        EXPECT_EQ(image.sectionIds(),
+                  std::vector<std::uint32_t>{ckpt::secCampaignResult})
             << "unit " << i;
     }
 

@@ -172,6 +172,7 @@ TEST_F(ConsoleScriptTest, FailedWritesLeaveTheOldFileByteIdentical)
     Console console(bus);
     console.execute("node 0 cache 2MB 4 128B");
     console.execute("node 0 cpus 0");
+    console.execute("capture 64");
     ASSERT_EQ(console.execute("init").rfind("error:", 0),
               std::string::npos);
     ASSERT_EQ(console.execute("trace start 64").rfind("error:", 0),
@@ -182,11 +183,13 @@ TEST_F(ConsoleScriptTest, FailedWritesLeaveTheOldFileByteIdentical)
     const std::string saved = console.execute("save-protocol 0 " + path);
     const std::string traced = console.execute("trace chrome " + path);
     const std::string dumped = console.execute("trace dump " + path);
+    const std::string captured = console.execute("dump-trace " + path);
     ckpt::setDiskFaultShim(previous);
 
     EXPECT_EQ(saved.rfind("error: ", 0), 0u) << saved;
     EXPECT_EQ(traced.rfind("error: ", 0), 0u) << traced;
     EXPECT_EQ(dumped.rfind("error: ", 0), 0u) << dumped;
+    EXPECT_EQ(captured.rfind("error: ", 0), 0u) << captured;
     EXPECT_EQ(readFile(path), "previous contents\n");
     std::remove(path.c_str());
 }

@@ -148,7 +148,35 @@ TEST(ConsoleTest, CaptureAndDumpTrace)
 
     const auto reply = console.execute("dump-trace " + path);
     EXPECT_NE(reply.find("2 records"), std::string::npos);
+    const trace::BusTrace dumped = trace::readBusTrace(path);
+    ASSERT_EQ(dumped.stream.size(), 2u);
+    EXPECT_EQ(dumped.stream[0].addr, 0x1000u);
+    EXPECT_EQ(dumped.stream[1].addr, 0x2000u);
+    EXPECT_NE(console.execute("ckpt info " + path)
+                  .find("bus_trace: 32 bytes"),
+              std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(ConsoleTest, NonRegularFilesAreRefusedAtOnce)
+{
+    // A device never reaches EOF: reading /dev/zero whole would run
+    // until memory ran out.
+    bus::Bus6xx bus;
+    Console console(bus);
+    for (const char *line : {"script /dev/zero", "ckpt info /dev/zero"}) {
+        const std::string reply = console.execute(line);
+        EXPECT_EQ(reply.rfind("error: ", 0), 0u) << line << ": " << reply;
+        EXPECT_NE(reply.find("'/dev/zero' is not a regular file"),
+                  std::string::npos)
+            << line << ": " << reply;
+    }
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0");
+    ASSERT_EQ(console.execute("init").rfind("error:", 0),
+              std::string::npos);
+    EXPECT_EQ(console.execute("load-state /dev/zero").rfind("error: ", 0),
+              0u);
 }
 
 TEST(ConsoleTest, ShutdownDetaches)

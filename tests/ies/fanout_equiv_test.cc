@@ -22,11 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/io.hh"
 #include "common/logging.hh"
 #include "host/machine.hh"
 #include "ies/analysis.hh"
 #include "ies/board.hh"
 #include "ies/fanout.hh"
+#include "trace/tracefile.hh"
 #include "workload/synthetic.hh"
 
 namespace memories::ies
@@ -301,6 +303,31 @@ TEST(FanoutFleetTest, StartRefusesBoardsThatShareARecorder)
                                       128, false});
     fleet.finish();
     EXPECT_GT(own.recorded(), 0u);
+}
+
+TEST(FanoutFleetTest, DamagedTraceFailsBeforeAnyWorkerStarts)
+{
+    // The whole trace is read and checked before start(): a damaged
+    // capture replays nothing rather than a different stream.
+    const std::string path = ::testing::TempDir() + "fanout_damaged_" +
+                             std::to_string(::getpid()) + ".trace";
+    std::vector<bus::BusTransaction> stream;
+    for (Cycle c = 0; c < 64; ++c) {
+        stream.push_back(bus::BusTransaction{0x1000 + 128 * c, c,
+                                             bus::BusOp::Read, 0, 128,
+                                             false});
+    }
+    trace::writeBusTrace(path, stream);
+    auto bytes = ckpt::readFileBytes(path, "trace");
+    bytes.back() ^= 0x01; // the last record's cycle delta
+    ckpt::atomicWriteFile(path, bytes.data(), bytes.size());
+
+    ExperimentFleet fleet;
+    fleet.addExperiment(sweepConfigs()[0], kBoardSeed);
+    EXPECT_THROW(fleet.replayFile(path, 2), FatalError);
+    EXPECT_FALSE(fleet.running());
+    EXPECT_EQ(fleet.eventsPublished(), 0u);
+    std::remove(path.c_str());
 }
 
 } // namespace

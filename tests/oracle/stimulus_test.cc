@@ -19,6 +19,7 @@
 #include "bus/busop.hh"
 #include "common/logging.hh"
 #include "trace/record.hh"
+#include "trace/tracefile.hh"
 
 namespace memories::oracle
 {
@@ -153,7 +154,7 @@ TEST(StimulusTest, CanonicalStreamSurvivesTraceRoundTrip)
 
     const std::string path =
         ::testing::TempDir() + "stimulus_roundtrip.trace";
-    writeTrace(path, canonical);
+    trace::writeBusTrace(path, canonical);
     const auto replayed = readTrace(path);
     std::remove(path.c_str());
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -18,6 +19,7 @@
 #include "checkpoint/file.hh"
 #include "checkpoint/io.hh"
 #include "service/session.hh"
+#include "trace/capture.hh"
 
 namespace memories::service
 {
@@ -150,6 +152,91 @@ TEST(ServiceLifecycleTest, RawModeMatchesGoldenIncludingOverflowDrops)
     ASSERT_TRUE(client.exec("drain").ok);
 
     sessionSignature(client).expectEqual(golden, "raw mode");
+}
+
+TEST(ServiceLifecycleTest, StreamReplayMatchesChunkedFeedBatch)
+{
+    // A bursty stream against a small buffer, so the replay drops
+    // references and its reply counts say something.
+    oracle::StimulusParams p;
+    p.seed = 21;
+    p.count = 5'000;
+    p.pBurst = 0.9;
+    p.maxGap = 2;
+    const auto raw = oracle::StimulusGen(p).generate();
+    auto script = configScript();
+    script[4] = "buffer 8"; // replaces "buffer 64"
+
+    const std::string path = uniquePath("iesserv-replay") + ".trace";
+    trace::CaptureBuffer capture(raw.size());
+    for (const auto &txn : raw)
+        capture.record(txn);
+    capture.dumpToFile(path);
+
+    // The reference: an in-process board fed the captured stream
+    // through feedBatch in session-batch-sized chunks (the last one
+    // short).
+    constexpr std::size_t maxBatch = 256;
+    const auto canon = canonical(raw);
+    bus::Bus6xx bus;
+    ies::Console golden(bus);
+    for (const auto &line : script)
+        ASSERT_EQ(golden.execute(line).rfind("error:", 0), std::string::npos)
+            << line;
+    std::size_t accepted = 0;
+    for (std::size_t at = 0; at < canon.size(); at += maxBatch) {
+        accepted += golden.board()->feedBatch(
+            canon.data() + at, std::min(maxBatch, canon.size() - at));
+    }
+    golden.board()->drainAll();
+    ASSERT_LT(accepted, canon.size()) << "expected overflow drops";
+    RunSignature want;
+    want.counters = golden.execute("counters");
+    want.stats = golden.execute("stats");
+    const std::string saved = uniquePath("iesserv-replay") + ".ckpt";
+    golden.execute("save-state " + saved);
+    want.ckptBytes = readFileBytes(saved);
+
+    SessionOptions options;
+    options.stateDir = uniquePath("iesserv-replay-state");
+    options.maxBatch = maxBatch;
+    Session session(options, "replayed");
+    for (const auto &line : script)
+        ASSERT_EQ(session.execute(line).rfind("error:", 0),
+                  std::string::npos)
+            << line;
+    ASSERT_EQ(session.execute("fleet add shadow"),
+              "fleet board 0 'shadow' added");
+    EXPECT_EQ(session.execute("stream replay /dev/zero").rfind("error: ", 0),
+              0u);
+    EXPECT_EQ(session.execute("stream replay " + path),
+              "replayed " + std::to_string(canon.size()) + " accepted " +
+                  std::to_string(accepted) + " dropped " +
+                  std::to_string(canon.size() - accepted));
+    ASSERT_EQ(session.execute("drain").rfind("error:", 0),
+              std::string::npos);
+
+    RunSignature got;
+    got.counters = session.execute("counters");
+    got.stats = session.execute("stats");
+    session.execute("save-state " + saved);
+    got.ckptBytes = readFileBytes(saved);
+    got.expectEqual(want, "replayed session");
+
+    // The twin saw the same attempts: the suspended file carries its
+    // own container, byte for byte the reference board's.
+    EXPECT_EQ(session.execute("fleet stats 0"), want.stats);
+    ASSERT_EQ(session.execute("session suspend").rfind("error:", 0),
+              std::string::npos);
+    const auto image = ckpt::CheckpointImage::fromFile(
+        Session::statePath(options.stateDir, "replayed"));
+    std::string twin(image.sectionLength(ckpt::secTwinBase), '\0');
+    image.open(ckpt::secTwinBase).raw(twin.data(), twin.size());
+    EXPECT_TRUE(twin == want.ckptBytes) << "twin checkpoint bytes differ";
+
+    std::remove(path.c_str());
+    std::remove(saved.c_str());
+    std::filesystem::remove_all(options.stateDir);
 }
 
 TEST(ServiceLifecycleTest, SuspendResumeMatchesStraightThroughRun)

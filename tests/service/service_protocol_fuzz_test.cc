@@ -71,6 +71,7 @@ TEST(ServiceProtocolFuzzTest, GarbageRequestsAlwaysGetFramedReplies)
         "stream",
         "stream pace sideways",
         "stream replay /definitely/not/there.ies",
+        "stream replay /dev/zero",
         "stream frobnicate",
         "fleet add a b c d",
         "fleet counters 99",

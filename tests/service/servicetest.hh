@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared fixtures for the IESSERV test tier: a daemon on a unique
- * /tmp socket, the canonical v2 wire stream (pack/unpack round trip),
+ * /tmp socket, the canonical wire stream (pack/unpack round trip),
  * and the golden-run signature a session-fed board must match
  * byte-for-byte (counters text, stats text, checkpoint bytes).
  */
@@ -66,7 +66,7 @@ stream(std::uint64_t seed, std::size_t count, unsigned cpus = 8)
 }
 
 /**
- * The canonical v2 stream: what a board actually sees after the wire
+ * The canonical stream: what a board actually sees after the wire
  * pack/unpack round trip (traceIds dropped, cycles rebuilt from the
  * delta chain). Stimulus streams survive this losslessly except for
  * traceId, but the golden run must feed EXACTLY the bytes the session

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <unistd.h>
+#include <vector>
 
 #include "common/logging.hh"
+#include "trace/tracefile.hh"
 
 namespace memories::sim
 {
@@ -108,19 +112,16 @@ TEST(DetailedSimTest, EvictionsCounted)
 
 TEST(DetailedSimTest, RunTraceConsumesWholeFile)
 {
-    const std::string path = ::testing::TempDir() + "detailed_trace.ies";
-    {
-        trace::TraceWriter writer(path);
-        for (int i = 0; i < 500; ++i) {
-            bus::BusTransaction t = txn(0x1000u + 128u * (i % 64),
-                                        bus::BusOp::Read, 5u * i);
-            writer.append(t);
-        }
-        writer.flush();
+    const std::string path = ::testing::TempDir() + "detailed_trace_" +
+                             std::to_string(::getpid()) + ".ies";
+    std::vector<bus::BusTransaction> stream;
+    for (int i = 0; i < 500; ++i) {
+        stream.push_back(txn(0x1000u + 128u * (i % 64), bus::BusOp::Read,
+                             5u * i));
     }
-    trace::TraceReader reader(path);
+    trace::writeBusTrace(path, stream);
     DetailedCacheSimulator sim(smallParams());
-    EXPECT_EQ(sim.runTrace(reader), 500u);
+    EXPECT_EQ(sim.runTrace(path), 500u);
     EXPECT_EQ(sim.stats().accesses, 500u);
     std::remove(path.c_str());
 }

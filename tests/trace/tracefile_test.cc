@@ -48,61 +48,56 @@ txnAt(Addr addr, Cycle cycle, CpuId cpu = 0)
 
 TEST_F(TraceFileTest, WriteThenReadBack)
 {
-    {
-        TraceWriter writer(path_);
-        for (int i = 0; i < 1000; ++i)
-            writer.append(txnAt(0x1000u + 128u * i, 3u * i));
-        writer.flush();
-        EXPECT_EQ(writer.count(), 1000u);
+    std::vector<bus::BusTransaction> written;
+    for (int i = 0; i < 1000; ++i)
+        written.push_back(txnAt(0x1000u + 128u * i, 3u * i, i % 16));
+    writeBusTrace(path_, written);
+
+    const BusTrace trace = readBusTrace(path_);
+    EXPECT_EQ(trace.droppedAtCapture, 0u);
+    ASSERT_EQ(trace.stream.size(), written.size());
+    for (std::size_t i = 0; i < written.size(); ++i) {
+        EXPECT_EQ(trace.stream[i].addr, written[i].addr) << i;
+        EXPECT_EQ(trace.stream[i].cycle, written[i].cycle) << i;
+        EXPECT_EQ(trace.stream[i].cpu, written[i].cpu) << i;
+        EXPECT_EQ(trace.stream[i].op, written[i].op) << i;
+        EXPECT_EQ(trace.stream[i].traceId, 0u) << i;
     }
-    TraceReader reader(path_);
-    EXPECT_EQ(reader.count(), 1000u);
-    bus::BusTransaction txn;
-    int n = 0;
-    Cycle prev = 0;
-    while (reader.next(txn)) {
-        EXPECT_EQ(txn.addr, 0x1000u + 128u * n);
-        EXPECT_GE(txn.cycle, prev);
-        prev = txn.cycle;
-        ++n;
-    }
-    EXPECT_EQ(n, 1000);
+
+    // A trace is an IESCKPT container: fingerprint 0, one section of
+    // the dropped and record counts and one packed word per record.
+    const auto image = ckpt::CheckpointImage::fromFile(path_);
+    EXPECT_EQ(image.configFingerprint(), 0u);
+    EXPECT_EQ(image.sectionIds(),
+              std::vector<std::uint32_t>{ckpt::secBusTrace});
+    EXPECT_EQ(image.sectionLength(ckpt::secBusTrace),
+              16 + 8 * written.size());
 }
 
 TEST_F(TraceFileTest, EmptyTraceReadsZeroRecords)
 {
-    {
-        TraceWriter writer(path_);
-        writer.flush();
-    }
-    TraceReader reader(path_);
-    EXPECT_EQ(reader.count(), 0u);
-    BusRecord rec;
-    EXPECT_FALSE(reader.next(rec));
-}
-
-TEST_F(TraceFileTest, RewindRestartsStream)
-{
-    {
-        TraceWriter writer(path_);
-        for (int i = 0; i < 10; ++i)
-            writer.append(txnAt(0x2000u + 128u * i, i));
-        writer.flush();
-    }
-    TraceReader reader(path_);
-    bus::BusTransaction txn;
-    while (reader.next(txn)) {
-    }
-    reader.rewind();
-    int n = 0;
-    while (reader.next(txn))
-        ++n;
-    EXPECT_EQ(n, 10);
+    writeBusTrace(path_, {});
+    const BusTrace trace = readBusTrace(path_);
+    EXPECT_TRUE(trace.stream.empty());
+    EXPECT_EQ(trace.droppedAtCapture, 0u);
 }
 
 TEST_F(TraceFileTest, MissingFileIsFatal)
 {
-    EXPECT_THROW(TraceReader("/nonexistent/path/trace.ies"), FatalError);
+    EXPECT_THROW(readBusTrace("/nonexistent/path/trace.ies"), FatalError);
+}
+
+/** Expect readBusTrace(@p path) to fail with @p needle. */
+void
+expectTraceRejected(const std::string &path, const std::string &needle)
+{
+    try {
+        readBusTrace(path);
+        ADD_FAILURE() << "read a file that is not a whole bus trace";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
 }
 
 TEST_F(TraceFileTest, BadMagicIsFatal)
@@ -114,59 +109,92 @@ TEST_F(TraceFileTest, BadMagicIsFatal)
         std::fwrite(garbage, 1, sizeof(garbage), f);
         std::fclose(f);
     }
-    EXPECT_THROW(TraceReader reader(path_), FatalError);
+    expectTraceRejected(path_, "not an IESCKPT checkpoint");
 }
 
-TEST_F(TraceFileTest, DroppedCountRoundTripsThroughV2Header)
+TEST_F(TraceFileTest, DroppedCountRoundTrips)
 {
-    {
-        TraceWriter writer(path_);
-        writer.append(txnAt(0x1000, 0));
-        writer.setDroppedAtCapture(42);
-        writer.flush();
-    }
-    TraceReader reader(path_);
-    EXPECT_EQ(reader.count(), 1u);
-    EXPECT_EQ(reader.droppedAtCapture(), 42u);
+    writeBusTrace(path_, {txnAt(0x1000, 0)}, 42);
+    const BusTrace trace = readBusTrace(path_);
+    EXPECT_EQ(trace.stream.size(), 1u);
+    EXPECT_EQ(trace.droppedAtCapture, 42u);
 }
 
-TEST_F(TraceFileTest, ReadsVersion1FilesWithoutDroppedWord)
+/** Write a CRC-valid bus trace of @p records under a given count. */
+void
+writeTraceSection(const std::string &path, std::uint64_t count,
+                  const std::vector<std::uint64_t> &records)
 {
-    // A v1 file is a 3-word header followed by records; the reader
-    // must keep accepting archives captured before the dropped-count
-    // word existed.
-    {
-        TraceWriter writer(path_);
-        writer.append(txnAt(0x3000, 7));
-        writer.flush();
-    }
-    // Rewrite the file as v1: patch the version word, drop word 4.
-    {
-        std::FILE *f = std::fopen(path_.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        std::uint64_t header[4];
-        ASSERT_EQ(std::fread(header, sizeof(std::uint64_t), 4, f), 4u);
-        std::uint64_t record = 0;
-        ASSERT_EQ(std::fread(&record, sizeof(record), 1, f), 1u);
-        std::fclose(f);
+    ckpt::CheckpointWriter writer;
+    ckpt::Sink &sink = writer.section(ckpt::secBusTrace);
+    sink.u64(0);
+    sink.u64(count);
+    for (const std::uint64_t record : records)
+        sink.u64(record);
+    writer.writeFile(path, 0);
+}
 
-        header[1] = 1;
-        f = std::fopen(path_.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(header, sizeof(std::uint64_t), 3, f), 3u);
-        ASSERT_EQ(std::fwrite(&record, sizeof(record), 1, f), 1u);
-        std::fclose(f);
+TEST_F(TraceFileTest, TraceShorterThanItsCountIsFatal)
+{
+    std::vector<bus::BusTransaction> written;
+    for (Cycle i = 0; i < 100; ++i)
+        written.push_back(txnAt(0x1000 + 128 * i, 5 * i));
+    writeBusTrace(path_, written);
+    const auto full = std::filesystem::file_size(path_);
+    // Cut off 40 of the 100 records: the container no longer tiles.
+    std::filesystem::resize_file(path_, full - 40 * sizeof(std::uint64_t));
+    expectTraceRejected(path_, "extends past the end of the file");
+
+    // A count that disagrees with the payload, under valid CRCs, fails
+    // whichever way it is off.
+    std::vector<std::uint64_t> records;
+    Cycle prev = 0;
+    for (const bus::BusTransaction &txn : written) {
+        records.push_back(BusRecord::pack(txn, prev).raw);
+        prev = txn.cycle;
     }
-    TraceReader reader(path_);
-    EXPECT_EQ(reader.count(), 1u);
-    EXPECT_EQ(reader.droppedAtCapture(), 0u);
-    bus::BusTransaction txn;
-    ASSERT_TRUE(reader.next(txn));
-    EXPECT_EQ(txn.addr, 0x3000u);
-    EXPECT_EQ(txn.cycle, 7u);
-    reader.rewind(); // rewind must honor the shorter v1 header
-    ASSERT_TRUE(reader.next(txn));
-    EXPECT_EQ(txn.addr, 0x3000u);
+    writeTraceSection(path_, 101, records);
+    expectTraceRejected(path_, "declares 101 records but holds 800 bytes");
+    writeTraceSection(path_, 99, records);
+    expectTraceRejected(path_, "declares 99 records but holds 800 bytes");
+    writeTraceSection(path_, 100, records);
+    EXPECT_EQ(readBusTrace(path_).stream.size(), 100u);
+}
+
+TEST_F(TraceFileTest, BusTraceWithAFlippedByteIsFatal)
+{
+    std::vector<bus::BusTransaction> written;
+    for (Cycle i = 0; i < 50; ++i)
+        written.push_back(txnAt(0x500 + 128 * i, 2 * i));
+    writeBusTrace(path_, written);
+    auto bytes = ckpt::readFileBytes(path_, "trace");
+    // Record 10's address word: the record words end the file.
+    bytes[bytes.size() - 8 * 40] ^= 0x01;
+    ckpt::atomicWriteFile(path_, bytes.data(), bytes.size());
+    expectTraceRejected(path_, "section bus_trace CRC mismatch");
+}
+
+TEST_F(TraceFileTest, BusTraceWithAnUnknownOpIsFatal)
+{
+    // The packed op field has four bits but only numBusOps commands
+    // exist: op 15 must not index past per-op tables downstream.
+    const std::uint64_t read = BusRecord::pack(txnAt(0x1000, 1), 0).raw;
+    const std::uint64_t op15 = read | (std::uint64_t{15} << 48);
+    writeTraceSection(path_, 2, {read, op15});
+    expectTraceRejected(path_, "record 1 has unknown bus command 15");
+}
+
+TEST_F(TraceFileTest, BusTraceRejectsLifecycleDumpAndBoardCheckpoint)
+{
+    writeLifecycleDump(path_, {});
+    expectTraceRejected(path_, "missing section bus_trace");
+
+    const ies::MemoriesBoard board(ies::makeUniformBoard(
+        1, 1,
+        cache::CacheConfig{2 * MiB, 2, 128,
+                           cache::ReplacementPolicy::LRU}));
+    board.saveState(path_);
+    expectTraceRejected(path_, "missing section bus_trace");
 }
 
 TEST_F(TraceFileTest, LifecycleEventsRoundTrip)
@@ -221,12 +249,9 @@ expectDumpRejected(const std::string &path, const std::string &needle)
 
 TEST_F(TraceFileTest, LifecycleDumpRejectsBusTraceAndBoardCheckpoint)
 {
-    {
-        TraceWriter writer(path_);
-        writer.append(txnAt(0x1000, 0));
-        writer.flush();
-    }
-    expectDumpRejected(path_, "not an IESCKPT checkpoint");
+    // A bus trace is a valid container without the section.
+    writeBusTrace(path_, {txnAt(0x1000, 0)});
+    expectDumpRejected(path_, "missing section lifecycle");
 
     // A board checkpoint is a valid container without the section.
     const ies::MemoriesBoard board(ies::makeUniformBoard(
@@ -235,46 +260,6 @@ TEST_F(TraceFileTest, LifecycleDumpRejectsBusTraceAndBoardCheckpoint)
                            cache::ReplacementPolicy::LRU}));
     board.saveState(path_);
     expectDumpRejected(path_, "missing section lifecycle");
-}
-
-/** Expect opening the trace at @p path to fail, naming the path. */
-void
-expectTruncated(const std::string &path)
-{
-    try {
-        TraceReader reader(path);
-        ADD_FAILURE() << "a file shorter than its count opened";
-    } catch (const FatalError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("'" + path + "' is truncated"),
-                  std::string::npos)
-            << what;
-    }
-}
-
-TEST_F(TraceFileTest, TraceShorterThanItsCountIsFatal)
-{
-    {
-        TraceWriter writer(path_);
-        for (Cycle i = 0; i < 100; ++i)
-            writer.append(txnAt(0x1000 + 128 * i, 5 * i));
-        writer.flush();
-    }
-    const auto full = std::filesystem::file_size(path_);
-    // A longer file than its count stays readable (writers append
-    // records before they rewrite the header)...
-    std::filesystem::resize_file(path_, full + sizeof(std::uint64_t));
-    {
-        TraceReader reader(path_);
-        bus::BusTransaction txn;
-        std::uint64_t read = 0;
-        while (reader.next(txn))
-            ++read;
-        EXPECT_EQ(read, 100u);
-    }
-    // ...but one with 40 of its 100 records cut off is rejected.
-    std::filesystem::resize_file(path_, full - 40 * sizeof(std::uint64_t));
-    expectTruncated(path_);
 }
 
 /** Write a 50-event dump to @p path; returns its bytes. */
@@ -314,25 +299,6 @@ TEST_F(TraceFileTest, LifecycleDumpWithAFlippedByteIsFatal)
     bytes[bytes.size() - 7] ^= 0x10; // inside the last event
     ckpt::atomicWriteFile(path_, bytes.data(), bytes.size());
     expectDumpRejected(path_, "lifecycle CRC mismatch");
-}
-
-TEST_F(TraceFileTest, SurvivesBufferBoundary)
-{
-    // Cross the 64K-record I/O chunk boundary.
-    const std::uint64_t n = (1 << 16) + 37;
-    {
-        TraceWriter writer(path_);
-        for (std::uint64_t i = 0; i < n; ++i)
-            writer.append(txnAt(0x100000u + 128u * (i % 1024), i));
-        writer.flush();
-    }
-    TraceReader reader(path_);
-    EXPECT_EQ(reader.count(), n);
-    bus::BusTransaction txn;
-    std::uint64_t count = 0;
-    while (reader.next(txn))
-        ++count;
-    EXPECT_EQ(count, n);
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <string>
 #include <unistd.h>
+#include <vector>
+
+#include "trace/tracefile.hh"
 
 namespace memories::trace
 {
@@ -85,14 +88,14 @@ class TraceToolsTest : public ::testing::Test
                                  std::to_string(++counter);
         in_ = stem + "_in.ies";
         out_ = stem + "_out.ies";
-        TraceWriter writer(in_);
+        std::vector<bus::BusTransaction> stream;
         for (int i = 0; i < 100; ++i) {
-            writer.append(txn(0x1000u + 128u * i,
-                              i % 4 == 0 ? bus::BusOp::Rwitm
-                                         : bus::BusOp::Read,
-                              static_cast<CpuId>(i % 8), 5u * i));
+            stream.push_back(txn(0x1000u + 128u * i,
+                                 i % 4 == 0 ? bus::BusOp::Rwitm
+                                            : bus::BusOp::Read,
+                                 static_cast<CpuId>(i % 8), 5u * i));
         }
-        writer.flush();
+        writeBusTrace(in_, stream);
     }
 
     void TearDown() override
@@ -113,33 +116,33 @@ TEST_F(TraceToolsTest, FromFileConsumesAll)
 
 TEST_F(TraceToolsTest, SliceCopiesWindow)
 {
-    TraceReader reader(in_);
-    {
-        TraceWriter writer(out_);
-        EXPECT_EQ(sliceTrace(reader, writer, 10, 20), 20u);
-    }
+    const auto stream = readBusTrace(in_).stream;
+    const auto sliced = sliceTrace(stream, 10, 20);
+    ASSERT_EQ(sliced.size(), 20u);
+    EXPECT_EQ(sliced.front().addr, stream[10].addr);
+    EXPECT_EQ(sliced.back().cycle, stream[29].cycle);
+    writeBusTrace(out_, sliced);
     const auto stats = TraceStats::fromFile(out_);
     EXPECT_EQ(stats.records(), 20u);
+    EXPECT_EQ(stats.firstCycle(), stream[10].cycle);
 }
 
 TEST_F(TraceToolsTest, SliceClampsAtEnd)
 {
-    TraceReader reader(in_);
-    TraceWriter writer(out_);
-    EXPECT_EQ(sliceTrace(reader, writer, 90, 50), 10u);
+    const auto stream = readBusTrace(in_).stream;
+    EXPECT_EQ(sliceTrace(stream, 90, 50).size(), 10u);
+    EXPECT_TRUE(sliceTrace(stream, 100, 5).empty());
+    EXPECT_TRUE(sliceTrace(stream, 1000, 5).empty());
 }
 
 TEST_F(TraceToolsTest, FilterKeepsMatching)
 {
-    TraceReader reader(in_);
-    {
-        TraceWriter writer(out_);
-        const auto copied = filterTrace(
-            reader, writer, [](const bus::BusTransaction &t) {
-                return t.op == bus::BusOp::Rwitm;
-            });
-        EXPECT_EQ(copied, 25u);
-    }
+    const auto kept = filterTrace(
+        readBusTrace(in_).stream, [](const bus::BusTransaction &t) {
+            return t.op == bus::BusOp::Rwitm;
+        });
+    EXPECT_EQ(kept.size(), 25u);
+    writeBusTrace(out_, kept);
     const auto stats = TraceStats::fromFile(out_);
     EXPECT_EQ(stats.records(), 25u);
     EXPECT_EQ(stats.opCount(bus::BusOp::Read), 0u);
