@@ -2,8 +2,8 @@
  * @file
  * Shared plumbing for the table/figure reproduction harnesses.
  *
- * Every bench accepts:
- *   --refs=N        host references to run, in millions (default per
+ * Every bench accepts (a malformed or unknown argument exits 2):
+ *   --refs=M        host references to run, in millions (default per
  *                   bench; raise to approach paper-sized runs)
  *   --scale=F       footprint scale factor relative to the bench default
  *   --telemetry=DIR write windowed telemetry files into DIR (benches
@@ -28,14 +28,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
+
+#include "common/cmdline.hh"
 
 namespace memories::bench
 {
 
-/** Parsed common command-line options. */
+/** The five flags every bench takes. */
 struct BenchArgs
 {
     double refsMillions = 0;  //!< 0 = use the bench's default
@@ -44,25 +45,19 @@ struct BenchArgs
     std::string jsonPath;     //!< empty = no JSON results file
     std::string profileDir;   //!< empty = no self-profiling
 
+    /** Read argv; a bad argument prints the usage and exits 2. */
     static BenchArgs
     parse(int argc, char **argv)
     {
         BenchArgs args;
-        for (int i = 1; i < argc; ++i) {
-            if (std::strncmp(argv[i], "--refs=", 7) == 0)
-                args.refsMillions = std::strtod(argv[i] + 7, nullptr);
-            else if (std::strncmp(argv[i], "--scale=", 8) == 0)
-                args.scale = std::strtod(argv[i] + 8, nullptr);
-            else if (std::strncmp(argv[i], "--telemetry=", 12) == 0)
-                args.telemetryDir = argv[i] + 12;
-            else if (std::strncmp(argv[i], "--json=", 7) == 0)
-                args.jsonPath = argv[i] + 7;
-            else if (std::strncmp(argv[i], "--profile=", 10) == 0)
-                args.profileDir = argv[i] + 10;
-            else
-                std::fprintf(stderr, "ignoring unknown option %s\n",
-                             argv[i]);
-        }
+        CommandLine("[--refs=<millions>] [--scale=F] [--telemetry=DIR] "
+                    "[--json=FILE] [--profile=DIR]")
+            .flag("--refs", args.refsMillions)
+            .flag("--scale", args.scale)
+            .flag("--telemetry", args.telemetryDir)
+            .flag("--json", args.jsonPath)
+            .flag("--profile", args.profileDir)
+            .parseOrExit(argc, argv);
         return args;
     }
 

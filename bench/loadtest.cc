@@ -13,22 +13,19 @@
  * Usage: loadtest [--clients=N] [--configs=M] [--refs=F(millions per
  *        client)] [--batch=B] [--socket=PATH (attach to an external
  *        daemon instead of an in-process one)] [--json=FILE]
+ * A malformed, unknown or zero argument exits 2.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "bench/benchutil.hh"
-#include "common/logging.hh"
-#include "common/units.hh"
 #include "oracle/stimulus.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
@@ -37,72 +34,6 @@ namespace
 {
 
 using namespace memories;
-
-/** A --refs value: a non-negative decimal count of millions. */
-double
-parseMillions(const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !(v >= 0) || v > 1e6)
-        fatal("--refs '", text, "' is not a count of millions");
-    return v;
-}
-
-struct LoadArgs
-{
-    std::size_t clients = 8;
-    std::size_t configs = 2;
-    std::size_t batch = 256;
-    double refsMillions = 0.05; //!< per client
-    std::string socketPath;     //!< empty = own in-process daemon
-    std::string jsonPath;
-
-    /** Parse argv; prints a usage line and exits 2 on a bad flag. */
-    static LoadArgs
-    parse(int argc, char **argv)
-    {
-        LoadArgs args;
-        try {
-            for (int i = 1; i < argc; ++i) {
-                const std::string_view arg = argv[i];
-                const std::size_t eq = arg.find('=');
-                if (eq == std::string_view::npos)
-                    fatal("option '", arg, "' needs =<value>");
-                const std::string_view name = arg.substr(0, eq);
-                const std::string_view value = arg.substr(eq + 1);
-                if (name == "--clients")
-                    args.clients = parseUnsigned(value, name);
-                else if (name == "--configs")
-                    args.configs = parseUnsigned(value, name);
-                else if (name == "--batch")
-                    args.batch = parseUnsigned(value, name);
-                else if (name == "--refs")
-                    args.refsMillions = parseMillions(std::string(value));
-                else if (name == "--socket")
-                    args.socketPath = value;
-                else if (name == "--json")
-                    args.jsonPath = value;
-                else
-                    fatal("unknown option '", arg, "'");
-            }
-        } catch (const FatalError &e) {
-            std::fprintf(stderr,
-                         "loadtest: %s\nusage: loadtest [--clients=N] "
-                         "[--configs=M] [--refs=F] [--batch=B] "
-                         "[--socket=PATH] [--json=FILE]\n",
-                         e.what());
-            std::exit(2);
-        }
-        if (args.clients == 0)
-            args.clients = 1;
-        if (args.configs == 0)
-            args.configs = 1;
-        if (args.batch == 0)
-            args.batch = 1;
-        return args;
-    }
-};
 
 /** The M board shapes, cycled across the client fleet. */
 std::vector<std::string>
@@ -177,9 +108,20 @@ percentile(std::vector<double> sorted, double pct)
 int
 main(int argc, char **argv)
 {
-    const LoadArgs args = LoadArgs::parse(argc, argv);
-    const std::uint64_t refs =
-        static_cast<std::uint64_t>(args.refsMillions * 1e6);
+    std::size_t clients = 8, configs = 2, batch = 256;
+    double millions = 0.05; // per client
+    std::string socket;     // empty = our own in-process daemon
+    std::string jsonPath;
+    CommandLine("[--clients=N] [--configs=M] [--refs=F] [--batch=B] "
+                "[--socket=PATH] [--json=FILE]")
+        .flag("--clients", clients, 1)
+        .flag("--configs", configs, 1)
+        .flag("--refs", millions)
+        .flag("--batch", batch, 1)
+        .flag("--socket", socket)
+        .flag("--json", jsonPath)
+        .parseOrExit(argc, argv);
+    const auto refs = static_cast<std::uint64_t>(millions * 1e6);
 
     bench::banner(
         "IESSERV load test: concurrent emulation-as-a-service ingest",
@@ -188,14 +130,13 @@ main(int argc, char **argv)
 
     // An external daemon (--socket) or our own on a unique path.
     std::unique_ptr<service::Daemon> daemon;
-    std::string socket = args.socketPath;
     if (socket.empty()) {
         service::DaemonOptions options;
         const std::string stem =
             "/tmp/iesserv-load-" + std::to_string(::getpid());
         options.socketPath = stem + ".sock";
         options.stateDir = stem + "-state";
-        options.maxSessions = args.clients + 1;
+        options.maxSessions = clients + 1;
         daemon = std::make_unique<service::Daemon>(options);
         daemon->start();
         socket = options.socketPath;
@@ -203,15 +144,15 @@ main(int argc, char **argv)
     std::printf("daemon: %s\n", socket.c_str());
     std::printf("fleet: %zu clients x %zu configs, %.0fk refs/client, "
                 "batch %zu\n\n",
-                args.clients, args.configs,
-                static_cast<double>(refs) / 1000.0, args.batch);
+                clients, configs,
+                static_cast<double>(refs) / 1000.0, batch);
 
     std::vector<bench::BenchResult> sections;
 
     // Phase 1: solo baseline — one session, no concurrency.
     bench::Stopwatch soloWatch;
     const ClientResult solo =
-        runClient(socket, 0, /*seed=*/900, refs, args.batch);
+        runClient(socket, 0, /*seed=*/900, refs, batch);
     const double soloSeconds = soloWatch.seconds();
     if (!solo.error.empty()) {
         std::fprintf(stderr, "solo client failed: %s\n",
@@ -227,13 +168,13 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(solo.totals.feedLines));
 
     // Phase 2: the fleet, one thread per client.
-    std::vector<ClientResult> results(args.clients);
+    std::vector<ClientResult> results(clients);
     bench::Stopwatch fleetWatch;
     std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < args.clients; ++i)
+    for (std::size_t i = 0; i < clients; ++i)
         threads.emplace_back([&, i] {
-            results[i] = runClient(socket, i % args.configs,
-                                   /*seed=*/1000 + i, refs, args.batch);
+            results[i] = runClient(socket, i % configs,
+                                   /*seed=*/1000 + i, refs, batch);
         });
     for (auto &t : threads)
         t.join();
@@ -242,7 +183,7 @@ main(int argc, char **argv)
     std::uint64_t accepted = 0, feedLines = 0;
     std::size_t sustained = 0;
     std::vector<double> latencies;
-    for (std::size_t i = 0; i < args.clients; ++i) {
+    for (std::size_t i = 0; i < clients; ++i) {
         const ClientResult &r = results[i];
         if (!r.error.empty()) {
             std::fprintf(stderr, "client %zu failed: %s\n", i,
@@ -263,7 +204,7 @@ main(int argc, char **argv)
                         static_cast<double>(accepted)});
     std::printf("fleet: %zu/%zu sessions sustained, %llu refs in "
                 "%.3fs = %.0f refs/s aggregate\n",
-                sustained, args.clients,
+                sustained, clients,
                 static_cast<unsigned long long>(accepted), fleetSeconds,
                 sections.back().eventsPerSec());
     std::printf("ingest latency over %zu feed requests: p50 %.1f us, "
@@ -282,7 +223,7 @@ main(int argc, char **argv)
         daemon->stop();
     }
 
-    if (!args.jsonPath.empty()) {
+    if (!jsonPath.empty()) {
         char extra[512];
         std::snprintf(
             extra, sizeof extra,
@@ -290,17 +231,17 @@ main(int argc, char **argv)
             "\"batch\": %zu, \"refs_per_client\": %llu, "
             "\"sessions_sustained\": %zu, \"feed_requests\": %zu, "
             "\"p50_us\": %.1f, \"p99_us\": %.1f}",
-            args.clients, args.configs, args.batch,
+            clients, configs, batch,
             static_cast<unsigned long long>(refs), sustained,
             latencies.size(), p50, p99);
         bench::writeJsonResults(
-            args.jsonPath, "loadtest",
-            std::to_string(args.clients) + " clients x " +
-                std::to_string(args.configs) + " configs, batch " +
-                std::to_string(args.batch),
+            jsonPath, "loadtest",
+            std::to_string(clients) + " clients x " +
+                std::to_string(configs) + " configs, batch " +
+                std::to_string(batch),
             sections, extra);
-        std::printf("wrote %s\n", args.jsonPath.c_str());
+        std::printf("wrote %s\n", jsonPath.c_str());
     }
 
-    return sustained == args.clients ? 0 : 1;
+    return sustained == clients ? 0 : 1;
 }

@@ -4,26 +4,28 @@
  * production server for days" usage, as a crash-tolerant CLI.
  *
  * Usage:
- *   campaign_runner start  --out DIR [options]
- *   campaign_runner resume --out DIR [options]
- *   campaign_runner status --out DIR
+ *   campaign_runner start  --out=DIR [options]
+ *   campaign_runner resume --out=DIR [options]
+ *   campaign_runner status --out=DIR
  *
  * Options (start unless noted):
- *   --configs a,b,c     lattice config names (default: all 14)
- *   --seeds N           seeds 1..N, one unit per (config, seed)  [1]
- *   --first-seed N      first seed                               [1]
- *   --txns N            references per unit                  [20000]
- *   --every N           checkpoint cadence in references      [4096]
- *   --workers N         fleet worker threads (also resume)       [2]
- *   --max-attempts N    attempts before quarantine               [4]
- *   --deadline-ms N     watchdog per wave attempt (also resume)  [off]
- *   --disk-faults SPEC  scripted disk faults (also resume), e.g.
+ *   --configs=a,b,c     lattice config names (default: all 14)
+ *   --seeds=N           seeds 1..N, one unit per (config, seed)  [1]
+ *   --first-seed=N      first seed                               [1]
+ *   --txns=N            references per unit                  [20000]
+ *   --every=N           checkpoint cadence in references      [4096]
+ *   --workers=N         fleet worker threads (also resume)       [2]
+ *   --max-attempts=N    attempts before quarantine               [4]
+ *   --deadline-ms=N     watchdog per wave attempt (also resume)  [off]
+ *   --disk-faults=SPEC  scripted disk faults (also resume), e.g.
  *                       "enospc@3,bitflip@7:12,crash@9" — see
  *                       campaign/faultshim.hh
- *   --quiet             no progress narration
+ *   --quiet             no progress narration (also resume)
  *
- * Exit status: 0 every unit done; 2 campaign complete but units
- * quarantined; 1 fatal error (corrupt state, bad arguments).
+ * Exit status: 0 every unit done; 1 fatal error (corrupt state, a
+ * failed write); 2 usage error (a malformed, unknown, out-of-range or
+ * missing argument, reported before any file is written); 3 campaign
+ * complete but units quarantined.
  *
  * Kill it at any moment — kill -9 included — and `resume` continues
  * from the last durable segment; the final unit*.result files are
@@ -31,12 +33,15 @@
  * exactly that, twice, and diffs the artifacts.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <ranges>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 namespace
@@ -44,116 +49,20 @@ namespace
 
 using namespace memories;
 
-struct Args
-{
-    std::string mode;
-    std::string out;
-    std::string configs;
-    std::string faults;
-    std::uint64_t seeds = 1;
-    std::uint64_t firstSeed = 1;
-    std::uint64_t txns = 20000;
-    std::uint64_t every = 4096;
-    std::uint64_t workers = 2;
-    std::uint64_t maxAttempts = 4;
-    std::uint64_t deadlineMs = 0;
-    bool quiet = false;
-};
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: campaign_runner <start|resume|status> --out DIR\n"
-        "  [--configs a,b,c] [--seeds N] [--first-seed N] [--txns N]\n"
-        "  [--every N] [--workers N] [--max-attempts N]\n"
-        "  [--deadline-ms N] [--disk-faults SPEC] [--quiet]\n");
-    std::exit(1);
-}
-
-std::uint64_t
-number(const char *s)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0')
-        usage();
-    return v;
-}
-
-Args
-parseArgs(int argc, char **argv)
-{
-    if (argc < 2)
-        usage();
-    Args args;
-    args.mode = argv[1];
-    if (args.mode != "start" && args.mode != "resume" &&
-        args.mode != "status")
-        usage();
-    for (int i = 2; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (flag == "--out")
-            args.out = value();
-        else if (flag == "--configs")
-            args.configs = value();
-        else if (flag == "--disk-faults")
-            args.faults = value();
-        else if (flag == "--seeds")
-            args.seeds = number(value());
-        else if (flag == "--first-seed")
-            args.firstSeed = number(value());
-        else if (flag == "--txns")
-            args.txns = number(value());
-        else if (flag == "--every")
-            args.every = number(value());
-        else if (flag == "--workers")
-            args.workers = number(value());
-        else if (flag == "--max-attempts")
-            args.maxAttempts = number(value());
-        else if (flag == "--deadline-ms")
-            args.deadlineMs = number(value());
-        else if (flag == "--quiet")
-            args.quiet = true;
-        else
-            usage();
-    }
-    if (args.out.empty())
-        usage();
-    return args;
-}
-
+/** The lattice configurations a --configs list names. */
 std::vector<oracle::LatticeConfig>
-selectConfigs(const std::string &names)
+selectConfigs(std::string_view names)
 {
-    std::vector<oracle::LatticeConfig> all = oracle::latticeConfigs();
-    if (names.empty())
-        return all;
+    const std::vector<oracle::LatticeConfig> all = oracle::latticeConfigs();
     std::vector<oracle::LatticeConfig> picked;
-    std::size_t begin = 0;
-    while (begin <= names.size()) {
-        std::size_t end = names.find(',', begin);
-        if (end == std::string::npos)
-            end = names.size();
-        const std::string name = names.substr(begin, end - begin);
-        begin = end + 1;
-        if (name.empty())
-            continue;
-        bool found = false;
-        for (const oracle::LatticeConfig &c : all) {
-            if (c.name == name) {
-                picked.push_back(c);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
+    for (const auto part : std::views::split(names, ',')) {
+        const std::string_view name(part.begin(), part.end());
+        const auto it =
+            std::find_if(all.begin(), all.end(),
+                         [&](const auto &c) { return c.name == name; });
+        if (it != all.end())
+            picked.push_back(*it);
+        else if (!name.empty())
             fatal("unknown config '", name,
                   "' (see oracle::latticeConfigs)");
     }
@@ -165,40 +74,73 @@ selectConfigs(const std::string &names)
 int
 runnerMain(int argc, char **argv)
 {
-    const Args args = parseArgs(argc, argv);
+    std::string out;
+    std::vector<oracle::LatticeConfig> configs = oracle::latticeConfigs();
+    std::vector<campaign::ScriptedFault> faults;
+    std::size_t seeds = 1;
+    std::uint64_t firstSeed = 1, txns = 20000, deadlineMs = 0;
+    std::uint32_t every = 4096, workers = 2, maxAttempts = 4;
+    bool quiet = false;
 
-    if (args.mode == "status") {
-        std::fputs(campaign::CampaignRunner::status(args.out).c_str(),
-                   stdout);
+    CommandLine cli(
+        "start --out=DIR [--configs=a,b,c] [--seeds=N] [--first-seed=N] "
+        "[--txns=N] [--every=N] [--max-attempts=N] [--workers=N] "
+        "[--deadline-ms=N] [--disk-faults=SPEC] [--quiet]\n"
+        "resume --out=DIR [--workers=N] [--deadline-ms=N] "
+        "[--disk-faults=SPEC] [--quiet]\n"
+        "status --out=DIR");
+    const auto resumable = [&](CommandLine &mode) -> CommandLine & {
+        return mode.flag("--out", out)
+            .flag("--workers", workers)
+            .flag("--deadline-ms", deadlineMs)
+            .flag("--disk-faults",
+                  [&](std::string_view spec) {
+                      faults = campaign::parseFaultSpec(std::string(spec));
+                  })
+            .flag("--quiet", quiet);
+    };
+    resumable(cli.command("start"))
+        .flag("--configs",
+              [&](std::string_view names) {
+                  configs = selectConfigs(names);
+              })
+        .flag("--seeds", seeds, 1)
+        .flag("--first-seed", firstSeed)
+        .flag("--txns", txns, 1)
+        .flag("--every", every, 1)
+        .flag("--max-attempts", maxAttempts, 1);
+    resumable(cli.command("resume"));
+    cli.command("status").flag("--out", out);
+    const std::string mode = cli.parseOrExit(argc, argv);
+    if (out.empty())
+        cli.fail("--out=DIR is required");
+
+    if (mode == "status") {
+        std::fputs(campaign::CampaignRunner::status(out).c_str(), stdout);
         return 0;
     }
 
     // The shim outlives every durable write the runner makes.
     std::unique_ptr<campaign::ScriptedDiskFaults> shim;
-    if (!args.faults.empty()) {
-        shim = std::make_unique<campaign::ScriptedDiskFaults>(
-            campaign::parseFaultSpec(args.faults));
+    if (!faults.empty()) {
+        shim = std::make_unique<campaign::ScriptedDiskFaults>(faults);
         ckpt::setDiskFaultShim(shim.get());
     }
 
     campaign::RunnerOptions opts;
-    opts.fleetWorkers = static_cast<std::size_t>(args.workers);
-    opts.attemptDeadlineMs = args.deadlineMs;
-    opts.log = args.quiet ? nullptr : &std::cout;
+    opts.fleetWorkers = workers;
+    opts.attemptDeadlineMs = deadlineMs;
+    opts.log = quiet ? nullptr : &std::cout;
 
-    const std::vector<oracle::LatticeConfig> configs =
-        selectConfigs(args.configs);
-    campaign::CampaignRunner runner(configs, args.out, opts);
+    campaign::CampaignRunner runner(configs, out, opts);
 
     campaign::CampaignTotals totals;
-    if (args.mode == "start") {
-        ckpt::ensureDir(args.out);
-        campaign::CampaignPlan plan = campaign::buildPlan(
-            configs, args.firstSeed,
-            static_cast<std::size_t>(args.seeds), args.txns,
-            static_cast<std::uint32_t>(args.every));
-        plan.maxAttempts = static_cast<std::uint32_t>(args.maxAttempts);
-        plan.fleetWorkers = static_cast<std::uint32_t>(args.workers);
+    if (mode == "start") {
+        ckpt::ensureDir(out);
+        campaign::CampaignPlan plan =
+            campaign::buildPlan(configs, firstSeed, seeds, txns, every);
+        plan.maxAttempts = maxAttempts;
+        plan.fleetWorkers = workers;
         totals = runner.start(plan);
     } else {
         totals = runner.resume();
@@ -208,7 +150,7 @@ runnerMain(int argc, char **argv)
                 totals.allDone() ? "complete" : "complete with losses",
                 totals.describe().c_str());
     ckpt::setDiskFaultShim(nullptr);
-    return totals.allDone() ? 0 : 2;
+    return totals.allDone() ? 0 : 3;
 }
 
 } // namespace

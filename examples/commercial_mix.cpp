@@ -5,13 +5,13 @@
  * one session each — the "transaction processing, decision support,
  * and web server workloads" sentence of Case Study 3.
  *
- * Usage: commercial_mix [refs_millions]
+ * Usage: commercial_mix [--refs=<millions>]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 namespace
@@ -51,9 +51,7 @@ int
 main(int argc, char **argv)
 {
     using namespace memories;
-    const std::uint64_t refs =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 15) *
-        1'000'000ull;
+    const std::uint64_t refs = parseRefs(argc, argv, 15);
 
     std::printf("L3 miss ratios by commercial workload class "
                 "(16MB / 64MB / 256MB):\n\n");

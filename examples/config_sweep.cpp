@@ -12,8 +12,11 @@
  *
  * Build and run:
  *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/config_sweep [--faults plan]
- *       [--warm-checkpoint dir] [workers] [telemetry-dir]
+ *   ./build/examples/config_sweep [--workers=N] [--telemetry=DIR]
+ *       [--faults=PATH] [--warm-checkpoint=DIR]
+ *
+ * --workers defaults to the hardware thread count; a malformed,
+ * unknown or zero argument exits 2 with the usage.
  *
  * With --warm-checkpoint, the per-app warmup pass is checkpointed: the
  * first run saves every board's post-warmup state to dir as IESCKPT
@@ -24,7 +27,7 @@
  * Measured ratios are bit-identical either way; the tool reports the
  * measured wall-clock speedup.
  *
- * With a telemetry-dir, each application's measurement pass also emits
+ * With --telemetry, each application's measurement pass also emits
  * windowed telemetry (host refs, bus utilization, per-board fleet
  * drop/stall counters) as sweep_<app>.jsonl and sweep_<app>.csv, plus
  * a sweep_fleet.csv fidelity report.
@@ -36,9 +39,9 @@
  * state next to its miss ratios (see docs/FAULTS.md).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -46,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 namespace
@@ -67,38 +71,17 @@ main(int argc, char **argv)
 {
     using namespace memories;
 
-    std::string fault_plan_path;
-    std::string warm_dir;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--faults" || arg == "--warm-checkpoint") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "usage: config_sweep [--faults plan] "
-                             "[--warm-checkpoint dir] "
-                             "[workers] [telemetry-dir]\n");
-                return 1;
-            }
-            if (arg == "--faults")
-                fault_plan_path = argv[++i];
-            else
-                warm_dir = argv[++i];
-        } else {
-            positional.push_back(arg);
-        }
-    }
+    std::string fault_plan_path, warm_dir, telemetry_dir;
+    std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
+    CommandLine("[--workers=N] [--telemetry=DIR] [--faults=PATH] "
+                "[--warm-checkpoint=DIR]")
+        .flag("--workers", workers, 1)
+        .flag("--telemetry", telemetry_dir)
+        .flag("--faults", fault_plan_path)
+        .flag("--warm-checkpoint", warm_dir)
+        .parseOrExit(argc, argv);
     if (!warm_dir.empty())
         std::filesystem::create_directories(warm_dir);
-
-    std::size_t workers = std::thread::hardware_concurrency();
-    if (positional.size() > 0)
-        workers = static_cast<std::size_t>(
-            std::strtoul(positional[0].c_str(), nullptr, 10));
-    if (workers == 0)
-        workers = 1;
-    const std::string telemetry_dir =
-        positional.size() > 1 ? positional[1] : "";
     if (!telemetry_dir.empty())
         std::filesystem::create_directories(telemetry_dir);
 

@@ -11,13 +11,14 @@
  * service sessions share one grammar (`help` lists all of it — the
  * service console test asserts exactly that).
  *
- * Usage: console_session [refs_millions]
+ * Usage: console_session [--refs=<millions>]
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "campaign/console.hh"
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 #include "service/stream.hh"
 
@@ -25,9 +26,7 @@ int
 main(int argc, char **argv)
 {
     using namespace memories;
-    const std::uint64_t refs =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5) *
-        1'000'000ull;
+    const std::uint64_t refs = parseRefs(argc, argv, 5);
 
     workload::DssParams dss;
     dss.threads = 8;
@@ -74,7 +73,15 @@ main(int argc, char **argv)
     // The service grammar, interactively: add a same-config twin board
     // (the health ladder's resync donor in a daemon session) and
     // replay the captured trace through the ingest path the daemon
-    // uses for uploads.
+    // uses for uploads. A replay feeds the trace's own cycles, which
+    // this board's clock has run past, so it goes to a fresh console
+    // staged with the same lines.
+    bus::Bus6xx replay_bus;
+    ies::Console replay(replay_bus);
+    service::StreamIngest replay_ingest;
+    replay_ingest.registerCommands(replay);
+    for (const char *cmd : session)
+        replay.execute(cmd);
     const std::string serviceCmds[] = {
         "fleet add twin0 7",
         "stream replay " + trace_path,
@@ -83,8 +90,7 @@ main(int argc, char **argv)
         "drain",
     };
     for (const std::string &cmd : serviceCmds)
-        std::printf("> %s\n%s\n", cmd.c_str(),
-                    console.execute(cmd).c_str());
+        std::printf("> %s\n%s\n", cmd.c_str(), replay.execute(cmd).c_str());
 
     // Replay the captured trace through the detailed C simulator —
     // the validation loop the authors used for the board design.

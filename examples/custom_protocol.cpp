@@ -10,19 +10,20 @@
  * is Exclusive; remote readers *steal* the line rather than share
  * it) — a read-broadcast-averse design whose extra invalidation
  * traffic the board makes visible immediately.
+ *
+ * Usage: custom_protocol [--refs=<millions>]
  */
 
 #include <cstdio>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace memories;
-    const std::uint64_t refs =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10) *
-        1'000'000ull;
+    const std::uint64_t refs = parseRefs(argc, argv, 10);
 
     // A complete protocol as the text map-file format.
     static const char *mei_rb_map = R"(

@@ -7,33 +7,27 @@
  * with credit-paced admission control, suspend/resume, and the health
  * eviction ladder (docs/SERVICE.md). Talk to it with any line client:
  *
- *   ./iesserv --socket /tmp/ies.sock &
- *   bench/loadtest --socket /tmp/ies.sock --clients 8
+ *   ./iesserv --socket=/tmp/ies.sock &
+ *   bench/loadtest --socket=/tmp/ies.sock --clients=8
  *
- * Usage: iesserv [--socket <path>] [--state-dir <dir>]
- *                [--max-sessions <n>] [--max-batch <n>]
- *                [--window <requests>] [--jsonl <path>]
+ * Usage: iesserv [--socket=PATH] [--state-dir=DIR] [--max-sessions=N]
+ *                [--max-batch=N] [--window=REQUESTS] [--jsonl=PATH]
+ *
+ * A malformed, unknown or zero argument exits 2 with the usage.
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 
-#include "common/logging.hh"
-#include "common/units.hh"
+#include "common/cmdline.hh"
 #include "service/daemon.hh"
 
 namespace
 {
-
-constexpr const char *usage =
-    "usage: iesserv [--socket <path>] [--state-dir <dir>] "
-    "[--max-sessions <n>] [--max-batch <n>] [--window <requests>] "
-    "[--jsonl <path>]\n";
 
 std::atomic<bool> stopRequested{false};
 
@@ -54,35 +48,15 @@ main(int argc, char **argv)
     options.socketPath = "/tmp/iesserv.sock";
     options.stateDir = "/tmp/iesserv-state";
 
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    fatal(arg, " needs a value");
-                return argv[++i];
-            };
-            if (arg == "--socket")
-                options.socketPath = value();
-            else if (arg == "--state-dir")
-                options.stateDir = value();
-            else if (arg == "--max-sessions")
-                options.maxSessions = parseUnsigned(value(), arg);
-            else if (arg == "--max-batch")
-                options.maxBatch = parseUnsigned(value(), arg);
-            else if (arg == "--window")
-                options.windowRequests = parseUnsigned(value(), arg);
-            else if (arg == "--jsonl")
-                options.jsonlPath = value();
-            else
-                fatal("unknown option '", arg, "'");
-        }
-        if (options.maxSessions == 0 || options.maxBatch == 0)
-            fatal("--max-sessions and --max-batch must be positive");
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "iesserv: %s\n%s", e.what(), usage);
-        return 2;
-    }
+    CommandLine("[--socket=PATH] [--state-dir=DIR] [--max-sessions=N] "
+                "[--max-batch=N] [--window=REQUESTS] [--jsonl=PATH]")
+        .flag("--socket", options.socketPath)
+        .flag("--state-dir", options.stateDir)
+        .flag("--max-sessions", options.maxSessions, 1)
+        .flag("--max-batch", options.maxBatch, 1)
+        .flag("--window", options.windowRequests)
+        .flag("--jsonl", options.jsonlPath)
+        .parseOrExit(argc, argv);
 
     service::Daemon daemon(options);
     try {

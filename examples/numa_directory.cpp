@@ -6,21 +6,19 @@
  * pressure and remote-cache effectiveness. Also demonstrates the
  * hot-spot personality on the same run.
  *
- * Usage: numa_directory [refs_millions]
+ * Usage: numa_directory [--refs=<millions>]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace memories;
-    const std::uint64_t refs =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10) *
-        1'000'000ull;
+    const std::uint64_t refs = parseRefs(argc, argv, 10);
 
     workload::OltpParams oltp;
     oltp.threads = 8;

@@ -4,7 +4,9 @@
  * the naive RefBoard over many property-generated streams and the full
  * configuration lattice. This is the executable CI runs (and the tool
  * an engineer reaches for after touching src/cache, src/protocol or
- * src/ies): exit status 0 means every comparison agreed bit-for-bit.
+ * src/ies): exit status 0 means every comparison agreed bit-for-bit,
+ * 1 a divergence, 2 a malformed, unknown or zero argument or an
+ * unknown --config name.
  *
  *   oracle_diff [--seeds=N] [--txns=N] [--start-seed=N] [--out=DIR]
  *
@@ -28,32 +30,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
-
-namespace
-{
-
-constexpr const char *usage =
-    "usage: oracle_diff [--seeds=N] [--txns=N] [--start-seed=N] "
-    "[--out=DIR]\n"
-    "       oracle_diff --from-checkpoint=FILE --config=NAME "
-    "[--trace=FILE | --txns=N --start-seed=N]\n";
-
-/** The value of @p arg when it reads "<name>=<value>", else null. */
-const char *
-flagValue(const char *arg, const char *name)
-{
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0 || arg[len] != '=')
-        return nullptr;
-    return arg + len + 1;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -65,57 +47,32 @@ main(int argc, char **argv)
     std::uint64_t start_seed = 1;
     std::string out_dir = "oracle-out";
     std::string checkpoint;
-    std::string config_name;
     std::string trace_path;
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const char *v = nullptr;
-            if ((v = flagValue(argv[i], "--seeds")))
-                seeds = parseUnsigned(v, "--seeds");
-            else if ((v = flagValue(argv[i], "--txns")))
-                txns = parseUnsigned(v, "--txns");
-            else if ((v = flagValue(argv[i], "--start-seed")))
-                start_seed = parseUnsigned(v, "--start-seed");
-            else if ((v = flagValue(argv[i], "--out")))
-                out_dir = v;
-            else if ((v = flagValue(argv[i], "--from-checkpoint")))
-                checkpoint = v;
-            else if ((v = flagValue(argv[i], "--config")))
-                config_name = v;
-            else if ((v = flagValue(argv[i], "--trace")))
-                trace_path = v;
-            else
-                fatal("unknown option '", argv[i], "'");
-        }
-        if (seeds == 0 || txns == 0)
-            fatal("--seeds and --txns must be positive");
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "oracle_diff: %s\n%s", e.what(), usage);
-        return 2;
-    }
+    const auto lattice = oracle::latticeConfigs();
+    const oracle::LatticeConfig *config = nullptr;
+    CommandLine cli("[--seeds=N] [--txns=N] [--start-seed=N] [--out=DIR]\n"
+                    "--from-checkpoint=FILE --config=NAME "
+                    "[--trace=FILE | --txns=N --start-seed=N]");
+    cli.flag("--seeds", seeds, 1)
+        .flag("--txns", txns, 1)
+        .flag("--start-seed", start_seed)
+        .flag("--out", out_dir)
+        .flag("--from-checkpoint", checkpoint)
+        .flag("--config",
+              [&](std::string_view name) {
+                  for (const auto &lc : lattice)
+                      config = lc.name == name ? &lc : config;
+                  if (config == nullptr)
+                      fatal("unknown config '", name,
+                            "' (see oracle::latticeConfigs)");
+              })
+        .flag("--trace", trace_path)
+        .parseOrExit(argc, argv);
 
     if (!checkpoint.empty()) {
-        if (config_name.empty()) {
-            std::fprintf(stderr,
-                         "oracle_diff: --from-checkpoint needs "
-                         "--config=NAME (the lattice configuration the "
-                         "checkpoint was taken under)\n");
-            return 2;
-        }
-        const ies::BoardConfig *cfg = nullptr;
-        const auto lattice = oracle::latticeConfigs();
-        for (const auto &lc : lattice) {
-            if (lc.name == config_name)
-                cfg = &lc.config;
-        }
-        if (!cfg) {
-            std::fprintf(stderr,
-                         "oracle_diff: unknown --config '%s'; known:\n",
-                         config_name.c_str());
-            for (const auto &lc : lattice)
-                std::fprintf(stderr, "  %s\n", lc.name.c_str());
-            return 2;
-        }
+        if (config == nullptr)
+            cli.fail("--from-checkpoint needs --config=NAME (the lattice "
+                     "configuration the checkpoint was taken under)");
         std::vector<bus::BusTransaction> stream;
         if (!trace_path.empty()) {
             stream = oracle::readTrace(trace_path);
@@ -128,11 +85,11 @@ main(int argc, char **argv)
         }
         std::printf("oracle_diff: resuming config %s from %s, "
                     "%zu tail txns (%s)\n",
-                    config_name.c_str(), checkpoint.c_str(),
+                    config->name.c_str(), checkpoint.c_str(),
                     stream.size(),
                     trace_path.empty() ? "generated" : trace_path.c_str());
         const oracle::DiffReport report = oracle::diffStreamFromCheckpoint(
-            *cfg, checkpoint, stream);
+            config->config, checkpoint, stream);
         std::printf("%s", report.describe().c_str());
         if (report.diverged) {
             std::printf("ORACLE_DIFF FAILED: resumed comparison "
@@ -144,7 +101,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const auto lattice = oracle::latticeConfigs();
     std::printf("oracle_diff: %llu seeds x %zu configs, %llu txns each "
                 "(start seed %llu; serial, batch and bus legs)\n",
                 static_cast<unsigned long long>(seeds), lattice.size(),

@@ -7,13 +7,13 @@
  * then fan out measurements from the interesting point without ever
  * replaying the warmup.
  *
- * Usage: positioning [refs_millions]
+ * Usage: positioning [--refs=<millions>]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 namespace
@@ -45,9 +45,7 @@ int
 main(int argc, char **argv)
 {
     using namespace memories;
-    const std::uint64_t refs =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10) *
-        1'000'000ull;
+    const std::uint64_t refs = parseRefs(argc, argv, 10);
     const std::string state = "/tmp/memories_positioning.state";
 
     // Phase 1: one long warmup, checkpointed at the steady state.

@@ -16,12 +16,14 @@
 
 #include <cstdio>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace memories;
+    CommandLine().parseOrExit(argc, argv);
 
     // 1. Workload: a scaled-down TPC-C-like database. The real case
     //    studies ran 150GB; 256MB preserves the access statistics at

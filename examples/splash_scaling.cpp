@@ -5,12 +5,12 @@
  * L2 miss rates per thousand instructions (Table 6's metric), and show
  * the emulated-L3 benefit.
  *
- * Usage: splash_scaling [refs_millions_per_app]
+ * Usage: splash_scaling [--refs=<millions-per-app>]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 namespace
@@ -59,9 +59,7 @@ runApp(const workload::SplashParams &params, std::uint64_t refs)
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t refs =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10) *
-        1'000'000ull;
+    const std::uint64_t refs = parseRefs(argc, argv, 10);
 
     // Footprints scaled 1/64 to run at laptop scale; the scaling
     // factor preserves the between-app ratios (DESIGN.md).

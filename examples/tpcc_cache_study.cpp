@@ -6,13 +6,13 @@
  * watch the miss-ratio profile over time with the journaling bug of
  * Case Study 2 enabled.
  *
- * Usage: tpcc_cache_study [refs_millions]
+ * Usage: tpcc_cache_study [--refs=<millions>]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 namespace
@@ -88,9 +88,7 @@ journalingProfile(workload::OltpParams oltp, std::uint64_t refs)
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t refs =
-        (argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20) *
-        1'000'000ull;
+    const std::uint64_t refs = parseRefs(argc, argv, 20);
 
     workload::OltpParams oltp;
     oltp.threads = 8;

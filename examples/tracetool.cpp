@@ -7,10 +7,11 @@
  *   tracetool filter <in> <out> <cpu>          keep one CPU's tenures
  *   tracetool replay <trace> <size> <assoc>    detailed-sim replay
  *   tracetool chrome <trace> <out.json>        lifecycle timeline JSON
- *   tracetool demo [--chrome-trace out.json]   self-contained demo
+ *   tracetool demo [--chrome-trace=out.json]   self-contained demo
  *
  * The demo generates a capture via the board, then exercises every
- * subcommand on it — run it with no arguments to see the workflow.
+ * subcommand on it — run `tracetool demo` to see the workflow. A
+ * malformed, unknown or missing argument exits 2 with the usage.
  *
  * `chrome` replays the captured bus stream through a bus + board with a
  * flight recorder attached (the full lifecycle pipeline) and writes the
@@ -22,24 +23,16 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <string>
+#include <string_view>
 
+#include "common/cmdline.hh"
 #include "memories/memories.hh"
 
 namespace
 {
 
 using namespace memories;
-
-constexpr const char *usage =
-    "usage: tracetool stats <trace>\n"
-    "       tracetool slice <in> <out> <from> <count>\n"
-    "       tracetool filter <in> <out> <cpu 0-15>\n"
-    "       tracetool replay <trace> <size> <assoc>\n"
-    "       tracetool chrome <trace> <out.json>\n"
-    "       tracetool demo [--chrome-trace out.json]\n";
 
 int
 cmdStats(const std::string &path)
@@ -188,48 +181,53 @@ main(int argc, char **argv)
 {
     using namespace memories;
 
+    // Every argument, numbers included, is checked before any file is
+    // read: a malformed one is a usage error, never a silent zero.
+    std::string in, out, chrome_out;
+    std::uint64_t from = 0, count = 0, size = 0;
+    unsigned cpu = 0, assoc = 0;
+    CommandLine cli("stats <trace>\n"
+                    "slice <in> <out> <from> <count>\n"
+                    "filter <in> <out> <cpu 0-15>\n"
+                    "replay <trace> <size> <assoc>\n"
+                    "chrome <trace> <out.json>\n"
+                    "demo [--chrome-trace=out.json]");
+    cli.command("stats").positional("trace", in);
+    cli.command("slice")
+        .positional("in", in)
+        .positional("out", out)
+        .positional("from", from)
+        .positional("count", count);
+    // The packed record names CPUs 0-15 only.
+    cli.command("filter")
+        .positional("in", in)
+        .positional("out", out)
+        .positional("cpu", cpu, 0, 15);
+    cli.command("replay")
+        .positional("trace", in)
+        .positional("size",
+                    [&](std::string_view text) {
+                        size = parseByteSize(text);
+                    })
+        .positional("assoc", assoc, 1);
+    cli.command("chrome")
+        .positional("trace", in)
+        .positional("out.json", out);
+    cli.command("demo").flag("--chrome-trace", chrome_out);
+    const std::string cmd = cli.parseOrExit(argc, argv);
+
     try {
-        if (argc < 2 || std::strcmp(argv[1], "demo") == 0) {
-            std::string chrome_out;
-            for (int i = 2; i + 1 < argc; ++i) {
-                if (std::strcmp(argv[i], "--chrome-trace") == 0)
-                    chrome_out = argv[i + 1];
-            }
-            return demo(chrome_out);
-        }
-        const std::string cmd = argv[1];
-        // The numbers are checked before any file is read: a malformed
-        // one is a usage error, never a silent zero.
-        std::uint64_t first = 0, second = 0;
-        try {
-            if (cmd == "slice" && argc == 6) {
-                first = parseUnsigned(argv[4], "from");
-                second = parseUnsigned(argv[5], "count");
-            } else if (cmd == "filter" && argc == 5) {
-                // The packed record names CPUs 0-15 only.
-                first = parseUnsigned(argv[4], "cpu", 15);
-            } else if (cmd == "replay" && argc == 5) {
-                first = parseByteSize(argv[3]);
-                second = parseUnsigned(
-                    argv[4], "assoc", std::numeric_limits<unsigned>::max());
-            } else if (!(cmd == "stats" && argc == 3) &&
-                       !(cmd == "chrome" && argc == 4)) {
-                fatal("unknown command or wrong argument count");
-            }
-        } catch (const FatalError &err) {
-            std::fprintf(stderr, "tracetool: %s\n%s", err.what(), usage);
-            return 2;
-        }
         if (cmd == "stats")
-            return cmdStats(argv[2]);
+            return cmdStats(in);
         if (cmd == "slice")
-            return cmdSlice(argv[2], argv[3], first, second);
+            return cmdSlice(in, out, from, count);
         if (cmd == "filter")
-            return cmdFilter(argv[2], argv[3],
-                             static_cast<unsigned>(first));
+            return cmdFilter(in, out, cpu);
         if (cmd == "replay")
-            return cmdReplay(argv[2], first, static_cast<unsigned>(second));
-        return cmdChrome(argv[2], argv[3]);
+            return cmdReplay(in, size, assoc);
+        if (cmd == "chrome")
+            return cmdChrome(in, out);
+        return demo(chrome_out);
     } catch (const FatalError &err) {
         std::fprintf(stderr, "fatal: %s\n", err.what());
         return 1;

@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -14,45 +13,6 @@ ratio(std::uint64_t numer, std::uint64_t denom)
     return denom == 0 ? 0.0
                       : static_cast<double>(numer) /
                             static_cast<double>(denom);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    if (buckets == 0)
-        fatal("Histogram needs at least one bucket");
-    if (!(hi > lo))
-        fatal("Histogram range must satisfy hi > lo");
-}
-
-void
-Histogram::record(double v)
-{
-    if (samples_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++samples_;
-    sum_ += v;
-    if (v < lo_) {
-        ++underflow_;
-    } else if (v >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-}
-
-double
-Histogram::mean() const
-{
-    return samples_ == 0 ? 0.0 : sum_ / static_cast<double>(samples_);
 }
 
 IntervalSeries::IntervalSeries(std::uint64_t interval_refs)

@@ -2,10 +2,11 @@
  * @file
  * Aggregate statistics used when post-processing counter dumps.
  *
- * The board itself only counts events; ratios, histograms, and interval
- * time-series (the miss-ratio-over-hours profile of Figure 10) are
- * computed console-side. These helpers live in common so benches, tests
- * and examples share one implementation.
+ * The board itself only counts events; ratios and interval time-series
+ * (the miss-ratio-over-hours profile of Figure 10) are computed
+ * console-side. These helpers live in common so benches, tests and
+ * examples share one implementation. Histograms are
+ * telemetry::Histogram.
  */
 
 #ifndef MEMORIES_COMMON_STATS_HH
@@ -20,39 +21,6 @@ namespace memories
 
 /** Safe ratio: returns 0 when the denominator is 0. */
 double ratio(std::uint64_t numer, std::uint64_t denom);
-
-/**
- * Fixed-width histogram over [lo, hi) with uniform buckets plus
- * underflow/overflow bins. Used for e.g. burst-length distributions.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void record(double v);
-
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t samples() const { return samples_; }
-    std::size_t buckets() const { return counts_.size(); }
-    double mean() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Interval time-series of a ratio: record (numer, denom) deltas per fixed

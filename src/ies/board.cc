@@ -594,6 +594,15 @@ MemoriesBoard::reset()
 }
 
 std::string
+MemoriesBoard::dumpCounters() const
+{
+    std::string text = global_.dump();
+    for (const auto &node : nodes_)
+        text += node->counters().dump();
+    return text;
+}
+
+std::string
 MemoriesBoard::dumpStats() const
 {
     std::ostringstream os;

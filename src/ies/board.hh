@@ -177,6 +177,9 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     /** Multi-line human-readable statistics dump (console "stats"). */
     std::string dumpStats() const;
 
+    /** Raw counter dump (console "counters"): global bank, then nodes'. */
+    std::string dumpCounters() const;
+
     /**
      * Checkpoint the complete board state to @p path as an IESCKPT
      * container (docs/FORMATS.md section 7).

@@ -8,7 +8,7 @@ namespace memories::ies
 {
 
 BusProfiler::BusProfiler(const BusProfilerConfig &config)
-    : config_(config), burstHist_(1.0, 129.0, 32)
+    : config_(config)
 {
     if (config.windowCycles == 0)
         fatal("profiler window must be nonzero");
@@ -44,7 +44,7 @@ BusProfiler::observeResult(const bus::BusTransaction &txn,
     // Burst tracking: consecutive tenures with small gaps.
     if (sawAny_ &&
         txn.cycle - lastTenureCycle_ > config_.burstGapCycles) {
-        burstHist_.record(static_cast<double>(burstLength_));
+        burstHist_.record(burstLength_);
         burstLength_ = 0;
     }
     ++burstLength_;
@@ -66,7 +66,7 @@ BusProfiler::finish()
         windowTenures_ = 0;
     }
     if (burstLength_ > 0) {
-        burstHist_.record(static_cast<double>(burstLength_));
+        burstHist_.record(burstLength_);
         burstLength_ = 0;
     }
 }
@@ -123,7 +123,7 @@ BusProfiler::clear()
     windows_.clear();
     windowStart_ = 0;
     windowTenures_ = 0;
-    burstHist_ = Histogram(1.0, 129.0, 32);
+    burstHist_.clear();
     lastTenureCycle_ = 0;
     burstLength_ = 0;
     opCounts_.fill(0);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bus/bus6xx.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "telemetry/histogram.hh"
 #include "telemetry/sampler.hh"
@@ -70,7 +69,7 @@ class BusProfiler : public bus::BusSnooper, public bus::BusObserver
     double meanUtilization() const;
 
     /** Burst-length distribution (consecutive back-to-back tenures). */
-    const Histogram &burstHistogram() const { return burstHist_; }
+    const telemetry::Histogram &burstHistogram() const { return burstHist_; }
 
     /** Tenure count per bus command. */
     std::uint64_t opCount(bus::BusOp op) const
@@ -101,7 +100,7 @@ class BusProfiler : public bus::BusSnooper, public bus::BusObserver
     Cycle windowStart_ = 0;
     std::uint64_t windowTenures_ = 0;
 
-    Histogram burstHist_;
+    telemetry::Histogram burstHist_{"profiler.burst_tenures", 4, 32};
     Cycle lastTenureCycle_ = 0;
     std::uint64_t burstLength_ = 0;
 

@@ -481,15 +481,7 @@ Console::handleStats(const Tokens &tokens)
 std::string
 Console::handleCounters(const Tokens &tokens)
 {
-    auto &board = requireBoard(tokens);
-    std::ostringstream os;
-    const auto emit = [&os](const CounterSample &s) {
-        os << s.name << " " << s.value << "\n";
-    };
-    board.globalCounters().snapshot(emit);
-    for (std::size_t i = 0; i < board.numNodes(); ++i)
-        board.node(i).counters().snapshot(emit);
-    return os.str();
+    return requireBoard(tokens).dumpCounters();
 }
 
 std::string

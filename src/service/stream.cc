@@ -283,7 +283,8 @@ StreamIngest::handleFleet(ies::Console &console,
         if (i >= twins_.size())
             fatal("fleet index ", i, " out of range (", twins_.size(),
                   " boards)");
-        return twins_[i].board->dumpStats();
+        return sub == "counters" ? twins_[i].board->dumpCounters()
+                                 : twins_[i].board->dumpStats();
     }
     if (sub == "resync") {
         const std::string note =

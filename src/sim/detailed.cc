@@ -12,8 +12,8 @@ DetailedCacheSimulator::DetailedCacheSimulator(
     const DetailedParams &params, std::uint64_t seed)
     : params_(params), tags_(params.cache, seed),
       bankFreeAt_(params.sdramBanks, 0),
-      latencyHist_(0.0, 256.0, 32),
-      reuseHist_(0.0, 32.0, 32),
+      latencyHist_("detailed.latency_cycles", 8, 32),
+      reuseHist_("detailed.reuse_distance_log2", 1, 32),
       reuseRing_(1024, invalidAddr)
 {
     params.cache.validate(cache::hostBounds());
@@ -47,8 +47,8 @@ DetailedCacheSimulator::recordReuse(Addr line_addr)
             }
         }
         reuseHist_.record(distance == reuseRing_.size()
-                              ? 31.0
-                              : static_cast<double>(log2i(distance + 1)));
+                              ? 31
+                              : log2i(distance + 1));
     }
     reuseRing_[reuseRingPos_] = line_addr;
     reuseRingPos_ = (reuseRingPos_ + 1) % reuseRing_.size();
@@ -120,9 +120,7 @@ DetailedCacheSimulator::process(const bus::BusTransaction &txn)
     while (!events_.empty() && events_.top().when <= now_) {
         const Event ev = events_.top();
         events_.pop();
-        latencySumCycles_ += ev.when - ev.issued;
-        latencyHist_.record(static_cast<double>(ev.when - ev.issued));
-        ++completed_;
+        latencyHist_.record(ev.when - ev.issued);
     }
 }
 
@@ -142,9 +140,7 @@ DetailedCacheSimulator::finish()
     while (!events_.empty()) {
         const Event ev = events_.top();
         events_.pop();
-        latencySumCycles_ += ev.when - ev.issued;
-        latencyHist_.record(static_cast<double>(ev.when - ev.issued));
-        ++completed_;
+        latencyHist_.record(ev.when - ev.issued);
     }
 }
 
@@ -156,10 +152,7 @@ DetailedCacheSimulator::stats() const
     s.hits = hits_;
     s.misses = misses_;
     s.evictions = evictions_;
-    s.meanLatencyCycles =
-        completed_ == 0 ? 0.0
-                        : static_cast<double>(latencySumCycles_) /
-                              static_cast<double>(completed_);
+    s.meanLatencyCycles = latencyHist_.mean();
     s.meanBankOccupancy =
         accesses_ == 0 ? 0.0
                        : static_cast<double>(bankBusySum_) /

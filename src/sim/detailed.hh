@@ -22,8 +22,8 @@
 
 #include "bus/transaction.hh"
 #include "cache/tagstore.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
+#include "telemetry/histogram.hh"
 
 namespace memories::sim
 {
@@ -80,11 +80,14 @@ class DetailedCacheSimulator
 
     DetailedStats stats() const;
 
-    /** Miss-latency histogram (cycles). */
-    const Histogram &latencyHistogram() const { return latencyHist_; }
+    /** Latency of every completed access (cycles; its mean is stats()'s). */
+    const telemetry::Histogram &latencyHistogram() const
+    {
+        return latencyHist_;
+    }
 
     /** Sampled reuse-distance histogram (log2 buckets of lines). */
-    const Histogram &reuseHistogram() const { return reuseHist_; }
+    const telemetry::Histogram &reuseHistogram() const { return reuseHist_; }
 
   private:
     enum class EventKind : std::uint8_t
@@ -121,12 +124,10 @@ class DetailedCacheSimulator
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t latencySumCycles_ = 0;
-    std::uint64_t completed_ = 0;
     std::uint64_t bankBusySum_ = 0;
 
-    Histogram latencyHist_;
-    Histogram reuseHist_;
+    telemetry::Histogram latencyHist_;
+    telemetry::Histogram reuseHist_;
 
     /** Recent line-address ring for sampled reuse distances. */
     std::vector<Addr> reuseRing_;

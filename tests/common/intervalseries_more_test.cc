@@ -1,8 +1,7 @@
 /**
  * @file
- * Additional IntervalSeries and Histogram behaviour pins: chunked
- * recording (how the benches feed counter deltas) and boundary
- * bucketing.
+ * Additional IntervalSeries behaviour pins: chunked recording (how the
+ * benches feed counter deltas).
  */
 
 #include "common/stats.hh"
@@ -44,31 +43,6 @@ TEST(IntervalSeriesChunkTest, AccumulatesAcrossSmallRecords)
     series.record(1, 1);
     ASSERT_EQ(series.points().size(), 1u);
     EXPECT_DOUBLE_EQ(series.points()[0], 0.01);
-}
-
-TEST(HistogramBoundaryTest, LowerEdgeInclusiveUpperExclusive)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.record(0.0);
-    h.record(9.9999);
-    h.record(10.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(HistogramBoundaryTest, SingleBucketCatchesRange)
-{
-    Histogram h(0.0, 1.0, 1);
-    h.record(0.5);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-}
-
-TEST(HistogramBoundaryTest, EmptyHistogramStats)
-{
-    Histogram h(0.0, 1.0, 4);
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 } // namespace

@@ -19,43 +19,6 @@ TEST(RatioTest, ComputesFraction)
     EXPECT_DOUBLE_EQ(ratio(1, 4), 0.25);
 }
 
-TEST(HistogramTest, RejectsBadConstruction)
-{
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), FatalError);
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), FatalError);
-}
-
-TEST(HistogramTest, BucketsValues)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.record(0.5);
-    h.record(5.5);
-    h.record(5.6);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 2u);
-    EXPECT_EQ(h.samples(), 3u);
-}
-
-TEST(HistogramTest, UnderflowOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.record(-1.0);
-    h.record(10.0);
-    h.record(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(HistogramTest, MeanMinMax)
-{
-    Histogram h(0.0, 100.0, 10);
-    h.record(10.0);
-    h.record(30.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-    EXPECT_DOUBLE_EQ(h.min(), 10.0);
-    EXPECT_DOUBLE_EQ(h.max(), 30.0);
-}
-
 TEST(IntervalSeriesTest, RejectsZeroInterval)
 {
     EXPECT_THROW(IntervalSeries(0), FatalError);

@@ -70,9 +70,13 @@ TEST(BusProfilerTest, BurstDetection)
     bus.issue(readAt(0x9000));
     profiler.finish();
 
-    EXPECT_EQ(profiler.burstHistogram().samples(), 2u);
-    EXPECT_NEAR(profiler.burstHistogram().max(), 5.0, 1e-9);
-    EXPECT_NEAR(profiler.burstHistogram().min(), 1.0, 1e-9);
+    // Buckets of 4 tenures: the lone tenure in [0,4), the burst in [4,8).
+    const auto &bursts = profiler.burstHistogram();
+    EXPECT_EQ(bursts.samples(), 2u);
+    EXPECT_EQ(bursts.maxSeen(), 5u);
+    EXPECT_DOUBLE_EQ(bursts.mean(), 3.0);
+    EXPECT_EQ(bursts.count(0), 1u);
+    EXPECT_EQ(bursts.count(1), 1u);
 }
 
 TEST(BusProfilerTest, PerOpAndPerCpuCounts)

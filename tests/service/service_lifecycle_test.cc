@@ -226,6 +226,7 @@ TEST(ServiceLifecycleTest, StreamReplayMatchesChunkedFeedBatch)
     // The twin saw the same attempts: the suspended file carries its
     // own container, byte for byte the reference board's.
     EXPECT_EQ(session.execute("fleet stats 0"), want.stats);
+    EXPECT_EQ(session.execute("fleet counters 0"), want.counters);
     ASSERT_EQ(session.execute("session suspend").rfind("error:", 0),
               std::string::npos);
     const auto image = ckpt::CheckpointImage::fromFile(

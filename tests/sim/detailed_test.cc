@@ -83,8 +83,14 @@ TEST(DetailedSimTest, LatencyHistogramPopulated)
     for (int i = 0; i < 100; ++i)
         sim.process(txn(0x1000u + 128u * i, bus::BusOp::Read, 10u * i));
     sim.finish();
-    EXPECT_EQ(sim.latencyHistogram().samples(), 100u);
-    EXPECT_GT(sim.latencyHistogram().mean(), 0.0);
+    const auto &latency = sim.latencyHistogram();
+    EXPECT_EQ(latency.samples(), 100u);
+    EXPECT_GT(latency.mean(), 0.0);
+    EXPECT_GE(static_cast<double>(latency.maxSeen()), latency.mean());
+    std::uint64_t bucketed = latency.overflow();
+    for (std::size_t i = 0; i < latency.buckets(); ++i)
+        bucketed += latency.count(i);
+    EXPECT_EQ(bucketed, latency.samples());
 }
 
 TEST(DetailedSimTest, ReuseHistogramSamples)
@@ -93,7 +99,12 @@ TEST(DetailedSimTest, ReuseHistogramSamples)
     for (int i = 0; i < 1000; ++i)
         sim.process(txn(0x1000, bus::BusOp::Read, i));
     sim.finish();
-    EXPECT_GT(sim.reuseHistogram().samples(), 0u);
+    // Every sampled access re-touches the line just before it: reuse
+    // distance 0, the first log2 bucket.
+    const auto &reuse = sim.reuseHistogram();
+    EXPECT_EQ(reuse.samples(), 1000u / smallParams().reuseSamplePeriod);
+    EXPECT_EQ(reuse.count(0), reuse.samples());
+    EXPECT_EQ(reuse.maxSeen(), 0u);
 }
 
 TEST(DetailedSimTest, EvictionsCounted)

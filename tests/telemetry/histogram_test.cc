@@ -63,5 +63,32 @@ TEST(HistogramTest, ClearForgetsEverything)
     EXPECT_EQ(h.maxSeen(), 0u);
 }
 
+TEST(HistogramBoundaryTest, LowerEdgeInclusiveUpperExclusive)
+{
+    Histogram h("h", 1, 10);
+    h.record(0);
+    h.record(9);
+    h.record(10);
+    EXPECT_EQ(h.count(0), 1u);
+    EXPECT_EQ(h.count(9), 1u);
+    EXPECT_EQ(h.overflow(), 1u);
+}
+
+TEST(HistogramBoundaryTest, SingleBucketCatchesRange)
+{
+    Histogram h("h", 4, 1);
+    h.record(0);
+    h.record(3);
+    EXPECT_EQ(h.count(0), 2u);
+    EXPECT_EQ(h.overflow(), 0u);
+}
+
+TEST(HistogramBoundaryTest, EmptyHistogramStats)
+{
+    Histogram h("h", 1, 4);
+    EXPECT_EQ(h.samples(), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+}
+
 } // namespace
 } // namespace memories::telemetry
