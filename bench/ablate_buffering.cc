@@ -57,10 +57,8 @@ driveBursty(std::size_t depth, unsigned throughput,
     return Result{board.retriesPosted(), board.bufferHighWater()};
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -97,4 +95,12 @@ main(int argc, char **argv)
                 "bursts, which is\nwhy the real board never posted a "
                 "retry.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

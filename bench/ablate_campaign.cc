@@ -34,10 +34,8 @@ durableBytes(const std::string &dir)
     return total;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -97,4 +95,12 @@ main(int argc, char **argv)
                 "free, so crash tolerance costs little until the "
                 "cadence drops\nbelow a few thousand refs.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -44,10 +44,8 @@ run(ies::DirectoryScheme scheme, std::uint64_t sparse_entries,
     return numa.stats();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -95,4 +93,12 @@ main(int argc, char **argv)
                 "sharer representations trade that SDRAM for wasted "
                 "invalidations.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

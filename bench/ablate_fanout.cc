@@ -69,10 +69,8 @@ recordStream(std::uint64_t refs)
     return rec.events;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     const auto args = bench::BenchArgs::parse(argc, argv);
     bench::banner("Ablation: multi-config fan-out vs serial lock-step",
@@ -143,4 +141,12 @@ main(int argc, char **argv)
                     "the 4-worker row runs the boards concurrently.\n");
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

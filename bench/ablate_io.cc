@@ -16,8 +16,11 @@
 #include "bench/benchutil.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -78,4 +81,12 @@ main(int argc, char **argv)
                 "perturbing the host - counters a real system cannot "
                 "easily get.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

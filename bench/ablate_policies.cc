@@ -16,8 +16,11 @@
 #include "bench/benchutil.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -102,4 +105,12 @@ main(int argc, char **argv)
     }
 
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -12,10 +12,10 @@
  *   --json=FILE     also write machine-readable results to FILE
  *                   (benches that support it; CI uploads these as
  *                   artifacts so throughput is trackable over time)
- *   --profile=DIR   attach an IESPROF profiler to the profiled
- *                   sections and write flamegraph/chrome-trace
- *                   artifacts into DIR (benches that support it); the
- *                   per-stage breakdown also lands in the JSON file
+ *   --profile       attach an IESPROF profiler to the profiled
+ *                   sections and print their stage table (benches
+ *                   that support it); the per-stage breakdown also
+ *                   lands in the JSON file
  *
  * The harnesses print the same rows/series the paper's tables and
  * figures report, alongside the paper's published values where they
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/io.hh"
 #include "common/cmdline.hh"
 
 namespace memories::bench
@@ -43,7 +44,7 @@ struct BenchArgs
     double scale = 1.0;
     std::string telemetryDir; //!< empty = no telemetry emission
     std::string jsonPath;     //!< empty = no JSON results file
-    std::string profileDir;   //!< empty = no self-profiling
+    bool profile = false;     //!< attach an IESPROF profiler
 
     /** Read argv; a bad argument prints the usage and exits 2. */
     static BenchArgs
@@ -51,12 +52,12 @@ struct BenchArgs
     {
         BenchArgs args;
         CommandLine("[--refs=<millions>] [--scale=F] [--telemetry=DIR] "
-                    "[--json=FILE] [--profile=DIR]")
+                    "[--json=FILE] [--profile]")
             .flag("--refs", args.refsMillions)
             .flag("--scale", args.scale)
             .flag("--telemetry", args.telemetryDir)
             .flag("--json", args.jsonPath)
-            .flag("--profile", args.profileDir)
+            .flag("--profile", args.profile)
             .parseOrExit(argc, argv);
         return args;
     }
@@ -118,8 +119,8 @@ buildSha()
  * Write timed sections as a machine-readable JSON artifact (the
  * BENCH_<name>.json files CI uploads): bench name, the commit they
  * measure, a one-line config description, and events/sec per section.
- */
-/**
+ * The file is replaced in one atomic write; a failure is a FatalError.
+ *
  * @param extraJson Optional extra top-level members, rendered verbatim
  *        after the sections array (e.g. "\"profile\": {...}"); pass ""
  *        for the plain schema.
@@ -130,30 +131,23 @@ writeJsonResults(const std::string &path, const std::string &bench,
                  const std::vector<BenchResult> &results,
                  const std::string &extraJson = "")
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"%s\",\n", bench.c_str());
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", buildSha().c_str());
-    std::fprintf(f, "  \"config\": \"%s\",\n", config.c_str());
-    std::fprintf(f, "  \"sections\": [\n");
+    std::string json = "{\n  \"bench\": \"" + bench + "\",\n" +
+                       "  \"git_sha\": \"" + buildSha() + "\",\n" +
+                       "  \"config\": \"" + config + "\",\n" +
+                       "  \"sections\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const BenchResult &r = results[i];
-        std::fprintf(f,
-                     "    {\"label\": \"%s\", \"seconds\": %.6f, "
-                     "\"events\": %.0f, \"events_per_sec\": %.1f}%s\n",
-                     r.label.c_str(), r.seconds, r.events,
-                     r.eventsPerSec(),
-                     i + 1 < results.size() ? "," : "");
+        char line[512];
+        std::snprintf(line, sizeof(line),
+                      "    {\"label\": \"%s\", \"seconds\": %.6f, "
+                      "\"events\": %.0f, \"events_per_sec\": %.1f}%s\n",
+                      r.label.c_str(), r.seconds, r.events,
+                      r.eventsPerSec(), i + 1 < results.size() ? "," : "");
+        json += line;
     }
-    std::fprintf(f, "  ]%s\n", extraJson.empty() ? "" : ",");
-    if (!extraJson.empty())
-        std::fprintf(f, "  %s\n", extraJson.c_str());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
+    json += extraJson.empty() ? "  ]\n" : "  ],\n  " + extraJson + "\n";
+    json += "}\n";
+    ckpt::atomicWriteFile(path, json.data(), json.size());
 }
 
 /** Print a banner naming the experiment being reproduced. */

@@ -16,8 +16,11 @@
 #include "bench/benchutil.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -94,4 +97,12 @@ main(int argc, char **argv)
     std::printf("\nshape check: %d/5 applications show monotonically "
                 "decreasing miss ratio with L3 size.\n", monotone);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

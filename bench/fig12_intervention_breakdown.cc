@@ -60,10 +60,8 @@ run(const workload::SplashParams &app, unsigned nodes,
     return b;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -103,4 +101,12 @@ main(int argc, char **argv)
                 "FFT/Ocean\nreward memory placement.\n",
                 fmm_interventions, fft_interventions);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -70,10 +70,8 @@ printCurves(const char *title,
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -143,4 +141,12 @@ main(int argc, char **argv)
                 "large sizes where the long-trace curves keep "
                 "falling.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

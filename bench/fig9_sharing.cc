@@ -30,10 +30,8 @@ struct Point
     double longRatio = 0;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -121,4 +119,12 @@ main(int argc, char **argv)
                 "(paper: UP).\n",
                 short_down ? "DOWN" : "UP", long_up ? "UP" : "DOWN");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -103,10 +103,8 @@ percentile(std::vector<double> sorted, double pct)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     std::size_t clients = 8, configs = 2, batch = 256;
     double millions = 0.05; // per client
@@ -244,4 +242,12 @@ main(int argc, char **argv)
     }
 
     return sustained == clients ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -39,10 +39,8 @@ median(std::vector<double> samples)
  */
 constexpr int rounds = 11;
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -141,7 +139,6 @@ main(int argc, char **argv)
                 board.feedBatch(&trace[at], std::min(chunk, refs - at));
             board.drainAll();
         };
-        const bool profiled = !args.profileDir.empty();
         // The (profiled) section vs its plain twin is the
         // measured-overhead gate (<5%, enforced by
         // check_bench_regression.py); the last round's stage breakdown
@@ -163,7 +160,7 @@ main(int argc, char **argv)
                 feed_batches(board, trace.size());
                 batch_s.push_back(clock.seconds());
             }
-            if (profiled) {
+            if (args.profile) {
                 ies::MemoriesBoard board(config);
                 prof.reset();
                 board.attachProfiler(prof);
@@ -175,42 +172,15 @@ main(int argc, char **argv)
         const auto refs = static_cast<double>(trace.size());
         report("feed serial (feedCommitted)", median(serial_s), refs);
         report("feed batch", median(batch_s), refs);
-        if (profiled)
+        if (args.profile)
             report("feed batch (profiled)", median(profiled_s), refs);
         std::printf("  feed sections: median of %d interleaved rounds\n",
                     rounds);
-        if (profiled) {
-            std::filesystem::create_directories(args.profileDir);
-            const std::string folded =
-                args.profileDir + "/microbench_profile.folded";
-            profile::writeFoldedFile(prof, folded);
-            std::printf("  flamegraph stacks -> %s\n", folded.c_str());
+        if (args.profile) {
             profile_json =
                 "\"profile\": " +
-                profile::profileJson(
-                    prof, static_cast<std::uint64_t>(trace.size()));
+                prof.json(static_cast<std::uint64_t>(trace.size()));
             std::printf("%s", prof.describe().c_str());
-            // A short recorder+profiler run for the merged timeline:
-            // emulated spans (pids 0/1+) and emulator stage spans
-            // (pid 99) in one chrome://tracing file. The recorder
-            // watches every tenure, so these batches run the serial
-            // path: emulation shows inside batch_admission.
-            {
-                ies::MemoriesBoard board(config);
-                trace::FlightRecorder recorder(std::size_t{1} << 16);
-                board.attachFlightRecorder(recorder, 0);
-                profile::Profiler timeline;
-                board.attachProfiler(timeline);
-                feed_batches(board,
-                             std::min<std::size_t>(trace.size(),
-                                                   64 * chunk));
-                const std::string merged =
-                    args.profileDir + "/microbench_profile.chrome.json";
-                profile::writeMergedChromeTraceFile(
-                    recorder.snapshot(), timeline, merged, &recorder);
-                std::printf("  merged chrome trace -> %s\n",
-                            merged.c_str());
-            }
         }
     }
     {
@@ -325,4 +295,12 @@ main(int argc, char **argv)
                 "scaled paper-shape\nreproductions minutes-long "
                 "instead of days-long.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -13,8 +13,11 @@
 #include "bench/benchutil.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     (void)bench::BenchArgs::parse(argc, argv);
@@ -63,4 +66,12 @@ main(int argc, char **argv)
                 "256MB node SDRAM budget -> the advertised 8GB "
                 "maximum.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -50,10 +50,8 @@ makeTrace(std::uint64_t n)
     return trace;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -134,4 +132,12 @@ main(int argc, char **argv)
                 "32K, ~260x at 10B).\n",
                 paper_sim_ns * 1e-9 * 1e7);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

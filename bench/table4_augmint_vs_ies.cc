@@ -23,8 +23,11 @@
 #include "bench/benchutil.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -92,4 +95,12 @@ main(int argc, char **argv)
                 "940x at m=20).\n",
                 host_ips / paper_sim_instr_per_sec);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -19,8 +19,11 @@
 #include "bench/benchutil.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -90,4 +93,12 @@ main(int argc, char **argv)
                 "4-way to 1MB direct-mapped L2s,\nby factors in the "
                 "same ~1.0-1.2x band the paper measured.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -41,10 +41,8 @@ missRateFor(const workload::SplashParams &params,
                                                        instr);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const auto args = bench::BenchArgs::parse(argc, argv);
@@ -90,4 +88,12 @@ main(int argc, char **argv)
                 "rate sharply while the other\napps' rates rise with "
                 "realistic sizes - the paper's scaling warning.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

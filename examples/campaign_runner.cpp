@@ -72,7 +72,7 @@ selectConfigs(std::string_view names)
 }
 
 int
-runnerMain(int argc, char **argv)
+program(int argc, char **argv)
 {
     std::string out;
     std::vector<oracle::LatticeConfig> configs = oracle::latticeConfigs();
@@ -136,11 +136,11 @@ runnerMain(int argc, char **argv)
 
     campaign::CampaignTotals totals;
     if (mode == "start") {
-        ckpt::ensureDir(out);
         campaign::CampaignPlan plan =
             campaign::buildPlan(configs, firstSeed, seeds, txns, every);
         plan.maxAttempts = maxAttempts;
         plan.fleetWorkers = workers;
+        ckpt::ensureDir(out);
         totals = runner.start(plan);
     } else {
         totals = runner.resume();
@@ -158,10 +158,5 @@ runnerMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return runnerMain(argc, argv);
-    } catch (const FatalError &err) {
-        std::fprintf(stderr, "campaign_runner: %s\n", err.what());
-        return 1;
-    }
+    return memories::runMain(argc, argv, program);
 }

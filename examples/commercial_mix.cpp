@@ -45,10 +45,8 @@ study(const char *label, workload::Workload &wl, std::uint64_t refs)
                             machine.bus().now()));
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const std::uint64_t refs = parseRefs(argc, argv, 15);
@@ -80,4 +78,12 @@ main(int argc, char **argv)
                 "Zipf head is captured early, so its curve flattens "
                 "first.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

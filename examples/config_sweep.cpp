@@ -64,10 +64,8 @@ msSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
 
@@ -336,4 +334,12 @@ main(int argc, char **argv)
         std::printf("telemetry written to %s/sweep_*.{jsonl,csv}\n",
                     telemetry_dir.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -22,8 +22,11 @@
 #include "memories/memories.hh"
 #include "service/stream.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const std::uint64_t refs = parseRefs(argc, argv, 5);
@@ -106,4 +109,12 @@ main(int argc, char **argv)
                 csim.stats().meanLatencyCycles);
     std::remove(trace_path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -19,8 +19,11 @@
 #include "common/cmdline.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const std::uint64_t refs = parseRefs(argc, argv, 10);
@@ -123,4 +126,12 @@ snooper KILL   M -> I none
     std::printf("\nserialized table is %zu bytes of map text\n",
                 custom.toMapText().size());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

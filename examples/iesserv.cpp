@@ -37,10 +37,8 @@ onSignal(int)
     stopRequested.store(true);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
 
@@ -59,12 +57,7 @@ main(int argc, char **argv)
         .parseOrExit(argc, argv);
 
     service::Daemon daemon(options);
-    try {
-        daemon.start();
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "iesserv: %s\n", e.what());
-        return 1;
-    }
+    daemon.start();
     std::printf("iesserv listening on %s (state %s, max %zu sessions)\n",
                 options.socketPath.c_str(), options.stateDir.c_str(),
                 options.maxSessions);
@@ -84,4 +77,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(daemon.sessionsOpened()),
                 static_cast<unsigned long long>(daemon.refsAccepted()));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -14,8 +14,11 @@
 #include "common/cmdline.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const std::uint64_t refs = parseRefs(argc, argv, 10);
@@ -81,4 +84,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(entry.writes));
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -37,8 +37,11 @@
 #include "common/cmdline.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
 
@@ -134,4 +137,12 @@ main(int argc, char **argv)
     std::printf("ORACLE_DIFF ok: %zu comparisons, 0 divergences\n",
                 run.comparisons);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -39,10 +39,8 @@ oltpParams()
     return p;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     const std::uint64_t refs = parseRefs(argc, argv, 10);
@@ -105,4 +103,12 @@ main(int argc, char **argv)
                 "misses.\n");
     std::remove(state.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -19,8 +19,11 @@
 #include "common/cmdline.hh"
 #include "memories/memories.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
     CommandLine().parseOrExit(argc, argv);
@@ -69,4 +72,12 @@ main(int argc, char **argv)
 
     std::printf("\nfull console dump:\n%s", board->dumpStats().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -54,10 +54,8 @@ runApp(const workload::SplashParams &params, std::uint64_t refs)
     return result;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     const std::uint64_t refs = parseRefs(argc, argv, 10);
 
@@ -86,4 +84,12 @@ main(int argc, char **argv)
                 "FFT 5.5->0.3, Ocean 3.7->8.2,\nWater 0.073->0.2, "
                 "Barnes 0.11->0.3 (small 1MB cache -> large 8MB L2).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

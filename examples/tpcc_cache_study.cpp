@@ -83,10 +83,8 @@ journalingProfile(workload::OltpParams oltp, std::uint64_t refs)
                 "%s\n", sparkline(series.points()).c_str());
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     const std::uint64_t refs = parseRefs(argc, argv, 20);
 
@@ -97,4 +95,12 @@ main(int argc, char **argv)
     sweepGeometries(oltp, refs);
     journalingProfile(oltp, refs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

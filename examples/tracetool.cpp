@@ -174,10 +174,8 @@ demo(const std::string &chrome_out)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+program(int argc, char **argv)
 {
     using namespace memories;
 
@@ -216,20 +214,23 @@ main(int argc, char **argv)
     cli.command("demo").flag("--chrome-trace", chrome_out);
     const std::string cmd = cli.parseOrExit(argc, argv);
 
-    try {
-        if (cmd == "stats")
-            return cmdStats(in);
-        if (cmd == "slice")
-            return cmdSlice(in, out, from, count);
-        if (cmd == "filter")
-            return cmdFilter(in, out, cpu);
-        if (cmd == "replay")
-            return cmdReplay(in, size, assoc);
-        if (cmd == "chrome")
-            return cmdChrome(in, out);
-        return demo(chrome_out);
-    } catch (const FatalError &err) {
-        std::fprintf(stderr, "fatal: %s\n", err.what());
-        return 1;
-    }
+    if (cmd == "stats")
+        return cmdStats(in);
+    if (cmd == "slice")
+        return cmdSlice(in, out, from, count);
+    if (cmd == "filter")
+        return cmdFilter(in, out, cpu);
+    if (cmd == "replay")
+        return cmdReplay(in, size, assoc);
+    if (cmd == "chrome")
+        return cmdChrome(in, out);
+    return demo(chrome_out);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return memories::runMain(argc, argv, program);
 }

@@ -83,6 +83,17 @@ isReadOp(BusOp op)
            op == BusOp::Rwitm;
 }
 
+/**
+ * True for the processor references a node counts as hits and misses
+ * (its miss ratio's denominator): reads, instruction fetches, RWITMs
+ * and DClaims, not cast-outs or cache management.
+ */
+constexpr bool
+isReferenceOp(BusOp op)
+{
+    return isReadOp(op) || op == BusOp::DClaim;
+}
+
 /** True for commands that (will) modify the line. */
 constexpr bool
 isWriteIntentOp(BusOp op)

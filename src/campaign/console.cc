@@ -35,10 +35,10 @@ handleCampaign(ies::Console &, std::string_view line)
                 ? parseUnsigned(tokens[5], "cadence",
                                 std::numeric_limits<std::uint32_t>::max())
                 : std::min<std::uint64_t>(txns, 4096);
-        ckpt::ensureDir(dir);
         const CampaignPlan plan =
             buildPlan(oracle::latticeConfigs(), 1, seeds, txns,
                       static_cast<std::uint32_t>(every));
+        ckpt::ensureDir(dir);
         CampaignRunner runner(oracle::latticeConfigs(), dir);
         const CampaignTotals totals = runner.start(plan);
         return "campaign complete: " + totals.describe();

@@ -1,5 +1,7 @@
 #include "campaign/plan.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace memories::campaign
@@ -14,6 +16,9 @@ CampaignPlan::save(ckpt::Sink &sink) const
     sink.u32(fleetWorkers);
     sink.u32(streamCpus);
     sink.u32(streamBurstPermille);
+    if (units.size() > std::numeric_limits<std::uint32_t>::max())
+        fatal("campaign plan of ", units.size(),
+              " units does not fit its manifest");
     sink.u32(static_cast<std::uint32_t>(units.size()));
     for (const UnitSpec &u : units) {
         sink.str(u.configName);
@@ -75,6 +80,11 @@ buildPlan(const std::vector<oracle::LatticeConfig> &configs,
         fatal("campaign plan needs a nonzero per-unit txn count");
     if (checkpointEvery == 0)
         fatal("campaign checkpoint cadence must be nonzero");
+    // The manifest counts units in 32 bits; refuse before allocating.
+    const std::uint64_t maxUnits = std::numeric_limits<std::uint32_t>::max();
+    if (numSeeds > maxUnits / configs.size())
+        fatal("campaign plan of ", numSeeds, " seeds x ", configs.size(),
+              " configs exceeds the manifest's ", maxUnits, " units");
     CampaignPlan plan;
     plan.checkpointEvery = checkpointEvery;
     for (std::size_t s = 0; s < numSeeds; ++s) {

@@ -81,7 +81,8 @@ struct CampaignPlan
 /**
  * Build the (configs × seeds) cross product: one unit of
  * @p txnsPerUnit references per pair, seeds
- * [firstSeed, firstSeed + numSeeds).
+ * [firstSeed, firstSeed + numSeeds). A product above UINT32_MAX units
+ * (what the manifest counts) is a FatalError, before any allocation.
  */
 CampaignPlan
 buildPlan(const std::vector<oracle::LatticeConfig> &configs,

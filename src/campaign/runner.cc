@@ -109,9 +109,9 @@ std::size_t
 recorderCapacity(std::uint64_t segment)
 {
     const std::uint64_t want = segment * 48;
-    const std::uint64_t cap = std::uint64_t{1} << 22;
-    return static_cast<std::size_t>(
-        std::max<std::uint64_t>(4096, std::min(want, cap)));
+    return static_cast<std::size_t>(std::max<std::uint64_t>(
+        4096, std::min<std::uint64_t>(want,
+                                      trace::FlightRecorder::maxCapacity)));
 }
 
 } // namespace

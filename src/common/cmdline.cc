@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 namespace memories
 {
@@ -78,13 +79,25 @@ CommandLine::read(std::span<const std::string_view> args) const
         fatal("missing <", positionals_[next].name, ">");
 }
 
+namespace
+{
+
+/** argv[0]'s base name, or "?" without one. */
+std::string
+progName(int argc, const char *const *argv)
+{
+    if (argc == 0)
+        return "?";
+    const std::string_view path = argv[0];
+    return std::string(path.substr(path.find_last_of('/') + 1));
+}
+
+} // namespace
+
 std::string
 CommandLine::parse(int argc, const char *const *argv)
 {
-    if (argc > 0) {
-        prog_ = argv[0];
-        prog_.erase(0, prog_.find_last_of('/') + 1);
-    }
+    prog_ = progName(argc, argv);
     const std::vector<std::string_view> args(argv + (argc > 0),
                                              argv + argc);
     if (commands_.empty()) {
@@ -127,6 +140,18 @@ CommandLine::fail(std::string_view reason) const
     } while (!rest.empty());
     std::fputs(text.c_str(), stderr);
     std::exit(2);
+}
+
+int
+runMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const std::exception &err) {
+        std::fprintf(stderr, "%s: %s\n", progName(argc, argv).c_str(),
+                     err.what());
+        return 1;
+    }
 }
 
 std::uint64_t

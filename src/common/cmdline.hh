@@ -11,7 +11,9 @@
  * 1e6. An unknown flag, a missing, empty or malformed value, a bare
  * valued flag, a switch given a value, or too many or too few
  * positionals is a FatalError from parse(); parseOrExit() turns it into
- * "<prog>: <reason>", the usage and exit status 2.
+ * "<prog>: <reason>", the usage and exit status 2. Each main runs its
+ * work through runMain(), which turns an error thrown later into
+ * "<prog>: <reason>" and exit status 1.
  */
 
 #ifndef MEMORIES_COMMON_CMDLINE_HH
@@ -127,6 +129,14 @@ class CommandLine
     std::vector<Arg> positionals_;
     std::list<CommandLine> commands_;
 };
+
+/**
+ * Run @p body, a main's work, and return its exit status. A FatalError
+ * or any other std::exception escaping it prints "<prog>: <message>"
+ * (prog is argv[0]'s base name) and returns 1, so no program aborts on
+ * an error it can name.
+ */
+int runMain(int argc, char **argv, int (*body)(int, char **));
 
 /**
  * The reference count of a program whose one flag is --refs=<millions>

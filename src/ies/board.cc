@@ -508,11 +508,7 @@ std::size_t
 MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
                          std::size_t count, bool *accepted)
 {
-    const std::uint64_t prof_t0 =
-        prof_ ? profile::Profiler::nowNs() : 0;
-    if (prof_)
-        prof_->beginBatch(count > 0 ? txns[0].cycle : 0);
-
+    profile::ScopedStage scope(prof_, profile::Stage::FeedBatch);
     std::size_t ok_count = 0;
     if (injector_ == nullptr && recorder_ == nullptr &&
         !health_.enabled()) {
@@ -535,9 +531,6 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
         // retirement as it drains.
         ok_count = admitBatch<true>(txns, count, accepted);
     }
-    if (prof_)
-        prof_->endBatch(count > 0 ? txns[count - 1].cycle : 0,
-                        prof_t0);
     return ok_count;
 }
 

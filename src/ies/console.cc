@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "ies/analysis.hh"
-#include "profile/profexport.hh"
 #include "profile/profiler.hh"
 #include "telemetry/exporter.hh"
 #include "trace/chrometrace.hh"
@@ -22,6 +21,18 @@ namespace memories::ies
 
 namespace
 {
+
+/** True when @p op is the busOpName() of a bus::isReferenceOp(). */
+bool
+isReferenceName(std::string_view op)
+{
+    for (std::size_t i = 0; i < bus::numBusOps; ++i) {
+        const auto o = static_cast<bus::BusOp>(i);
+        if (bus::isReferenceOp(o) && bus::busOpName(o) == op)
+            return true;
+    }
+    return false;
+}
 
 /**
  * Internal exporter behind the console's "monitor" command: keeps a
@@ -51,19 +62,23 @@ class MonitorView final : public telemetry::Exporter
                 continue;
             }
             // Per-node references look like
-            // "<prefix>.nodeN.local.<op>.hit|miss".
+            // "<prefix>.nodeN.local.<op>.hit|miss"; like NodeStats,
+            // only reference ops count (not cast-outs).
             const auto local = name.find(".local.");
             if (local == std::string::npos)
                 continue;
             const auto node = name.rfind("node", local);
-            if (node == std::string::npos)
+            const std::string_view op =
+                std::string_view(name).substr(local + 7);
+            const auto dot = op.find('.');
+            if (node == std::string::npos || dot == std::string::npos ||
+                !isReferenceName(op.substr(0, dot)))
                 continue;
             NodeWindow &nw = nodes[name.substr(node, local - node)];
-            if (name.size() >= 4 &&
-                name.compare(name.size() - 4, 4, ".hit") == 0)
+            const std::string_view outcome = op.substr(dot);
+            if (outcome == ".hit")
                 nw.hits += c.delta;
-            else if (name.size() >= 5 &&
-                     name.compare(name.size() - 5, 5, ".miss") == 0)
+            else if (outcome == ".miss")
                 nw.misses += c.delta;
         }
 
@@ -696,7 +711,8 @@ Console::handleTrace(const Tokens &tokens)
             fatal("flight recorder already running; 'trace stop' first");
         std::size_t capacity = std::size_t{1} << 16;
         if (tokens.size() == 3)
-            capacity = parseUnsigned(tokens[2], "event count");
+            capacity = parseUnsigned(tokens[2], "event count",
+                                     trace::FlightRecorder::maxCapacity);
         recorder_ = std::make_unique<trace::FlightRecorder>(capacity);
         bus_.attachFlightRecorder(*recorder_);
         if (board_)
@@ -789,62 +805,32 @@ Console::handleProf(const Tokens &tokens)
 {
     auto require_profiler = [&]() -> profile::Profiler & {
         if (!profiler_)
-            fatal("no profiler; use: prof start [spans]");
+            fatal("no profiler; use: prof start");
         return *profiler_;
     };
 
     if (tokens.size() == 1)
         return require_profiler().describe();
     const std::string &sub = tokens[1];
+    if (tokens.size() != 2)
+        fatal("usage: prof <start|show|stop>");
 
     if (sub == "start") {
-        if (tokens.size() > 3)
-            fatal("usage: prof start [spans]");
         if (profiler_)
             fatal("profiler already running; 'prof stop' first");
         if (!board_)
             fatal("no board; run init first");
-        std::size_t capacity = std::size_t{1} << 16;
-        if (tokens.size() == 3)
-            capacity = parseUnsigned(tokens[2], "span count");
-        profiler_ = std::make_unique<profile::Profiler>(capacity);
+        profiler_ = std::make_unique<profile::Profiler>();
         board_->attachProfiler(*profiler_);
-        return "profiler attached (" + std::to_string(capacity) +
-               " spans)";
+        return "profiler attached";
     }
     if (sub == "stop") {
         require_profiler();
         stopProf();
         return "profiler detached";
     }
-    if (sub == "show") {
-        if (tokens.size() != 2)
-            fatal("usage: prof show");
+    if (sub == "show")
         return require_profiler().describe();
-    }
-    if (sub == "dump") {
-        if (tokens.size() != 3)
-            fatal("usage: prof dump <path>");
-        auto &prof = require_profiler();
-        profile::writeFoldedFile(prof, tokens[2]);
-        return "wrote folded flamegraph stacks to " + tokens[2];
-    }
-    if (sub == "chrome") {
-        if (tokens.size() != 3)
-            fatal("usage: prof chrome <path>");
-        auto &prof = require_profiler();
-        // Merge the profiler track with whatever the flight recorder
-        // holds; without one the file carries the profiler track alone.
-        std::vector<trace::LifecycleEvent> events;
-        if (recorder_)
-            events = recorder_->snapshot();
-        profile::writeMergedChromeTraceFile(events, prof, tokens[2],
-                                            recorder_.get());
-        return "wrote " + std::to_string(events.size()) +
-               " lifecycle events + " +
-               std::to_string(prof.snapshot().spansRecorded) +
-               " profiler spans as Chrome trace JSON to " + tokens[2];
-    }
     fatal("unknown prof subcommand '", sub, "'");
 }
 

@@ -38,11 +38,8 @@
  *   trace chrome <path>      -- write retained events as Chrome JSON
  *   trace autodump <path>    -- dump automatically on every anomaly
  *   trace stop               -- detach and discard the recorder
- *   prof start [spans]       -- attach an IESPROF profiler (span ring)
+ *   prof start               -- attach an IESPROF profiler
  *   prof [show]              -- stage attribution report
- *   prof dump <path>         -- write folded-stack flamegraph lines
- *   prof chrome <path>       -- write emulated trace + profiler spans
- *                               merged as Chrome JSON (pid 99)
  *   prof stop                -- detach and discard the profiler
  *   fault load <path>        -- load a fault plan (see fault/faultplan.hh)
  *   fault arm [seed]         -- build the injector and attach it

@@ -280,26 +280,6 @@ class ExperimentFleet final : public bus::BusObserver
     }
 
     /**
-     * Attach an IESPROF profiler to board @p i
-     * (MemoriesBoard::attachProfiler). One profiler per board — each
-     * board is advanced by exactly one worker, so its stage cells keep
-     * their single-writer contract. Call before start(); read the
-     * profiler only between runs.
-     */
-    void attachProfiler(std::size_t i, profile::Profiler &profiler)
-    {
-        requireIdle("attachProfiler");
-        boards_[i]->attachProfiler(profiler);
-    }
-
-    /** Detach board @p i's profiler. Only between runs. */
-    void detachProfiler(std::size_t i)
-    {
-        requireIdle("detachProfiler");
-        boards_[i]->detachProfiler();
-    }
-
-    /**
      * Checkpoint board @p i to @p path as an IESCKPT container
      * (MemoriesBoard::saveState). Only between runs: the board must be
      * quiescent so the capture is a consistent cut.

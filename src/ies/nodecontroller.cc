@@ -172,10 +172,7 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
     const auto state = hit.hit ? static_cast<LineState>(hit.state)
                                : LineState::Invalid;
 
-    const bool is_reference =
-        txn.op == bus::BusOp::Read || txn.op == bus::BusOp::ReadIfetch ||
-        txn.op == bus::BusOp::Rwitm || txn.op == bus::BusOp::DClaim;
-    if (is_reference)
+    if (bus::isReferenceOp(txn.op))
         counters_.bump(hLocalRefs_);
 
     if (hit.hit) {
@@ -194,9 +191,7 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
     // Service-point classification for data-bearing requests: a hit is
     // served by this shared cache; a miss is served by whichever other
     // emulated node intervened, else by memory (Figure 12).
-    if (txn.op == bus::BusOp::Read ||
-        txn.op == bus::BusOp::ReadIfetch ||
-        txn.op == bus::BusOp::Rwitm) {
+    if (bus::isReadOp(txn.op)) {
         if (hit.hit) {
             counters_.bump(hSatCache_);
         } else {
@@ -316,9 +311,9 @@ NodeController::stats() const
 {
     NodeStats s;
     s.localRefs = counters_.value(hLocalRefs_);
-    for (bus::BusOp op : {bus::BusOp::Read, bus::BusOp::ReadIfetch,
-                          bus::BusOp::Rwitm, bus::BusOp::DClaim}) {
-        const auto i = static_cast<std::size_t>(op);
+    for (std::size_t i = 0; i < bus::numBusOps; ++i) {
+        if (!bus::isReferenceOp(static_cast<bus::BusOp>(i)))
+            continue;
         s.localHits += counters_.value(hLocalHit_[i]);
         s.localMisses += counters_.value(hLocalMiss_[i]);
     }

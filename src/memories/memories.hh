@@ -58,7 +58,6 @@
 #include "oracle/diff.hh"
 #include "oracle/refboard.hh"
 #include "oracle/stimulus.hh"
-#include "profile/profexport.hh"
 #include "profile/profiler.hh"
 #include "protocol/state.hh"
 #include "protocol/table.hh"

@@ -1,7 +1,9 @@
 #include "profile/profiler.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "telemetry/sampler.hh"
@@ -27,88 +29,21 @@ stageParent(Stage)
     return Stage::FeedBatch;
 }
 
-Profiler::Profiler(std::size_t span_capacity)
-    : spanCapacity_(span_capacity)
-{
-    ring_.reserve(std::min<std::size_t>(spanCapacity_, 4096));
-}
-
-Profiler::~Profiler() = default;
-
 void
 Profiler::reset()
 {
-    for (StageCell &c : stageCells_)
-        c = StageCell{};
-    batches_ = 0;
-    ring_.clear();
-    spansDropped_ = 0;
-}
-
-void
-Profiler::beginBatch(Cycle first_cycle)
-{
-    ++batches_;
-    batchBeginCycle_ = first_cycle;
-    for (StageCell &c : stageCells_)
-        c.batchNs = 0;
-}
-
-void
-Profiler::pushSpan(Stage s, Cycle begin, Cycle end,
-                   std::uint64_t wall_ns)
-{
-    if (ring_.size() >= spanCapacity_) {
-        ++spansDropped_;
-        return;
-    }
-    ProfSpan span;
-    span.stage = s;
-    span.beginCycle = begin;
-    span.endCycle = end;
-    span.wallNs = wall_ns;
-    span.batch = batches_;
-    ring_.push_back(span);
-}
-
-void
-Profiler::endBatch(Cycle last_cycle, std::uint64_t root_t0)
-{
-    const std::uint64_t wall = nowNs() - root_t0;
-    StageCell &root =
-        stageCells_[static_cast<std::size_t>(Stage::FeedBatch)];
-    ++root.calls;
-    root.ns += wall;
-
-    const Cycle begin = batchBeginCycle_;
-    const Cycle end = std::max(last_cycle, begin);
-    pushSpan(Stage::FeedBatch, begin, end, wall);
-    for (std::size_t i = 1; i < numStages; ++i) {
-        const std::uint64_t ns = stageCells_[i].batchNs;
-        if (ns > 0)
-            pushSpan(static_cast<Stage>(i), begin, end, ns);
-    }
+    for (StageStats &c : stageCells_)
+        c = StageStats{};
 }
 
 ProfReport
 Profiler::snapshot() const
 {
     ProfReport report;
-    report.stages.resize(numStages);
-    for (std::size_t i = 0; i < numStages; ++i) {
-        report.stages[i].calls = stageCells_[i].calls;
-        report.stages[i].ns = stageCells_[i].ns;
-    }
-    report.batches = batches_;
-    report.spansRecorded = ring_.size();
-    report.spansDropped = spansDropped_;
+    report.stages.assign(std::begin(stageCells_), std::end(stageCells_));
+    report.batches = stageCells_[static_cast<std::size_t>(Stage::FeedBatch)]
+                         .calls;
     return report;
-}
-
-std::vector<ProfSpan>
-Profiler::spans() const
-{
-    return ring_;
 }
 
 namespace
@@ -139,11 +74,7 @@ Profiler::describe() const
     const double total = static_cast<double>(
         std::max<std::uint64_t>(r.stage(Stage::FeedBatch).ns, 1));
     std::ostringstream os;
-    os << "IESPROF: " << r.batches << " batches, " << r.spansRecorded
-       << " spans";
-    if (r.spansDropped > 0)
-        os << " (" << r.spansDropped << " dropped)";
-    os << "\n";
+    os << "IESPROF: " << r.batches << " batches\n";
     os << "  stage               calls            time    share\n";
     for (std::size_t i = 0; i < numStages; ++i) {
         const Stage s = static_cast<Stage>(i);
@@ -160,12 +91,39 @@ Profiler::describe() const
     return os.str();
 }
 
+std::string
+Profiler::json(std::uint64_t refs) const
+{
+    const ProfReport r = snapshot();
+    std::ostringstream os;
+    os << "{\"refs\":" << refs << ",\"batches\":" << r.batches
+       << ",\"stages\":[";
+    const char *sep = "";
+    for (std::size_t i = 0; i < numStages; ++i) {
+        const Stage s = static_cast<Stage>(i);
+        const StageStats &st = r.stages[i];
+        if (st.calls == 0 && st.ns == 0)
+            continue;
+        char per_ref[32];
+        std::snprintf(per_ref, sizeof(per_ref), "%.3f",
+                      refs > 0 ? static_cast<double>(st.ns) /
+                                     static_cast<double>(refs)
+                               : 0.0);
+        os << sep << "{\"stage\":\"" << stageName(s) << "\",\"parent\":\""
+           << stageName(stageParent(s)) << "\",\"calls\":" << st.calls
+           << ",\"ns\":" << st.ns << ",\"ns_per_ref\":" << per_ref << "}";
+        sep = ",";
+    }
+    os << "]}";
+    return os.str();
+}
+
 void
 Profiler::attachTelemetry(telemetry::Sampler &sampler,
                           const std::string &prefix)
 {
     for (std::size_t i = 0; i < numStages; ++i) {
-        const StageCell *cell = &stageCells_[i];
+        const StageStats *cell = &stageCells_[i];
         const std::string base =
             prefix + ".stage." + stageName(static_cast<Stage>(i));
         sampler.addValue(base + ".ns", [cell] { return cell->ns; });

@@ -13,7 +13,7 @@
  * Design rules, in the order they matter:
  *
  *  1. Non-perturbing. The profiler only ever *reads* the clock and
- *     *writes* its own slabs; it cannot change a single emulated byte.
+ *     *writes* its own cells; it cannot change a single emulated byte.
  *     tests/profile/prof_equiv_test.cc proves attached-vs-detached
  *     byte equivalence the same way the batch equivalence tier does.
  *  2. Zero-cost when detached. Board hot paths guard every hook with
@@ -27,12 +27,12 @@
  *     (docs/PROFILING.md records the methodology).
  *  4. Single writer. Every cell is a plain integer written only by the
  *     thread running the board's feedBatch; readers (snapshot(), the
- *     exporters, telemetry) run on that thread between batches, or
- *     after it has been joined.
+ *     reports, telemetry) run on that thread between batches, or after
+ *     it has been joined.
  *
- * Exports: a text report (describe()), folded-stack flamegraph lines
- * and Chrome-trace merge in profile/profexport.hh, and Sampler series
- * via attachTelemetry() (Prometheus/JSONL/CSV for free).
+ * Exports: the stage table (describe()), the JSON breakdown the bench
+ * gates read (json()), and Sampler series via attachTelemetry()
+ * (Prometheus/JSONL/CSV for free).
  */
 
 #ifndef MEMORIES_PROFILE_PROFILER_HH
@@ -43,8 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "common/types.hh"
-
 namespace memories::telemetry
 {
 class Sampler;
@@ -54,8 +52,7 @@ namespace memories::profile
 {
 
 /**
- * The pipeline stages of MemoriesBoard::feedBatch, in flamegraph
- * nesting order. FeedBatch is the root; BatchAdmission (credit pacing
+ * The pipeline stages of MemoriesBoard::feedBatch, in nesting order. FeedBatch is the root; BatchAdmission (credit pacing
  * included) and Emulation (the retirement-slab walk) are its children.
  */
 enum class Stage : std::uint8_t
@@ -72,7 +69,7 @@ constexpr std::size_t numStages =
 /** Stable machine-readable stage name ("batch_admission", ...). */
 const char *stageName(Stage stage);
 
-/** Flamegraph parent (FeedBatch is its own parent — the root). */
+/** Parent stage (FeedBatch is its own parent — the root). */
 Stage stageParent(Stage stage);
 
 /** Read-side view of one stage's accumulated attribution. */
@@ -82,29 +79,11 @@ struct StageStats
     std::uint64_t ns = 0;    //!< wall ns accumulated over every bout
 };
 
-/**
- * One emulator span on the merged Chrome-trace timeline. Timestamps
- * are *bus cycles* (the batch's admitted cycle range) so profiler
- * spans line up with the emulated spans the same batch produced; the
- * wall-clock cost is carried in wallNs and rendered into the span's
- * args.
- */
-struct ProfSpan
-{
-    Stage stage = Stage::FeedBatch;
-    Cycle beginCycle = 0;
-    Cycle endCycle = 0;
-    std::uint64_t wallNs = 0;
-    std::uint64_t batch = 0; //!< feedBatch ordinal, 1-based
-};
-
-/** Merged-on-read snapshot of everything the profiler collected. */
+/** Snapshot of everything the profiler collected. */
 struct ProfReport
 {
     std::vector<StageStats> stages; //!< indexed by Stage
-    std::uint64_t batches = 0;
-    std::uint64_t spansRecorded = 0;
-    std::uint64_t spansDropped = 0;
+    std::uint64_t batches = 0;      //!< FeedBatch's calls
 
     const StageStats &
     stage(Stage s) const
@@ -117,15 +96,12 @@ struct ProfReport
 class Profiler
 {
   public:
-    /** @param span_capacity Bounded span ring size; recording stops
-     *        (dropped spans are counted) when the ring fills. */
-    explicit Profiler(std::size_t span_capacity = std::size_t{1} << 16);
-    ~Profiler();
+    Profiler() = default;
 
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
 
-    /** Zero every cell and the span ring. */
+    /** Zero every cell. */
     void reset();
 
     /** Monotonic wall clock, ns. */
@@ -138,37 +114,36 @@ class Profiler
                 .count());
     }
 
-    // --- Hot-path hooks. The board calls none of these when detached;
-    // each is a few integer adds plus at most one clock read.
-
-    /** Open batch @p first_cycle..: resets per-batch accumulators. */
-    void beginBatch(Cycle first_cycle);
-
     /**
-     * Close the batch: record the FeedBatch root time (clock pair
-     * started at @p root_t0) and push this batch's stage spans onto
-     * the ring, stamped with the admitted cycle range.
+     * Hot-path hook: record a stage bout started at @p t0 = nowNs().
+     * The board calls it only through ScopedStage, never when detached.
      */
-    void endBatch(Cycle last_cycle, std::uint64_t root_t0);
-
-    /** Record a stage bout started at @p t0 = nowNs(). */
     void
     recordStage(Stage s, std::uint64_t t0)
     {
-        addStage(s, nowNs() - t0);
+        StageStats &c = stageCells_[static_cast<std::size_t>(s)];
+        ++c.calls;
+        c.ns += nowNs() - t0;
     }
 
     // --- Read side. Call between batches (the same single-owner
     // contract as MemoriesBoard::attachTelemetry).
 
-    /** Merge every slab into one report. */
+    /** Copy every cell into one report. */
     ProfReport snapshot() const;
-
-    /** Spans recorded so far, in batch order. */
-    std::vector<ProfSpan> spans() const;
 
     /** Aligned text report: the stage table. */
     std::string describe() const;
+
+    /**
+     * The stage table as one JSON object (no trailing newline), as
+     * `bench --profile` embeds it in BENCH_throughput.json:
+     * {"refs":N,"batches":B,"stages":[{"stage":...,"parent":...,
+     * "calls":...,"ns":...,"ns_per_ref":...},...]}. "parent" names the
+     * stage's parent (feed_batch is its own); ns_per_ref divides by
+     * @p refs (0 renders as 0).
+     */
+    std::string json(std::uint64_t refs) const;
 
     /**
      * Register the stage observables with a telemetry sampler:
@@ -181,34 +156,8 @@ class Profiler
                          const std::string &prefix = "prof");
 
   private:
-    /** One stage's accumulators (see design rule 4). batchNs is this
-     *  batch's share, which endBatch() turns into a span. */
-    struct StageCell
-    {
-        std::uint64_t calls = 0;
-        std::uint64_t ns = 0;
-        std::uint64_t batchNs = 0;
-    };
-
-    void
-    addStage(Stage s, std::uint64_t d)
-    {
-        StageCell &c = stageCells_[static_cast<std::size_t>(s)];
-        ++c.calls;
-        c.ns += d;
-        c.batchNs += d;
-    }
-
-    void pushSpan(Stage s, Cycle begin, Cycle end, std::uint64_t wall_ns);
-
-    StageCell stageCells_[numStages];
-
-    std::uint64_t batches_ = 0;
-    Cycle batchBeginCycle_ = 0;
-
-    std::vector<ProfSpan> ring_;
-    std::size_t spanCapacity_;
-    std::uint64_t spansDropped_ = 0;
+    /** One stage's accumulators (see design rule 4). */
+    StageStats stageCells_[numStages];
 };
 
 /**

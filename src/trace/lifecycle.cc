@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "bus/busop.hh"
+#include "common/logging.hh"
 #include "protocol/state.hh"
 
 namespace memories::trace
@@ -130,6 +131,9 @@ LifecycleEvent::describe() const
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
 {
+    if (capacity > maxCapacity)
+        fatal("flight recorder of ", capacity, " events exceeds the ",
+              maxCapacity, "-event maximum");
     std::size_t cap = 16;
     while (cap < capacity)
         cap <<= 1;

@@ -177,10 +177,14 @@ struct LifecycleEvent
 class FlightRecorder
 {
   public:
+    /** The largest ring: 2^22 events, 160 MiB. */
+    static constexpr std::size_t maxCapacity = std::size_t{1} << 22;
+
     /**
      * @param capacity Events retained (rounded up to a power of two,
      *        minimum 16). A 64K-event ring is ~2.5MB and covers several
-     *        thousand tenures of full lifecycle history.
+     *        thousand tenures of full lifecycle history. A capacity
+     *        above maxCapacity is a FatalError, before any allocation.
      */
     explicit FlightRecorder(std::size_t capacity = std::size_t{1} << 16);
 

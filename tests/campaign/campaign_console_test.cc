@@ -79,6 +79,22 @@ TEST_F(CampaignConsoleTest, MalformedInvocationsReturnErrorText)
     }
 }
 
+TEST_F(CampaignConsoleTest, PlansTheManifestCannotCountAreRefusedFirst)
+{
+    // 306783379 seeds x 14 lattice configs is 4294967306 units, one
+    // more than the manifest's 32-bit count holds (after 2^32 - 1):
+    // buildPlan refuses before it allocates a single unit...
+    ASSERT_EQ(oracle::latticeConfigs().size(), 14u);
+    EXPECT_THROW(buildPlan(oracle::latticeConfigs(), 1, 306783379, 1, 1),
+                 FatalError);
+    // ...and the console builds the plan before it creates the
+    // campaign directory, so a refused plan leaves none behind.
+    const std::string reply =
+        console_.execute("campaign start " + dir_ + " 306783379 1");
+    EXPECT_EQ(reply.rfind("error: ", 0), 0u) << reply;
+    EXPECT_FALSE(std::filesystem::exists(dir_));
+}
+
 TEST_F(CampaignConsoleTest, StatusAndResumeOnMissingCampaignFailClosed)
 {
     const std::string status =

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "trace/tracefile.hh"
 
 namespace memories::ies
@@ -467,6 +468,66 @@ TEST(ConsoleTest, TraceCommandFamilyDrivesFlightRecorder)
     EXPECT_EQ(bus.flightRecorder(), nullptr);
 }
 
+TEST(ConsoleTest, TraceStartRefusesRingsAboveTheCeilingAtOnce)
+{
+    // Rounding these up to a power of two overflowed (the first two
+    // spun forever) or asked for exabytes; a count above the ceiling
+    // is refused before anything is allocated.
+    bus::Bus6xx bus;
+    Console console(bus);
+    for (const char *line : {"trace start 9223372036854775809",
+                             "trace start 18446744073709551615",
+                             "trace start 9223372036854775808",
+                             "trace start 4194305"}) {
+        EXPECT_EQ(console.execute(line).rfind("error: event count", 0),
+                  0u)
+            << line;
+        EXPECT_EQ(console.flightRecorder(), nullptr) << line;
+    }
+    EXPECT_THROW(trace::FlightRecorder(trace::FlightRecorder::maxCapacity +
+                                       1),
+                 FatalError);
+}
+
+TEST(ConsoleTest, MonitorAndStatsAgreeOnTheMissRatio)
+{
+    // 100 reads of fresh lines miss; 100 cast-outs of the same lines
+    // hit. A node's miss ratio counts references only, so the window
+    // must read what `stats` reads (1), not 100 of 200 (0.5).
+    bus::Bus6xx bus;
+    Console console(bus);
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0,1");
+    console.execute("init");
+    console.execute("monitor start 100000");
+    for (const bus::BusOp op : {bus::BusOp::Read, bus::BusOp::WriteBack}) {
+        for (Addr i = 0; i < 100; ++i) {
+            auto txn = readTxn(0x100000 + i * 128, 0);
+            txn.op = op;
+            bus.issue(txn);
+            bus.tick(100);
+        }
+    }
+    console.board()->drainAll();
+    bus.tick(100'000); // closes [0, 100000), which holds all 200
+
+    const auto ratio = [](const std::string &text, const std::string &at) {
+        const auto from = text.find(at);
+        const auto key = text.find("miss-ratio ", from);
+        EXPECT_NE(from, std::string::npos) << text;
+        EXPECT_NE(key, std::string::npos) << text;
+        return key == std::string::npos ? -1.0
+                                        : std::stod(text.substr(key + 11));
+    };
+    const auto stats = console.execute("stats");
+    const auto view = console.execute("monitor");
+    EXPECT_NE(stats.find("refs 100 hits 0 misses 100"), std::string::npos)
+        << stats;
+    EXPECT_NE(view.find("node0: refs 100 misses 100"), std::string::npos)
+        << view;
+    EXPECT_EQ(ratio(view, "node0: refs"), ratio(stats, "  refs "));
+}
+
 TEST(ConsoleTest, TraceAutodumpWritesRingOnAnomaly)
 {
     // A 2-entry transaction buffer plus back-to-back issues forces an
@@ -606,9 +667,10 @@ TEST(ConsoleTest, ProfCommandFamilyDrivesProfiler)
     console.execute("init");
 
     EXPECT_EQ(console.profiler(), nullptr);
-    EXPECT_NE(console.execute("prof start 4096")
-                  .find("profiler attached (4096 spans)"),
+    // The profiler keeps no span ring, so start takes no size.
+    EXPECT_NE(console.execute("prof start 4096").find("error:"),
               std::string::npos);
+    EXPECT_EQ(console.execute("prof start"), "profiler attached");
     ASSERT_NE(console.profiler(), nullptr);
     EXPECT_NE(console.execute("prof start").find("error:"),
               std::string::npos);
@@ -628,17 +690,9 @@ TEST(ConsoleTest, ProfCommandFamilyDrivesProfiler)
     EXPECT_NE(show.find("feed_batch"), std::string::npos) << show;
     EXPECT_NE(show.find("emulation"), std::string::npos) << show;
 
-    const std::string folded = ::testing::TempDir() + "console.folded";
-    EXPECT_NE(console.execute("prof dump " + folded)
-                  .find("wrote folded flamegraph stacks"),
-              std::string::npos);
-    const std::string chrome = ::testing::TempDir() + "console.chrome";
-    const auto reply = console.execute("prof chrome " + chrome);
-    EXPECT_NE(reply.find("profiler spans as Chrome trace JSON"),
-              std::string::npos)
-        << reply;
-    std::remove(folded.c_str());
-    std::remove(chrome.c_str());
+    // The report is numbers only: no command writes a file.
+    for (const char *gone : {"prof dump x.folded", "prof chrome x.json"})
+        EXPECT_EQ(console.execute(gone).rfind("error:", 0), 0u) << gone;
 
     EXPECT_NE(console.execute("prof stop").find("profiler detached"),
               std::string::npos);

@@ -1,10 +1,10 @@
 /**
  * @file
  * IESPROF unit tier: stage accounting, the child <= parent invariant,
- * and the export surfaces (folded stacks, merged chrome trace, profile
- * JSON, telemetry series). The non-perturbation claim — attached vs
- * detached byte-equivalence — lives in prof_equiv_test.cc; this file
- * pins the arithmetic and the formats.
+ * and the reports (stage table, profile JSON, telemetry series). The
+ * non-perturbation claim — attached vs detached byte-equivalence —
+ * lives in prof_equiv_test.cc; this file pins the arithmetic and the
+ * formats.
  */
 
 #include "profile/profiler.hh"
@@ -16,11 +16,8 @@
 
 #include "ies/board.hh"
 #include "oracle/stimulus.hh"
-#include "profile/profexport.hh"
 #include "telemetry/exporter.hh"
 #include "telemetry/sampler.hh"
-#include "trace/chrometrace.hh"
-#include "trace/lifecycle.hh"
 
 namespace memories::profile
 {
@@ -30,8 +27,8 @@ namespace
 TEST(ProfilerTest, StageNamesAndParentsFormATree)
 {
     // Every stage has a printable name; every non-root stage's parent
-    // chain terminates at FeedBatch (the folded-stack renderer and
-    // describe() both walk it).
+    // chain terminates at FeedBatch (describe() and the profile JSON
+    // both name it).
     for (std::size_t s = 0; s < numStages; ++s) {
         const Stage stage = static_cast<Stage>(s);
         EXPECT_NE(std::string(stageName(stage)), "");
@@ -75,33 +72,18 @@ TEST(ProfilerTest, ScopedStageIsANoOpOnNullProfiler)
 TEST(ProfilerTest, ResetClearsEverything)
 {
     Profiler prof;
-    prof.beginBatch(0);
+    prof.recordStage(Stage::FeedBatch, Profiler::nowNs() - 10);
     prof.recordStage(Stage::Emulation, Profiler::nowNs());
-    prof.endBatch(100, Profiler::nowNs() - 10);
-    ASSERT_GT(prof.snapshot().batches, 0u);
+    // batches is the root's call count.
+    ASSERT_EQ(prof.snapshot().batches, 1u);
     prof.reset();
     const ProfReport report = prof.snapshot();
     EXPECT_EQ(report.batches, 0u);
-    EXPECT_EQ(report.spansRecorded, 0u);
+    EXPECT_EQ(report.stage(Stage::FeedBatch).ns, 0u);
     EXPECT_EQ(report.stage(Stage::Emulation).calls, 0u);
 }
 
-TEST(ProfilerTest, SpanRingDropsNewAtCapacity)
-{
-    Profiler prof(/*span_capacity=*/4);
-    for (int b = 0; b < 8; ++b) {
-        prof.beginBatch(b * 100);
-        prof.endBatch(b * 100 + 50, Profiler::nowNs() - 1000);
-    }
-    const ProfReport report = prof.snapshot();
-    EXPECT_EQ(prof.spans().size(), 4u);
-    EXPECT_EQ(report.spansRecorded, 4u);
-    EXPECT_GT(report.spansDropped, 0u);
-    // Drop-new keeps the *first* batches: span 0 is batch 1.
-    EXPECT_EQ(prof.spans().front().batch, 1u);
-}
-
-/** A profiled batch run over a real board, for the export tests. */
+/** A profiled batch run over a real board, for the report tests. */
 Profiler &
 profiledRun(ies::MemoriesBoard &board, Profiler &prof,
             std::size_t count = 2000)
@@ -184,90 +166,12 @@ TEST(ProfilerTest, DescribeNamesStages)
     EXPECT_NE(text.find("emulation"), std::string::npos);
 }
 
-TEST(ProfilerTest, FoldedStacksCarryRootedSemicolonPaths)
-{
-    ies::MemoriesBoard board(smallBoard());
-    Profiler prof;
-    profiledRun(board, prof);
-    const std::string folded = foldedStacks(prof);
-    ASSERT_FALSE(folded.empty());
-    // Every line: "frame(;frame)* <integer>\n", rooted at feed_batch.
-    std::size_t at = 0;
-    while (at < folded.size()) {
-        const std::size_t nl = folded.find('\n', at);
-        ASSERT_NE(nl, std::string::npos);
-        const std::string line = folded.substr(at, nl - at);
-        const std::size_t space = line.rfind(' ');
-        ASSERT_NE(space, std::string::npos) << line;
-        EXPECT_EQ(line.rfind("feed_batch", 0), 0u) << line;
-        const std::string count = line.substr(space + 1);
-        EXPECT_NE(count.find_first_of("0123456789"), std::string::npos)
-            << line;
-        at = nl + 1;
-    }
-    // Admission and emulation are the root's children.
-    EXPECT_NE(folded.find("feed_batch;batch_admission "),
-              std::string::npos);
-    EXPECT_NE(folded.find("feed_batch;emulation "), std::string::npos);
-}
-
-TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
-{
-    ies::MemoriesBoard board(smallBoard());
-    trace::FlightRecorder recorder(1 << 12);
-    board.attachFlightRecorder(recorder);
-    Profiler prof;
-    profiledRun(board, prof);
-
-    const auto events = recorder.snapshot();
-    const std::string plain =
-        trace::chromeTraceToString(events, &recorder);
-    const std::string merged =
-        mergedChromeTrace(events, prof, &recorder);
-
-    // Non-perturbation at the export layer: the merged document is the
-    // plain one with profiler rows spliced in before the closing
-    // bracket — the plain export's bytes all survive, in order.
-    static const std::string suffix = "\n]}\n";
-    ASSERT_GE(plain.size(), suffix.size());
-    const std::string prefix =
-        plain.substr(0, plain.size() - suffix.size());
-    EXPECT_EQ(merged.rfind(prefix, 0), 0u);
-    EXPECT_EQ(merged.substr(merged.size() - suffix.size()), suffix);
-    EXPECT_GT(merged.size(), plain.size());
-
-    // The splice carries the dedicated profiler pid and its lanes.
-    EXPECT_NE(merged.find("\"pid\":99"), std::string::npos);
-    EXPECT_NE(merged.find("IESPROF (emulator)"), std::string::npos);
-    EXPECT_NE(merged.find("\"feed_batch\""), std::string::npos);
-    // A recorder watches every tenure, so the batch ran the serial
-    // path: emulation happened inside admission.
-    EXPECT_NE(merged.find("\"batch_admission\""), std::string::npos);
-    EXPECT_EQ(merged.find("\"emulation\""), std::string::npos);
-    // And the plain export never mentions any of it.
-    EXPECT_EQ(plain.find("IESPROF"), std::string::npos);
-}
-
-TEST(ProfilerTest, MergedTraceWithNoLifecycleEventsIsStillValid)
-{
-    Profiler prof;
-    prof.beginBatch(0);
-    prof.recordStage(Stage::Emulation, Profiler::nowNs());
-    prof.endBatch(50, Profiler::nowNs() - 1000);
-    const std::string merged = mergedChromeTrace({}, prof);
-    EXPECT_EQ(merged.rfind("{\"displayTimeUnit\"", 0), 0u);
-    EXPECT_EQ(merged.substr(merged.size() - 4), "\n]}\n");
-    EXPECT_NE(merged.find("\"pid\":99"), std::string::npos);
-    // No leading comma before the first spliced event.
-    EXPECT_EQ(merged.find("[\n,"), std::string::npos);
-}
-
 TEST(ProfilerTest, ProfileJsonCarriesStages)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
     profiledRun(board, prof);
-    const std::string json = profileJson(prof, 2000);
+    const std::string json = prof.json(2000);
     EXPECT_EQ(json.rfind("{", 0), 0u);
     EXPECT_EQ(json.substr(json.size() - 2), "]}");
     EXPECT_NE(json.find("\"refs\":2000"), std::string::npos);

@@ -90,6 +90,10 @@ TEST(ServiceProtocolFuzzTest, GarbageRequestsAlwaysGetFramedReplies)
         "throughput 4294967338",
         "health degrade-window 4294967297",
         "campaign start d 99999999999999999999999 1 1",
+        // Ring sizes whose power-of-two rounding overflowed: they
+        // pinned the serve thread forever.
+        "trace start 9223372036854775809",
+        "trace start 18446744073709551615",
         "session",
         "session name",
         "session name ../escape",
