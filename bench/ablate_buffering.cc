@@ -61,12 +61,11 @@ int
 program(int argc, char **argv)
 {
     using namespace memories;
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    const std::uint64_t bursts = parseRefs(argc, argv, 0.02); // 20K bursts
     bench::banner("Ablation: buffer depth x SDRAM pacing",
                   "512 entries @42% never retries at 20% mean "
                   "utilization");
 
-    const std::uint64_t bursts = args.refsOrDefault(0.02); // 20K bursts
     const std::uint64_t burst_len = 64;
 
     std::printf("--- buffer depth sweep (42%% pacing, 64-txn bursts, "

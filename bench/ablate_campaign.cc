@@ -38,12 +38,10 @@ int
 program(int argc, char **argv)
 {
     using namespace memories;
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    const std::uint64_t txns = parseRefs(argc, argv, 0.2);
     bench::banner("Ablation: IESCAMP checkpoint cadence overhead",
                   "durability costs wall time and bytes; the cadence "
                   "bounds how much work a crash can destroy");
-
-    const std::uint64_t txns = args.refsOrDefault(0.2);
 
     std::vector<oracle::LatticeConfig> configs;
     for (oracle::LatticeConfig &c : oracle::latticeConfigs())

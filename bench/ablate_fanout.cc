@@ -72,13 +72,12 @@ recordStream(std::uint64_t refs)
 int
 program(int argc, char **argv)
 {
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    const std::uint64_t refs = parseRefs(argc, argv, 2.0);
     bench::banner("Ablation: multi-config fan-out vs serial lock-step",
                   "one stream, 4 geometries; hardware needs 4 real-time "
                   "runs, the fleet needs 1");
 
     setLoggingQuiet(true);
-    const std::uint64_t refs = args.refsOrDefault(2.0);
     const auto events = recordStream(refs);
     const auto configs = sweep();
     std::printf("committed stream: %zu events (%llu host refs); "

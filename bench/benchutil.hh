@@ -2,20 +2,19 @@
  * @file
  * Shared plumbing for the table/figure reproduction harnesses.
  *
- * Every bench accepts (a malformed or unknown argument exits 2):
+ * Each bench declares only the flags it reads, and a malformed or
+ * unknown argument (one another bench takes included) exits 2:
  *   --refs=M        host references to run, in millions (default per
- *                   bench; raise to approach paper-sized runs)
- *   --scale=F       footprint scale factor relative to the bench default
- *   --telemetry=DIR write windowed telemetry files into DIR (benches
- *                   that support it; off by default so the timed loops
- *                   stay instrumentation-free)
- *   --json=FILE     also write machine-readable results to FILE
- *                   (benches that support it; CI uploads these as
- *                   artifacts so throughput is trackable over time)
- *   --profile       attach an IESPROF profiler to the profiled
- *                   sections and print their stage table (benches
- *                   that support it); the per-stage breakdown also
- *                   lands in the JSON file
+ *                   bench; raise to approach paper-sized runs); every
+ *                   bench but table2_parameters, through parseRefs()
+ *                   or BenchArgs
+ *   --scale=F       footprint scale factor relative to the bench
+ *                   default; the benches that size a workload's
+ *                   footprint, through BenchArgs
+ *   --telemetry=DIR, --json=FILE, --profile
+ *                   microbench_throughput only (its header); loadtest
+ *                   takes --json=FILE too. CI uploads the JSON files as
+ *                   artifacts so throughput is trackable over time
  *
  * The harnesses print the same rows/series the paper's tables and
  * figures report, alongside the paper's published values where they
@@ -25,11 +24,16 @@
 #ifndef MEMORIES_BENCH_BENCHUTIL_HH
 #define MEMORIES_BENCH_BENCHUTIL_HH
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "checkpoint/io.hh"
 #include "common/cmdline.hh"
@@ -37,27 +41,20 @@
 namespace memories::bench
 {
 
-/** The five flags every bench takes. */
+/** --refs and --scale, the flags of a bench that sizes a footprint. */
 struct BenchArgs
 {
     double refsMillions = 0;  //!< 0 = use the bench's default
     double scale = 1.0;
-    std::string telemetryDir; //!< empty = no telemetry emission
-    std::string jsonPath;     //!< empty = no JSON results file
-    bool profile = false;     //!< attach an IESPROF profiler
 
     /** Read argv; a bad argument prints the usage and exits 2. */
     static BenchArgs
     parse(int argc, char **argv)
     {
         BenchArgs args;
-        CommandLine("[--refs=<millions>] [--scale=F] [--telemetry=DIR] "
-                    "[--json=FILE] [--profile]")
+        CommandLine("[--refs=<millions>] [--scale=F]")
             .flag("--refs", args.refsMillions)
             .flag("--scale", args.scale)
-            .flag("--telemetry", args.telemetryDir)
-            .flag("--json", args.jsonPath)
-            .flag("--profile", args.profile)
             .parseOrExit(argc, argv);
         return args;
     }
@@ -148,6 +145,22 @@ writeJsonResults(const std::string &path, const std::string &bench,
     json += extraJson.empty() ? "  ]\n" : "  ],\n  " + extraJson + "\n";
     json += "}\n";
     ckpt::atomicWriteFile(path, json.data(), json.size());
+}
+
+/**
+ * fatal() unless the directory @p path lies in is writable. A results
+ * file is written after the timed sections; checking first fails a
+ * mistyped path before them instead of after the whole run.
+ */
+inline void
+requireWritableDir(const std::string &path)
+{
+    std::string dir = std::filesystem::path(path).parent_path().string();
+    if (dir.empty())
+        dir = ".";
+    if (::access(dir.c_str(), W_OK | X_OK) != 0)
+        fatal("cannot write '", path, "': directory '", dir, "': ",
+              std::strerror(errno));
 }
 
 /** Print a banner naming the experiment being reproduced. */

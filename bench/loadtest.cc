@@ -13,7 +13,8 @@
  * Usage: loadtest [--clients=N] [--configs=M] [--refs=F(millions per
  *        client)] [--batch=B] [--socket=PATH (attach to an external
  *        daemon instead of an in-process one)] [--json=FILE]
- * A malformed, unknown or zero argument exits 2.
+ * A malformed, unknown or zero argument exits 2; a --json file whose
+ * directory cannot be written exits 1 before any client runs.
  */
 
 #include <algorithm>
@@ -119,6 +120,8 @@ program(int argc, char **argv)
         .flag("--socket", socket)
         .flag("--json", jsonPath)
         .parseOrExit(argc, argv);
+    if (!jsonPath.empty())
+        bench::requireWritableDir(jsonPath);
     const auto refs = static_cast<std::uint64_t>(millions * 1e6);
 
     bench::banner(

@@ -9,11 +9,26 @@
  * simulator. This bench prints all three plus the implied wall-clock
  * for paper-scale runs, which EXPERIMENTS.md cites for every scaled
  * experiment.
+ *
+ * Usage: microbench_throughput [--refs=<millions>] [--telemetry=DIR]
+ *                              [--json=FILE] [--profile]
+ *
+ *   --telemetry=DIR  write the first board section's windows to
+ *                    DIR/microbench.jsonl (off by default, so the
+ *                    timed loops stay instrumentation-free)
+ *   --json=FILE      also write the sections as a JSON results file
+ *   --profile        add the IESPROF-profiled feed section and print
+ *                    its stage table; the breakdown also lands in the
+ *                    JSON file
+ *
+ * Both files are opened or checked before the first section runs, so
+ * a bad path fails at once.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -43,11 +58,32 @@ int
 program(int argc, char **argv)
 {
     using namespace memories;
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    double millions = 4.0;
+    std::string telemetry_dir, json_path;
+    bool profile = false;
+    CommandLine("[--refs=<millions>] [--telemetry=DIR] [--json=FILE] "
+                "[--profile]")
+        .flag("--refs", millions)
+        .flag("--telemetry", telemetry_dir)
+        .flag("--json", json_path)
+        .flag("--profile", profile)
+        .parseOrExit(argc, argv);
+
+    std::ofstream jsonl;
+    const std::string jsonl_path = telemetry_dir + "/microbench.jsonl";
+    if (!telemetry_dir.empty()) {
+        std::filesystem::create_directories(telemetry_dir);
+        jsonl.open(jsonl_path, std::ios::trunc);
+        if (!jsonl)
+            fatal("cannot create telemetry file '", jsonl_path, "'");
+    }
+    if (!json_path.empty())
+        bench::requireWritableDir(json_path);
+
     bench::banner("Microbenchmark: reproduction throughput",
                   "board path vs host model vs detailed simulator");
 
-    const std::uint64_t n = args.refsOrDefault(4.0);
+    const auto n = static_cast<std::uint64_t>(millions * 1e6);
 
     // Pre-generate a transaction stream.
     std::vector<bus::BusTransaction> trace;
@@ -87,19 +123,11 @@ program(int argc, char **argv)
         // the timed loop instrumentation-free, which is the number the
         // real-time claim rests on.
         std::unique_ptr<telemetry::Sampler> sampler;
-        std::unique_ptr<telemetry::JsonLinesExporter> jsonl;
-        std::unique_ptr<telemetry::CsvExporter> csv;
-        if (!args.telemetryDir.empty()) {
-            std::filesystem::create_directories(args.telemetryDir);
+        if (jsonl.is_open()) {
             sampler = std::make_unique<telemetry::Sampler>(500'000);
-            const std::string base =
-                args.telemetryDir + "/microbench";
-            jsonl = std::make_unique<telemetry::JsonLinesExporter>(
-                base + ".jsonl");
-            csv = std::make_unique<telemetry::CsvExporter>(base +
-                                                           ".csv");
-            sampler->addExporter(*jsonl);
-            sampler->addExporter(*csv);
+            sampler->addExporter([&jsonl](const telemetry::WindowRecord &w) {
+                jsonl << telemetry::jsonLine(w);
+            });
             board.attachTelemetry(*sampler);
             bus.attachSampler(*sampler);
         }
@@ -115,10 +143,13 @@ program(int argc, char **argv)
         if (sampler) {
             bus.detachSampler();
             sampler->finish(bus.now());
-            std::printf("  telemetry: %llu windows -> %s.{jsonl,csv}\n",
+            jsonl.close();
+            if (jsonl.fail())
+                fatal("failed writing telemetry file '", jsonl_path, "'");
+            std::printf("  telemetry: %llu windows -> %s\n",
                         static_cast<unsigned long long>(
                             sampler->windowsEmitted()),
-                        (args.telemetryDir + "/microbench").c_str());
+                        jsonl_path.c_str());
         }
     }
     {
@@ -160,7 +191,7 @@ program(int argc, char **argv)
                 feed_batches(board, trace.size());
                 batch_s.push_back(clock.seconds());
             }
-            if (args.profile) {
+            if (profile) {
                 ies::MemoriesBoard board(config);
                 prof.reset();
                 board.attachProfiler(prof);
@@ -172,11 +203,11 @@ program(int argc, char **argv)
         const auto refs = static_cast<double>(trace.size());
         report("feed serial (feedCommitted)", median(serial_s), refs);
         report("feed batch", median(batch_s), refs);
-        if (args.profile)
+        if (profile)
             report("feed batch (profiled)", median(profiled_s), refs);
         std::printf("  feed sections: median of %d interleaved rounds\n",
                     rounds);
-        if (args.profile) {
+        if (profile) {
             profile_json =
                 "\"profile\": " +
                 prof.json(static_cast<std::uint64_t>(trace.size()));
@@ -278,14 +309,14 @@ program(int argc, char **argv)
                static_cast<double>(trace.size()));
     }
 
-    if (!args.jsonPath.empty()) {
+    if (!json_path.empty()) {
         char config[128];
         std::snprintf(config, sizeof(config),
                       "%llu refs, 64MiB/4-way/128B LRU board, 8 CPUs",
                       static_cast<unsigned long long>(n));
-        bench::writeJsonResults(args.jsonPath, "microbench_throughput",
+        bench::writeJsonResults(json_path, "microbench_throughput",
                                 config, results, profile_json);
-        std::printf("\nJSON results -> %s\n", args.jsonPath.c_str());
+        std::printf("\nJSON results -> %s\n", json_path.c_str());
     }
 
     std::printf("\ncontext: the real board retires bus references at "

@@ -23,7 +23,7 @@ int
 program(int argc, char **argv)
 {
     using namespace memories;
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    const std::uint64_t sample = parseRefs(argc, argv, 1.0);
     bench::banner("Table 1 & Figure 1: the simulation-scaling gap",
                   "simulated caches lagged real machines by 8-64x "
                   "through the 1990s");
@@ -60,7 +60,6 @@ program(int argc, char **argv)
 
     // Why the gap existed: measure this machine's detailed-simulation
     // rate and project both problem scales.
-    const std::uint64_t sample = args.refsOrDefault(1.0);
     sim::DetailedParams params;
     params.cache = cache::CacheConfig{8 * MiB, 4, 128,
                                       cache::ReplacementPolicy::LRU};

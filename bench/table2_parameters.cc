@@ -20,7 +20,7 @@ int
 program(int argc, char **argv)
 {
     using namespace memories;
-    (void)bench::BenchArgs::parse(argc, argv);
+    CommandLine().parseOrExit(argc, argv);
     bench::banner("Table 2: cache emulation parameters",
                   "size 2MB-8GB, DM to 8-way, 1-8 CPUs/node, line "
                   "128B-16KB");

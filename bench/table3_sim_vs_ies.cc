@@ -54,12 +54,11 @@ int
 program(int argc, char **argv)
 {
     using namespace memories;
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    const std::uint64_t sample = parseRefs(argc, argv, 2.0);
     bench::banner("Table 3: C simulator vs MemorIES execution time",
                   "32K->10B vectors; sim: 1s -> ~3 days; board: "
                   "3.28ms -> 16.67 min");
 
-    const std::uint64_t sample = args.refsOrDefault(2.0);
     const auto trace = makeTrace(sample);
 
     // Measure the detailed trace-driven simulator in the role the

@@ -30,15 +30,14 @@ int
 program(int argc, char **argv)
 {
     using namespace memories;
-    const auto args = bench::BenchArgs::parse(argc, argv);
+    const std::uint64_t instr_per_thread =
+        parseRefs(argc, argv, 3.0); // measured sample: 3M instr/thread
     bench::banner("Table 4: Augmint vs MemorIES (FFT, 8 threads)",
                   "m=20: 47min vs 3s ... m=26: >2 days vs 196s");
 
     // Measure the execution-driven simulator's honest throughput on a
     // downscaled FFT (every simulated instruction is stepped; memory
     // instructions walk the full L1/L2/shared model).
-    const std::uint64_t instr_per_thread =
-        args.refsOrDefault(3.0); // measured sample: 3M instr/thread
     workload::SplashWorkload fft(
         workload::fftParams(20, 8, 1.0 / 64.0));
     sim::ExecDrivenParams exec_params;

@@ -28,9 +28,11 @@
  * measured wall-clock speedup.
  *
  * With --telemetry, each application's measurement pass also emits
- * windowed telemetry (host refs, bus utilization, per-board fleet
- * drop/stall counters) as sweep_<app>.jsonl and sweep_<app>.csv, plus
- * a sweep_fleet.csv fidelity report.
+ * windowed telemetry (host refs, L2 misses and writebacks; bus
+ * tenures, retries and utilization; the fleet's tap counters) as
+ * sweep_<app>.jsonl, plus a sweep_fleet.csv fidelity report: each
+ * board's consumed events, overflow drops and ring stalls, read once
+ * the workers are joined.
  *
  * With --faults, every board carries its own deterministic fault
  * injector driving the same plan under a different seed (seed = board
@@ -220,18 +222,17 @@ program(int argc, char **argv)
         // thread-safe sources are registered (host, bus, fleet
         // atomics): the boards' own banks belong to worker threads.
         std::unique_ptr<telemetry::Sampler> sampler;
-        std::unique_ptr<telemetry::JsonLinesExporter> jsonl;
-        std::unique_ptr<telemetry::CsvExporter> csv;
+        std::ofstream jsonl;
+        const std::string jsonl_path =
+            telemetry_dir + "/sweep_" + app.name + ".jsonl";
         if (!telemetry_dir.empty()) {
+            jsonl.open(jsonl_path, std::ios::trunc);
+            if (!jsonl)
+                fatal("cannot create telemetry file '", jsonl_path, "'");
             sampler = std::make_unique<telemetry::Sampler>(250'000);
-            const std::string base =
-                telemetry_dir + "/sweep_" + app.name;
-            jsonl = std::make_unique<telemetry::JsonLinesExporter>(
-                base + ".jsonl");
-            csv = std::make_unique<telemetry::CsvExporter>(base +
-                                                           ".csv");
-            sampler->addExporter(*jsonl);
-            sampler->addExporter(*csv);
+            sampler->addExporter([&jsonl](const telemetry::WindowRecord &w) {
+                jsonl << telemetry::jsonLine(w);
+            });
             // Only bus-thread sources, so the uploaded artifacts are
             // byte-stable run-to-run (the per-board fidelity numbers
             // land in sweep_fleet.csv after finish()).
@@ -251,6 +252,9 @@ program(int argc, char **argv)
         if (sampler) {
             machine.bus().detachSampler();
             sampler->finish(machine.bus().now());
+            jsonl.close();
+            if (jsonl.fail())
+                fatal("failed writing telemetry file '", jsonl_path, "'");
         }
 
         const auto fleet_report = ies::FleetReport::capture(fleet);
@@ -331,8 +335,9 @@ program(int argc, char **argv)
                     "sweep\n",
                     static_cast<unsigned long long>(total_injected));
     if (!telemetry_dir.empty())
-        std::printf("telemetry written to %s/sweep_*.{jsonl,csv}\n",
-                    telemetry_dir.c_str());
+        std::printf("telemetry written to %s/sweep_*.jsonl and "
+                    "%s/sweep_fleet.csv\n",
+                    telemetry_dir.c_str(), telemetry_dir.c_str());
     return 0;
 }
 

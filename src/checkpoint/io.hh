@@ -20,10 +20,10 @@
  * a torn hybrid. Readers may find a stale `.tmp` beside a valid file
  * (a crash mid-write); they must ignore it.
  *
- * Only the telemetry streams do not go through it: the JSONL/CSV
- * exporters append window by window while a run goes on, and the
- * Prometheus exporter truncates and rewrites its file each window.
- * They are neither atomic nor seen by the shim.
+ * Only the telemetry streams do not go through it: JSON Lines files
+ * are appended window by window while a run goes on, and the daemon's
+ * metrics.prom is truncated and rewritten each window. They are
+ * neither atomic nor seen by the shim.
  *
  * The DiskFaultShim makes every failure path exercisable on a healthy
  * disk. When installed, each atomicWriteFile() call first asks the

@@ -206,13 +206,6 @@ FaultInjector::totalInjected() const
     return total;
 }
 
-void
-FaultInjector::attachTelemetry(telemetry::Sampler &sampler,
-                               const std::string &prefix)
-{
-    sampler.addBank(prefix, counters_);
-}
-
 std::string
 FaultInjector::dumpStats() const
 {

@@ -114,10 +114,6 @@ class FaultInjector final : public bus::BusSnooper
     /** Total faults injected across every kind. */
     std::uint64_t totalInjected() const;
 
-    /** Register the injection counters with a telemetry sampler. */
-    void attachTelemetry(telemetry::Sampler &sampler,
-                         const std::string &prefix = "faults");
-
     /** One-line-per-kind console rendering ("fault status"). */
     std::string dumpStats() const;
 

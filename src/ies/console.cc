@@ -1,5 +1,6 @@
 #include "ies/console.hh"
 
+#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <map>
@@ -35,100 +36,94 @@ isReferenceName(std::string_view op)
 }
 
 /**
- * Internal exporter behind the console's "monitor" command: keeps a
- * formatted view of the most recent closed window — per-node miss
+ * The console's "monitor" view of one closed window: per-node miss
  * ratios computed from window *deltas* (the live readout the hardware
  * console gave the operator) plus bus activity.
  */
-class MonitorView final : public telemetry::Exporter
+std::string
+monitorView(const telemetry::WindowRecord &w)
 {
-  public:
-    void exportWindow(const telemetry::WindowRecord &w) override
+    struct NodeWindow
     {
-        struct NodeWindow
-        {
-            std::uint64_t hits = 0;
-            std::uint64_t misses = 0;
-        };
-        std::map<std::string, NodeWindow> nodes;
-        std::uint64_t busTenures = 0;
-        bool sawBus = false;
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+    };
+    std::map<std::string, NodeWindow> nodes;
+    std::uint64_t busTenures = 0;
+    bool sawBus = false;
 
-        for (const auto &c : w.counters) {
-            const std::string &name = *c.name;
-            if (name == "bus.tenures") {
-                busTenures = c.delta;
-                sawBus = true;
-                continue;
-            }
-            // Per-node references look like
-            // "<prefix>.nodeN.local.<op>.hit|miss"; like NodeStats,
-            // only reference ops count (not cast-outs).
-            const auto local = name.find(".local.");
-            if (local == std::string::npos)
-                continue;
-            const auto node = name.rfind("node", local);
-            const std::string_view op =
-                std::string_view(name).substr(local + 7);
-            const auto dot = op.find('.');
-            if (node == std::string::npos || dot == std::string::npos ||
-                !isReferenceName(op.substr(0, dot)))
-                continue;
-            NodeWindow &nw = nodes[name.substr(node, local - node)];
-            const std::string_view outcome = op.substr(dot);
-            if (outcome == ".hit")
-                nw.hits += c.delta;
-            else if (outcome == ".miss")
-                nw.misses += c.delta;
+    for (const auto &c : w.counters) {
+        const std::string &name = *c.name;
+        if (name == "bus.tenures") {
+            busTenures = c.delta;
+            sawBus = true;
+            continue;
         }
-
-        std::ostringstream os;
-        os << "window " << w.index << " [" << w.beginCycle << ", "
-           << w.endCycle << ")";
-        if (sawBus) {
-            const Cycle span = w.endCycle - w.beginCycle;
-            os << " bus tenures " << busTenures;
-            if (span > 0) {
-                os << " utilization " << std::fixed
-                   << std::setprecision(1)
-                   << 100.0 * static_cast<double>(busTenures) /
-                          static_cast<double>(span)
-                   << "%";
-            }
-        }
-        os << "\n";
-        for (const auto &[label, nw] : nodes) {
-            const std::uint64_t refs = nw.hits + nw.misses;
-            os << "  " << label << ": refs " << refs << " misses "
-               << nw.misses << " miss-ratio ";
-            if (refs == 0) {
-                os << "n/a";
-            } else {
-                os << std::fixed << std::setprecision(4)
-                   << static_cast<double>(nw.misses) /
-                          static_cast<double>(refs);
-            }
-            os << "\n";
-        }
-        latest_ = os.str();
+        // Per-node references look like
+        // "<prefix>.nodeN.local.<op>.hit|miss"; like NodeStats, only
+        // reference ops count (not cast-outs).
+        const auto local = name.find(".local.");
+        if (local == std::string::npos)
+            continue;
+        const auto node = name.rfind("node", local);
+        const std::string_view op = std::string_view(name).substr(local + 7);
+        const auto dot = op.find('.');
+        if (node == std::string::npos || dot == std::string::npos ||
+            !isReferenceName(op.substr(0, dot)))
+            continue;
+        NodeWindow &nw = nodes[name.substr(node, local - node)];
+        const std::string_view outcome = op.substr(dot);
+        if (outcome == ".hit")
+            nw.hits += c.delta;
+        else if (outcome == ".miss")
+            nw.misses += c.delta;
     }
 
-    const std::string &latest() const { return latest_; }
-
-  private:
-    std::string latest_;
-};
+    std::ostringstream os;
+    os << "window " << w.index << " [" << w.beginCycle << ", "
+       << w.endCycle << ")";
+    if (sawBus) {
+        const Cycle span = w.endCycle - w.beginCycle;
+        os << " bus tenures " << busTenures;
+        if (span > 0) {
+            os << " utilization " << std::fixed << std::setprecision(1)
+               << 100.0 * static_cast<double>(busTenures) /
+                      static_cast<double>(span)
+               << "%";
+        }
+    }
+    os << "\n";
+    for (const auto &[label, nw] : nodes) {
+        const std::uint64_t refs = nw.hits + nw.misses;
+        os << "  " << label << ": refs " << refs << " misses "
+           << nw.misses << " miss-ratio ";
+        if (refs == 0) {
+            os << "n/a";
+        } else {
+            os << std::fixed << std::setprecision(4)
+               << static_cast<double>(nw.misses) /
+                      static_cast<double>(refs);
+        }
+        os << "\n";
+    }
+    return os.str();
+}
 
 } // namespace
 
-/** Owns one monitor session: the sampler, its view, and file sinks. */
+/** Owns one monitor session: the sampler, its view, and its file. */
 struct ConsoleMonitor
 {
     telemetry::Sampler sampler;
-    MonitorView view;
-    std::unique_ptr<telemetry::JsonLinesExporter> jsonl;
+    /** monitorView() of the most recent closed window. */
+    std::string latest;
+    /** The JSON Lines file `monitor start` named, if any. */
+    std::ofstream jsonl;
 
     explicit ConsoleMonitor(Cycle window) : sampler(window) {}
+    // The sampler's exporters hold this monitor's address.
+    ConsoleMonitor(const ConsoleMonitor &) = delete;
+    ConsoleMonitor &operator=(const ConsoleMonitor &) = delete;
 };
 
 std::vector<std::string>
@@ -607,11 +602,11 @@ Console::handleMonitor(const Tokens &tokens)
         if (!monitor_)
             fatal("no monitor session; use: monitor start "
                   "<cycles> [jsonl-path]");
-        if (monitor_->view.latest().empty())
+        if (monitor_->latest.empty())
             return "no window closed yet (monitoring every " +
                    std::to_string(monitor_->sampler.windowCycles()) +
                    " bus cycles)";
-        return monitor_->view.latest();
+        return monitor_->latest;
     }
     if (tokens[1] == "start") {
         if (tokens.size() < 3 || tokens.size() > 4)
@@ -620,13 +615,21 @@ Console::handleMonitor(const Tokens &tokens)
             fatal("monitor already running; 'monitor stop' first");
         const Cycle window = parseUnsigned(tokens[2], "monitor window");
         auto mon = std::make_unique<ConsoleMonitor>(window);
-        board.attachTelemetry(mon->sampler);
-        mon->sampler.addExporter(mon->view);
+        ConsoleMonitor *raw = mon.get();
         if (tokens.size() == 4) {
-            mon->jsonl =
-                std::make_unique<telemetry::JsonLinesExporter>(tokens[3]);
-            mon->sampler.addExporter(*mon->jsonl);
+            // Opened now, so a bad path is this line's error and
+            // nothing is attached.
+            mon->jsonl.open(tokens[3], std::ios::trunc);
+            if (!mon->jsonl)
+                fatal("cannot create telemetry file '", tokens[3], "'");
+            mon->sampler.addExporter([raw](const telemetry::WindowRecord &w) {
+                raw->jsonl << telemetry::jsonLine(w);
+            });
         }
+        mon->sampler.addExporter([raw](const telemetry::WindowRecord &w) {
+            raw->latest = monitorView(w);
+        });
+        board.attachTelemetry(mon->sampler);
         monitor_ = std::move(mon);
         // Attach last: registers the bus's own sources and makes
         // the bus clock the sampler from here on. The session may

@@ -29,7 +29,7 @@
  *   monitor start <cycles> [jsonl-path]
  *                            -- begin windowed telemetry sampling
  *   monitor                  -- live view of the last closed window
- *   monitor stop             -- finish sampling (flushes exporters)
+ *   monitor stop             -- finish sampling (closes the file)
  *   trace start [events]     -- attach a flight recorder (ring size)
  *   trace status             -- recorded/retained/anomaly counts
  *   trace show [n]           -- describe the last n retained events

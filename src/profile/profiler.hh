@@ -148,9 +148,9 @@ class Profiler
     /**
      * Register the stage observables with a telemetry sampler:
      * "<prefix>.stage.<name>.ns" and ".calls" as windowed counters per
-     * stage — which is how the profiler reaches the
-     * Prometheus/JSONL/CSV exporters. Values read through `this`; keep
-     * the profiler alive while the sampler runs.
+     * stage — which is how the profiler reaches JSON Lines and
+     * Prometheus output. Values read through `this`; keep the profiler
+     * alive while the sampler runs.
      */
     void attachTelemetry(telemetry::Sampler &sampler,
                          const std::string &prefix = "prof");

@@ -11,6 +11,7 @@
 
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "telemetry/exporter.hh"
 
 namespace memories::service
 {
@@ -35,14 +36,8 @@ Daemon::Daemon(DaemonOptions options)
     sampler_.addGauge("serv.sessions.active", [this] {
         return static_cast<double>(sessionsActive());
     });
-    prometheus_ =
-        std::make_unique<telemetry::PrometheusExporter>(metricsPath());
-    sampler_.addExporter(*prometheus_);
-    if (!options_.jsonlPath.empty()) {
-        jsonl_ = std::make_unique<telemetry::JsonLinesExporter>(
-            options_.jsonlPath);
-        sampler_.addExporter(*jsonl_);
-    }
+    sampler_.addExporter(
+        [this](const telemetry::WindowRecord &w) { exportWindow(w); });
 }
 
 Daemon::~Daemon()
@@ -56,6 +51,13 @@ Daemon::start()
     if (running_.load())
         fatal("daemon already running");
     ckpt::ensureDir(options_.stateDir);
+    if (!options_.jsonlPath.empty()) {
+        std::lock_guard<std::mutex> lock(telemetryMu_);
+        jsonl_.open(options_.jsonlPath, std::ios::trunc);
+        if (!jsonl_)
+            fatal("cannot create telemetry file '", options_.jsonlPath,
+                  "'");
+    }
 
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -131,6 +133,7 @@ Daemon::stop()
     {
         std::lock_guard<std::mutex> lock(telemetryMu_);
         sampler_.finish(requests_.load(std::memory_order_relaxed));
+        jsonl_.close();
     }
 }
 
@@ -229,6 +232,26 @@ Daemon::tickTelemetry()
     sampler_.advanceTo(now);
 }
 
+void
+Daemon::exportWindow(const telemetry::WindowRecord &w)
+{
+    // Truncate and rewrite, unsynced: a scraper wants only the latest
+    // window, and a loaded daemon at the default --window closes one
+    // every 64 requests. A failed write must not cost the request that
+    // closed the window: it is reported once per run of failures, and
+    // `server metrics` keeps answering with metrics_.
+    metrics_ = telemetry::prometheusText(w);
+    std::ofstream prom(metricsPath(), std::ios::trunc);
+    prom << metrics_;
+    prom.close();
+    if (prom.fail() && !metricsFailing_)
+        warn("cannot write telemetry file '", metricsPath(),
+             "'; `server metrics` still answers");
+    metricsFailing_ = prom.fail();
+    if (jsonl_.is_open())
+        jsonl_ << telemetry::jsonLine(w);
+}
+
 std::string
 Daemon::renderStatus()
 {
@@ -254,11 +277,11 @@ Daemon::handleServer(Slot &slot, const std::vector<std::string> &tokens)
     const std::string &sub = tokens[1];
     if (sub == "metrics") {
         std::lock_guard<std::mutex> lock(telemetryMu_);
-        if (prometheus_->lastExposition().empty())
+        if (metrics_.empty())
             return "no telemetry window closed yet (" +
                    std::to_string(sampler_.windowCycles()) +
                    " requests per window)";
-        return prometheus_->lastExposition();
+        return metrics_;
     }
     if (sub == "evict") {
         if (tokens.size() != 3)

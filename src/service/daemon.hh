@@ -25,11 +25,14 @@
  * its Session is destroyed (boards, fleet, console reclaimed), and the
  * accept loop reaps the slot. Other sessions never observe it.
  *
- * Telemetry: daemon totals are exported through the PR 2 pipeline — a
- * Sampler windowed on *requests served* (the daemon's natural clock),
- * a Prometheus exporter rewriting <stateDir>/metrics.prom, and an
- * optional JSONL stream. `server metrics` returns the same exposition
- * over the wire for scrape-less tests.
+ * Telemetry: daemon totals go through a Sampler windowed on *requests
+ * served* (the daemon's natural clock). At each window the daemon
+ * renders the Prometheus exposition, rewrites <stateDir>/metrics.prom
+ * with it and appends the window to the optional JSONL stream.
+ * `server metrics` returns the same exposition over the wire for
+ * scrape-less tests. A failed metrics.prom write is reported through
+ * warn() and costs no request: `server metrics` keeps answering with
+ * the last text rendered.
  */
 
 #ifndef MEMORIES_SERVICE_DAEMON_HH
@@ -37,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,7 +49,6 @@
 
 #include "service/session.hh"
 #include "service/wire.hh"
-#include "telemetry/exporter.hh"
 #include "telemetry/sampler.hh"
 
 namespace memories::service
@@ -64,7 +67,8 @@ struct DaemonOptions
     std::size_t maxBatch = 4096;
     /** Requests per telemetry window. */
     std::uint64_t windowRequests = 64;
-    /** Optional JSONL telemetry stream path ("" = off). */
+    /** Optional JSONL telemetry stream path ("" = off), opened by
+     *  start(). */
     std::string jsonlPath;
 };
 
@@ -78,17 +82,19 @@ class Daemon
     Daemon(const Daemon &) = delete;
     Daemon &operator=(const Daemon &) = delete;
 
-    /** Bind, listen, and spawn the accept loop. fatal() on bind/listen
+    /** Open the JSONL stream, bind, listen, and spawn the accept loop.
+     *  fatal() when the stream cannot be created or on bind/listen
      *  failure (stale sockets are unlinked first). */
     void start();
 
     /** Close everything: stop accepting, wake and join every session
-     *  thread, unlink the socket. Idempotent. */
+     *  thread, unlink the socket, export the trailing window and close
+     *  the JSONL stream. Idempotent; never throws. */
     void stop();
 
     const std::string &socketPath() const { return options_.socketPath; }
 
-    /** The metrics file the Prometheus exporter rewrites. */
+    /** The metrics file rewritten at every telemetry window. */
     std::string metricsPath() const
     {
         return options_.stateDir + "/metrics.prom";
@@ -121,6 +127,7 @@ class Daemon
                              const std::vector<std::string> &tokens);
     std::string renderStatus();
     void tickTelemetry();
+    void exportWindow(const telemetry::WindowRecord &window);
     void wakeAcceptLoop();
 
     DaemonOptions options_;
@@ -134,8 +141,8 @@ class Daemon
     std::uint64_t nextId_ = 1;
 
     // Telemetry: totals are relaxed atomics (any thread bumps them);
-    // the sampler+exporters are driven under telemetryMu_ with the
-    // request count as the clock.
+    // the sampler and everything below it are driven under
+    // telemetryMu_ with the request count as the clock.
     std::atomic<std::uint64_t> opened_{0};
     std::atomic<std::uint64_t> closed_{0};
     std::atomic<std::uint64_t> evicted_{0};
@@ -149,8 +156,12 @@ class Daemon
 
     std::mutex telemetryMu_;
     telemetry::Sampler sampler_;
-    std::unique_ptr<telemetry::PrometheusExporter> prometheus_;
-    std::unique_ptr<telemetry::JsonLinesExporter> jsonl_;
+    /** The last exposition rendered (`server metrics`). */
+    std::string metrics_;
+    /** A metrics.prom write has failed since the last one that worked. */
+    bool metricsFailing_ = false;
+    /** The --jsonl stream, open from start() to stop(). */
+    std::ofstream jsonl_;
 };
 
 } // namespace memories::service

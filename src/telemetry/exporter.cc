@@ -2,10 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
-
-#include "common/logging.hh"
 
 namespace memories::telemetry
 {
@@ -31,16 +28,6 @@ escapeName(const std::string &name)
     return out;
 }
 
-std::unique_ptr<std::ofstream>
-openSink(const std::string &path)
-{
-    auto os = std::make_unique<std::ofstream>(
-        path, std::ios::out | std::ios::trunc);
-    if (!*os)
-        fatal("cannot create telemetry file '", path, "'");
-    return os;
-}
-
 } // namespace
 
 std::string
@@ -61,35 +48,10 @@ formatMetricValue(double value)
     return buf;
 }
 
-// ---------------------------------------------------------------------
-// JsonLinesExporter
-// ---------------------------------------------------------------------
-
-JsonLinesExporter::JsonLinesExporter(std::string path)
-    : path_(std::move(path))
+std::string
+jsonLine(const WindowRecord &w)
 {
-}
-
-JsonLinesExporter::JsonLinesExporter(std::ostream &os) : os_(&os)
-{
-}
-
-JsonLinesExporter::~JsonLinesExporter() = default;
-
-std::ostream &
-JsonLinesExporter::out()
-{
-    if (os_)
-        return *os_;
-    owned_ = openSink(path_);
-    os_ = owned_.get();
-    return *os_;
-}
-
-void
-JsonLinesExporter::exportWindow(const WindowRecord &w)
-{
-    std::ostream &os = out();
+    std::ostringstream os;
     os << "{\"window\":" << w.index << ",\"begin_cycle\":" << w.beginCycle
        << ",\"end_cycle\":" << w.endCycle;
     os << ",\"counters\":{";
@@ -118,83 +80,11 @@ JsonLinesExporter::exportWindow(const WindowRecord &w)
            << ",\"max\":" << h.maxSeen() << '}';
     }
     os << "}}\n";
+    return os.str();
 }
 
-void
-JsonLinesExporter::close()
-{
-    if (os_)
-        os_->flush();
-}
-
-// ---------------------------------------------------------------------
-// CsvExporter
-// ---------------------------------------------------------------------
-
-CsvExporter::CsvExporter(std::string path) : path_(std::move(path))
-{
-}
-
-CsvExporter::CsvExporter(std::ostream &os) : os_(&os)
-{
-}
-
-CsvExporter::~CsvExporter() = default;
-
-std::ostream &
-CsvExporter::out()
-{
-    if (os_)
-        return *os_;
-    owned_ = openSink(path_);
-    os_ = owned_.get();
-    return *os_;
-}
-
-void
-CsvExporter::exportWindow(const WindowRecord &w)
-{
-    std::ostream &os = out();
-    if (!wroteHeader_) {
-        os << "window,begin_cycle,end_cycle,kind,name,value,total\n";
-        wroteHeader_ = true;
-    }
-    auto row = [&](const char *kind, const std::string &name,
-                   const std::string &value, const std::string &total) {
-        os << w.index << ',' << w.beginCycle << ',' << w.endCycle << ','
-           << kind << ',' << name << ',' << value << ',' << total
-           << '\n';
-    };
-    for (const auto &c : w.counters)
-        row("counter", *c.name, std::to_string(c.delta),
-            std::to_string(c.total));
-    for (const auto &g : w.gauges)
-        row("gauge", *g.name, formatMetricValue(g.value), "");
-    for (const Histogram *h : w.histograms) {
-        row("hist_samples", h->name(), std::to_string(h->samples()),
-            std::to_string(h->sum()));
-        row("hist_mean", h->name(), formatMetricValue(h->mean()), "");
-    }
-}
-
-void
-CsvExporter::close()
-{
-    if (os_)
-        os_->flush();
-}
-
-// ---------------------------------------------------------------------
-// PrometheusExporter
-// ---------------------------------------------------------------------
-
-PrometheusExporter::PrometheusExporter(std::string path)
-    : path_(std::move(path))
-{
-}
-
-void
-PrometheusExporter::exportWindow(const WindowRecord &w)
+std::string
+prometheusText(const WindowRecord &w)
 {
     std::ostringstream os;
     os << "# MemorIES telemetry, window " << w.index << ", bus cycles ["
@@ -228,12 +118,7 @@ PrometheusExporter::exportWindow(const WindowRecord &w)
         os << "memories_histogram_count{name=\"" << name << "\"} "
            << h->samples() << "\n";
     }
-    last_ = os.str();
-
-    std::ofstream f(path_, std::ios::out | std::ios::trunc);
-    if (!f)
-        fatal("cannot create telemetry file '", path_, "'");
-    f << last_;
+    return os.str();
 }
 
 } // namespace memories::telemetry

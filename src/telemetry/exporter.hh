@@ -1,28 +1,28 @@
 /**
  * @file
- * Structured telemetry exporters fed by the Sampler.
+ * Text renderings of a closed sampling window.
  *
- * Three formats, chosen for the three consumers a live emulation run
+ * Two formats, chosen for the two consumers a live emulation run
  * actually has:
  *
  *  - JSON Lines: one self-describing object per window, for ad-hoc
  *    tooling (jq, pandas) and the CI artifact trail.
- *  - CSV: long-format rows (one metric per row) for spreadsheets and
- *    the plotting scripts the bench harnesses already feed.
- *  - Prometheus text exposition: a file rewritten at every window close
- *    with current cumulative state, so pointing a node_exporter-style
- *    textfile collector at it gives live dashboards for free.
+ *  - Prometheus text exposition: the current cumulative state, which
+ *    an owner rewrites into a file at every window close, so pointing
+ *    a node_exporter-style textfile collector at it gives live
+ *    dashboards for free.
  *
- * All exporters write metrics in registration order with fixed number
- * formatting, so two identically-seeded runs produce byte-identical
- * output (asserted by the golden tests).
+ * These functions only render. Whoever owns a telemetry file opens it
+ * when it attaches to a Sampler and writes the text from an exporter
+ * callback (Sampler::addExporter), so a bad path fails at attach time.
+ * Metrics render in registration order with fixed number formatting,
+ * so two identically-seeded runs produce byte-identical output
+ * (asserted by the golden tests).
  */
 
 #ifndef MEMORIES_TELEMETRY_EXPORTER_HH
 #define MEMORIES_TELEMETRY_EXPORTER_HH
 
-#include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "telemetry/sampler.hh"
@@ -30,88 +30,17 @@
 namespace memories::telemetry
 {
 
-/** Sink for closed sampling windows. */
-class Exporter
-{
-  public:
-    virtual ~Exporter() = default;
-
-    /** Consume one closed window. */
-    virtual void exportWindow(const WindowRecord &window) = 0;
-
-    /** Flush trailing output (Sampler::finish calls this once). */
-    virtual void close() {}
-};
-
 /** Render a double deterministically ("%.10g", integral as integer). */
 std::string formatMetricValue(double value);
 
-/** One JSON object per window, newline-delimited. */
-class JsonLinesExporter final : public Exporter
-{
-  public:
-    /** Write to @p path (created/truncated on first window). */
-    explicit JsonLinesExporter(std::string path);
-    /** Write to a caller-owned stream (tests). */
-    explicit JsonLinesExporter(std::ostream &os);
-    ~JsonLinesExporter() override;
-
-    void exportWindow(const WindowRecord &window) override;
-    void close() override;
-
-  private:
-    std::ostream &out();
-
-    std::string path_;
-    std::unique_ptr<std::ofstream> owned_;
-    std::ostream *os_ = nullptr;
-};
+/** @p window as one JSON object on one line, ending in '\n'. */
+std::string jsonLine(const WindowRecord &window);
 
 /**
- * Long-format CSV: header then one row per metric per window —
- * window,begin_cycle,end_cycle,kind,name,value,total with kind one of
- * counter (value=delta, total=cumulative), gauge (value only),
- * hist_samples (value=samples, total=sum) or hist_mean (value only).
+ * @p window as a Prometheus text exposition: cumulative counter
+ * totals, gauge values and native-format histograms.
  */
-class CsvExporter final : public Exporter
-{
-  public:
-    explicit CsvExporter(std::string path);
-    explicit CsvExporter(std::ostream &os);
-    ~CsvExporter() override;
-
-    void exportWindow(const WindowRecord &window) override;
-    void close() override;
-
-  private:
-    std::ostream &out();
-
-    std::string path_;
-    std::unique_ptr<std::ofstream> owned_;
-    std::ostream *os_ = nullptr;
-    bool wroteHeader_ = false;
-};
-
-/**
- * Prometheus text-exposition writer: rewrites @p path atomically-ish
- * (truncate + write) at every window close with the current cumulative
- * counter totals, gauge values, and native-format histograms. A
- * textfile collector scraping the file sees the emulation live.
- */
-class PrometheusExporter final : public Exporter
-{
-  public:
-    explicit PrometheusExporter(std::string path);
-
-    void exportWindow(const WindowRecord &window) override;
-
-    /** The rendered exposition text of the last window (tests). */
-    const std::string &lastExposition() const { return last_; }
-
-  private:
-    std::string path_;
-    std::string last_;
-};
+std::string prometheusText(const WindowRecord &window);
 
 } // namespace memories::telemetry
 

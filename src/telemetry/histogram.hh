@@ -8,7 +8,7 @@
  * watching the live console actually asks about. This histogram is
  * deliberately hardware-shaped: uniform integer-width buckets fixed at
  * construction plus one overflow bin, so recording is a shift-free
- * divide and the exporters can emit bucket bounds without runtime
+ * divide and the renderers can emit bucket bounds without runtime
  * negotiation. Values are in whatever integer unit the caller counts
  * (buffer entries, bus cycles, utilization percent).
  */

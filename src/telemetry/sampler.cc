@@ -1,7 +1,6 @@
 #include "telemetry/sampler.hh"
 
 #include "common/logging.hh"
-#include "telemetry/exporter.hh"
 
 namespace memories::telemetry
 {
@@ -59,9 +58,9 @@ Sampler::addWindowCallback(std::function<void(const WindowRecord &)> fn)
 }
 
 void
-Sampler::addExporter(Exporter &exporter)
+Sampler::addExporter(std::function<void(const WindowRecord &)> fn)
 {
-    exporters_.push_back(&exporter);
+    exporters_.push_back(std::move(fn));
 }
 
 void
@@ -92,8 +91,6 @@ Sampler::finish(Cycle now)
     if (now > windowBegin_)
         emitWindow(windowBegin_, now);
     finished_ = true;
-    for (Exporter *e : exporters_)
-        e->close();
 }
 
 void
@@ -123,8 +120,8 @@ Sampler::emitWindow(Cycle begin, Cycle end)
         fn(w);
     w.histograms = histograms_;
 
-    for (Exporter *e : exporters_)
-        e->exportWindow(w);
+    for (const auto &fn : exporters_)
+        fn(w);
 }
 
 } // namespace memories::telemetry

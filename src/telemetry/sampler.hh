@@ -7,8 +7,9 @@
  * utilization evolve in real time (paper section 3). The Sampler is
  * that readout path for the software board: registered counter sources
  * are snapshotted at fixed bus-cycle windows and the per-window deltas
- * — computed exactly across 40-bit wraparound — are handed to pluggable
- * exporters.
+ * — computed exactly across 40-bit wraparound — are handed to exporter
+ * callbacks, which render them (telemetry/exporter.hh) and write them
+ * to files their owners opened.
  *
  * Two properties are structural:
  *
@@ -43,8 +44,6 @@
 
 namespace memories::telemetry
 {
-
-class Exporter;
 
 /** One closed sampling window, as handed to exporters. */
 struct WindowRecord
@@ -113,8 +112,12 @@ class Sampler
      */
     void addWindowCallback(std::function<void(const WindowRecord &)> fn);
 
-    /** Attach an exporter; the caller retains ownership. */
-    void addExporter(Exporter &exporter);
+    /**
+     * Hook run at each window close after every window callback, with
+     * the histograms attached — the place to render the window and
+     * write it out. Exporters run in registration order.
+     */
+    void addExporter(std::function<void(const WindowRecord &)> fn);
 
     /**
      * Advance the sampler clock; closes (and exports) every window
@@ -142,7 +145,7 @@ class Sampler
 
     /**
      * Close the trailing partial window [windowBegin, now) if it is
-     * non-empty, then close every exporter. Call once at end of run.
+     * non-empty. Call once at end of run; later calls do nothing.
      */
     void finish(Cycle now);
 
@@ -177,7 +180,7 @@ class Sampler
     std::vector<GaugeSource> gauges_;
     std::vector<const Histogram *> histograms_;
     std::vector<std::function<void(const WindowRecord &)>> callbacks_;
-    std::vector<Exporter *> exporters_;
+    std::vector<std::function<void(const WindowRecord &)>> exporters_;
 };
 
 } // namespace memories::telemetry

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "telemetry/exporter.hh"
+#include "telemetry/sampler.hh"
 
 namespace memories::ies
 {
@@ -136,23 +136,11 @@ TEST(BusProfilerTest, AttachTelemetryExportsProfilerSources)
     // Captures the last exported window to check the profiler's
     // counters, gauges and utilization histogram flow through the
     // telemetry sampler.
-    class LastWindow final : public telemetry::Exporter
+    struct LastWindow
     {
-      public:
-        void exportWindow(const telemetry::WindowRecord &w) override
-        {
-            names.clear();
-            for (const auto &c : w.counters)
-                names.push_back(*c.name);
-            for (const auto &g : w.gauges)
-                names.push_back(*g.name);
-            histogramSamples = 0;
-            for (const auto *h : w.histograms)
-                histogramSamples += h->samples();
-        }
         std::vector<std::string> names;
         std::uint64_t histogramSamples = 0;
-    };
+    } sink;
 
     BusProfilerConfig cfg;
     cfg.windowCycles = 100;
@@ -161,8 +149,16 @@ TEST(BusProfilerTest, AttachTelemetryExportsProfilerSources)
     profiler.plugInto(bus);
 
     telemetry::Sampler sampler(1000);
-    LastWindow sink;
-    sampler.addExporter(sink);
+    sampler.addExporter([&sink](const telemetry::WindowRecord &w) {
+        sink.names.clear();
+        for (const auto &c : w.counters)
+            sink.names.push_back(*c.name);
+        for (const auto &g : w.gauges)
+            sink.names.push_back(*g.name);
+        sink.histogramSamples = 0;
+        for (const auto *h : w.histograms)
+            sink.histogramSamples += h->samples();
+    });
     profiler.attachTelemetry(sampler);
 
     for (int i = 0; i < 50; ++i) {

@@ -398,6 +398,28 @@ TEST(ConsoleTest, MonitorRequiresBoardAndSingleSession)
               std::string::npos);
 }
 
+TEST(ConsoleTest, MonitorRefusesAnUnwritablePathAtOnce)
+{
+    // The JSON Lines file opens when the line runs, so a bad path is
+    // this line's error, not an exception at the first window close,
+    // and no session is left attached.
+    bus::Bus6xx bus;
+    Console console(bus);
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0,1");
+    console.execute("init");
+
+    const auto reply =
+        console.execute("monitor start 100 /nonexistent/dir/m.jsonl");
+    EXPECT_EQ(reply.rfind("error:", 0), 0u) << reply;
+    EXPECT_FALSE(console.monitoring());
+    EXPECT_EQ(console.execute("monitor").rfind(
+                  "error: no monitor session; ", 0),
+              0u);
+    bus.issue(readTxn(0x1000, 0));
+    EXPECT_NO_THROW(bus.tick(1000));
+}
+
 TEST(ConsoleTest, MonitorStartsMidSessionWithoutBackfill)
 {
     // Starting the monitor after bus time has advanced must not emit

@@ -16,7 +16,6 @@
 
 #include "ies/board.hh"
 #include "oracle/stimulus.hh"
-#include "telemetry/exporter.hh"
 #include "telemetry/sampler.hh"
 
 namespace memories::profile
@@ -191,22 +190,10 @@ TEST(ProfilerTest, AttachTelemetryExportsStageSeries)
 
     telemetry::Sampler sampler(1000);
     std::vector<std::string> names;
-    class Capture final : public telemetry::Exporter
-    {
-      public:
-        explicit Capture(std::vector<std::string> &n) : names_(n) {}
-        void
-        exportWindow(const telemetry::WindowRecord &w) override
-        {
-            for (const auto &c : w.counters)
-                names_.push_back(*c.name);
-        }
-        void close() override {}
-
-      private:
-        std::vector<std::string> &names_;
-    } capture(names);
-    sampler.addExporter(capture);
+    sampler.addExporter([&names](const telemetry::WindowRecord &w) {
+        for (const auto &c : w.counters)
+            names.push_back(*c.name);
+    });
     prof.attachTelemetry(sampler);
 
     oracle::StimulusParams p;

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "servicetest.hh"
 
 #include "service/session.hh"
@@ -96,6 +100,38 @@ TEST(ServiceConsoleTest, ServerStatusAndMetricsRespond)
     EXPECT_NE(metrics.text().find("serv.sessions.opened"),
               std::string::npos)
         << metrics.text();
+}
+
+TEST(ServiceConsoleTest, LostStateDirectoryCostsNoRequest)
+{
+    // Every request closes a window and rewrites metrics.prom. Once
+    // the state directory is gone that write fails; the request that
+    // closed the window must still be answered, the daemon must keep
+    // accepting, and `server metrics` keeps the last text it rendered.
+    TestDaemon daemon(16, 1);
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(daemon.socket()));
+    ASSERT_TRUE(client.exec("help").ok); // closes window 0
+
+    std::stringstream disk;
+    disk << std::ifstream(daemon.get().metricsPath()).rdbuf();
+    const auto metrics = client.exec("server metrics"); // closes 1
+    ASSERT_TRUE(metrics.ok) << metrics.text();
+    EXPECT_EQ(metrics.text() + "\n", disk.str());
+
+    std::filesystem::remove_all(daemon.options.stateDir);
+    const auto again = client.exec("help"); // closes 2, unwritten
+    ASSERT_TRUE(again.ok) << again.text();
+    EXPECT_NE(again.text().find("server"), std::string::npos);
+    const auto last = client.exec("server metrics");
+    ASSERT_TRUE(last.ok) << last.text();
+    EXPECT_EQ(last.text().rfind("# MemorIES telemetry, window 2,", 0), 0u)
+        << last.text();
+    EXPECT_FALSE(std::filesystem::exists(daemon.get().metricsPath()));
+
+    ServiceClient other;
+    ASSERT_TRUE(other.connect(daemon.socket()));
+    EXPECT_TRUE(other.exec("server status").ok);
 }
 
 } // namespace

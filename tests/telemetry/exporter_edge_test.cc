@@ -1,10 +1,10 @@
 /**
  * @file
- * Exporter edge cases the golden tests' well-formed fixtures never
- * reach: metric names that need escaping in quoted contexts (JSON
- * strings, Prometheus label values), and the zero-window flush — a
- * sampler finished before any window closes must leave every exporter
- * byte-stable (no partial headers, no stray files, no torn output).
+ * Renderer and exporter edge cases the golden tests' well-formed
+ * fixtures never reach: metric names that need escaping in quoted
+ * contexts (JSON strings, Prometheus label values), and the
+ * zero-window flush — a sampler finished before any window closes
+ * calls no exporter, so its owner writes nothing.
  */
 
 #include "telemetry/exporter.hh"
@@ -12,9 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "telemetry/sampler.hh"
@@ -42,14 +39,7 @@ TEST(ExporterEdgeTest, PrometheusEscapesLabelValues)
 {
     const std::string counter = "quote\"back\\slash";
     const std::string gauge = "new\nline";
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "memories_prom_escape_test.prom")
-            .string();
-    PrometheusExporter prom(path);
-    prom.exportWindow(hostileWindow(counter, gauge));
-
-    const std::string &text = prom.lastExposition();
+    const std::string text = prometheusText(hostileWindow(counter, gauge));
     // Inside a label value, `"` and `\` gain a backslash and a raw
     // newline becomes the two characters `\n` — otherwise the line
     // protocol is torn mid-sample.
@@ -62,18 +52,13 @@ TEST(ExporterEdgeTest, PrometheusEscapesLabelValues)
               std::string::npos)
         << text;
     EXPECT_EQ(text.find("new\nline"), std::string::npos) << text;
-    std::filesystem::remove(path);
 }
 
 TEST(ExporterEdgeTest, JsonLinesEscapesMetricNames)
 {
     const std::string counter = "quote\"back\\slash";
     const std::string gauge = "new\nline";
-    std::ostringstream os;
-    JsonLinesExporter jsonl(os);
-    jsonl.exportWindow(hostileWindow(counter, gauge));
-    jsonl.close();
-    const std::string text = os.str();
+    const std::string text = jsonLine(hostileWindow(counter, gauge));
     EXPECT_NE(text.find("\"quote\\\"back\\\\slash\""),
               std::string::npos)
         << text;
@@ -85,47 +70,20 @@ TEST(ExporterEdgeTest, JsonLinesEscapesMetricNames)
 TEST(ExporterEdgeTest, ZeroWindowFinishIsByteStableForAllExporters)
 {
     // A run can legitimately end before the first window closes
-    // (short replay, tiny trace). Every exporter must come out
-    // byte-stable: stream sinks emit nothing, file sinks create no
-    // file at all — so two such runs diff clean.
-    const auto dir = std::filesystem::temp_directory_path();
-    const std::string jsonl_path =
-        (dir / "memories_zero_window.jsonl").string();
-    const std::string csv_path =
-        (dir / "memories_zero_window.csv").string();
-    const std::string prom_path =
-        (dir / "memories_zero_window.prom").string();
-    std::filesystem::remove(jsonl_path);
-    std::filesystem::remove(csv_path);
-    std::filesystem::remove(prom_path);
-
-    std::ostringstream jsonl_os, csv_os;
-    JsonLinesExporter jsonl_stream(jsonl_os);
-    CsvExporter csv_stream(csv_os);
-    JsonLinesExporter jsonl_file(jsonl_path);
-    CsvExporter csv_file(csv_path);
-    PrometheusExporter prom(prom_path);
-
+    // (short replay, tiny trace). Its finish must call no exporter, so
+    // an owner writes nothing — no partial line, no rewritten
+    // exposition — and two such runs diff clean.
     CounterBank bank;
     bank.add("ticks");
     Sampler sampler(1000);
-    sampler.addExporter(jsonl_stream);
-    sampler.addExporter(csv_stream);
-    sampler.addExporter(jsonl_file);
-    sampler.addExporter(csv_file);
-    sampler.addExporter(prom);
+    std::size_t calls = 0;
+    sampler.addExporter([&calls](const WindowRecord &) { ++calls; });
     sampler.addBank("edge", bank);
 
     // Finish at cycle 0: zero cycles elapsed, zero windows closed.
     sampler.finish(0);
     EXPECT_EQ(sampler.windowsEmitted(), 0u);
-
-    EXPECT_EQ(jsonl_os.str(), "");
-    EXPECT_EQ(csv_os.str(), "");
-    EXPECT_FALSE(std::filesystem::exists(jsonl_path));
-    EXPECT_FALSE(std::filesystem::exists(csv_path));
-    EXPECT_FALSE(std::filesystem::exists(prom_path));
-    EXPECT_EQ(prom.lastExposition(), "");
+    EXPECT_EQ(calls, 0u);
 }
 
 } // namespace

@@ -1,17 +1,16 @@
 /**
  * @file
- * Golden-file tests for the telemetry exporters: exact expected bytes
- * for a small crafted run, plus the byte-stability contract — two
- * identically-seeded runs must serialize identically in every format.
+ * Golden tests for the telemetry renderers: exact expected bytes for a
+ * small crafted run, plus the byte-stability contract — two
+ * identically-seeded runs must render identically in every format.
  */
 
 #include "telemetry/exporter.hh"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/counters.hh"
 #include "telemetry/histogram.hh"
@@ -22,23 +21,22 @@ namespace memories::telemetry
 namespace
 {
 
-/** One deterministic miniature run serialized into both stream sinks. */
+/** One deterministic miniature run rendered in both formats. */
 struct RunOutput
 {
     std::string jsonl;
-    std::string csv;
+    std::string prometheus; //!< every window's exposition, in order
 };
 
 RunOutput
 runScenario()
 {
-    std::ostringstream jsonl_os, csv_os;
-    JsonLinesExporter jsonl(jsonl_os);
-    CsvExporter csv(csv_os);
-
+    RunOutput out;
     Sampler sampler(100);
-    sampler.addExporter(jsonl);
-    sampler.addExporter(csv);
+    sampler.addExporter([&out](const WindowRecord &w) {
+        out.jsonl += jsonLine(w);
+        out.prometheus += prometheusText(w);
+    });
 
     CounterBank bank;
     auto reads = bank.add("reads");
@@ -63,12 +61,11 @@ runScenario()
     util = 0.5;
     sampler.finish(150);
 
-    return RunOutput{jsonl_os.str(), csv_os.str()};
+    return out;
 }
 
 TEST(ExporterGoldenTest, JsonLinesExactBytes)
 {
-    const RunOutput out = runScenario();
     const std::string expected =
         "{\"window\":0,\"begin_cycle\":0,\"end_cycle\":100,"
         "\"counters\":{"
@@ -86,25 +83,7 @@ TEST(ExporterGoldenTest, JsonLinesExactBytes)
         "\"histograms\":{\"occupancy\":{\"bucket_width\":4,"
         "\"counts\":[1,1],\"overflow\":1,\"samples\":3,\"sum\":15,"
         "\"max\":9}}}\n";
-    EXPECT_EQ(out.jsonl, expected);
-}
-
-TEST(ExporterGoldenTest, CsvExactBytes)
-{
-    const RunOutput out = runScenario();
-    const std::string expected =
-        "window,begin_cycle,end_cycle,kind,name,value,total\n"
-        "0,0,100,counter,node0.reads,12,12\n"
-        "0,0,100,counter,node0.writes,3,3\n"
-        "0,0,100,gauge,bus.utilization,0.125,\n"
-        "0,0,100,hist_samples,occupancy,2,6\n"
-        "0,0,100,hist_mean,occupancy,3,\n"
-        "1,100,150,counter,node0.reads,8,20\n"
-        "1,100,150,counter,node0.writes,0,3\n"
-        "1,100,150,gauge,bus.utilization,0.5,\n"
-        "1,100,150,hist_samples,occupancy,3,15\n"
-        "1,100,150,hist_mean,occupancy,5,\n";
-    EXPECT_EQ(out.csv, expected);
+    EXPECT_EQ(runScenario().jsonl, expected);
 }
 
 TEST(ExporterGoldenTest, IdenticalRunsAreByteIdentical)
@@ -112,17 +91,16 @@ TEST(ExporterGoldenTest, IdenticalRunsAreByteIdentical)
     const RunOutput a = runScenario();
     const RunOutput b = runScenario();
     EXPECT_EQ(a.jsonl, b.jsonl);
-    EXPECT_EQ(a.csv, b.csv);
+    EXPECT_EQ(a.prometheus, b.prometheus);
 }
 
 TEST(ExporterGoldenTest, PrometheusExposition)
 {
-    const std::string path =
-        testing::TempDir() + "memories_prom_test.prom";
-    PrometheusExporter prom(path);
-
+    std::vector<std::string> expositions;
     Sampler sampler(100);
-    sampler.addExporter(prom);
+    sampler.addExporter([&expositions](const WindowRecord &w) {
+        expositions.push_back(prometheusText(w));
+    });
     CounterBank bank;
     auto h = bank.add("tenures");
     sampler.addBank("bus", bank);
@@ -149,13 +127,8 @@ TEST(ExporterGoldenTest, PrometheusExposition)
         "memories_histogram_bucket{name=\"lat\",le=\"+Inf\"} 2\n"
         "memories_histogram_sum{name=\"lat\"} 28\n"
         "memories_histogram_count{name=\"lat\"} 2\n";
-    EXPECT_EQ(prom.lastExposition(), expected);
-
-    // The file on disk is the exposition, rewritten whole each window.
-    std::ifstream in(path);
-    std::stringstream disk;
-    disk << in.rdbuf();
-    EXPECT_EQ(disk.str(), expected);
+    ASSERT_EQ(expositions.size(), 1u);
+    EXPECT_EQ(expositions[0], expected);
 }
 
 TEST(ExporterGoldenTest, FormatMetricValueIsDeterministic)

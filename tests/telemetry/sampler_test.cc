@@ -7,7 +7,6 @@
 
 #include "common/counters.hh"
 #include "common/logging.hh"
-#include "telemetry/exporter.hh"
 
 namespace memories::telemetry
 {
@@ -15,9 +14,8 @@ namespace
 {
 
 /** Captures every exported window by value (names deep-copied). */
-class CapturingExporter final : public Exporter
+struct CapturingExporter
 {
-  public:
     struct Window
     {
         std::uint64_t index;
@@ -29,7 +27,15 @@ class CapturingExporter final : public Exporter
         std::vector<double> gauges;
     };
 
-    void exportWindow(const WindowRecord &w) override
+    explicit CapturingExporter(Sampler &sampler)
+    {
+        sampler.addExporter(
+            [this](const WindowRecord &w) { capture(w); });
+    }
+    CapturingExporter(const CapturingExporter &) = delete;
+    CapturingExporter &operator=(const CapturingExporter &) = delete;
+
+    void capture(const WindowRecord &w)
     {
         Window copy;
         copy.index = w.index;
@@ -45,10 +51,7 @@ class CapturingExporter final : public Exporter
         windows.push_back(std::move(copy));
     }
 
-    void close() override { closed = true; }
-
     std::vector<Window> windows;
-    bool closed = false;
 };
 
 TEST(SamplerTest, RejectsZeroWindow)
@@ -59,8 +62,7 @@ TEST(SamplerTest, RejectsZeroWindow)
 TEST(SamplerTest, ClosesWindowsOnBusCycles)
 {
     Sampler sampler(100);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
 
     CounterBank bank;
     auto h = bank.add("events");
@@ -84,8 +86,7 @@ TEST(SamplerTest, ClosesWindowsOnBusCycles)
 TEST(SamplerTest, JumpAcrossSeveralWindowsEmitsAll)
 {
     Sampler sampler(10);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
     CounterBank bank;
     auto h = bank.add("c");
     sampler.addBank("", bank);
@@ -106,8 +107,7 @@ TEST(SamplerTest, DeltaExactAcrossCounter40Wrap)
     // so it wraps. The window delta must be exactly 15 and the running
     // total must keep counting in 64 bits.
     Sampler sampler(100);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
 
     CounterBank bank;
     auto h = bank.add("wrapping");
@@ -133,8 +133,7 @@ TEST(SamplerTest, DeltaExactAcrossCounter40Wrap)
 TEST(SamplerTest, AddValueUsesFull64BitDeltas)
 {
     Sampler sampler(10);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
 
     std::uint64_t big = std::uint64_t{1} << 50;
     sampler.addValue("big", [&big] { return big; });
@@ -148,8 +147,7 @@ TEST(SamplerTest, AddValueUsesFull64BitDeltas)
 TEST(SamplerTest, GaugesReadAtWindowClose)
 {
     Sampler sampler(10);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
     double level = 0.25;
     sampler.addGauge("level", [&level] { return level; });
 
@@ -177,24 +175,9 @@ TEST(SamplerTest, WindowCallbackRunsBeforeExport)
     });
 
     std::vector<std::uint64_t> samples_at_export;
-    class Probe final : public Exporter
-    {
-      public:
-        explicit Probe(const Histogram &h,
-                       std::vector<std::uint64_t> &out)
-            : h_(h), out_(out)
-        {
-        }
-        void exportWindow(const WindowRecord &) override
-        {
-            out_.push_back(h_.samples());
-        }
-
-      private:
-        const Histogram &h_;
-        std::vector<std::uint64_t> &out_;
-    } probe(hist, samples_at_export);
-    sampler.addExporter(probe);
+    sampler.addExporter([&](const WindowRecord &) {
+        samples_at_export.push_back(hist.samples());
+    });
 
     bank.bump(h, 3);
     sampler.advanceTo(10);
@@ -210,8 +193,7 @@ TEST(SamplerTest, WindowCallbackRunsBeforeExport)
 TEST(SamplerTest, FinishEmitsTrailingPartialWindowOnce)
 {
     Sampler sampler(100);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
     CounterBank bank;
     auto h = bank.add("c");
     sampler.addBank("", bank);
@@ -224,7 +206,6 @@ TEST(SamplerTest, FinishEmitsTrailingPartialWindowOnce)
     EXPECT_EQ(sink.windows[1].begin, 100u);
     EXPECT_EQ(sink.windows[1].end, 140u);
     EXPECT_EQ(sink.windows[1].deltas[0], 6u);
-    EXPECT_TRUE(sink.closed);
 
     sampler.finish(500); // idempotent
     EXPECT_EQ(sink.windows.size(), 2u);
@@ -237,8 +218,7 @@ TEST(SamplerTest, ResyncSkipsAheadAndRebaselines)
     // pass): resync must drop pre-attach counter movement and must not
     // emit the empty windows between cycle 0 and now.
     Sampler sampler(100);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
     CounterBank bank;
     auto h = bank.add("c");
     sampler.addBank("", bank);
@@ -261,8 +241,7 @@ TEST(SamplerTest, ResyncSkipsAheadAndRebaselines)
 TEST(SamplerTest, FinishExactlyOnBoundaryEmitsNoEmptyTail)
 {
     Sampler sampler(50);
-    CapturingExporter sink;
-    sampler.addExporter(sink);
+    CapturingExporter sink(sampler);
     sampler.finish(100); // [0,50) and [50,100), no zero-length tail
     EXPECT_EQ(sink.windows.size(), 2u);
 }
