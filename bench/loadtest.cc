@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -131,8 +132,8 @@ program(int argc, char **argv)
 
     // An external daemon (--socket) or our own on a unique path.
     std::unique_ptr<service::Daemon> daemon;
+    service::DaemonOptions options;
     if (socket.empty()) {
-        service::DaemonOptions options;
         const std::string stem =
             "/tmp/iesserv-load-" + std::to_string(::getpid());
         options.socketPath = stem + ".sock";
@@ -142,6 +143,15 @@ program(int argc, char **argv)
         daemon->start();
         socket = options.socketPath;
     }
+    // Stop our own daemon and remove the state directory it made.
+    auto stopDaemon = [&daemon, &options] {
+        if (!daemon)
+            return;
+        daemon->stop();
+        daemon.reset();
+        std::error_code ignored;
+        std::filesystem::remove_all(options.stateDir, ignored);
+    };
     std::printf("daemon: %s\n", socket.c_str());
     std::printf("fleet: %zu clients x %zu configs, %.0fk refs/client, "
                 "batch %zu\n\n",
@@ -158,6 +168,7 @@ program(int argc, char **argv)
     if (!solo.error.empty()) {
         std::fprintf(stderr, "solo client failed: %s\n",
                      solo.error.c_str());
+        stopDaemon();
         return 1;
     }
     sections.push_back({"ingest solo", soloSeconds,
@@ -221,7 +232,7 @@ program(int argc, char **argv)
                         daemon->requestsServed()),
                     static_cast<unsigned long long>(
                         daemon->refsAccepted()));
-        daemon->stop();
+        stopDaemon();
     }
 
     if (!jsonPath.empty()) {

@@ -21,14 +21,15 @@ BusStats::dataUtilization(Cycle elapsed) const
                               static_cast<double>(elapsed);
 }
 
-void
-Bus6xx::setDataBusBytesPerBeat(unsigned bytes)
-{
-    dataBeatBytes_ = bytes == 0 ? 16 : bytes;
-}
-
 namespace
 {
+
+/**
+ * Width of the 6xx data bus in bytes per beat. A data-bearing tenure
+ * holds the data bus for size/width beats (BusStats::dataCycles); the
+ * address bus stays one cycle per tenure (split-transaction).
+ */
+constexpr unsigned dataBeatBytes = 16;
 
 /** True for commands that move a full line of data on the data bus. */
 bool
@@ -179,7 +180,7 @@ Bus6xx::issue(BusTransaction txn)
     // A retried tenure never reaches its data phase.
     if (combined != SnoopResponse::Retry && carriesData(txn.op)) {
         stats_.dataCycles +=
-            (txn.size + dataBeatBytes_ - 1) / dataBeatBytes_;
+            (txn.size + dataBeatBytes - 1) / dataBeatBytes;
     }
 
     if (recorder_) {

@@ -148,15 +148,6 @@ class Bus6xx
     std::size_t observerCount() const { return observers_.size(); }
 
     /**
-     * Width of the data bus in bytes per beat (6xx: 16B). Data-bearing
-     * transactions consume size/width data beats, tracked in
-     * BusStats::dataCycles. The address bus stays one cycle per tenure
-     * (split-transaction).
-     */
-    void setDataBusBytesPerBeat(unsigned bytes);
-    unsigned dataBusBytesPerBeat() const { return dataBeatBytes_; }
-
-    /**
      * Attach a telemetry sampler. The bus becomes the sampler's clock
      * (every tick/advance drives window closes on emulated bus time,
      * never wall clock) and registers its own counters — tenures,
@@ -193,7 +184,6 @@ class Bus6xx
     std::vector<BusSnooper *> snoopers_;
     std::vector<BusObserver *> observers_;
     Cycle now_ = 0;
-    unsigned dataBeatBytes_ = 16;
     BusStats stats_;
     telemetry::Sampler *sampler_ = nullptr;
     /** Per-window address-bus utilization in percent (0-100+). */

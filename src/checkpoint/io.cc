@@ -104,12 +104,6 @@ setDiskFaultShim(DiskFaultShim *next)
     return prev;
 }
 
-DiskFaultShim *
-diskFaultShim()
-{
-    return shim;
-}
-
 void
 atomicWriteFile(const std::string &path, const void *data,
                 std::size_t len)

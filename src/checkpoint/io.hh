@@ -94,9 +94,6 @@ class DiskFaultShim
 /** Install @p shim (nullptr to clear). Returns the previous shim. */
 DiskFaultShim *setDiskFaultShim(DiskFaultShim *shim);
 
-/** The installed shim (nullptr when none). */
-DiskFaultShim *diskFaultShim();
-
 /**
  * Durably replace the file at @p path with @p len bytes of @p data:
  * write `<path>.tmp`, fsync, rename over @p path, fsync the directory.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/logging.hh"
-
 namespace memories::ies
 {
 
@@ -167,21 +165,6 @@ FleetReport::toText() const
         os << "\n";
     }
     return os.str();
-}
-
-double
-l3SpeedupEstimate(double l2_miss_cycles_fraction, double l3_hit_ratio,
-                  double l3_cycles, double memory_cycles)
-{
-    if (l2_miss_cycles_fraction < 0.0 || l2_miss_cycles_fraction > 1.0)
-        fatal("miss-cycle fraction must be in [0,1]");
-    if (l3_hit_ratio < 0.0 || l3_hit_ratio > 1.0)
-        fatal("L3 hit ratio must be in [0,1]");
-    // Fraction of miss cycles removed: hits move from memory latency
-    // to L3 latency.
-    const double saved_per_miss =
-        l3_hit_ratio * (1.0 - l3_cycles / memory_cycles);
-    return l2_miss_cycles_fraction * saved_per_miss;
 }
 
 } // namespace memories::ies

@@ -117,19 +117,6 @@ struct FleetReport
     std::string toText() const;
 };
 
-/**
- * Case Study 3's back-of-envelope: estimated speedup from adding an
- * L3 with hit ratio @p l3_hit_ratio to a system whose L2 misses cost
- * @p memory_cycles and whose L3 hits would cost @p l3_cycles, given
- * the measured @p l2_miss_cycles_fraction (fraction of all CPU cycles
- * currently spent in L2 misses). Returns fractional improvement
- * (0.02-0.25 in the paper's data).
- */
-double l3SpeedupEstimate(double l2_miss_cycles_fraction,
-                         double l3_hit_ratio,
-                         double l3_cycles = 35.0,
-                         double memory_cycles = 90.0);
-
 } // namespace memories::ies
 
 #endif // MEMORIES_IES_ANALYSIS_HH

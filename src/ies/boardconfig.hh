@@ -86,8 +86,8 @@ struct BoardConfig
 
     /**
      * fatal() with every message from validationErrors(), or return
-     * quietly when there are none. MemoriesBoard::make runs this once;
-     * nothing downstream re-checks.
+     * quietly when there are none. The MemoriesBoard constructor runs
+     * this once; nothing downstream re-checks.
      */
     void validate() const;
 

@@ -32,9 +32,10 @@ NodeController::NodeController(NodeId id, const NodeConfig &config,
     lineShift_ = log2i(config.cache.lineSize);
     sampleMask_ = lowMask(config.setSamplingShift);
     // CPU-range errors are caught up front (with every other problem)
-    // by BoardConfig::validationErrors, which MemoriesBoard::make runs
-    // once; ids are masked here so a directly-built controller with an
-    // unvalidated config cannot shift out of the mask's range.
+    // by BoardConfig::validationErrors, which the MemoriesBoard
+    // constructor runs once; ids are masked here so a directly-built
+    // controller with an unvalidated config cannot shift out of the
+    // mask's range.
     for (CpuId cpu : config.cpus) {
         if (cpu < maxHostCpus)
             cpuMask_ |= std::uint64_t{1} << cpu;

@@ -47,7 +47,6 @@
 #include "ies/board.hh"
 #include "ies/analysis.hh"
 #include "ies/boardconfig.hh"
-#include "ies/busprofiler.hh"
 #include "ies/commandmap.hh"
 #include "ies/console.hh"
 #include "ies/fanout.hh"
@@ -74,7 +73,6 @@
 #include "trace/tracefile.hh"
 #include "trace/tracestats.hh"
 #include "workload/dss.hh"
-#include "workload/mix.hh"
 #include "workload/oltp.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"

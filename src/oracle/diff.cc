@@ -92,6 +92,9 @@ enum class Leg
 
 constexpr std::size_t batchChunk = 256;
 
+/** Seed handed to both boards (Random-policy victim draws). */
+constexpr std::uint64_t boardSeed = 1;
+
 const char *
 legName(Leg leg)
 {
@@ -142,10 +145,10 @@ diffLeg(Leg leg, const ies::BoardConfig &config,
             report.details.push_back(std::move(msg));
     };
 
-    auto board = ies::MemoriesBoard::make(config, opts.boardSeed);
+    auto board = ies::MemoriesBoard::make(config, boardSeed);
     const ies::BoardConfig &ref_config =
         opts.refConfig ? *opts.refConfig : config;
-    RefBoard ref(ref_config, opts.boardSeed, opts.mutation);
+    RefBoard ref(ref_config, boardSeed, opts.mutation);
     if (checkpoint_path) {
         board->loadState(*checkpoint_path);
         board->clearCounters();
@@ -156,17 +159,12 @@ diffLeg(Leg leg, const ies::BoardConfig &config,
     // The batch leg runs detached, so it drives the hook-free
     // instantiation the benchmarks and the service run; the other legs
     // record, for the retirement order and the divergence dump. Size
-    // the recorder to hold the whole run when the caller did not
-    // insist: each tenure produces well under 16 events.
+    // the recorder to hold the whole run, up to 2^20 events: each
+    // tenure produces well under 16 events.
     std::optional<trace::FlightRecorder> recorder;
     if (leg != Leg::Batch) {
-        std::size_t capacity = opts.recorderCapacity;
-        if (capacity == 0) {
-            capacity = static_cast<std::size_t>(
-                ceilPowerOf2(16 * stream.size() + 1024));
-            if (capacity > (std::size_t{1} << 20))
-                capacity = std::size_t{1} << 20;
-        }
+        const auto capacity = std::min<std::size_t>(
+            ceilPowerOf2(16 * stream.size() + 1024), std::size_t{1} << 20);
         recorder.emplace(capacity);
         board->attachFlightRecorder(*recorder);
     }

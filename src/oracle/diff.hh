@@ -40,8 +40,6 @@ namespace memories::oracle
 /** Knobs of one differential comparison. */
 struct DiffOptions
 {
-    /** Seed handed to both boards (Random-policy victim draws). */
-    std::uint64_t boardSeed = 1;
     /** Deliberate oracle bug, for mutation-smoke tests. */
     RefMutation mutation = RefMutation::None;
     /**
@@ -50,8 +48,6 @@ struct DiffOptions
      * tests). nullptr: both boards get the same configuration.
      */
     const ies::BoardConfig *refConfig = nullptr;
-    /** Flight-recorder ring capacity; 0 sizes it to the stream. */
-    std::size_t recorderCapacity = 0;
     /** Differences listed before the report truncates. */
     std::size_t maxDetails = 8;
 };

@@ -60,7 +60,12 @@ Session::statePath(const std::string &state_dir, const std::string &name)
 std::string
 Session::execute(const std::string &line)
 {
-    return console_->execute(line);
+    std::string reply = console_->execute(line);
+    // Feeds reach the board through feedBatch, which never moves the
+    // bus; the bus is the console's clock (monitor windows, trace
+    // marks), so carry it forward to the last record fed.
+    bus_->advanceTo(ingest_.prevCycle());
+    return reply;
 }
 
 std::string

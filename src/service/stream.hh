@@ -147,8 +147,6 @@ class StreamIngest
     void registerCommands(ies::Console &console);
 
   private:
-    friend struct StreamCommands;
-
     /** Parses @p line in place; see the ingest grammar above. */
     std::string handleFeed(ies::Console &console, std::string_view line);
     std::string handleDrain(ies::Console &console);

@@ -144,11 +144,17 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 void
 FlightRecorder::mark(const std::string &label, Cycle cycle)
 {
+    if (label.size() > maxMarkLabelBytes)
+        fatal("mark label of ", label.size(), " bytes exceeds the ",
+              maxMarkLabelBytes, "-byte maximum");
+    if (markLabels_.size() < maxMarkLabels)
+        markLabels_.push_back(label);
+    else
+        markLabels_[marks_ % maxMarkLabels] = label;
     LifecycleEvent ev;
     ev.kind = EventKind::Mark;
     ev.cycle = cycle;
-    ev.addr = markLabels_.size();
-    markLabels_.push_back(label);
+    ev.addr = marks_++;
     record(ev);
 }
 
@@ -156,13 +162,15 @@ const std::string &
 FlightRecorder::markLabel(std::size_t index) const
 {
     static const std::string unknown = "?";
-    return index < markLabels_.size() ? markLabels_[index] : unknown;
+    if (index >= marks_ || marks_ - index > maxMarkLabels)
+        return unknown;
+    return markLabels_[index % maxMarkLabels];
 }
 
 std::uint64_t
 FlightRecorder::size() const
 {
-    return std::min<std::uint64_t>(next_ - baseSeq_, mask_ + 1);
+    return std::min<std::uint64_t>(next_, mask_ + 1);
 }
 
 std::vector<LifecycleEvent>
@@ -174,13 +182,6 @@ FlightRecorder::snapshot() const
     for (std::uint64_t seq = next_ - n; seq < next_; ++seq)
         out.push_back(ring_[seq & mask_]);
     return out;
-}
-
-void
-FlightRecorder::reset()
-{
-    baseSeq_ = next_;
-    markLabels_.clear();
 }
 
 std::size_t

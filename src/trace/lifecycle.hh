@@ -195,7 +195,16 @@ class FlightRecorder
         ring_[ev.seq & mask_] = ev;
     }
 
-    /** Convenience: record an operator Mark with a label. */
+    /** Mark labels kept: older marks' labels read "?". */
+    static constexpr std::size_t maxMarkLabels = 1024;
+
+    /** Longest mark label in bytes. */
+    static constexpr std::size_t maxMarkLabelBytes = 256;
+
+    /**
+     * Record an operator Mark with a label. A label longer than
+     * maxMarkLabelBytes is a FatalError and records nothing.
+     */
     void mark(const std::string &label, Cycle cycle);
 
     /**
@@ -250,18 +259,19 @@ class FlightRecorder
     /** Anomaly notifications so far. */
     std::uint64_t anomalies() const { return anomalies_; }
 
-    /** Label text of Mark event @p index (addr of the Mark event). */
+    /**
+     * Label text of Mark event @p index (addr of the Mark event), or
+     * "?" once maxMarkLabels newer marks have replaced it.
+     */
     const std::string &markLabel(std::size_t index) const;
-
-    /** Forget all retained events (seq keeps counting). */
-    void reset();
 
   private:
     std::vector<LifecycleEvent> ring_;
     std::uint64_t mask_;
     std::uint64_t next_ = 0;
-    std::uint64_t baseSeq_ = 0; //!< first seq still replayable post-reset
     std::uint64_t anomalies_ = 0;
+    /** Marks recorded; mark i's label is markLabels_[i % maxMarkLabels]. */
+    std::uint64_t marks_ = 0;
     std::vector<std::string> markLabels_;
     std::function<void(const FlightRecorder &, const LifecycleEvent &)>
         anomalyHook_;

@@ -1,6 +1,5 @@
 #include "workload/synthetic.hh"
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace memories::workload
@@ -65,37 +64,6 @@ ZipfWorkload::next(unsigned tid)
     ref.addr = workloadBaseAddr + block * blockBytes_ +
                rng.nextBounded(blockBytes_);
     ref.write = rng.nextBool(writeFrac_);
-    return ref;
-}
-
-StridedWorkload::StridedWorkload(unsigned threads,
-                                 std::uint64_t footprint_bytes,
-                                 std::uint64_t stride_bytes,
-                                 double write_frac, std::uint64_t seed)
-    : nThreads_(threads), footprint_(footprint_bytes),
-      partition_(footprint_bytes / threads), stride_(stride_bytes),
-      writeFrac_(write_frac), cursors_(threads, 0),
-      rngs_(makeThreadRngs(threads, seed))
-{
-    if (threads == 0)
-        fatal("workload needs at least one thread");
-    if (stride_bytes == 0)
-        fatal("stride must be nonzero");
-    if (partition_ < stride_bytes)
-        fatal("per-thread partition smaller than one stride");
-}
-
-MemRef
-StridedWorkload::next(unsigned tid)
-{
-    MemRef ref;
-    ref.addr = workloadBaseAddr +
-               static_cast<std::uint64_t>(tid) * partition_ +
-               cursors_[tid];
-    cursors_[tid] += stride_;
-    if (cursors_[tid] + stride_ > partition_)
-        cursors_[tid] = 0;
-    ref.write = rngs_[tid].nextBool(writeFrac_);
     return ref;
 }
 

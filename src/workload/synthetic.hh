@@ -1,6 +1,6 @@
 /**
  * @file
- * Elementary synthetic workloads: uniform, Zipf, and strided streams.
+ * Elementary synthetic workloads: uniform and Zipf streams.
  *
  * These are building blocks for tests and microbenchmarks, and the
  * larger workload models compose the same primitives internally.
@@ -62,35 +62,6 @@ class ZipfWorkload : public Workload
     std::uint64_t blockBytes_;
     double writeFrac_;
     ZipfSampler zipf_;
-    std::vector<Rng> rngs_;
-};
-
-/**
- * Per-thread sequential scan with a fixed stride, wrapping over the
- * thread's partition — a pure streaming pattern (worst case for
- * temporal locality, best for spatial).
- */
-class StridedWorkload : public Workload
-{
-  public:
-    StridedWorkload(unsigned threads, std::uint64_t footprint_bytes,
-                    std::uint64_t stride_bytes, double write_frac,
-                    std::uint64_t seed = 1);
-
-    MemRef next(unsigned tid) override;
-    unsigned threads() const override { return nThreads_; }
-    std::uint64_t footprintBytes() const override { return footprint_; }
-    const std::string &name() const override { return name_; }
-    double refsPerInstruction() const override { return 0.5; }
-
-  private:
-    std::string name_ = "strided";
-    unsigned nThreads_;
-    std::uint64_t footprint_;
-    std::uint64_t partition_;
-    std::uint64_t stride_;
-    double writeFrac_;
-    std::vector<std::uint64_t> cursors_;
     std::vector<Rng> rngs_;
 };
 

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "telemetry/sampler.hh"
+
 namespace memories::bus
 {
 namespace
@@ -190,6 +192,60 @@ TEST(Bus6xxTest, ClearStatsKeepsClock)
     bus.clearStats();
     EXPECT_EQ(bus.stats().tenures, 0u);
     EXPECT_EQ(bus.now(), t);
+}
+
+TEST(Bus6xxTest, SamplerWindowsReadEachWindowsTenuresAndUtilization)
+{
+    // The bus series `monitor`, microbench_throughput and config_sweep
+    // export: one tenure every 10 cycles fills 10% of a 1000-cycle
+    // window, one every 5 cycles 20%, and an idle window 0%.
+    struct Window
+    {
+        std::uint64_t tenures = 0;
+        std::uint64_t percent = 0; //!< this window's histogram sample
+        double utilization = 0.0;  //!< mean since cycle 0
+    };
+    std::vector<Window> windows;
+    std::uint64_t percentSum = 0;
+
+    telemetry::Sampler sampler(1000);
+    Bus6xx bus;
+    bus.attachSampler(sampler);
+    sampler.addExporter([&](const telemetry::WindowRecord &w) {
+        Window seen;
+        for (const auto &c : w.counters)
+            if (*c.name == "bus.tenures")
+                seen.tenures = c.delta;
+        for (const auto &g : w.gauges)
+            if (*g.name == "bus.utilization")
+                seen.utilization = g.value;
+        ASSERT_EQ(w.histograms.size(), 1u);
+        const telemetry::Histogram &h = *w.histograms[0];
+        EXPECT_EQ(h.name(), "bus.window_utilization_percent");
+        EXPECT_EQ(h.samples(), windows.size() + 1);
+        seen.percent = h.sum() - percentSum;
+        percentSum = h.sum();
+        windows.push_back(seen);
+    });
+
+    for (const Cycle gap : {Cycle{10}, Cycle{5}}) {
+        for (Cycle at = 0; at < 1000; at += gap) {
+            bus.issue(readAt(0x1000 + 128 * at));
+            bus.tick(gap - 1);
+        }
+    }
+    bus.tick(1000);
+
+    ASSERT_EQ(windows.size(), 3u);
+    EXPECT_EQ(windows[0].tenures, 100u);
+    EXPECT_EQ(windows[0].percent, 10u);
+    EXPECT_DOUBLE_EQ(windows[0].utilization, 0.10);
+    EXPECT_EQ(windows[1].tenures, 200u);
+    EXPECT_EQ(windows[1].percent, 20u);
+    EXPECT_DOUBLE_EQ(windows[1].utilization, 0.15);
+    EXPECT_EQ(windows[2].tenures, 0u);
+    EXPECT_EQ(windows[2].percent, 0u);
+    EXPECT_DOUBLE_EQ(windows[2].utilization, 0.10);
 }
 
 } // namespace

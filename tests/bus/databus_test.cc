@@ -37,12 +37,13 @@ TEST(DataBusTest, AddressOnlyOpsConsumeNone)
 
 TEST(DataBusTest, BeatCountScalesWithSizeAndWidth)
 {
-    Bus6xx bus;
-    bus.setDataBusBytesPerBeat(32);
+    Bus6xx bus; // 16B per beat, rounded up to whole beats
     bus.issue(txnOf(BusOp::Read, 128));
-    EXPECT_EQ(bus.stats().dataCycles, 4u);
+    EXPECT_EQ(bus.stats().dataCycles, 8u);
     bus.issue(txnOf(BusOp::Read, 1024));
-    EXPECT_EQ(bus.stats().dataCycles, 4u + 32u);
+    EXPECT_EQ(bus.stats().dataCycles, 8u + 64u);
+    bus.issue(txnOf(BusOp::Read, 17));
+    EXPECT_EQ(bus.stats().dataCycles, 8u + 64u + 2u);
 }
 
 TEST(DataBusTest, RetriedTenureTransfersNothing)
@@ -76,13 +77,6 @@ TEST(DataBusTest, DataUtilizationMatchesPaperArithmetic)
     const auto elapsed = bus.now();
     EXPECT_NEAR(bus.stats().utilization(elapsed), 0.025, 1e-3);
     EXPECT_NEAR(bus.stats().dataUtilization(elapsed), 0.20, 1e-3);
-}
-
-TEST(DataBusTest, ZeroWidthFallsBackToDefault)
-{
-    Bus6xx bus;
-    bus.setDataBusBytesPerBeat(0);
-    EXPECT_EQ(bus.dataBusBytesPerBeat(), 16u);
 }
 
 } // namespace

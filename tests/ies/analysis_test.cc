@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace memories::ies
 {
 namespace
@@ -79,27 +77,6 @@ TEST(AnalysisTest, CsvHasHeaderAndRows)
     EXPECT_NE(csv.find("node,refs,hits,misses"), std::string::npos);
     // Header + 2 node rows = 3 lines.
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-}
-
-TEST(AnalysisTest, L3SpeedupEstimateMatchesCaseStudy3)
-{
-    // Paper: "performance improves from 2-25% for these applications".
-    // A workload spending 30% of cycles in L2 misses with a 60% L3 hit
-    // ratio lands inside that band.
-    const double gain = l3SpeedupEstimate(0.30, 0.60);
-    EXPECT_GT(gain, 0.02);
-    EXPECT_LT(gain, 0.25);
-}
-
-TEST(AnalysisTest, L3SpeedupBoundsChecked)
-{
-    EXPECT_THROW(l3SpeedupEstimate(1.5, 0.5), FatalError);
-    EXPECT_THROW(l3SpeedupEstimate(0.5, -0.1), FatalError);
-}
-
-TEST(AnalysisTest, NoL3HitsNoGain)
-{
-    EXPECT_DOUBLE_EQ(l3SpeedupEstimate(0.4, 0.0), 0.0);
 }
 
 } // namespace

@@ -458,6 +458,10 @@ TEST(ConsoleTest, TraceCommandFamilyDrivesFlightRecorder)
     bus.issue(readTxn(0x1000, 1));
     console.board()->drainAll();
     console.execute("trace mark phase one done");
+    const std::string overlong(
+        trace::FlightRecorder::maxMarkLabelBytes + 1, 'x');
+    EXPECT_EQ(console.execute("trace mark " + overlong).rfind("error:", 0),
+              0u);
 
     const auto status = console.execute("trace status");
     EXPECT_NE(status.find("recorded"), std::string::npos) << status;

@@ -51,6 +51,42 @@ TEST(ServiceConsoleTest, SessionHelpListsAllRegisteredFamilies)
                    "session extensions");
 }
 
+TEST(ServiceConsoleTest, FeedsMoveTheClockOfMonitorAndTraceMarks)
+{
+    // Feeds reach the board through feedBatch, never across the
+    // session's bus, yet that bus is the clock of `monitor` and of
+    // `trace mark`: the session carries it to the last fed cycle.
+    SessionOptions options;
+    options.stateDir = uniquePath("iesserv-console-state");
+    Session session(options, "t0");
+    for (const auto &line : configScript())
+        ASSERT_EQ(session.execute(line).rfind("error:", 0),
+                  std::string::npos)
+            << line;
+    ASSERT_EQ(session.execute("monitor start 1000").rfind("monitoring", 0),
+              0u);
+    ASSERT_EQ(session.execute("trace start").rfind("flight recorder", 0),
+              0u);
+
+    // Eight reads 250 cycles apart (a record's delta field holds at
+    // most 255): the line ends at cycle 1750, past the first window.
+    std::string feed = "feed";
+    Cycle prev = 0;
+    for (Cycle at = 0; at < 2000; at += 250) {
+        bus::BusTransaction txn;
+        txn.addr = 0x10000 + 128 * at;
+        txn.cycle = at;
+        feed += ' ' + encodeRecordHex(trace::BusRecord::pack(txn, prev).raw);
+        prev = at;
+    }
+    EXPECT_EQ(session.execute(feed), "fed 8 accepted 8 of 8");
+
+    const std::string view = session.execute("monitor");
+    EXPECT_EQ(view.rfind("window 0 [0, 1000)", 0), 0u) << view;
+    EXPECT_EQ(session.execute("trace mark fed"),
+              "marked 'fed' at cycle 1750");
+}
+
 TEST(ServiceConsoleTest, WireHelpAddsTheServerFamily)
 {
     TestDaemon daemon;

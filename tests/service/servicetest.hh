@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,11 +32,11 @@
 namespace memories::service::testing
 {
 
-/** A /tmp path unique to this process and call site. */
+/** A /tmp path unique to this process and call (thread-safe). */
 inline std::string
 uniquePath(const std::string &stem)
 {
-    static int counter = 0;
+    static std::atomic<int> counter{0};
     return "/tmp/" + stem + "-" + std::to_string(::getpid()) + "-" +
            std::to_string(++counter);
 }
@@ -202,7 +204,10 @@ waitFor(Pred pred, int timeout_ms = 5000)
     return pred();
 }
 
-/** A daemon on a unique socket, started in the ctor, torn down after. */
+/**
+ * A daemon on a unique socket, started in the ctor; the dtor stops it
+ * and removes its state directory.
+ */
 struct TestDaemon
 {
     DaemonOptions options;
@@ -222,6 +227,8 @@ struct TestDaemon
     ~TestDaemon()
     {
         daemon->stop();
+        std::error_code ignored;
+        std::filesystem::remove_all(options.stateDir, ignored);
     }
 
     Daemon &get() { return *daemon; }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+
+#include "common/logging.hh"
 
 namespace memories::trace
 {
@@ -63,19 +66,6 @@ TEST(FlightRecorderTest, WrapDropsOldestFirstAndKeepsSeqMonotone)
     }
 }
 
-TEST(FlightRecorderTest, ResetForgetsEventsButSeqKeepsCounting)
-{
-    FlightRecorder rec(16);
-    for (int i = 0; i < 10; ++i)
-        rec.record(eventAt(i, i));
-    rec.reset();
-    EXPECT_EQ(rec.size(), 0u);
-    rec.record(eventAt(0xabc, 99));
-    const auto events = rec.snapshot();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].seq, 10u); // seq survives reset
-}
-
 TEST(FlightRecorderTest, MarkStoresLabelAndRecordsEvent)
 {
     FlightRecorder rec(16);
@@ -89,6 +79,32 @@ TEST(FlightRecorderTest, MarkStoresLabelAndRecordsEvent)
               "warmup done");
     EXPECT_EQ(rec.markLabel(static_cast<std::size_t>(events[1].addr)),
               "phase 2");
+}
+
+TEST(FlightRecorderTest, MarkLabelsAreBoundedInCountAndLength)
+{
+    // Marks come from wire clients: an overlong label is refused and
+    // only the newest maxMarkLabels labels are kept, so the labels of
+    // marks the ring has long overwritten cannot pile up.
+    constexpr std::size_t keep = FlightRecorder::maxMarkLabels;
+    FlightRecorder rec(16);
+    EXPECT_THROW(
+        rec.mark(std::string(FlightRecorder::maxMarkLabelBytes + 1, 'x'),
+                 1),
+        FatalError);
+    EXPECT_EQ(rec.recorded(), 0u);
+
+    const std::string longest(FlightRecorder::maxMarkLabelBytes, 'y');
+    rec.mark(longest, 2);
+    EXPECT_EQ(rec.markLabel(0), longest);
+    for (std::size_t i = 1; i <= keep; ++i)
+        rec.mark("m" + std::to_string(i), 2 + i);
+    EXPECT_EQ(rec.recorded(), keep + 1);
+    EXPECT_EQ(rec.markLabel(0), "?"); // replaced by the newest
+    EXPECT_EQ(rec.markLabel(1), "m1");
+    EXPECT_EQ(rec.markLabel(keep), "m" + std::to_string(keep));
+    EXPECT_EQ(rec.markLabel(keep + 1), "?"); // not yet recorded
+    EXPECT_EQ(rec.snapshot().back().addr, keep);
 }
 
 TEST(FlightRecorderTest, AnomalyRecordsEventAndFiresHook)

@@ -48,11 +48,6 @@ factories()
              return std::make_unique<ZipfWorkload>(4, 1 << 12, 4096,
                                                    0.8, 0.3, seed);
          }},
-        {"strided",
-         [](std::uint64_t seed) {
-             return std::make_unique<StridedWorkload>(4, 8 * MiB, 128,
-                                                      0.3, seed);
-         }},
         {"oltp",
          [](std::uint64_t seed) {
              OltpParams p;
@@ -121,15 +116,11 @@ TEST_P(DeterminismTest, DifferentSeedsDiverge)
         const unsigned tid = i % 4;
         same += a->next(tid).addr == b->next(tid).addr;
     }
-    // Strided is cursor-driven (seed only affects the write flags), so
-    // allow full address overlap there; everything else must diverge.
-    if (std::string(factory.name) != "strided") {
-        EXPECT_LT(same, n / 2) << factory.name;
-    }
+    EXPECT_LT(same, n / 2) << factory.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, DeterminismTest,
-                         ::testing::Range<std::size_t>(0, 7));
+                         ::testing::Range<std::size_t>(0, 6));
 
 /**
  * Run one workload through an ExperimentFleet with @p workers threads

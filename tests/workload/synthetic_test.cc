@@ -82,40 +82,5 @@ TEST(ZipfWorkloadTest, FootprintIsBlocksTimesBytes)
     EXPECT_EQ(wl.footprintBytes(), 1000u * 4096u);
 }
 
-TEST(StridedWorkloadTest, SequentialWithinPartition)
-{
-    StridedWorkload wl(2, 1 * MiB, 128, 0.0, 3);
-    const Addr first = wl.next(0).addr;
-    const Addr second = wl.next(0).addr;
-    EXPECT_EQ(second, first + 128);
-}
-
-TEST(StridedWorkloadTest, PartitionsAreDisjoint)
-{
-    StridedWorkload wl(4, 1 * MiB, 128, 0.0);
-    const std::uint64_t partition = 1 * MiB / 4;
-    for (unsigned t = 0; t < 4; ++t) {
-        for (int i = 0; i < 100; ++i) {
-            const auto ref = wl.next(t);
-            EXPECT_GE(ref.addr, workloadBaseAddr + t * partition);
-            EXPECT_LT(ref.addr, workloadBaseAddr + (t + 1) * partition);
-        }
-    }
-}
-
-TEST(StridedWorkloadTest, WrapsAtPartitionEnd)
-{
-    StridedWorkload wl(1, 1024, 128, 0.0); // 8 strides per partition
-    std::set<Addr> seen;
-    for (int i = 0; i < 16; ++i)
-        seen.insert(wl.next(0).addr);
-    EXPECT_LE(seen.size(), 8u); // revisits, never escapes
-}
-
-TEST(StridedWorkloadTest, RejectsStrideBeyondPartition)
-{
-    EXPECT_THROW(StridedWorkload(8, 1024, 512, 0.0), FatalError);
-}
-
 } // namespace
 } // namespace memories::workload
