@@ -2,15 +2,23 @@
 """Append one run's BENCH_throughput.json to the bench trajectory.
 
 bench/BENCH_history.jsonl is the repo's long-term throughput record:
-one JSON object per CI run, carrying the commit, every section's
+one JSON object per run, carrying the commit, every section's
 ns/ref, and (when the bench ran with --profile) the per-stage
 breakdown. check_bench_regression.py --history prints it as a
-trajectory; it is also uploaded as a CI artifact so a perf regression
-can be bisected to the commit that introduced it without re-running
-old builds.
+trajectory; no gate reads it.
 
-Absolute numbers in the history span runner generations, so read it
-for *trends on comparable runners*, not as a cross-machine benchmark.
+The committed file grows by one record per change that moves code on
+the measured path, appended in that change: a Release build (LTO on)
+of microbench_throughput at its default 4M refs on an idle host, with
+MEMORIES_GIT_SHA set to the parent's sha and a trailing "+" (the
+change's own sha does not exist until the record is in it); the full
+recipe is in docs/TESTING.md. CI appends its own run to a runner copy
+and uploads that as an artifact, so a perf regression can be bisected
+to the commit that introduced it without re-running old builds.
+
+Absolute numbers in the history span hosts and runner generations, so
+read it for *trends on comparable hosts*, not as a cross-machine
+benchmark.
 
 Usage:
     append_bench_history.py BENCH_throughput.json \

@@ -54,7 +54,14 @@ combineSnoop(SnoopResponse a, SnoopResponse b)
                ? a : b;
 }
 
-/** One address-bus tenure on the 6xx bus. */
+/** Largest transfer size a BusTransaction holds (its 15-bit field). */
+inline constexpr std::uint16_t maxTransactionSize = (1u << 15) - 1;
+
+/**
+ * One address-bus tenure on the 6xx bus: 24 bytes in memory, the 25
+ * serialized bytes of saveTransaction() less the flag byte folded into
+ * size's top bit. Every stream, ring and slab of tenures holds these.
+ */
 struct BusTransaction
 {
     /** Physical address (byte granularity; the board aligns to lines). */
@@ -65,10 +72,14 @@ struct BusTransaction
     BusOp op = BusOp::Read;
     /** Bus ID of the requesting processor. */
     CpuId cpu = 0;
-    /** Transfer size in bytes (host L2 line for cacheable ops). */
-    std::uint16_t size = 128;
+    /**
+     * Transfer size in bytes (host L2 line for cacheable ops), at most
+     * maxTransactionSize: host lines reach 16 KiB (cache::hostBounds),
+     * and the places a size comes in from outside refuse a larger one.
+     */
+    std::uint16_t size : 15 = 128;
     /** True when this tenure is a retry replay of an earlier one. */
-    bool isRetryReplay = false;
+    bool isRetryReplay : 1 = false;
     /**
      * Stable per-tenure trace id, stamped by Bus6xx::issue (1-based; 0
      * means "never issued"). Follows the tenure through capture,
@@ -80,6 +91,9 @@ struct BusTransaction
      */
     std::uint32_t traceId = 0;
 };
+
+static_assert(sizeof(BusTransaction) == 24,
+              "a tenure is 24 bytes: every stream and ring holds them");
 
 /** StateCodec: append one tenure to @p sink (fixed 25-byte layout). */
 inline void
@@ -95,7 +109,8 @@ saveTransaction(ckpt::Sink &sink, const BusTransaction &txn)
 }
 
 /** StateCodec: decode a tenure written by saveTransaction(); fatal()
- *  on an unknown bus op or malformed flag. */
+ *  on an unknown bus op, a size above maxTransactionSize or a
+ *  malformed flag. */
 inline BusTransaction
 decodeTransaction(ckpt::Source &source)
 {
@@ -107,7 +122,11 @@ decodeTransaction(ckpt::Source &source)
         fatal(source.context(), ": unknown bus op ", unsigned{op});
     txn.op = static_cast<BusOp>(op);
     txn.cpu = source.u8();
-    txn.size = source.u16();
+    const std::uint16_t size = source.u16();
+    if (size > maxTransactionSize)
+        fatal(source.context(), ": transfer size ", size,
+              " exceeds the largest tenure size ", maxTransactionSize);
+    txn.size = size;
     const std::uint8_t replay = source.u8();
     if (replay > 1)
         fatal(source.context(), ": retry-replay flag must be 0 or 1");

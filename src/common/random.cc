@@ -67,14 +67,17 @@ Rng::nextBounded(std::uint64_t bound)
 {
     if (bound == 0)
         MEMORIES_PANIC("nextBounded(0)");
-    // Lemire-style multiply-shift rejection for unbiased output.
-    std::uint64_t threshold = (-bound) % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        __uint128_t m = static_cast<__uint128_t>(r) * bound;
-        if (static_cast<std::uint64_t>(m) >= threshold)
-            return static_cast<std::uint64_t>(m >> 64);
+    // Lemire's nearly-divisionless multiply-shift rejection: a draw
+    // whose low word is at least the threshold (-bound) % bound is
+    // accepted. The threshold is below bound, so only a low word below
+    // bound needs the division to decide.
+    __uint128_t m = static_cast<__uint128_t>(next()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) {
+        const std::uint64_t threshold = (0 - bound) % bound;
+        while (static_cast<std::uint64_t>(m) < threshold)
+            m = static_cast<__uint128_t>(next()) * bound;
     }
+    return static_cast<std::uint64_t>(m >> 64);
 }
 
 double
@@ -121,6 +124,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     alpha_ = 1.0 / (1.0 - theta);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
            (1.0 - zeta2 / zetan_);
+    rankOneBound_ = 1.0 + std::pow(0.5, theta);
 }
 
 std::uint64_t
@@ -131,7 +135,7 @@ ZipfSampler::sample(Rng &rng) const
     const double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rankOneBound_)
         return 1;
     const double frac =
         std::pow(eta_ * u - eta_ + 1.0, alpha_);

@@ -91,6 +91,8 @@ class ZipfSampler
     double alpha_;
     double zetan_;
     double eta_;
+    /** 1 + 0.5^theta: uz below it (and at least 1) draws rank 1. */
+    double rankOneBound_;
 };
 
 } // namespace memories

@@ -8,6 +8,9 @@ namespace memories::host
 IoBridge::IoBridge(const IoBridgeConfig &config, bus::Bus6xx &bus)
     : config_(config), bus_(bus), rng_(config.seed * 0x7f4a7c15u + 3)
 {
+    if (config.lineBytes > bus::maxTransactionSize)
+        fatal("I/O bridge line size ", config.lineBytes,
+              " exceeds the largest tenure size ", bus::maxTransactionSize);
     if (config.dmaBytes < config.lineBytes)
         fatal("DMA region smaller than one line");
     if (config.busId < 8)

@@ -36,7 +36,7 @@ struct IoBridgeConfig
     double writeFrac = 0.5;
     /** Fraction of operations that are programmed-I/O (filtered). */
     double pioFrac = 0.1;
-    /** Line size of DMA bursts. */
+    /** Line size of DMA bursts (at most bus::maxTransactionSize). */
     std::uint16_t lineBytes = 128;
     std::uint64_t seed = 1;
 };

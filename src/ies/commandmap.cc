@@ -132,7 +132,7 @@ bus::SnoopResponse
 InterposerCard::deliver(const ForeignTransaction &txn)
 {
     const auto op = map_.translate(txn.opcode);
-    if (!op) {
+    if (!op || txn.size > bus::maxTransactionSize) {
         ++stats_.dropped;
         return bus::SnoopResponse::None;
     }

@@ -114,7 +114,9 @@ CommandMap makeP6BusCommandMap();
 struct InterposerStats
 {
     std::uint64_t translated = 0;
-    std::uint64_t dropped = 0;   //!< explicit drops + unknown (Drop)
+    /** Explicit drops, unknown opcodes (Drop policy), and sizes above
+     *  bus::maxTransactionSize. */
+    std::uint64_t dropped = 0;
     std::uint64_t retriedBy6xxSide = 0;
 };
 
@@ -133,7 +135,9 @@ class InterposerCard
 
     /**
      * Deliver one foreign transaction: translate and, if mapped,
-     * issue on the 6xx-side bus at the foreign timestamp.
+     * issue on the 6xx-side bus at the foreign timestamp. A size a
+     * 6xx tenure cannot hold (above bus::maxTransactionSize) is
+     * dropped like an unmapped opcode.
      * @return the 6xx-side snoop response (None when dropped).
      */
     bus::SnoopResponse deliver(const ForeignTransaction &txn);

@@ -245,6 +245,7 @@ Console::stopTrace()
     if (board_ && board_->flightRecorder() == recorder_.get())
         board_->detachFlightRecorder();
     recorder_.reset();
+    autodump_ = {};
 }
 
 void
@@ -734,6 +735,10 @@ Console::handleTrace(const Tokens &tokens)
         os << "recorded " << rec.recorded() << " retained " << rec.size()
            << "/" << rec.capacity() << " overwritten "
            << rec.overwritten() << " anomalies " << rec.anomalies();
+        if (autodump_.armed) {
+            os << " autodumps written " << autodump_.written
+               << " skipped " << autodump_.skipped;
+        }
         return os.str();
     }
     if (sub == "show") {
@@ -792,13 +797,25 @@ Console::handleTrace(const Tokens &tokens)
         if (tokens.size() != 3)
             fatal("usage: trace autodump <path>");
         auto &rec = require_recorder();
-        rec.onAnomaly([path = tokens[2]](
+        autodump_ = {};
+        autodump_.armed = true;
+        // A dump rewrites the whole ring and syncs it, so a storm of
+        // anomalies must not each pay one: after the first, dump again
+        // only once half a ring of events is new since the last dump.
+        rec.onAnomaly([this, path = tokens[2]](
                           const trace::FlightRecorder &r,
                           const trace::LifecycleEvent &) {
+            if (autodump_.written > 0 &&
+                r.recorded() - autodump_.recordedAtLast < r.capacity() / 2) {
+                ++autodump_.skipped;
+                return;
+            }
             trace::writeLifecycleDump(path, r.snapshot());
+            ++autodump_.written;
+            autodump_.recordedAtLast = r.recorded();
         });
         return "flight recorder will dump to " + tokens[2] +
-               " on every anomaly";
+               " at an anomaly once half a ring is new";
     }
     fatal("unknown trace subcommand '", sub, "'");
 }

@@ -31,12 +31,13 @@
  *   monitor                  -- live view of the last closed window
  *   monitor stop             -- finish sampling (closes the file)
  *   trace start [events]     -- attach a flight recorder (ring size)
- *   trace status             -- recorded/retained/anomaly counts
+ *   trace status             -- recorded/retained/anomaly/dump counts
  *   trace show [n]           -- describe the last n retained events
  *   trace mark <label...>    -- drop an operator annotation in the ring
  *   trace dump <path>        -- write retained events (IESCKPT dump)
  *   trace chrome <path>      -- write retained events as Chrome JSON
- *   trace autodump <path>    -- dump automatically on every anomaly
+ *   trace autodump <path>    -- dump automatically at an anomaly once
+ *                               half a ring has passed since the last
  *   trace stop               -- detach and discard the recorder
  *   prof start               -- attach an IESPROF profiler
  *   prof [show]              -- stage attribution report
@@ -250,6 +251,15 @@ class Console
     std::unique_ptr<MemoriesBoard> board_;
     std::unique_ptr<ConsoleMonitor> monitor_;
     std::unique_ptr<trace::FlightRecorder> recorder_;
+    /** `trace autodump` tally since it was armed; `trace status`. */
+    struct AutoDump
+    {
+        bool armed = false;
+        std::uint64_t written = 0;
+        std::uint64_t skipped = 0;
+        /** recorder_->recorded() when the last dump was written. */
+        std::uint64_t recordedAtLast = 0;
+    } autodump_;
     std::unique_ptr<profile::Profiler> profiler_;
     fault::FaultPlan plan_;
     bool planLoaded_ = false;

@@ -129,6 +129,7 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
     Cycle prev = prevCycle_;
     std::size_t n = 0;
     std::string_view bad;
+    std::string_view why = "want 16 lower-case hex digits";
     for (std::string_view word = ies::nextWord(line); !word.empty();
          word = ies::nextWord(line)) {
         if (++n > maxBatch_ || !bad.empty())
@@ -138,7 +139,13 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
             bad = word;
             continue;
         }
-        txns_.push_back(trace::BusRecord(*raw).unpack(prev));
+        const trace::BusRecord rec(*raw);
+        if (!rec.hasKnownOp()) {
+            bad = word;
+            why = "its command field names no bus command";
+            continue;
+        }
+        txns_.push_back(rec.unpack(prev));
         prev = txns_.back().cycle;
     }
     if (n == 0)
@@ -147,8 +154,7 @@ StreamIngest::handleFeed(ies::Console &console, std::string_view line)
         fatal("feed of ", n, " records exceeds the session batch limit ",
               maxBatch_);
     if (!bad.empty())
-        fatal("bad record token '", bad,
-              "' (want 16 lower-case hex digits)");
+        fatal("bad record token '", bad, "' (", why, ")");
 
     ++feedLines_;
     refsOffered_ += n;

@@ -51,6 +51,13 @@ struct BusRecord
     /** Bus command. */
     bus::BusOp op() const;
 
+    /** True when the command field names a bus command: its four bits
+     *  hold 16 values, but only bus::numBusOps commands exist. */
+    bool hasKnownOp() const
+    {
+        return static_cast<std::size_t>(op()) < bus::numBusOps;
+    }
+
     /** Requesting CPU. */
     CpuId cpu() const;
 

@@ -44,8 +44,7 @@ readBusTrace(const std::string &path)
     Cycle prev = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const BusRecord rec(source.u64());
-        // Four bits name the command, but only numBusOps values exist.
-        if (static_cast<std::size_t>(rec.op()) >= bus::numBusOps) {
+        if (!rec.hasKnownOp()) {
             fatal(source.context(), ": record ", i,
                   " has unknown bus command ",
                   static_cast<unsigned>(rec.op()));

@@ -51,6 +51,45 @@ TEST(RngTest, NextBoundedCoversRange)
         EXPECT_GT(count, 800) << "value " << value << " underrepresented";
 }
 
+/** The division-first form nextBounded() replaced: the threshold is
+ *  computed before every draw. Counts the raw draws it rejects. */
+std::uint64_t
+divisionFirstBounded(Rng &rng, std::uint64_t bound, std::uint64_t &rejected)
+{
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+        const __uint128_t m =
+            static_cast<__uint128_t>(rng.next()) * bound;
+        if (static_cast<std::uint64_t>(m) >= threshold)
+            return static_cast<std::uint64_t>(m >> 64);
+        ++rejected;
+    }
+}
+
+TEST(RngTest, NextBoundedMatchesTheDivisionFirstForm)
+{
+    // Same accepted draws, same outputs, same final state. 2^63+1
+    // rejects about half its raw draws. 2^32+1 and 2^64-1 have a
+    // threshold of 1; 2^64-1 takes the threshold computation on
+    // nearly every draw.
+    const std::uint64_t bounds[] = {
+        1, 3, 7, (std::uint64_t{1} << 32) + 1,
+        (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}};
+    for (const std::uint64_t bound : bounds) {
+        Rng fast(bound ^ 0x5eed), reference(bound ^ 0x5eed);
+        std::uint64_t rejected = 0;
+        for (int i = 0; i < 100'000; ++i) {
+            ASSERT_EQ(fast.nextBounded(bound),
+                      divisionFirstBounded(reference, bound, rejected))
+                << "bound " << bound << " draw " << i;
+        }
+        EXPECT_EQ(fast.state(), reference.state()) << "bound " << bound;
+        if (bound == (std::uint64_t{1} << 63) + 1) {
+            EXPECT_GT(rejected, 40'000u);
+        }
+    }
+}
+
 TEST(RngDeathTest, NextBoundedZeroPanics)
 {
     Rng rng(1);

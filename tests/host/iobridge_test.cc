@@ -30,6 +30,14 @@ TEST(IoBridgeTest, RejectsTinyDmaRegion)
     EXPECT_THROW(IoBridge(cfg, bus), FatalError);
 }
 
+TEST(IoBridgeTest, RejectsALineNoTenureHolds)
+{
+    bus::Bus6xx bus;
+    IoBridgeConfig cfg = smallBridge();
+    cfg.lineBytes = bus::maxTransactionSize + 1;
+    EXPECT_THROW(IoBridge(cfg, bus), FatalError);
+}
+
 TEST(IoBridgeTest, MixesDmaAndPio)
 {
     bus::Bus6xx bus;

@@ -142,6 +142,26 @@ TEST(InterposerTest, DropsUnmappedAndCounts)
     EXPECT_EQ(bus.stats().tenures, 0u);
 }
 
+TEST(InterposerTest, DropsASizeNoTenureHolds)
+{
+    // A foreign line size above bus::maxTransactionSize would not fit
+    // the tenure's size field: it is dropped like an unmapped opcode,
+    // not truncated onto the 6xx side.
+    bus::Bus6xx bus;
+    InterposerCard card(bus, makeP6BusCommandMap());
+    ForeignTransaction txn = foreign(0x00);
+    txn.size = bus::maxTransactionSize + 1;
+    EXPECT_EQ(card.deliver(txn), bus::SnoopResponse::None);
+    EXPECT_EQ(card.stats().dropped, 1u);
+    EXPECT_EQ(card.stats().translated, 0u);
+    EXPECT_EQ(bus.stats().tenures, 0u);
+
+    txn.size = bus::maxTransactionSize;
+    card.deliver(txn);
+    EXPECT_EQ(card.stats().translated, 1u);
+    EXPECT_EQ(bus.stats().tenures, 1u);
+}
+
 TEST(InterposerTest, ForeignTimestampsAdvanceTheBus)
 {
     bus::Bus6xx bus;

@@ -583,6 +583,76 @@ TEST(ConsoleTest, TraceAutodumpWritesRingOnAnomaly)
     std::remove(dumpPath.c_str());
 }
 
+TEST(ConsoleTest, TraceAutodumpWritesOnceThroughAnAnomalyStorm)
+{
+    // Back-to-back reads on a 2-entry buffer raise an overflow anomaly
+    // on nearly every tenure. Each dump rewrites and syncs the whole
+    // ring, so only an anomaly after half a ring of new events dumps
+    // again; this storm records far less than half of 65536 events.
+    const std::string dumpPath =
+        ::testing::TempDir() + "console_autodump_storm.spans";
+    std::remove(dumpPath.c_str());
+
+    bus::Bus6xx bus;
+    Console console(bus);
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0,1");
+    console.execute("buffer 2");
+    console.execute("init");
+    console.execute("trace start 65536");
+    console.execute("trace autodump " + dumpPath);
+
+    for (int i = 0; i < 2000; ++i)
+        bus.issue(readTxn(0x1000u + 128u * i, 0));
+
+    const trace::FlightRecorder &rec = *console.flightRecorder();
+    ASSERT_GT(rec.anomalies(), 1000u);
+    ASSERT_LT(rec.recorded(), rec.capacity() / 2);
+    const std::string status = console.execute("trace status");
+    EXPECT_NE(status.find("autodumps written 1 skipped " +
+                          std::to_string(rec.anomalies() - 1)),
+              std::string::npos)
+        << status;
+    const auto dumped = trace::readLifecycleDump(dumpPath);
+    ASSERT_FALSE(dumped.empty());
+    EXPECT_EQ(dumped.back().kind, trace::EventKind::Anomaly);
+    EXPECT_LT(dumped.size(), rec.recorded());
+    std::remove(dumpPath.c_str());
+}
+
+TEST(ConsoleTest, TraceAutodumpDumpsAgainAfterHalfARing)
+{
+    // With a 16-event ring, eight new events re-arm the dump.
+    const std::string dumpPath =
+        ::testing::TempDir() + "console_autodump_rearm.spans";
+    std::remove(dumpPath.c_str());
+
+    bus::Bus6xx bus;
+    Console console(bus);
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0,1");
+    console.execute("buffer 2");
+    console.execute("init");
+    console.execute("trace start 16");
+    console.execute("trace autodump " + dumpPath);
+
+    for (int i = 0; i < 40; ++i)
+        bus.issue(readTxn(0x1000u + 128u * i, 0));
+
+    const trace::FlightRecorder &rec = *console.flightRecorder();
+    const std::string status = console.execute("trace status");
+    const auto at = status.find("autodumps written ");
+    ASSERT_NE(at, std::string::npos) << status;
+    const std::uint64_t written = std::stoull(status.substr(at + 18));
+    EXPECT_GT(written, 1u) << status;
+    EXPECT_LE(written, rec.recorded() / 8 + 1) << status;
+    EXPECT_NE(status.find(" skipped " +
+                          std::to_string(rec.anomalies() - written)),
+              std::string::npos)
+        << status;
+    std::remove(dumpPath.c_str());
+}
+
 TEST(ConsoleTest, FaultCommandFamilyArmsAndDisarms)
 {
     const std::string planPath =

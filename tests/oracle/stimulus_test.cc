@@ -17,6 +17,7 @@
 #include <string>
 
 #include "bus/busop.hh"
+#include "checkpoint/codec.hh"
 #include "common/logging.hh"
 #include "trace/record.hh"
 #include "trace/tracefile.hh"
@@ -195,6 +196,30 @@ TEST(StimulusTest, RejectsDegenerateParams)
     p = StimulusParams{};
     p.footprintLines = 0;
     EXPECT_THROW(StimulusGen{p}, FatalError);
+}
+
+TEST(StimulusTest, HotStreamMatchesItsGoldenCrc)
+{
+    // perfbench's replay-hot stimulus at 2^14 tenures. The CRC runs
+    // over each tenure's serialized fields (saveTransaction), so it
+    // pins the stream itself, not BusTransaction's in-memory layout:
+    // a change to the random draws that moves any field fails here.
+    StimulusParams p;
+    p.seed = 1;
+    p.count = std::size_t{1} << 14;
+    p.cpus = 8;
+    p.shareFraction = 0.5;
+    p.pRead = 0.40;
+    p.pIfetch = 0.04;
+    p.pRwitm = 0.22;
+    p.pDclaim = 0.14;
+    p.pWriteback = 0.14;
+    ckpt::Sink sink;
+    for (const bus::BusTransaction &txn : StimulusGen(p).generate())
+        bus::saveTransaction(sink, txn);
+    ASSERT_EQ(sink.bytes().size(), p.count * 25);
+    EXPECT_EQ(ckpt::crc32(sink.bytes().data(), sink.bytes().size()),
+              0x1ff010f7u);
 }
 
 } // namespace

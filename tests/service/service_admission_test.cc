@@ -220,6 +220,33 @@ TEST(ServiceAdmissionTest, BatchLimitIsReportedBeforeABadToken)
               std::string::npos);
 }
 
+TEST(ServiceAdmissionTest, RecordNamingNoBusCommandRejectsTheLine)
+{
+    // Bits 48..51 of a record name the command; 13, 14 and 15 name
+    // none. The trace reader refuses such a record, and so does feed:
+    // the whole line, before any record is counted or admitted.
+    SessionOptions options;
+    options.stateDir = uniquePath("iesserv-admission-state");
+    Session session(options, "t0");
+    for (const std::string &line : tinyBufferScript())
+        ASSERT_EQ(session.execute(line).rfind("error:", 0),
+                  std::string::npos)
+            << line;
+    const std::string counters = session.execute("counters");
+
+    Cycle prev = 0;
+    const std::string good = feedLine({0, 0}, prev);
+    for (const char *bad : {"010f000000000100", "000d000000000100"}) {
+        EXPECT_EQ(session.execute(good + " " + bad),
+                  std::string("error: bad record token '") + bad +
+                      "' (its command field names no bus command)");
+    }
+    EXPECT_EQ(session.execute("counters"), counters);
+    EXPECT_NE(session.execute("stream status").find("feed-lines 0"),
+              std::string::npos);
+    EXPECT_EQ(session.execute(good), "fed 2 accepted 2 of 2");
+}
+
 TEST(ServiceAdmissionTest, TabAndCrLfSeparatedLinesMatchSingleSpaced)
 {
     TestDaemon daemon;

@@ -67,6 +67,7 @@ TEST(ServiceProtocolFuzzTest, GarbageRequestsAlwaysGetFramedReplies)
         "feed 0123456789abcdeg",
         "feed 0123456789ABCDEF", // upper case is rejected
         "feed 0123456789abcdef extra-garbage",
+        "feed 010f000000000100", // command 15 names no bus command
         "drain now",
         "stream",
         "stream pace sideways",

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint/codec.hh"
 #include "common/logging.hh"
 
 namespace memories::workload
@@ -159,6 +160,23 @@ TEST(OltpTest, FootprintIncludesJournal)
     p.journaling = true;
     EXPECT_EQ(OltpWorkload(p).footprintBytes(),
               p.dbBytes + p.journalBytes);
+}
+
+TEST(OltpTest, DefaultStreamMatchesItsGoldenCrc)
+{
+    // The first 100 000 references of the default model, threads taken
+    // round-robin. Pins every draw behind them (Zipf page choice,
+    // bounded offsets, store and pool coin flips) to the bit.
+    OltpWorkload wl{OltpParams{}};
+    ckpt::Sink sink;
+    for (unsigned i = 0; i < 100'000; ++i) {
+        const MemRef ref = wl.next(i % wl.threads());
+        sink.u64(ref.addr);
+        sink.u8(ref.write ? 1 : 0);
+        sink.u8(ref.ifetch ? 1 : 0);
+    }
+    EXPECT_EQ(ckpt::crc32(sink.bytes().data(), sink.bytes().size()),
+              0x4f47e2a8u);
 }
 
 } // namespace
