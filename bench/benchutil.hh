@@ -24,16 +24,11 @@
 #ifndef MEMORIES_BENCH_BENCHUTIL_HH
 #define MEMORIES_BENCH_BENCHUTIL_HH
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "checkpoint/io.hh"
 #include "common/cmdline.hh"
@@ -145,22 +140,6 @@ writeJsonResults(const std::string &path, const std::string &bench,
     json += extraJson.empty() ? "  ]\n" : "  ],\n  " + extraJson + "\n";
     json += "}\n";
     ckpt::atomicWriteFile(path, json.data(), json.size());
-}
-
-/**
- * fatal() unless the directory @p path lies in is writable. A results
- * file is written after the timed sections; checking first fails a
- * mistyped path before them instead of after the whole run.
- */
-inline void
-requireWritableDir(const std::string &path)
-{
-    std::string dir = std::filesystem::path(path).parent_path().string();
-    if (dir.empty())
-        dir = ".";
-    if (::access(dir.c_str(), W_OK | X_OK) != 0)
-        fatal("cannot write '", path, "': directory '", dir, "': ",
-              std::strerror(errno));
 }
 
 /** Print a banner naming the experiment being reproduced. */

@@ -122,7 +122,7 @@ program(int argc, char **argv)
         .flag("--json", jsonPath)
         .parseOrExit(argc, argv);
     if (!jsonPath.empty())
-        bench::requireWritableDir(jsonPath);
+        ckpt::requireWritableDir(jsonPath);
     const auto refs = static_cast<std::uint64_t>(millions * 1e6);
 
     bench::banner(

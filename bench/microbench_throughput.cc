@@ -34,6 +34,7 @@
 
 #include "bench/benchutil.hh"
 #include "memories/memories.hh"
+#include "service/wire.hh"
 
 namespace
 {
@@ -78,7 +79,7 @@ program(int argc, char **argv)
             fatal("cannot create telemetry file '", jsonl_path, "'");
     }
     if (!json_path.empty())
-        bench::requireWritableDir(json_path);
+        ckpt::requireWritableDir(json_path);
 
     bench::banner("Microbenchmark: reproduction throughput",
                   "board path vs host model vs detailed simulator");
@@ -213,6 +214,31 @@ program(int argc, char **argv)
                 prof.json(static_cast<std::uint64_t>(trace.size()));
             std::printf("%s", prof.describe().c_str());
         }
+    }
+    {
+        // The wire rung (ungated): the trace as 256-record feed lines,
+        // encoded and parsed back by the two functions that
+        // ServiceClient::feedAll and a session's `feed` call.
+        constexpr std::size_t line_records = 256;
+        std::string line;
+        std::vector<bus::BusTransaction> parsed;
+        Cycle prev = 0;
+        bench::Stopwatch clock;
+        for (std::size_t at = 0; at < trace.size(); at += line_records) {
+            const std::size_t count =
+                std::min(line_records, trace.size() - at);
+            line.clear();
+            service::appendFeedLine(line, &trace[at], count, prev);
+            const service::FeedWords words =
+                service::parseFeedLine(line, prev, line_records, parsed);
+            if (!words.bad.empty() || parsed.size() != count ||
+                parsed.back().cycle != trace[at + count - 1].cycle)
+                fatal("wire codec: the line at record ", at,
+                      " did not parse back");
+            prev = parsed.back().cycle;
+        }
+        report("wire codec (encode+decode), records", clock.seconds(),
+               static_cast<double>(trace.size()));
     }
     {
         bus::Bus6xx bus;

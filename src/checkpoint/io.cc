@@ -211,4 +211,13 @@ ensureDir(const std::string &path)
     fatal("cannot create directory '", path, "'");
 }
 
+void
+requireWritableDir(const std::string &path)
+{
+    const std::string dir = dirOf(path);
+    if (::access(dir.c_str(), W_OK | X_OK) != 0)
+        fatal("cannot write '", path, "': directory '", dir, "': ",
+              std::strerror(errno));
+}
+
 } // namespace memories::ckpt

@@ -120,6 +120,13 @@ void removeFileIfExists(const std::string &path);
 /** Create directory @p path (one level); ok when it already exists. */
 void ensureDir(const std::string &path);
 
+/**
+ * fatal() unless the directory @p path lies in is writable. A file
+ * written later (a results file after the timed sections, a dump at an
+ * anomaly) fails at once on a mistyped path instead of at that point.
+ */
+void requireWritableDir(const std::string &path);
+
 } // namespace memories::ckpt
 
 #endif // MEMORIES_CHECKPOINT_IO_HH

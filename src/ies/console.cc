@@ -737,7 +737,8 @@ Console::handleTrace(const Tokens &tokens)
            << rec.overwritten() << " anomalies " << rec.anomalies();
         if (autodump_.armed) {
             os << " autodumps written " << autodump_.written
-               << " skipped " << autodump_.skipped;
+               << " skipped " << autodump_.skipped << " failed "
+               << autodump_.failed;
         }
         return os.str();
     }
@@ -797,22 +798,29 @@ Console::handleTrace(const Tokens &tokens)
         if (tokens.size() != 3)
             fatal("usage: trace autodump <path>");
         auto &rec = require_recorder();
+        ckpt::requireWritableDir(tokens[2]);
         autodump_ = {};
         autodump_.armed = true;
         // A dump rewrites the whole ring and syncs it, so a storm of
         // anomalies must not each pay one: after the first, dump again
-        // only once half a ring of events is new since the last dump.
+        // only once half a ring of events is new since the last try.
+        // The hook runs inside board admission (and Bus6xx::issue), so
+        // a dump that fails is counted, never thrown.
         rec.onAnomaly([this, path = tokens[2]](
                           const trace::FlightRecorder &r,
                           const trace::LifecycleEvent &) {
-            if (autodump_.written > 0 &&
+            if (autodump_.written + autodump_.failed > 0 &&
                 r.recorded() - autodump_.recordedAtLast < r.capacity() / 2) {
                 ++autodump_.skipped;
                 return;
             }
-            trace::writeLifecycleDump(path, r.snapshot());
-            ++autodump_.written;
             autodump_.recordedAtLast = r.recorded();
+            try {
+                trace::writeLifecycleDump(path, r.snapshot());
+                ++autodump_.written;
+            } catch (const FatalError &) {
+                ++autodump_.failed;
+            }
         });
         return "flight recorder will dump to " + tokens[2] +
                " at an anomaly once half a ring is new";

@@ -38,6 +38,8 @@
  *   trace chrome <path>      -- write retained events as Chrome JSON
  *   trace autodump <path>    -- dump automatically at an anomaly once
  *                               half a ring has passed since the last
+ *                               (refused unless <path>'s directory is
+ *                               writable; a failed dump is counted)
  *   trace stop               -- detach and discard the recorder
  *   prof start               -- attach an IESPROF profiler
  *   prof [show]              -- stage attribution report
@@ -92,6 +94,14 @@
 namespace memories::ies
 {
 
+/** True for a token separator: C-locale isspace()'s six characters. */
+inline bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+}
+
 /**
  * Pop the next token off the front of @p rest, without copying: the
  * returned view points into @p rest's text. Empty once no token is
@@ -100,16 +110,11 @@ namespace memories::ies
 inline std::string_view
 nextWord(std::string_view &rest)
 {
-    // The separators are exactly C-locale isspace()'s six characters.
-    const auto space = [](char c) {
-        return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
-               c == '\f' || c == '\r';
-    };
     std::size_t begin = 0;
-    while (begin < rest.size() && space(rest[begin]))
+    while (begin < rest.size() && isSpace(rest[begin]))
         ++begin;
     std::size_t end = begin;
-    while (end < rest.size() && !space(rest[end]))
+    while (end < rest.size() && !isSpace(rest[end]))
         ++end;
     const std::string_view word = rest.substr(begin, end - begin);
     rest.remove_prefix(end);
@@ -257,7 +262,9 @@ class Console
         bool armed = false;
         std::uint64_t written = 0;
         std::uint64_t skipped = 0;
-        /** recorder_->recorded() when the last dump was written. */
+        /** Dumps that threw (say, the directory went away). */
+        std::uint64_t failed = 0;
+        /** recorder_->recorded() when the last dump was tried. */
         std::uint64_t recordedAtLast = 0;
     } autodump_;
     std::unique_ptr<profile::Profiler> profiler_;

@@ -11,8 +11,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "trace/record.hh"
-
 namespace memories::service
 {
 
@@ -96,27 +94,17 @@ ServiceClient::feedAll(const std::vector<bus::BusTransaction> &txns,
     if (batch == 0)
         batch = 1;
 
-    // Encode the whole stream once, as " <hex16>" per record: a
-    // back-pressured tail is re-sent verbatim, so the bytes must not
-    // depend on how the stream ends up being windowed, and every feed
-    // line is "feed" + one slice of this buffer + "\n".
-    constexpr std::size_t recordBytes = 17;
-    std::string wire;
-    wire.reserve(txns.size() * recordBytes);
-    Cycle prev = prevCycle_;
-    for (const auto &txn : txns) {
-        wire += ' ';
-        appendRecordHex(wire, trace::BusRecord::pack(txn, prev).raw);
-        prev = txn.cycle;
-    }
-
+    // Each line is encoded as it is sent, into one reused buffer. A
+    // record's cycle delta comes from the record before it, whichever
+    // line carried that one, so a back-pressured tail is re-sent with
+    // the bytes it would have had in any other windowing.
     std::string line;
     std::size_t next = 0;
     while (next < txns.size() && channel_) {
         const std::size_t n = std::min(batch, txns.size() - next);
-        line.assign("feed");
-        line.append(wire, next * recordBytes, n * recordBytes);
-        line += '\n';
+        line.clear();
+        appendFeedLine(line, txns.data() + next, n,
+                       next > 0 ? txns[next - 1].cycle : prevCycle_);
         const auto sent = std::chrono::steady_clock::now();
         const Reply reply = request(line);
         if (latencies_us)

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "service/wire.hh"
-#include "trace/record.hh"
 #include "trace/tracefile.hh"
 
 namespace memories::service
@@ -119,42 +118,20 @@ std::string
 StreamIngest::handleFeed(ies::Console &console, std::string_view line)
 {
     ies::MemoriesBoard &board = requireBoard(console, "feed");
-    ies::nextWord(line); // the family name
 
     // One pass over the words, straight from the request line: count
     // them all, and decode and unpack on the session's cycle chain
     // until the batch limit or the first bad one. The whole line is
     // rejected on any error, the limit check first.
-    txns_.clear();
-    Cycle prev = prevCycle_;
-    std::size_t n = 0;
-    std::string_view bad;
-    std::string_view why = "want 16 lower-case hex digits";
-    for (std::string_view word = ies::nextWord(line); !word.empty();
-         word = ies::nextWord(line)) {
-        if (++n > maxBatch_ || !bad.empty())
-            continue;
-        const auto raw = decodeRecordHex(word);
-        if (!raw) {
-            bad = word;
-            continue;
-        }
-        const trace::BusRecord rec(*raw);
-        if (!rec.hasKnownOp()) {
-            bad = word;
-            why = "its command field names no bus command";
-            continue;
-        }
-        txns_.push_back(rec.unpack(prev));
-        prev = txns_.back().cycle;
-    }
+    const FeedWords words = parseFeedLine(line, prevCycle_, maxBatch_, txns_);
+    const std::size_t n = words.count;
     if (n == 0)
         fatal("usage: feed <hex16> [<hex16> ...]");
     if (n > maxBatch_)
         fatal("feed of ", n, " records exceeds the session batch limit ",
               maxBatch_);
-    if (!bad.empty())
-        fatal("bad record token '", bad, "' (", why, ")");
+    if (!words.bad.empty())
+        fatal("bad record token '", words.bad, "' (", words.why, ")");
 
     ++feedLines_;
     refsOffered_ += n;

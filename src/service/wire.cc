@@ -1,13 +1,16 @@
 #include "service/wire.hh"
 
-#include <array>
+#include <bit>
 #include <cerrno>
+#include <cstring>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/units.hh"
+#include "ies/console.hh"
+#include "trace/record.hh"
 
 namespace memories::service
 {
@@ -48,37 +51,96 @@ renderReply(bool ok, const std::string &body)
 namespace
 {
 
-constexpr char hexDigits[] = "0123456789abcdef";
+/** @p b in every byte of a word. */
+constexpr std::uint64_t
+inEveryByte(std::uint8_t b)
+{
+    return 0x0101010101010101ull * b;
+}
 
-/** Nibble value of each byte; 0x10 marks a byte that is not a digit. */
-constexpr std::array<std::uint8_t, 256> hexNibble = [] {
-    std::array<std::uint8_t, 256> table{};
-    table.fill(0x10);
-    for (int c = '0'; c <= '9'; ++c)
-        table[c] = static_cast<std::uint8_t>(c - '0');
-    for (int c = 'a'; c <= 'f'; ++c)
-        table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
-    return table;
-}();
+/** The 8 bytes at @p p as one word, p[0] its most significant byte. */
+std::uint64_t
+loadBigEndian(const char *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    if constexpr (std::endian::native == std::endian::little)
+        w = __builtin_bswap64(w);
+    return w;
+}
+
+/** Store @p w at @p p, its most significant byte first. */
+void
+storeBigEndian(char *p, std::uint64_t w)
+{
+    if constexpr (std::endian::native == std::endian::little)
+        w = __builtin_bswap64(w);
+    std::memcpy(p, &w, sizeof w);
+}
+
+/** The 8 hex digits of @p x, one per byte, the first in the top byte. */
+std::uint64_t
+hexDigits(std::uint32_t x)
+{
+    // Spread the nibbles: 16-bit halves into 32-bit lanes, bytes into
+    // 16-bit lanes, nibbles into bytes.
+    std::uint64_t v = x;
+    v = (v | (v << 16)) & 0x0000ffff0000ffffull;
+    v = (v | (v << 8)) & 0x00ff00ff00ff00ffull;
+    v = (v | (v << 4)) & 0x0f0f0f0f0f0f0f0full;
+    // nibble + 6 sets bit 4 exactly when the nibble is 10-15, a letter.
+    const std::uint64_t letters = ((v + inEveryByte(6)) >> 4) & inEveryByte(1);
+    return v + inEveryByte('0') + letters * ('a' - '0' - 10);
+}
+
+/**
+ * True when every byte of @p w is '0'-'9' or 'a'-'f'. Once bytes of
+ * 0x80 and up are out, adding a bias below 0x80 to a byte never carries
+ * into the next one, so each sum's bit 7 answers one comparison.
+ */
+bool
+allHexDigits(std::uint64_t w)
+{
+    const std::uint64_t top = inEveryByte(0x80);
+    if (w & top)
+        return false;
+    const std::uint64_t digit =
+        (w + inEveryByte(0x80 - '0')) & ~(w + inEveryByte(0x7f - '9'));
+    const std::uint64_t letter =
+        (w + inEveryByte(0x80 - 'a')) & ~(w + inEveryByte(0x7f - 'f'));
+    return ((digit | letter) & top) == top;
+}
+
+/** The value of the 8 hex digits in @p w, the first in its top byte. */
+std::uint32_t
+hexValue(std::uint64_t w)
+{
+    // A digit's value is its low nibble, plus 9 for a letter (bit 6).
+    std::uint64_t v =
+        (w & inEveryByte(0x0f)) + ((w >> 6) & inEveryByte(1)) * 9;
+    // Fold pairs: nibbles into bytes, bytes into 16 bits, into 32.
+    v = (v | (v >> 4)) & 0x00ff00ff00ff00ffull;
+    v = (v | (v >> 8)) & 0x0000ffff0000ffffull;
+    return static_cast<std::uint32_t>(v | (v >> 16));
+}
+
+/** Length of one canonical record word: a space and 16 digits. */
+constexpr std::size_t recordWordBytes = 17;
 
 } // namespace
 
 void
-appendRecordHex(std::string &out, std::uint64_t raw)
+writeRecordHex(char *out, std::uint64_t raw)
 {
-    char digits[16];
-    for (int i = 15; i >= 0; --i) {
-        digits[i] = hexDigits[raw & 0xf];
-        raw >>= 4;
-    }
-    out.append(digits, sizeof digits);
+    storeBigEndian(out, hexDigits(static_cast<std::uint32_t>(raw >> 32)));
+    storeBigEndian(out + 8, hexDigits(static_cast<std::uint32_t>(raw)));
 }
 
 std::string
 encodeRecordHex(std::uint64_t raw)
 {
-    std::string hex;
-    appendRecordHex(hex, raw);
+    std::string hex(16, '\0');
+    writeRecordHex(hex.data(), raw);
     return hex;
 }
 
@@ -87,16 +149,73 @@ decodeRecordHex(std::string_view token)
 {
     if (token.size() != 16)
         return std::nullopt;
-    std::uint64_t raw = 0;
-    unsigned invalid = 0;
-    for (const char c : token) {
-        const std::uint8_t nibble = hexNibble[static_cast<unsigned char>(c)];
-        invalid |= nibble;
-        raw = (raw << 4) | (nibble & 0xf);
-    }
-    if (invalid & 0x10)
+    const std::uint64_t high = loadBigEndian(token.data());
+    const std::uint64_t low = loadBigEndian(token.data() + 8);
+    if (!allHexDigits(high) || !allHexDigits(low))
         return std::nullopt;
-    return raw;
+    return std::uint64_t{hexValue(high)} << 32 | hexValue(low);
+}
+
+void
+appendFeedLine(std::string &line, const bus::BusTransaction *txns,
+               std::size_t count, Cycle prev)
+{
+    const std::size_t at = line.size();
+    line.resize(at + 4 + count * recordWordBytes + 1);
+    char *out = line.data() + at;
+    std::memcpy(out, "feed", 4);
+    out += 4;
+    for (std::size_t i = 0; i < count; ++i) {
+        *out = ' ';
+        writeRecordHex(out + 1, trace::BusRecord::pack(txns[i], prev).raw);
+        out += recordWordBytes;
+        prev = txns[i].cycle;
+    }
+    *out = '\n';
+}
+
+FeedWords
+parseFeedLine(std::string_view line, Cycle prev, std::size_t limit,
+              std::vector<bus::BusTransaction> &txns)
+{
+    txns.clear();
+    ies::nextWord(line); // the family name
+    FeedWords words;
+    // Unpack @p word onto the chain; why it is malformed, or empty.
+    const auto take = [&](std::string_view word) -> std::string_view {
+        const auto raw = decodeRecordHex(word);
+        if (!raw)
+            return "want 16 lower-case hex digits";
+        const trace::BusRecord rec(*raw);
+        if (!rec.hasKnownOp())
+            return "its command field names no bus command";
+        txns.push_back(rec.unpack(prev));
+        prev = txns.back().cycle;
+        return {};
+    };
+    for (;;) {
+        // The shape feedAll writes, taken where it lies. A word it does
+        // not take is read again below from the same place, so the
+        // reply cannot depend on which path read it.
+        if (words.count < limit && words.bad.empty() &&
+            line.size() >= recordWordBytes && line[0] == ' ' &&
+            (line.size() == recordWordBytes ||
+             ies::isSpace(line[recordWordBytes])) &&
+            take(line.substr(1, 16)).empty()) {
+            ++words.count;
+            line.remove_prefix(recordWordBytes);
+            continue;
+        }
+        const std::string_view word = ies::nextWord(line);
+        if (word.empty())
+            break;
+        if (++words.count > limit || !words.bad.empty())
+            continue;
+        words.why = take(word);
+        if (!words.why.empty())
+            words.bad = word;
+    }
+    return words;
 }
 
 LineChannel::~LineChannel()

@@ -19,7 +19,10 @@
  * Bulk ingest rides the same grammar: `feed` takes packed BusRecords
  * (trace/record.hh) as 16-digit lower-case hex words, one token per
  * reference, cycle-delta chained per session exactly like a trace
- * file. LineChannel is the shared buffered line reader/writer over a
+ * file. appendFeedLine writes such a line and parseFeedLine reads one
+ * back; the client, the session and the bench call these two. The hex
+ * codec under them converts a record eight bytes at a time.
+ * LineChannel is the shared buffered line reader/writer over a
  * connected socket fd used by both daemon and client.
  */
 
@@ -31,6 +34,9 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "bus/transaction.hh"
+#include "common/types.hh"
 
 namespace memories::service
 {
@@ -51,8 +57,8 @@ struct Reply
 /** Render a reply frame ("ok <n>\n" + lines, each '\n'-terminated). */
 std::string renderReply(bool ok, const std::string &body);
 
-/** Append @p raw to @p out as 16 lower-case hex digits. */
-void appendRecordHex(std::string &out, std::uint64_t raw);
+/** Write @p raw as 16 lower-case hex digits at @p out (no NUL). */
+void writeRecordHex(char *out, std::uint64_t raw);
 
 /** Pack a raw BusRecord word as 16 lower-case hex digits. */
 std::string encodeRecordHex(std::uint64_t raw);
@@ -63,6 +69,40 @@ std::string encodeRecordHex(std::uint64_t raw);
  * tier feeds this garbage.
  */
 std::optional<std::uint64_t> decodeRecordHex(std::string_view token);
+
+/**
+ * Append the feed request for the @p count records at @p txns to
+ * @p line: "feed", then " <hex16>" per record, then "\n". Each record's
+ * cycle delta is taken from the record before it, the first one's from
+ * @p prev, so a stream cut into lines anywhere sends the same bytes.
+ */
+void appendFeedLine(std::string &line, const bus::BusTransaction *txns,
+                    std::size_t count, Cycle prev);
+
+/** What parseFeedLine found on a feed line. */
+struct FeedWords
+{
+    /** Every word after the family name, counted past the limit too. */
+    std::size_t count = 0;
+    /** The first malformed word within the limit (a view into the
+     *  parsed line); empty when none. */
+    std::string_view bad;
+    /** Why bad is malformed. */
+    std::string_view why;
+};
+
+/**
+ * Parse a feed line in place. Its first word is the family name; each
+ * later word is decoded and unpacked on the cycle chain from @p prev
+ * into @p txns (cleared first), up to @p limit words or the first
+ * malformed one, and the rest are only counted. A canonical word (one
+ * space, 16 digits, then whitespace or the line's end) is decoded where
+ * it lies; any other shape goes through ies::nextWord, with the same
+ * result.
+ */
+FeedWords parseFeedLine(std::string_view line, Cycle prev,
+                        std::size_t limit,
+                        std::vector<bus::BusTransaction> &txns);
 
 /**
  * Buffered line I/O over a connected stream socket. Reads are

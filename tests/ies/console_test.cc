@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "host/machine.hh"
 #include "trace/tracefile.hh"
+#include "workload/synthetic.hh"
 
 namespace memories::ies
 {
@@ -651,6 +654,70 @@ TEST(ConsoleTest, TraceAutodumpDumpsAgainAfterHalfARing)
               std::string::npos)
         << status;
     std::remove(dumpPath.c_str());
+}
+
+TEST(ConsoleTest, TraceAutodumpRefusesAnUnwritableDirectoryAtOnce)
+{
+    // The dump is written later, from inside board admission: a path
+    // that cannot be written is this line's error, and nothing is armed.
+    bus::Bus6xx bus;
+    Console console(bus);
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0,1");
+    console.execute("buffer 2");
+    console.execute("init");
+    console.execute("trace start 1024");
+
+    const std::string reply =
+        console.execute("trace autodump /nonexistent/dir/x.spans");
+    EXPECT_EQ(reply.rfind("error: cannot write '/nonexistent/dir/x.spans'",
+                          0),
+              0u)
+        << reply;
+    for (int i = 0; i < 8; ++i)
+        EXPECT_NO_THROW(bus.issue(readTxn(0x1000u + 128u * i, 0)));
+    EXPECT_GE(console.flightRecorder()->anomalies(), 1u);
+    EXPECT_EQ(console.execute("trace status").find("autodumps"),
+              std::string::npos);
+}
+
+TEST(ConsoleTest, TraceAutodumpCountsADumpThatFailsOnAHostRun)
+{
+    // The directory goes away after the dump is armed. The hook runs
+    // inside Bus6xx::issue, so a throw would unwind a HostMachine run;
+    // instead the run completes and `trace status` counts the failure.
+    const std::string dir = ::testing::TempDir() + "console_autodump_gone";
+    std::filesystem::create_directories(dir);
+
+    workload::UniformWorkload wl(8, 8 * MiB, 0.3);
+    host::HostConfig cfg;
+    cfg.numCpus = 8;
+    cfg.l1 = cache::CacheConfig{8 * KiB, 2, 128,
+                                cache::ReplacementPolicy::LRU};
+    cfg.l2 = cache::CacheConfig{128 * KiB, 4, 128,
+                                cache::ReplacementPolicy::LRU};
+    cfg.cyclesPerRef = 1;
+    host::HostMachine machine(cfg, wl);
+    Console console(machine.bus());
+    console.execute("node 0 cache 2MB 4 128B");
+    console.execute("node 0 cpus 0,1,2,3,4,5,6,7");
+    console.execute("buffer 2");
+    console.execute("throughput 1");
+    console.execute("init");
+    console.execute("trace start 1024");
+    ASSERT_EQ(console.execute("trace autodump " + dir + "/x.spans")
+                  .rfind("flight recorder will dump", 0),
+              0u);
+    std::filesystem::remove_all(dir);
+
+    EXPECT_NO_THROW(machine.run(2000));
+    ASSERT_GE(console.flightRecorder()->anomalies(), 1u);
+    const std::string status = console.execute("trace status");
+    EXPECT_NE(status.find("autodumps written 0 skipped "), std::string::npos)
+        << status;
+    const auto at = status.find(" failed ");
+    ASSERT_NE(at, std::string::npos) << status;
+    EXPECT_GE(std::stoull(status.substr(at + 8)), 1u) << status;
 }
 
 TEST(ConsoleTest, FaultCommandFamilyArmsAndDisarms)

@@ -87,6 +87,89 @@ TEST(ServiceConsoleTest, FeedsMoveTheClockOfMonitorAndTraceMarks)
               "marked 'fed' at cycle 1750");
 }
 
+/**
+ * A session on a 2-entry buffer in raw admission with a flight
+ * recorder, and a feed line of four reads at cycle 0 that overflows it.
+ */
+class AutodumpSession
+{
+  public:
+    AutodumpSession() : session_(options(), "t0")
+    {
+        for (const char *line :
+             {"node 0 cache 2MB 4 128B LRU", "node 0 cpus 0,1,2,3",
+              "buffer 2", "init", "stream pace off", "trace start 1024"})
+            EXPECT_EQ(session_.execute(line).rfind("error:", 0),
+                      std::string::npos)
+                << line;
+    }
+
+    std::string execute(const std::string &line)
+    {
+        return session_.execute(line);
+    }
+
+    /** Feed four reads at cycle 0 (two more than the buffer holds). */
+    std::string feedFour()
+    {
+        std::string feed = "feed";
+        for (Addr addr = 0x10000; addr < 0x10200; addr += 128) {
+            bus::BusTransaction txn;
+            txn.addr = addr;
+            feed += ' ' + encodeRecordHex(trace::BusRecord::pack(txn, 0).raw);
+        }
+        return session_.execute(feed);
+    }
+
+  private:
+    static SessionOptions options()
+    {
+        SessionOptions options;
+        options.stateDir = uniquePath("iesserv-console-state");
+        return options;
+    }
+
+    Session session_;
+};
+
+TEST(ServiceConsoleTest, AnAutodumpPathThatCannotBeWrittenIsRefused)
+{
+    // The hook dumps from inside board admission, where a failure
+    // would surface as this feed's error after the board had taken
+    // records: so the arm line fails, and the feed lands clean.
+    AutodumpSession session;
+    EXPECT_EQ(session.execute("trace autodump /nonexistent/dir/x.spans")
+                  .rfind("error: cannot write", 0),
+              0u);
+    EXPECT_EQ(session.feedFour().rfind("fed 4 accepted ", 0), 0u);
+    EXPECT_NE(session.execute("stream status").find("attempted 4"),
+              std::string::npos);
+    EXPECT_EQ(session.execute("trace status").find("autodumps"),
+              std::string::npos);
+}
+
+TEST(ServiceConsoleTest, AnAutodumpThatFailsLaterIsCountedNotReplied)
+{
+    const std::string dir = uniquePath("iesserv-autodump");
+    std::filesystem::create_directories(dir);
+    AutodumpSession session;
+    ASSERT_EQ(session.execute("trace autodump " + dir + "/x.spans")
+                  .rfind("flight recorder will dump", 0),
+              0u);
+    std::filesystem::remove_all(dir);
+
+    const std::string fed = session.feedFour();
+    EXPECT_EQ(fed.rfind("fed 4 accepted ", 0), 0u) << fed;
+    const std::string stream = session.execute("stream status");
+    EXPECT_NE(stream.find("attempted 4"), std::string::npos) << stream;
+    const std::string status = session.execute("trace status");
+    const auto at = status.find(" failed ");
+    ASSERT_NE(at, std::string::npos) << status;
+    EXPECT_GE(std::stoull(status.substr(at + 8)), 1u) << status;
+    EXPECT_NE(status.find("autodumps written 0 "), std::string::npos)
+        << status;
+}
+
 TEST(ServiceConsoleTest, WireHelpAddsTheServerFamily)
 {
     TestDaemon daemon;

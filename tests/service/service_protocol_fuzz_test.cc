@@ -68,6 +68,19 @@ TEST(ServiceProtocolFuzzTest, GarbageRequestsAlwaysGetFramedReplies)
         "feed 0123456789ABCDEF", // upper case is rejected
         "feed 0123456789abcdef extra-garbage",
         "feed 010f000000000100", // command 15 names no bus command
+        // Shapes the in-place feed parser hands to the word parser.
+        "feed\t0a00000000000200\t0a10000000000201",
+        "feed 0a00000000000200\r0a10000000000201\r",
+        "feed\v0a00000000000200\f0a10000000000201",
+        "feed   0a00000000000200  0a10000000000201   ",
+        "  \tfeed 0a00000000000200 \t",
+        "feed 0a000000\t0000200 0a10000000000201",
+        "feed 0a0000000000020 0a10000000000201",
+        "feed 0a00000000000200 0a100000000002010",
+        "feed 0A30000000abcdef",
+        "feed 0a0d000000000200 0a00000000000200",
+        "feed 0a00000000000200 0a0e000000000201 0a10000000000201",
+        "feed 0a00000000000200 0a0f000000000202",
         "drain now",
         "stream",
         "stream pace sideways",
