@@ -241,6 +241,11 @@ program(int argc, char **argv)
                static_cast<double>(trace.size()));
     }
     {
+        // Four target machines: with two or more usable CPUs the board
+        // emulates them on lane threads behind its one buffer
+        // (DESIGN.md section 5, "Threading"), so this ungated rung
+        // measures lanes. The 1-node sections and the recorder gate
+        // below run one-machine boards, which stay serial.
         bus::Bus6xx bus;
         ies::MemoriesBoard board(ies::makeMultiConfigBoard(
             {cache::CacheConfig{16 * MiB, 4, 128,

@@ -12,7 +12,8 @@
  *
  * Every comparison diffs all three production feeds against the
  * reference: serial feedCommitted, feedBatch in 256-tenure chunks, and
- * a live bus with the board as its only snooper.
+ * a live bus with the board as its only snooper. A multi-machine config
+ * runs the serial and bus feeds again unrecorded, on machine lanes.
  *
  * On a divergence the minimized witness stream is written to DIR as a
  * replayable trace (see docs/TESTING.md for the reproduction recipe).
@@ -105,7 +106,8 @@ program(int argc, char **argv)
     }
 
     std::printf("oracle_diff: %llu seeds x %zu configs, %llu txns each "
-                "(start seed %llu; serial, batch and bus legs)\n",
+                "(start seed %llu; serial, batch and bus legs, plus\n"
+                "serial and bus lane legs on multi-machine configs)\n",
                 static_cast<unsigned long long>(seeds), lattice.size(),
                 static_cast<unsigned long long>(txns),
                 static_cast<unsigned long long>(start_seed));

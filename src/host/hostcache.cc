@@ -164,6 +164,12 @@ HostCacheHierarchy::snoop(const bus::BusTransaction &txn)
 {
     if (!bus::isMemoryOp(txn.op))
         return bus::SnoopResponse::None;
+    // A remote cast-out changes nothing here, hit or miss: no coherent
+    // copy can exist if the line was truly modified remotely, and a
+    // stale Shared copy simply stays (memory is being updated, our copy
+    // matches it). So it skips the tag probe.
+    if (txn.op == bus::BusOp::WriteBack)
+        return bus::SnoopResponse::None;
 
     const auto hit = busLevel().probe(txn.addr);
     if (!hit.hit)
@@ -223,12 +229,6 @@ HostCacheHierarchy::snoop(const bus::BusTransaction &txn)
             ++stats_.snoopDowngrades;
             return bus::SnoopResponse::Modified;
         }
-        return bus::SnoopResponse::None;
-
-      case bus::BusOp::WriteBack:
-        // A remote cast-out: no coherent copy can exist here if the
-        // line was truly modified remotely; a stale Shared copy simply
-        // stays (memory is being updated, our copy matches it).
         return bus::SnoopResponse::None;
 
       default:

@@ -1,14 +1,20 @@
 #include "ies/board.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <sstream>
+#include <system_error>
+#include <thread>
 
 #include "checkpoint/file.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "fault/injector.hh"
+#include "ies/eventring.hh"
 #include "profile/profiler.hh"
 
 namespace memories::ies
@@ -29,7 +35,55 @@ loadSection(const ckpt::CheckpointImage &image, std::uint32_t id,
     source.expectEnd();
 }
 
+/** CPUs the calling thread may run on (1 when the mask is unreadable). */
+std::size_t
+usableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return 1;
+    return static_cast<std::size_t>(std::max(CPU_COUNT(&set), 1));
+}
+
+/** Ring slots between the bus thread and the lanes. */
+constexpr std::size_t laneRingSlots = 1024;
+
+/** Retirements the bus thread hands over per ring push. A push may
+ *  wake every sleeping lane, so pushes are few and large. */
+constexpr std::size_t lanePush = 512;
+
+/** The most a lane pops at once. */
+constexpr std::size_t lanePop = 128;
+
 } // namespace
+
+/**
+ * The lanes of one lane run, allocated on the bus thread before any
+ * lane starts: the ring, the bus thread's outbox of retirements not yet
+ * pushed, and per lane its pop buffer, its cursor list for
+ * EventRing::waitForEvents and the exception it stopped on.
+ */
+struct MemoriesBoard::Lanes
+{
+    explicit Lanes(std::size_t count)
+        : ring(laneRingSlots, count),
+          batches(count, std::vector<bus::BusTransaction>(lanePop)),
+          cursors(count), errors(count)
+    {
+        outbox.reserve(lanePush);
+        for (std::size_t lane = 0; lane < count; ++lane)
+            cursors[lane].push_back(lane);
+        threads.reserve(count);
+    }
+
+    EventRing ring;
+    std::vector<bus::BusTransaction> outbox;
+    std::vector<std::vector<bus::BusTransaction>> batches;
+    std::vector<std::vector<std::size_t>> cursors;
+    std::vector<std::exception_ptr> errors;
+    std::vector<std::thread> threads;
+};
 
 MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
     : config_(config),
@@ -101,9 +155,21 @@ MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
         }
         group->nodes.push_back(static_cast<std::uint8_t>(i));
     }
+
+    // Machines share nothing but the retirement order, so each can run
+    // on a lane of its own; the bus thread keeps one CPU.
+    if (machines_.size() >= 2)
+        laneCount_ = static_cast<std::uint8_t>(
+            std::min(machines_.size(), usableCpus() - 1));
 }
 
-MemoriesBoard::~MemoriesBoard() = default;
+MemoriesBoard::~MemoriesBoard()
+{
+    // A destructor cannot rethrow a lane's exception; the state it
+    // concerns dies with the board.
+    if (lanes_)
+        joinLanes(false);
+}
 
 std::unique_ptr<MemoriesBoard>
 MemoriesBoard::make(const BoardConfig &config, std::uint64_t seed)
@@ -121,6 +187,7 @@ MemoriesBoard::plugInto(bus::Bus6xx &bus)
 void
 MemoriesBoard::unplug(bus::Bus6xx &bus)
 {
+    stopLanes();
     bus.detach(this);
     bus.detachObserver(this);
 }
@@ -135,6 +202,7 @@ void
 MemoriesBoard::attachFlightRecorder(trace::FlightRecorder &recorder,
                                     std::uint8_t boardId)
 {
+    stopLanes();
     recorder_ = &recorder;
     boardId_ = boardId;
     for (auto &node : nodes_)
@@ -144,6 +212,7 @@ MemoriesBoard::attachFlightRecorder(trace::FlightRecorder &recorder,
 void
 MemoriesBoard::detachFlightRecorder()
 {
+    stopLanes();
     recorder_ = nullptr;
     for (auto &node : nodes_)
         node->setFlightRecorder(nullptr);
@@ -154,6 +223,7 @@ MemoriesBoard::detachFlightRecorder()
 void
 MemoriesBoard::attachFaultInjector(fault::FaultInjector &injector)
 {
+    stopLanes();
     injector_ = &injector;
     injector_->setFlightRecorder(recorder_, boardId_);
 }
@@ -161,6 +231,7 @@ MemoriesBoard::attachFaultInjector(fault::FaultInjector &injector)
 void
 MemoriesBoard::detachFaultInjector()
 {
+    stopLanes();
     if (injector_)
         injector_->setFlightRecorder(nullptr);
     injector_ = nullptr;
@@ -183,6 +254,8 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
 {
     if (&healthy == this)
         fatal("a board cannot resync from itself");
+    stopLanes();
+    healthy.stopLanes();
     if (healthy.nodes_.size() != nodes_.size()) {
         fatal("resync source has ", healthy.nodes_.size(),
               " nodes but this board has ", nodes_.size());
@@ -220,6 +293,13 @@ void
 MemoriesBoard::drainDue(Cycle now)
 {
     if constexpr (Hooks) {
+        if (lanesWanted()) {
+            // Nothing on this thread reads a node before the next stop
+            // point, so the machines emulate on the lanes.
+            while (auto txn = buffer_.drain(now))
+                toLanes(*txn);
+            return;
+        }
         while (auto txn = buffer_.drain(now)) {
             if (recorder_)
                 recorder_->record(
@@ -435,6 +515,7 @@ MemoriesBoard::feedCommitted(const bus::BusTransaction &txn)
 void
 MemoriesBoard::drainAll()
 {
+    stopLanes();
     while (auto txn = buffer_.drainUnpaced()) {
         if (recorder_)
             recorder_->record(
@@ -444,26 +525,117 @@ MemoriesBoard::drainAll()
 }
 
 void
-MemoriesBoard::emulateStep(const bus::BusTransaction &txn)
+MemoriesBoard::emulateMachine(const MachineGroup &m,
+                              const bus::BusTransaction &txn)
 {
-    // Lock-step emulation step: within each target machine (groups
+    // Lock-step emulation step: within the target machine (groups
     // precomputed at construction) the non-owning nodes snoop first
     // (their combined emulated response is the "resulting state from
     // other cache nodes" input of the requester's protocol table),
     // then the owning node applies its requester transition.
-    for (const MachineGroup &m : machines_) {
-        NodeController *owner = nullptr;
-        auto emu_resp = bus::SnoopResponse::None;
-        for (std::uint8_t n : m.nodes) {
-            NodeController *node = nodes_[n].get();
-            if (node->ownsCpu(txn.cpu))
-                owner = node;
-            else
-                emu_resp =
-                    bus::combineSnoop(emu_resp, node->snoopRemote(txn));
+    NodeController *owner = nullptr;
+    auto emu_resp = bus::SnoopResponse::None;
+    for (std::uint8_t n : m.nodes) {
+        NodeController *node = nodes_[n].get();
+        if (node->ownsCpu(txn.cpu))
+            owner = node;
+        else
+            emu_resp = bus::combineSnoop(emu_resp, node->snoopRemote(txn));
+    }
+    if (owner)
+        owner->processLocal(txn, emu_resp);
+}
+
+void
+MemoriesBoard::emulateStep(const bus::BusTransaction &txn)
+{
+    for (const MachineGroup &m : machines_)
+        emulateMachine(m, txn);
+}
+
+void
+MemoriesBoard::toLanes(const bus::BusTransaction &txn)
+{
+    if (!lanes_ && !startLanes()) {
+        emulateStep(txn);
+        return;
+    }
+    std::vector<bus::BusTransaction> &outbox = lanes_->outbox;
+    outbox.push_back(txn);
+    if (outbox.size() == lanePush) {
+        lanes_->ring.push(outbox.data(), outbox.size());
+        outbox.clear();
+    }
+}
+
+bool
+MemoriesBoard::startLanes()
+{
+    auto lanes = std::make_unique<Lanes>(laneCount_);
+    try {
+        for (std::size_t lane = 0; lane < laneCount_; ++lane) {
+            lanes->threads.emplace_back(
+                [this, &run = *lanes, lane] { laneMain(run, lane); });
         }
-        if (owner)
-            owner->processLocal(txn, emu_resp);
+    } catch (const std::system_error &) {
+        // No thread to be had: stop the lanes that did start and
+        // emulate serially from now on.
+        lanes->ring.close();
+        for (std::thread &t : lanes->threads)
+            t.join();
+        laneCount_ = 0;
+        return false;
+    }
+    lanes_ = std::move(lanes);
+    return true;
+}
+
+void
+MemoriesBoard::laneMain(Lanes &lanes, std::size_t lane)
+{
+    std::vector<bus::BusTransaction> &batch = lanes.batches[lane];
+    const std::size_t stride = lanes.batches.size();
+    bool failed = false;
+    while (true) {
+        bool drained = false;
+        const std::size_t n =
+            lanes.ring.pop(lane, batch.data(), batch.size(), &drained);
+        if (!failed) {
+            try {
+                for (std::size_t g = lane; g < machines_.size();
+                     g += stride) {
+                    for (std::size_t i = 0; i < n; ++i)
+                        emulateMachine(machines_[g], batch[i]);
+                }
+            } catch (...) {
+                // Stop emulating but keep the cursor moving, so the
+                // bus thread never waits on this lane; the next stop
+                // point rethrows on the caller's thread.
+                lanes.errors[lane] = std::current_exception();
+                failed = true;
+            }
+        }
+        if (drained)
+            return;
+        if (n == 0)
+            lanes.ring.waitForEvents(lanes.cursors[lane]);
+    }
+}
+
+void
+MemoriesBoard::joinLanes(bool rethrow) const
+{
+    const std::unique_ptr<Lanes> lanes = std::move(lanes_);
+    if (!lanes->outbox.empty())
+        lanes->ring.push(lanes->outbox.data(), lanes->outbox.size());
+    lanes->ring.close();
+    for (std::thread &t : lanes->threads)
+        t.join();
+    if (!rethrow)
+        return;
+    for (const std::exception_ptr &error : lanes->errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
 }
 
@@ -508,6 +680,7 @@ std::size_t
 MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
                          std::size_t count, bool *accepted)
 {
+    stopLanes();
     profile::ScopedStage scope(prof_, profile::Stage::FeedBatch);
     std::size_t ok_count = 0;
     if (injector_ == nullptr && recorder_ == nullptr &&
@@ -546,6 +719,9 @@ void
 MemoriesBoard::attachTelemetry(telemetry::Sampler &sampler,
                                const std::string &prefix)
 {
+    // The sampler reads node banks when a window closes, on this
+    // thread: the board stays serial from now on (lanesWanted).
+    stopLanes();
     sampler.addBank(prefix, global_);
     for (const auto &node : nodes_)
         sampler.addBank(prefix, node->counters());
@@ -571,6 +747,7 @@ MemoriesBoard::attachTelemetry(telemetry::Sampler &sampler,
 void
 MemoriesBoard::clearCounters()
 {
+    stopLanes();
     global_.clearAll();
     for (auto &node : nodes_)
         node->clearCounters();
@@ -579,7 +756,7 @@ MemoriesBoard::clearCounters()
 void
 MemoriesBoard::reset()
 {
-    clearCounters();
+    clearCounters(); // a stop point: no lane runs past here
     for (auto &node : nodes_)
         node->resetDirectory();
     if (capture_)
@@ -589,6 +766,7 @@ MemoriesBoard::reset()
 std::string
 MemoriesBoard::dumpCounters() const
 {
+    stopLanes();
     std::string text = global_.dump();
     for (const auto &node : nodes_)
         text += node->counters().dump();
@@ -598,6 +776,7 @@ MemoriesBoard::dumpCounters() const
 std::string
 MemoriesBoard::dumpStats() const
 {
+    stopLanes();
     std::ostringstream os;
     os << "=== MemorIES board ===\n";
     os << "memory tenures " << global_.value(hTenures_)
@@ -655,6 +834,7 @@ MemoriesBoard::dumpStats() const
 void
 MemoriesBoard::saveState(ckpt::CheckpointWriter &writer) const
 {
+    stopLanes();
     {
         ckpt::Sink &sink = writer.section(ckpt::secBoard);
         sink.u64(nodes_.size());
@@ -687,6 +867,7 @@ MemoriesBoard::saveState(const std::string &path) const
 void
 MemoriesBoard::loadState(const ckpt::CheckpointImage &image)
 {
+    stopLanes();
     // Gate on the configuration fingerprint first: a checkpoint from a
     // differently-shaped board is rejected before any section decode.
     const std::vector<std::string> errors =

@@ -47,7 +47,24 @@ class Profiler;
 namespace memories::ies
 {
 
-/** The complete emulation board. */
+/**
+ * The complete emulation board.
+ *
+ * Threading: admission, pacing, the transaction buffer and retries run
+ * on the calling (bus) thread. A board whose nodes form two or more
+ * target machines, with nothing watching per-tenure effects (no flight
+ * recorder, no fault injector, health monitoring off, no telemetry),
+ * in a process that may run on two or more CPUs, emulates its machines
+ * on lane threads: each tenure the SDRAM side retires on the
+ * per-tenure path (snoop/observeResult, feedCommitted) goes to
+ * min(machines, CPUs - 1) lanes, and machine g is emulated by lane
+ * g mod lanes in retirement order. Every reader of node state and
+ * every hook change is a stop point that flushes the lanes and joins
+ * them first, so one thread at a time touches a node and every
+ * counter, directory and checkpoint byte equals the serial board's
+ * (DESIGN.md, "Threading"). A caller must not hold a node reference
+ * across a run.
+ */
 class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 {
   public:
@@ -104,8 +121,9 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * (no injector, no recorder, health monitoring off) it admits the
      * whole batch first and then emulates its retirements in one
      * prefetching pass over the retirement slab; otherwise it is
-     * feedCommitted() per element (docs/BATCH.md). Everything runs on
-     * the calling thread.
+     * feedCommitted() per element (docs/BATCH.md). A stop point:
+     * running lanes finish first, and the batch runs on the calling
+     * thread.
      *
      * @param accepted Optional out array of @p count flags mirroring
      *        each feedCommitted() return value.
@@ -124,8 +142,19 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     void drainAll();
 
     std::size_t numNodes() const { return nodes_.size(); }
-    NodeController &node(std::size_t i) { return *nodes_[i]; }
-    const NodeController &node(std::size_t i) const { return *nodes_[i]; }
+
+    /** Node @p i. A stop point: running lanes finish first (see the
+     *  class comment), so the node is whole when the caller reads it. */
+    NodeController &node(std::size_t i)
+    {
+        stopLanes();
+        return *nodes_[i];
+    }
+    const NodeController &node(std::size_t i) const
+    {
+        stopLanes();
+        return *nodes_[i];
+    }
 
     /** Board-level (global-events FPGA) counters. */
     const CounterBank &globalCounters() const { return global_; }
@@ -230,7 +259,8 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      *
      * Threading: registered sources are read on the sampler's (bus
      * time) thread. Only attach a board that is emulated on that same
-     * thread — never a live ExperimentFleet worker board.
+     * thread — never a live ExperimentFleet worker board. An attached
+     * board starts no lane from then on.
      */
     void attachTelemetry(telemetry::Sampler &sampler,
                          const std::string &prefix = "board");
@@ -378,9 +408,47 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     void recordOverflow(const bus::BusTransaction &txn, Cycle cycle,
                         std::uint8_t code);
 
-    /** One lock-step emulation step; nodes record to their own
-     *  recorder. */
+    /** One lock-step emulation step of target machine @p m; nodes
+     *  record to their own recorder. */
+    void emulateMachine(const MachineGroup &m,
+                        const bus::BusTransaction &txn);
+
+    /** One lock-step emulation step: every machine in turn. */
     void emulateStep(const bus::BusTransaction &txn);
+
+    /** Lane threads and their ring (board.cc). */
+    struct Lanes;
+
+    /** True when retirements go to the lanes (see the class comment). */
+    bool lanesWanted() const
+    {
+        // occupancyHist_ exists once a sampler holds the banks.
+        return laneCount_ != 0 && recorder_ == nullptr &&
+               injector_ == nullptr && !health_.enabled() &&
+               occupancyHist_ == nullptr;
+    }
+
+    /** Hand one retired tenure to the lanes, starting them first. */
+    void toLanes(const bus::BusTransaction &txn);
+
+    /** Start laneCount_ lanes; false (and serial from then on) when
+     *  the system has no thread to give. */
+    bool startLanes();
+
+    /** Lane @p lane's loop: emulate its machines in ring order. */
+    void laneMain(Lanes &lanes, std::size_t lane);
+
+    /** Stop point: flush, close and join the lanes, rethrowing a
+     *  lane's exception here. A no-op when no lane runs. */
+    void stopLanes() const
+    {
+        if (lanes_)
+            joinLanes(true);
+    }
+
+    /** Flush, close and join the lanes; rethrow the first lane's
+     *  exception iff @p rethrow. */
+    void joinLanes(bool rethrow) const;
 
     /**
      * Let the SDRAM side retire what it has earned by @p now. The
@@ -428,14 +496,20 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     trace::FlightRecorder *recorder_ = nullptr;
     std::uint8_t boardId_ = trace::lifecycleNoOwner;
+    /** Lanes a lane run starts; 0 when the board always runs serially
+     *  (one machine, or a single usable CPU). */
+    std::uint8_t laneCount_ = 0;
 
     fault::FaultInjector *injector_ = nullptr;
     profile::Profiler *prof_ = nullptr;
     fault::HealthMonitor health_;
-    unsigned healthLineShift_ = 0; //!< line shift for degraded sampling
     /** Stamp for health-transition events (last tenure seen). */
     Cycle healthCycle_ = 0;
     std::uint32_t healthTraceId_ = 0;
+    unsigned healthLineShift_ = 0; //!< line shift for degraded sampling
+
+    /** Running lanes, or null. Stop points are const readers too. */
+    mutable std::unique_ptr<Lanes> lanes_;
 
     CounterBank global_;
     CounterBank::Handle hTenures_, hCommitted_, hFiltered_,

@@ -11,12 +11,12 @@
  *
  * ExperimentFleet implements that fan-out. A single tap attaches to the
  * host Bus6xx as a BusObserver, records every committed tenure into a
- * bounded broadcast ring, and a std::thread pool replays the stream
- * into M independently-configured boards through feedBatch, one popped
- * chunk at a time (one board per ring cursor, no shared mutable state
- * between boards, each seeded deterministically). The same machinery
- * replays a captured trace file offline through the identical code
- * path.
+ * bounded broadcast ring (EventRing, ies/eventring.hh), and a
+ * std::thread pool replays the stream into M independently-configured
+ * boards through feedBatch, one popped chunk at a time (one board per
+ * ring cursor, no shared mutable state between boards, each seeded
+ * deterministically). The same machinery replays a captured trace file
+ * offline through the identical code path.
  *
  * Passivity is preserved end to end: the tap never drives a snoop
  * response, and when the ring fills behind a slow board the *producer's
@@ -41,75 +41,18 @@
 #ifndef MEMORIES_IES_FANOUT_HH
 #define MEMORIES_IES_FANOUT_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bus/bus6xx.hh"
 #include "ies/board.hh"
+#include "ies/eventring.hh"
 
 namespace memories::ies
 {
-
-/**
- * Bounded single-producer broadcast ring with one cursor per consumer.
- *
- * Every consumer sees every event in publication order (this is a
- * broadcast, not a work queue); a slot is reclaimed once the slowest
- * cursor has passed it. The producer blocks while the ring is full and
- * charges each blocking episode to the consumers currently holding the
- * minimum cursor.
- */
-class EventRing
-{
-  public:
-    EventRing(std::size_t capacity, std::size_t consumers);
-
-    /** Producer: append @p n events, blocking while the ring is full. */
-    void push(const bus::BusTransaction *events, std::size_t n);
-
-    /** Producer: no more events will arrive; wakes every consumer. */
-    void close();
-
-    /**
-     * Consumer @p c: pop up to @p max events without blocking. When
-     * @p drained is non-null it reports, under the same lock, whether
-     * the ring is closed and @p c has now consumed everything.
-     */
-    std::size_t pop(std::size_t c, bus::BusTransaction *out,
-                    std::size_t max, bool *drained = nullptr);
-
-    /** True once the ring is closed and @p c has consumed everything. */
-    bool drained(std::size_t c) const;
-
-    /**
-     * Block until one of @p consumers has unconsumed events or the ring
-     * is closed.
-     */
-    void waitForEvents(const std::vector<std::size_t> &consumers);
-
-    /** Events pushed so far. */
-    std::uint64_t published() const;
-
-    /** Producer blocking episodes charged to consumer @p c. */
-    std::uint64_t stalls(std::size_t c) const;
-
-  private:
-    std::size_t freeSpaceLocked() const;
-
-    mutable std::mutex mu_;
-    std::condition_variable notFull_;  //!< producer waits here
-    std::condition_variable notEmpty_; //!< consumers wait here
-    std::vector<bus::BusTransaction> ring_;
-    std::vector<std::uint64_t> tails_;  //!< absolute per-consumer cursors
-    std::vector<std::uint64_t> stalls_; //!< blocking episodes per laggard
-    std::uint64_t head_ = 0;            //!< absolute events pushed
-    bool closed_ = false;
-};
 
 /** Tunables of the fan-out machinery. */
 struct FleetOptions

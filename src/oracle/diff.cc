@@ -122,18 +122,32 @@ class TenureCapture final : public bus::BusObserver
     std::vector<bool> completed;
 };
 
+/** True when @p config's nodes form two or more target machines. */
+bool
+multiMachine(const ies::BoardConfig &config)
+{
+    for (const ies::NodeConfig &node : config.nodes) {
+        if (node.targetMachine != config.nodes.front().targetMachine)
+            return true;
+    }
+    return false;
+}
+
 /**
  * Diff one leg into @p report: when @p checkpoint_path is non-null
  * both boards resume from it (counters cleared, so the diff covers the
- * resumed stream only) before the stream is fed.
+ * resumed stream only) before the stream is fed. @p recorded attaches
+ * a flight recorder to the production board (never on the batch leg).
  */
 void
-diffLeg(Leg leg, const ies::BoardConfig &config,
+diffLeg(Leg leg, bool recorded, const ies::BoardConfig &config,
         const std::string *checkpoint_path,
         const std::vector<bus::BusTransaction> &stream,
         const DiffOptions &opts, DiffReport &report)
 {
-    const std::string tag = legName(leg);
+    const std::string tag =
+        std::string(legName(leg)) +
+        (recorded || leg == Leg::Batch ? "" : "-lanes");
     bool leg_diverged = false;
     auto note = [&](std::string msg) {
         msg = tag + " leg: " + msg;
@@ -158,11 +172,11 @@ diffLeg(Leg leg, const ies::BoardConfig &config,
 
     // The batch leg runs detached, so it drives the hook-free
     // instantiation the benchmarks and the service run; the other legs
-    // record, for the retirement order and the divergence dump. Size
-    // the recorder to hold the whole run, up to 2^20 events: each
-    // tenure produces well under 16 events.
+    // record, for the retirement order and the divergence dump, unless
+    // they run as lane legs. Size the recorder to hold the whole run,
+    // up to 2^20 events: each tenure produces well under 16 events.
     std::optional<trace::FlightRecorder> recorder;
-    if (leg != Leg::Batch) {
+    if (recorded && leg != Leg::Batch) {
         const auto capacity = std::min<std::size_t>(
             ceilPowerOf2(16 * stream.size() + 1024), std::size_t{1} << 20);
         recorder.emplace(capacity);
@@ -347,7 +361,15 @@ diffStreamImpl(const ies::BoardConfig &config,
 {
     DiffReport report;
     for (const Leg leg : {Leg::Serial, Leg::Batch, Leg::Bus})
-        diffLeg(leg, config, checkpoint_path, stream, opts, report);
+        diffLeg(leg, true, config, checkpoint_path, stream, opts, report);
+    // A recorder keeps a board serial. Unrecorded, a board of two or
+    // more target machines emulates them on lanes on the per-tenure
+    // feeds, so those feeds run again without one.
+    if (multiMachine(config)) {
+        for (const Leg leg : {Leg::Serial, Leg::Bus})
+            diffLeg(leg, false, config, checkpoint_path, stream, opts,
+                    report);
+    }
     return report;
 }
 

@@ -13,7 +13,10 @@
  * feedCommitted, feedBatch in 256-tenure chunks, and a live Bus6xx
  * whose only snooper is the board (snoop/observeResult, the path the
  * paper's figures run). The bus restamps cycles and trace ids, so the
- * bus leg's reference is fed the tenures as the bus stamped them.
+ * bus leg's reference is fed the tenures as the bus stamped them. The
+ * serial and bus legs record; a board of two or more target machines
+ * runs them a second time unrecorded ("serial-lanes", "bus-lanes"),
+ * the feeds on which it emulates its machines on lane threads.
  *
  * runLattice() sweeps a configuration lattice (line size x
  * associativity x size x replacement policy x protocol table x node
@@ -61,7 +64,8 @@ struct DiffReport
     std::string summary;
     /** Up to DiffOptions::maxDetails individual differences. */
     std::vector<std::string> details;
-    /** Legs that diverged, in run order: "serial", "batch", "bus". */
+    /** Legs that diverged, in run order: "serial", "batch", "bus",
+     *  then "serial-lanes", "bus-lanes" on a multi-machine board. */
     std::vector<std::string> divergedLegs;
     /** Production flight-recorder dump of the first diverging leg
      *  that records one (the batch leg runs detached; else empty). */

@@ -182,6 +182,46 @@ TEST(HostCacheTest, SnoopIgnoresNonMemoryOps)
     EXPECT_TRUE(h.residentInL2(0x2000));
 }
 
+TEST(HostCacheTest, SnoopWriteBackChangesNothing)
+{
+    // A remote cast-out answers None and leaves Modified, Exclusive and
+    // Shared lines as they were, in both levels, with no count moved.
+    auto h = makeHierarchy();
+    const Addr m = 0x2000, e = 0x2080, s = 0x2100;
+    h.completeFill(*h.access(m, true).need, true,
+                   bus::SnoopResponse::None);
+    h.completeFill(*h.access(e, false).need, false,
+                   bus::SnoopResponse::None);
+    h.completeFill(*h.access(s, false).need, false,
+                   bus::SnoopResponse::Shared);
+    const HierarchyStats before = h.stats();
+    for (const Addr a : {m, e, s}) {
+        EXPECT_EQ(h.snoop(remoteTxn(a, bus::BusOp::WriteBack)),
+                  bus::SnoopResponse::None);
+        EXPECT_TRUE(h.residentInL1(a));
+        EXPECT_TRUE(h.residentInL2(a));
+    }
+    const HierarchyStats after = h.stats();
+    EXPECT_EQ(after.refs, before.refs);
+    EXPECT_EQ(after.l1Hits, before.l1Hits);
+    EXPECT_EQ(after.l2Hits, before.l2Hits);
+    EXPECT_EQ(after.l2Misses, before.l2Misses);
+    EXPECT_EQ(after.writebacks, before.writebacks);
+    EXPECT_EQ(after.snoopInvalidations, before.snoopInvalidations);
+    EXPECT_EQ(after.snoopDowngrades, before.snoopDowngrades);
+
+    // The states held: M still intervenes, E still downgrades (S
+    // would not count one), S still needs its DClaim to write.
+    EXPECT_EQ(h.snoop(remoteTxn(m, bus::BusOp::Read)),
+              bus::SnoopResponse::Modified);
+    EXPECT_EQ(h.snoop(remoteTxn(e, bus::BusOp::Read)),
+              bus::SnoopResponse::Shared);
+    EXPECT_EQ(h.stats().snoopDowngrades, before.snoopDowngrades + 2);
+    const auto w = h.access(s, true);
+    ASSERT_TRUE(w.need.has_value());
+    EXPECT_EQ(w.need->op, bus::BusOp::DClaim);
+}
+
 TEST(HostCacheTest, NoL2ModeWorksAgainstL1Only)
 {
     HostCacheHierarchy h(l1Config(), std::nullopt);

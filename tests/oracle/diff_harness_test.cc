@@ -159,6 +159,30 @@ TEST(DiffHarnessTest, MutationsAreCaughtOnEveryLeg)
         << report.summary;
 }
 
+TEST(DiffHarnessTest, MultiMachineBoardsRunLaneLegs)
+{
+    // Unrecorded, a board of two target machines emulates them on lane
+    // threads, so its serial and bus feeds run a second time that way;
+    // the lane legs must agree, and a mutation must diverge there too.
+    const auto cfg = ies::makeMultiConfigBoard(
+        {cache::CacheConfig{2 * MiB, 4, 4096,
+                            cache::ReplacementPolicy::TreePLRU},
+         cache::CacheConfig{2 * MiB, 4, 4096,
+                            cache::ReplacementPolicy::LRU}},
+        8);
+    const DiffReport clean = diffStream(cfg, stream(21, 500, hotParams()));
+    EXPECT_FALSE(clean.diverged) << clean.describe();
+
+    DiffOptions opts;
+    opts.mutation = RefMutation::SkipPlruTouchOnHit;
+    DiffReport report;
+    for (std::uint64_t seed = 1; seed <= 5 && !report.diverged; ++seed)
+        report = diffStream(cfg, stream(seed, 600, hotParams()), opts);
+    const std::vector<std::string> legs = {"serial", "batch", "bus",
+                                           "serial-lanes", "bus-lanes"};
+    EXPECT_EQ(report.divergedLegs, legs) << report.describe();
+}
+
 TEST(DiffHarnessTest, AgreesOnDefaultBoard)
 {
     const auto cfg = conflictBoard(cache::ReplacementPolicy::LRU);
